@@ -9,25 +9,37 @@ Each :class:`StateSpec` bundles a wave-function model with
 * a normalized reference density ``g`` used by ratio and level-set
   estimators, and
 * where the node is known analytically, a :class:`NodeParametrization`
-  whose ``measure_map`` is exact for that geometry.
+  that draws surface parameters and maps them onto the node with the exact
+  surface measure of that geometry.
 
-Surface measures (all verified against deterministic quadrature in the
-test-suite):
+Surface parameters (n is a unit vector, drawn uniformly on the sphere) and
+the measure factor dS/dparams.  The test-suite checks every geometry's
+points against the node and its surface estimate against the exact
+energy (kin_nda + pot_nda = E):
 
 ==================  =========================================================
-kind                parameters -> measure factor
+kind                parameters; measure in those parameters
 ==================  =========================================================
 coordinate_plane    (s, phi) polar in the z=0 plane; dS = s ds dphi
 equal_radii         (r, n1, n2); dS = sqrt(2) r^4 dr dn1 dn2
 relative_plane      (x1, y1, x2, y2, z); dS = sqrt(2) dx1 dy1 dx2 dy2 dz
-azimuth_lock        (branch, r1, t1, r2, t2, alpha): both azimuths locked to
-                    a common angle; dS = sqrt(s1^2+s2^2) r1 r2 dr dtheta ...
-perpendicular       one direction confined to the circle orthogonal to a
-                    reference vector; coarea factor |grad g| / slope
-paired_radial       two equal-radii sheets (one per spin channel) with the
-                    other channel's electrons as free spectators
-implicit_graph      node solved for one Cartesian coordinate; factor
-                    |grad Psi| / |dPsi/du| (graph surface measure)
+azimuth_lock        (branch, r1, theta1, r2, theta2, alpha): both azimuths
+                    locked to alpha; dS = sqrt(s1^2+s2^2) r1 r2 dr1 dtheta1
+                    dr2 dtheta2 dalpha with s = r sin(theta)
+perpendicular       1S_2p2: (r1, r2, n2, chi), rhat1 at angle chi on the
+(2 electrons)       circle orthogonal to n2; dS = sqrt(r1^2+r2^2) r1 r2
+                    dr1 dr2 dn2 dchi
+perpendicular       1S_1s2_2p2: (r1, r2, r3, r4, n1, n2, nf, chi), one
+(4 electrons)       down-channel direction solved onto a circle at angle chi;
+                    dS = |grad Psi| / slope (r1 r2 r3 r4)^2 dr1 dr2 dr3
+                    dr4 dn1 dn2 dnf dchi (coarea factor)
+paired_radial       (branch, r, na, nb, rs1, rs2, ns1, ns2): an equal-radii
+                    sheet in one spin channel, the other channel's electrons
+                    rs ns free spectators; dS = sqrt(2) r^4 dr dna dnb
+                    d^3r_s1 d^3r_s2 (proposal density per unit volume)
+implicit_graph      (r1, n1, s2, phi2): electron 1 spherical, (x2, y2) polar,
+                    node solved for z2; dS = |grad Psi| / |dPsi/dz2| r1^2 s2
+                    dr1 dn1 ds2 dphi2 (graph surface measure)
 determinant_zero    implicit marker, no parametrization
 ==================  =========================================================
 """
@@ -107,17 +119,39 @@ class ReferenceDensity:
 class NodeParametrization:
     """Exact parametrization of the nodal set.
 
-    ``measure_map(params)`` maps an (m, n_params) array of surface
-    parameters to configurations (m, 3N) on the node together with the local
-    surface measure factor dS/dparams.  ``sample(rng, n)`` draws importance
-    points so that mean(w * h(R)) estimates the surface integral of h.
+    Each geometry declares three functions of an (m, n_params) array of
+    surface parameters, all treating rows independently:
+
+    * ``draw_params(rng, m)`` draws parameters from the proposal;
+    * ``proposal_pdf(params)`` is the proposal density in the parameters;
+    * ``measure_map(params)`` maps them to configurations (m, 3N) on the
+      node together with the local surface measure factor dS/dparams.
+
+    ``sample(rng, m)`` returns importance points (coords, w) with
+    w = dS/dparams / proposal_pdf, so that mean(w * h(R)) estimates the
+    surface integral of h.  Unless given, it is derived from the three
+    functions.
     """
 
     kind: str
     description: str
     n_params: int
+    draw_params: Optional[Callable] = None
     measure_map: Optional[Callable] = None
+    proposal_pdf: Optional[Callable] = None
     sample: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.sample is not None or self.measure_map is None:
+            return
+        draw, measure_map, pdf = self.draw_params, self.measure_map, self.proposal_pdf
+
+        def sample(rng, m):
+            params = draw(rng, m)
+            coords, dS = measure_map(params)
+            return coords, dS / pdf(params)
+
+        object.__setattr__(self, "sample", sample)
 
 
 IMPLICIT_MARKER = NodeParametrization(
@@ -143,83 +177,76 @@ def _gamma_pdf(r, shape, scale):
 
 
 def _plane_param(Z: float) -> NodeParametrization:
-    # single electron, node z = 0
+    # single electron, node z = 0; params (s, phi) polar in the plane
+    def draw_params(rng, n):
+        s = rng.gamma(2.0, 2.0 / Z, size=n)
+        phi = rng.uniform(0.0, 2.0 * pi, size=n)
+        return np.stack([s, phi], axis=1)
+
     def measure_map(params):
         s, phi = params[:, 0], params[:, 1]
         coords = np.stack([s * np.cos(phi), s * np.sin(phi), np.zeros_like(s)], axis=1)
         return coords, s
 
-    def sample(rng, n):
-        s = rng.gamma(2.0, 2.0 / Z, size=n)
-        phi = rng.uniform(0.0, 2.0 * pi, size=n)
-        coords, factor = measure_map(np.stack([s, phi], axis=1))
-        q = _gamma_pdf(s, 2.0, 2.0 / Z) / (2.0 * pi)
-        return coords, factor / q
+    def proposal_pdf(params):
+        return _gamma_pdf(params[:, 0], 2.0, 2.0 / Z) / (2.0 * pi)
 
     return NodeParametrization(
         kind="coordinate_plane",
         description="z = 0 plane in polar coordinates (s, phi); dS = s ds dphi",
         n_params=2,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
 def _equal_radii_param(Z: float) -> NodeParametrization:
-    # two s-orbital electrons, node r1 = r2; params (r, n1(2), n2(2)) as angles
-    def measure_map(params):
-        r = params[:, 0]
-        n1 = _angles_to_unit(params[:, 1], params[:, 2])
-        n2 = _angles_to_unit(params[:, 3], params[:, 4])
-        coords = np.concatenate([n1 * r[:, None], n2 * r[:, None]], axis=1)
-        factor = sqrt(2.0) * r ** 4 * np.sin(params[:, 1]) * np.sin(params[:, 3])
-        return coords, factor
-
-    def sample(rng, n):
+    # two s-orbital electrons, node r1 = r2; params (r, n1, n2), n unit vectors
+    def draw_params(rng, n):
         r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
-        n1 = _uniform_sphere(rng, n)
-        n2 = _uniform_sphere(rng, n)
-        coords = np.concatenate([n1 * r[:, None], n2 * r[:, None]], axis=1)
-        factor = sqrt(2.0) * r ** 4
-        q = _gamma_pdf(r, 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
-        return coords, factor / q
+        return np.column_stack([r, _uniform_sphere(rng, n), _uniform_sphere(rng, n)])
+
+    def measure_map(params):
+        return params[:, 1:7] * params[:, :1], sqrt(2.0) * params[:, 0] ** 4
+
+    def proposal_pdf(params):
+        return _gamma_pdf(params[:, 0], 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
 
     return NodeParametrization(
         kind="equal_radii",
         description="r1 = r2 sheet; dS = sqrt(2) r^4 dr dn1 dn2",
-        n_params=5,
+        n_params=7,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
-
-
-def _angles_to_unit(theta, phi):
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
 def _relative_plane_param(omega: float) -> NodeParametrization:
     # harmonic pair, node z1 = z2; params (x1, y1, x2, y2, z)
+    def draw_params(rng, n):
+        xy = rng.standard_normal((n, 4)) / sqrt(omega)
+        z = rng.standard_normal(n) / sqrt(2.0 * omega)
+        return np.concatenate([xy, z[:, None]], axis=1)
+
     def measure_map(params):
         x1, y1, x2, y2, z = (params[:, i] for i in range(5))
         coords = np.stack([x1, y1, z, x2, y2, z], axis=1)
         return coords, np.full(len(z), sqrt(2.0))
 
-    def sample(rng, n):
-        xy = rng.standard_normal((n, 4)) / sqrt(omega)
-        z = rng.standard_normal(n) / sqrt(2.0 * omega)
-        params = np.concatenate([xy, z[:, None]], axis=1)
-        coords, factor = measure_map(params)
-        q = ((omega / (2.0 * pi)) ** 2 * sqrt(omega / pi)
-             * np.exp(-0.5 * omega * np.sum(xy * xy, axis=1) - omega * z * z))
-        return coords, factor / q
+    def proposal_pdf(params):
+        xy, z = params[:, :4], params[:, 4]
+        return ((omega / (2.0 * pi)) ** 2 * sqrt(omega / pi)
+                * np.exp(-0.5 * omega * np.sum(xy * xy, axis=1) - omega * z * z))
 
     return NodeParametrization(
         kind="relative_plane",
         description="z1 = z2 plane; dS = sqrt(2) dx1 dy1 dx2 dy2 dz",
         n_params=5,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
@@ -227,39 +254,38 @@ def _azimuth_lock_param(Z: float, coupling: str) -> NodeParametrization:
     # two 2p electrons; cross form (x1 y2 - x2 y1) vanishes when the azimuths
     # coincide mod pi, plus form (x1 y2 + x2 y1) when phi2 = -phi1 mod pi.
     # params: (branch, r1, theta1, r2, theta2, alpha)
-    def measure_map(params):
-        b, r1, t1, r2, t2, alpha = (params[:, i] for i in range(6))
-        s1, z1 = r1 * np.sin(t1), r1 * np.cos(t1)
-        s2, z2 = r2 * np.sin(t2), r2 * np.cos(t2)
-        phi1 = alpha
-        phi2 = alpha + b * pi if coupling == "cross" else -alpha + b * pi
-        coords = np.stack([s1 * np.cos(phi1), s1 * np.sin(phi1), z1,
-                           s2 * np.cos(phi2), s2 * np.sin(phi2), z2], axis=1)
-        # dS in (s, z) coordinates is sqrt(s1^2+s2^2); polar substitution
-        # (s,z) -> (r,theta) contributes r1 r2
-        factor = np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2
-        return coords, factor
-
-    def sample(rng, n):
+    def draw_params(rng, n):
         b = rng.integers(0, 2, size=n).astype(float)
         r1 = rng.gamma(3.0, 2.0 / Z, size=n)
         r2 = rng.gamma(3.0, 2.0 / Z, size=n)
         t1 = rng.uniform(0.0, pi, size=n)
         t2 = rng.uniform(0.0, pi, size=n)
         alpha = rng.uniform(0.0, 2.0 * pi, size=n)
-        params = np.stack([b, r1, t1, r2, t2, alpha], axis=1)
-        coords, factor = measure_map(params)
-        q = (0.5 * _gamma_pdf(r1, 3.0, 2.0 / Z) * _gamma_pdf(r2, 3.0, 2.0 / Z)
-             / (pi * pi * 2.0 * pi))
-        return coords, factor / q
+        return np.stack([b, r1, t1, r2, t2, alpha], axis=1)
+
+    def measure_map(params):
+        b, r1, t1, r2, t2, alpha = (params[:, i] for i in range(6))
+        s1, z1 = r1 * np.sin(t1), r1 * np.cos(t1)
+        s2, z2 = r2 * np.sin(t2), r2 * np.cos(t2)
+        phi2 = alpha + b * pi if coupling == "cross" else -alpha + b * pi
+        coords = np.stack([s1 * np.cos(alpha), s1 * np.sin(alpha), z1,
+                           s2 * np.cos(phi2), s2 * np.sin(phi2), z2], axis=1)
+        # dS in (s, z) coordinates is sqrt(s1^2+s2^2); polar substitution
+        # (s,z) -> (r,theta) contributes r1 r2
+        return coords, np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2
+
+    def proposal_pdf(params):
+        return (0.5 * _gamma_pdf(params[:, 1], 3.0, 2.0 / Z)
+                * _gamma_pdf(params[:, 3], 3.0, 2.0 / Z) / (pi * pi * 2.0 * pi))
 
     return NodeParametrization(
         kind="azimuth_lock",
         description="azimuths locked (two branches); dS = sqrt(s1^2+s2^2) "
                     "ds1 dz1 ds2 dz2 dalpha",
         n_params=6,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
@@ -275,37 +301,35 @@ def _orthonormal_frame(u: np.ndarray):
 
 
 def _perpendicular_param_2e(Z: float) -> NodeParametrization:
-    # 1S_2p2: node is rhat1 . rhat2 = 0; params (r1, r2, theta2, phi2, chi)
-    def measure_map(params):
-        r1, r2, t2, p2, chi = (params[:, i] for i in range(5))
-        n2 = _angles_to_unit(t2, p2)
-        e1, e2 = _orthonormal_frame(n2)
-        n1 = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
-        coords = np.concatenate([n1 * r1[:, None], n2 * r2[:, None]], axis=1)
-        # coarea: |grad(r1.r2)| / slope * volume jacobian
-        factor = np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2 * np.sin(t2)
-        return coords, factor
-
-    def sample(rng, n):
+    # 1S_2p2: node is rhat1 . rhat2 = 0; params (r1, r2, n2, chi), n2 a unit
+    # vector and chi the angle of rhat1 on the circle orthogonal to it
+    def draw_params(rng, n):
         r1 = rng.gamma(3.0, 2.0 / Z, size=n)
         r2 = rng.gamma(3.0, 2.0 / Z, size=n)
         n2 = _uniform_sphere(rng, n)
         chi = rng.uniform(0.0, 2.0 * pi, size=n)
+        return np.column_stack([r1, r2, n2, chi])
+
+    def measure_map(params):
+        r1, r2, n2, chi = params[:, 0], params[:, 1], params[:, 2:5], params[:, 5]
         e1, e2 = _orthonormal_frame(n2)
         n1 = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
         coords = np.concatenate([n1 * r1[:, None], n2 * r2[:, None]], axis=1)
-        factor = np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2
-        q = (_gamma_pdf(r1, 3.0, 2.0 / Z) * _gamma_pdf(r2, 3.0, 2.0 / Z)
-             / (4.0 * pi * 2.0 * pi))
-        return coords, factor / q
+        # coarea: |grad(r1.r2)| / slope * volume jacobian
+        return coords, np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2
+
+    def proposal_pdf(params):
+        return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
+                * _gamma_pdf(params[:, 1], 3.0, 2.0 / Z) / (4.0 * pi * 2.0 * pi))
 
     return NodeParametrization(
         kind="perpendicular_directions",
         description="rhat1 . rhat2 = 0; dS = sqrt(r1^2+r2^2) r1 r2 "
                     "dr1 dr2 dn2 dchi",
-        n_params=5,
+        n_params=6,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
@@ -326,8 +350,18 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
     # small coefficient.  Solving a fixed electron instead makes the
     # importance weight grow like exp(+Z r / 2) in the opposite channel's
     # tail and the estimator's variance diverges.
-    def _build(r1, n1, r2, n2, r3, r4, nf, chi):
-        m = len(r1)
+    # params: (r1, r2, r3, r4, n1, n2, nf, chi), n unit vectors; nf is the
+    # free down-channel direction, chi the angle on the solved circle
+    def draw_params(rng, n):
+        r = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(4)]
+        dirs = [_uniform_sphere(rng, n) for _ in range(3)]
+        chi = rng.uniform(0.0, 2.0 * pi, size=n)
+        return np.column_stack(r + dirs + [chi])
+
+    def measure_map(params):
+        m = len(params)
+        r1, r2, r3, r4 = (params[:, i] for i in range(4))
+        n1, n2, nf, chi = params[:, 4:7], params[:, 7:10], params[:, 10:13], params[:, 13]
         v_up = _pair_vector(Z, r1, n1, r2, n2)
         vu = np.linalg.norm(v_up, axis=1)
         ok = vu > 1e-290
@@ -351,25 +385,11 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
         grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
         slope = hi * vu  # |d(Psi)/d(cos angle between the solved dir and u)|
         jac = (r1 * r2 * r3 * r4) ** 2
-        factor = np.where(ok, grad_norm / np.maximum(slope, 1e-290) * jac, 0.0)
-        return coords, factor
+        return coords, np.where(ok, grad_norm / np.maximum(slope, 1e-290) * jac, 0.0)
 
-    def measure_map(params):
-        r1, t1, p1, r2, t2, p2, r3, r4, tf, pf, chi = (params[:, i] for i in range(11))
-        coords, factor = _build(r1, _angles_to_unit(t1, p1),
-                                r2, _angles_to_unit(t2, p2),
-                                r3, r4, _angles_to_unit(tf, pf), chi)
-        return coords, factor * np.sin(t1) * np.sin(t2) * np.sin(tf)
-
-    def sample(rng, n):
-        r = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(4)]
-        dirs = [_uniform_sphere(rng, n) for _ in range(3)]
-        chi = rng.uniform(0.0, 2.0 * pi, size=n)
-        coords, factor = _build(r[0], dirs[0], r[1], dirs[1], r[2], r[3],
-                                dirs[2], chi)
-        q = np.prod([_gamma_pdf(ri, 3.0, 2.0 / Z) for ri in r], axis=0) \
-            / ((4.0 * pi) ** 3 * 2.0 * pi)
-        return coords, factor / q
+    def proposal_pdf(params):
+        return np.prod([_gamma_pdf(params[:, i], 3.0, 2.0 / Z) for i in range(4)],
+                       axis=0) / ((4.0 * pi) ** 3 * 2.0 * pi)
 
     return NodeParametrization(
         kind="perpendicular_directions",
@@ -377,53 +397,50 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
                     "down-channel direction with the larger radial "
                     "coefficient is solved onto the circle n . u = c, so "
                     "every fiber meets the node exactly once",
-        n_params=11,
+        n_params=14,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
-def _paired_radial_param(Z: float, model: wf.WaveFunction) -> NodeParametrization:
+def _paired_radial_param(Z: float) -> NodeParametrization:
     # 1S_1s2_2s2: Psi = D(r1,r2) D(r3,r4) with radial 1s/2s determinants;
     # node = {r1 = r2} union {r3 = r4}; the off-sheet pair are spectators.
-    def _build(b, r, na, nb, spect):
-        m = len(r)
-        sheet = np.concatenate([na * r[:, None], nb * r[:, None]], axis=1)
-        coords = np.where((b < 0.5)[:, None],
-                          np.concatenate([sheet, spect], axis=1),
-                          np.concatenate([spect, sheet], axis=1))
-        factor = sqrt(2.0) * r ** 4
-        return coords, factor
-
-    def measure_map(params):
-        b, r, ta, pa, tb, pb = (params[:, i] for i in range(6))
-        spect = params[:, 6:12]
-        coords, factor = _build(b, r, _angles_to_unit(ta, pa),
-                                _angles_to_unit(tb, pb), spect)
-        return coords, factor * np.sin(ta) * np.sin(tb)
-
-    def sample(rng, n):
+    # params: (branch, r, na, nb, rs1, rs2, ns1, ns2), n unit vectors; the
+    # spectators (rs, ns) are polar coordinates of points measured in d^3r
+    def draw_params(rng, n):
         b = rng.integers(0, 2, size=n).astype(float)
         r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
         na, nb = _uniform_sphere(rng, n), _uniform_sphere(rng, n)
         rs = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(2)]
-        spect = np.concatenate(
-            [_uniform_sphere(rng, n) * rs[i][:, None] for i in range(2)], axis=1)
-        coords, factor = _build(b, r, na, nb, spect)
-        # spectator pair is integrated over d^3r d^3r: its sampling density
-        # in space is gamma_pdf(r) / (4 pi r^2) per electron
-        q = (0.5 * _gamma_pdf(r, 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
-             * _gamma_pdf(rs[0], 3.0, 2.0 / Z) / (4.0 * pi * rs[0] ** 2)
-             * _gamma_pdf(rs[1], 3.0, 2.0 / Z) / (4.0 * pi * rs[1] ** 2))
-        return coords, factor / q
+        ns = [_uniform_sphere(rng, n) for _ in range(2)]
+        return np.column_stack([b, r, na, nb] + rs + ns)
+
+    def measure_map(params):
+        sheet = params[:, 2:8] * params[:, 1:2]
+        spect = np.concatenate([params[:, 10:13] * params[:, 8:9],
+                                params[:, 13:16] * params[:, 9:10]], axis=1)
+        coords = np.where((params[:, 0] < 0.5)[:, None],
+                          np.concatenate([sheet, spect], axis=1),
+                          np.concatenate([spect, sheet], axis=1))
+        return coords, sqrt(2.0) * params[:, 1] ** 4
+
+    def proposal_pdf(params):
+        # a spectator's density in space is gamma_pdf(rs) / (4 pi rs^2)
+        r, rs1, rs2 = params[:, 1], params[:, 8], params[:, 9]
+        return (0.5 * _gamma_pdf(r, 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
+                * _gamma_pdf(rs1, 3.0, 2.0 / Z) / (4.0 * pi * rs1 ** 2)
+                * _gamma_pdf(rs2, 3.0, 2.0 / Z) / (4.0 * pi * rs2 ** 2))
 
     return NodeParametrization(
         kind="paired_radial_sheets",
         description="two equal-radii sheets (one per spin channel), "
                     "dS = sqrt(2) r^4 dr dna dnb d^3r_s1 d^3r_s2 each",
-        n_params=12,
+        n_params=16,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
@@ -432,6 +449,8 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
     # exp(Z(r1+r2)) the node reads h(z2) = z2 exp(Z r2 / 2) = z1 exp(Z r1 / 2),
     # and h is strictly increasing in z2, so the node is a global graph
     # z2 = zeta(x1, y1, z1, x2, y2).
+    # params: (r1, n1, s2, phi2), electron 1 in spherical and (x2, y2) in
+    # polar coordinates
     def _solve_z2(x1, y1, z1, x2, y2):
         r1 = np.sqrt(x1 ** 2 + y1 ** 2 + z1 ** 2)
         s2sq = x2 ** 2 + y2 ** 2
@@ -449,37 +468,35 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
             hi = np.where(take_hi, hi, mid)
         return 0.5 * (lo + hi)
 
-    def _build(x1, y1, z1, x2, y2):
-        z2 = _solve_z2(x1, y1, z1, x2, y2)
-        coords = np.stack([x1, y1, z1, x2, y2, z2], axis=1)
-        grads = model.gradients(coords)
-        gnorm = np.linalg.norm(grads, axis=1)
-        dz2 = np.abs(grads[:, 5])
-        factor = gnorm / np.maximum(dz2, 1e-290)
-        return coords, factor
-
-    def measure_map(params):
-        return _build(*(params[:, i] for i in range(5)))
-
-    def sample(rng, n):
+    def draw_params(rng, n):
         r1 = rng.gamma(3.0, 2.0 / Z, size=n)
-        n1 = _uniform_sphere(rng, n) * r1[:, None]
+        n1 = _uniform_sphere(rng, n)
         s2 = rng.gamma(2.0, 2.0 / Z, size=n)
         p2 = rng.uniform(0.0, 2.0 * pi, size=n)
+        return np.column_stack([r1, n1, s2, p2])
+
+    def measure_map(params):
+        r1, s2, p2 = params[:, 0], params[:, 4], params[:, 5]
+        x1 = params[:, 1:4] * params[:, :1]
         x2, y2 = s2 * np.cos(p2), s2 * np.sin(p2)
-        coords, factor = _build(n1[:, 0], n1[:, 1], n1[:, 2], x2, y2)
-        jac = r1 ** 2 * s2
-        q = (_gamma_pdf(r1, 3.0, 2.0 / Z) * _gamma_pdf(s2, 2.0, 2.0 / Z)
-             / (4.0 * pi * 2.0 * pi))
-        return coords, factor * jac / q
+        z2 = _solve_z2(x1[:, 0], x1[:, 1], x1[:, 2], x2, y2)
+        coords = np.stack([x1[:, 0], x1[:, 1], x1[:, 2], x2, y2, z2], axis=1)
+        grads = model.gradients(coords)
+        factor = np.linalg.norm(grads, axis=1) / np.maximum(np.abs(grads[:, 5]), 1e-290)
+        return coords, factor * (r1 ** 2 * s2)
+
+    def proposal_pdf(params):
+        return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
+                * _gamma_pdf(params[:, 4], 2.0, 2.0 / Z) / (4.0 * pi * 2.0 * pi))
 
     return NodeParametrization(
         kind="implicit_graph",
         description="node solved for z2 (monotone 1D root); "
                     "dS = |grad Psi|/|dPsi/dz2| dx1 dy1 dz1 dx2 dy2",
-        n_params=5,
+        n_params=6,
+        draw_params=draw_params,
         measure_map=measure_map,
-        sample=sample,
+        proposal_pdf=proposal_pdf,
     )
 
 
@@ -593,7 +610,7 @@ def _build_1S_1s2_2s2(Z):
         exact_nda={"kin": _zsq(Fraction(20, 221), Z),
                    "pot": _zsq(Fraction(-1185, 884), Z)},
         exact_standard={"kin": _zsq(Fraction(5, 4), Z), "pot": _zsq(Fraction(-5, 2), Z)},
-        node_param=_paired_radial_param(float(Z), model),
+        node_param=_paired_radial_param(float(Z)),
         reference_density=_coulomb_density(Z, 4, rate=0.5),
         proposal_step=1.5 / float(Z),
     )

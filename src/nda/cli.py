@@ -163,11 +163,15 @@ def _get_state_from_args(args) -> "StateSpec":
 
 
 def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerConfig:
-    chains = args.chains if args.chains else default_chains
-    if args.samples:
-        steps = max(2, int(float(args.samples) / chains + 0.5))
+    chains = args.chains if args.chains is not None else default_chains
+    if args.samples is not None:
+        samples = float(args.samples)
+        if not 0.0 < samples < float("inf"):
+            raise ValueError("--samples must be a positive finite number")
+        # a non-positive chain count is left for SamplerConfig to reject
+        steps = max(2, int(samples / max(chains, 1) + 0.5))
     else:
-        steps = args.steps if args.steps else default_steps
+        steps = args.steps if args.steps is not None else default_steps
     return SamplerConfig(
         n_chains=chains,
         steps_per_chain=steps,

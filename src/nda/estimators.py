@@ -3,11 +3,11 @@
 Shared conventions:
 
 * every chain owns an RNG stream derived from (seed, stream tag, chain
-  index), so results depend only on the seed and the chain count, never on
-  how chains are scheduled across workers;
-* NDA_THREADS > 1 runs contiguous chain groups on a thread pool; grouping
-  is purely a scheduling choice (all per-step array operations are
-  elementwise across chains) and does not enter any arithmetic;
+  index), so results depend only on the seed and the chain count;
+* chains are batched: a Metropolis step moves every chain with one model
+  call, and i.i.d. draws of several chains share one model call.  Every
+  array operation treats rows independently and every per-chain sum keeps
+  its order, so the batching never enters the arithmetic;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise.
@@ -15,10 +15,8 @@ Shared conventions:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +37,8 @@ __all__ = [
     "metropolis_samples",
 ]
 
-_CHUNK = 2048
+_CHUNK = 2048   # draws per chain and chunk
+_ROWS = 2048    # i.i.d. rows per model call, but at least one chain chunk
 _BLOCKS = 50
 _MASK64 = (1 << 64) - 1
 
@@ -108,34 +107,11 @@ class NdaEstimate:
 
 
 # --------------------------------------------------------------------------
-# chain scheduling
+# chain streams and errors
 
 
 def _rng(seed: int, tag: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, tag, chain)))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("NDA_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_chain_groups(task: Callable, n_chains: int) -> None:
-    """Run task(chain_indices) over a contiguous partition of the chains."""
-    workers = min(_worker_count(), n_chains)
-    bounds = np.linspace(0, n_chains, workers + 1).astype(int)
-    groups = [list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(groups) == 1:
-        task(groups[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        for fut in [pool.submit(task, g) for g in groups]:
-            fut.result()
 
 
 def _stderr_from_chains(chain_means: np.ndarray,
@@ -164,9 +140,10 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
                 tag: int, collect: Callable) -> float:
     """Metropolis chains with stationary density |Psi|^power.
 
-    collect(chain_indices, kept_step_index, x, raw_values) is invoked for
-    every post-burn-in step with the group's current configurations
-    (len(chains), 3N).  Returns the global acceptance rate.
+    Every chain advances in one batch.  collect(kept_step_index, x,
+    raw_values) is invoked for every post-burn-in step with the current
+    configurations of all chains, (n_chains, 3N).  Returns the global
+    acceptance rate.
     """
     density = state.reference_density
     if density is None:
@@ -182,38 +159,33 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
         # direction; halving the tuned |Psi| step keeps the walk near the
         # diffusive optimum for both densities (measured, not derived).
         step = state.proposal_step * (0.5 if power == 2 else 1.0)
-    accepted = np.zeros(cfg.n_chains, dtype=np.int64)
 
-    def run_group(chains):
-        rngs = [_rng(cfg.seed, tag, c) for c in chains]
-        x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
-        v = model.values(x)
-        t = np.abs(v) if power == 1 else v * v
-        acc_group = np.zeros(len(chains), dtype=np.int64)
-        done = 0
-        while done < steps:
-            m = min(_CHUNK, steps - done)
-            noise = np.stack([rng.uniform(-step, step, size=(m, dim))
-                              for rng in rngs])
-            unif = np.stack([rng.random(m) for rng in rngs])
-            for j in range(m):
-                xp = x + noise[:, j, :]
-                vp = model.values(xp)
-                tp = np.abs(vp) if power == 1 else vp * vp
-                acc = unif[:, j] * t < tp
-                if acc.any():
-                    x[acc] = xp[acc]
-                    v = np.where(acc, vp, v)
-                    t = np.where(acc, tp, t)
-                acc_group += acc
-                g = done + j
-                if g >= burn:
-                    collect(chains, g - burn, x, v)
-            done += m
-        accepted[np.asarray(chains)] = acc_group
-
-    _run_chain_groups(run_group, cfg.n_chains)
-    return float(accepted.sum()) / (cfg.n_chains * steps)
+    rngs = [_rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
+    x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
+    v = model.values(x)
+    t = np.abs(v) if power == 1 else v * v
+    accepted = 0
+    done = 0
+    while done < steps:
+        m = min(_CHUNK, steps - done)
+        noise = np.stack([rng.uniform(-step, step, size=(m, dim))
+                          for rng in rngs])
+        unif = np.stack([rng.random(m) for rng in rngs])
+        for j in range(m):
+            xp = x + noise[:, j, :]
+            vp = model.values(xp)
+            tp = np.abs(vp) if power == 1 else vp * vp
+            acc = unif[:, j] * t < tp
+            if acc.any():
+                x[acc] = xp[acc]
+                v = np.where(acc, vp, v)
+                t = np.where(acc, tp, t)
+            accepted += int(np.count_nonzero(acc))
+            g = done + j
+            if g >= burn:
+                collect(g - burn, x, v)
+        done += m
+    return accepted / (cfg.n_chains * steps)
 
 
 def _acceptance_status(rate: float) -> str:
@@ -235,9 +207,9 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
     kept_per_chain = (cfg.steps_per_chain - burn + thin - 1) // thin
     out = np.empty((cfg.n_chains, kept_per_chain, 3 * model.n_particles))
 
-    def collect(chains, j, x, v):
+    def collect(j, x, v):
         if j % thin == 0:
-            out[np.asarray(chains), j // thin] = x
+            out[:, j // thin] = x
 
     _metropolis(model, power, state, cfg, tag, collect)
     return out.reshape(-1, out.shape[-1])
@@ -267,14 +239,13 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
     bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
     rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(chains, j, x, v):
+    def collect(j, x, v):
         V = potential_batch(h, x)
         ok = np.isfinite(V)
-        idx = np.asarray(chains)
         b = j * _BLOCKS // n_keep
-        bsum[idx, b] += np.where(ok, V, 0.0)
-        bcnt[idx, b] += ok
-        rejected[idx] += ~ok
+        bsum[:, b] += np.where(ok, V, 0.0)
+        bcnt[:, b] += ok
+        rejected[:] += ~ok
 
     rate = _metropolis(model, 1, state, cfg, _TAG_POT, collect)
     counts = bcnt.sum(axis=1)
@@ -325,7 +296,7 @@ def estimate_standard_expectations(state: StateSpec,
     bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
     rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(chains, j, x, v):
+    def collect(j, x, v):
         if j % thin:
             return
         V = potential_batch(h, x)
@@ -335,12 +306,11 @@ def estimate_standard_expectations(state: StateSpec,
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
         safe = np.where(ok, v, 1.0)
         tloc = -0.5 * laps / safe
-        idx = np.asarray(chains)
         b = j * _BLOCKS // n_keep
-        bsum[0, idx, b] += np.where(ok, tloc, 0.0)
-        bsum[1, idx, b] += np.where(ok, V, 0.0)
-        bcnt[idx, b] += ok
-        rejected[idx] += ~ok
+        bsum[0, :, b] += np.where(ok, tloc, 0.0)
+        bsum[1, :, b] += np.where(ok, V, 0.0)
+        bcnt[:, b] += ok
+        rejected[:] += ~ok
 
     rate = _metropolis(model, 2, state, cfg, _TAG_STD, collect)
     counts = bcnt.sum(axis=1)
@@ -366,29 +336,46 @@ def estimate_standard_expectations(state: StateSpec,
 # reference-ratio (independent-sample) estimators
 
 
-def _iid_chain_means(n_chains: int, n_per_chain: int, seed: int, tag: int,
-                     evaluate: Callable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-chain means of evaluate(rng, m) -> (m,) weights, drawn iid.
+def _iid_batches(cfg: SamplerConfig, tag: int, draw: Callable,
+                 evaluate: Callable) -> Iterator[tuple]:
+    """Chain-batched i.i.d. sampling.
+
+    Chain c draws draw(rng_c, m) from its own stream in chunks of
+    m <= _CHUNK rows.  The chunks of max(1, _ROWS // m) consecutive chains
+    are concatenated, chain-major, and passed to evaluate in one call.
+    Yields (c0, c1, done, m, evaluate(rows)) for chains c0 <= c < c1 and
+    draws done .. done + m of each.
+    """
+    n = cfg.steps_per_chain
+    rngs = [_rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
+    done = 0
+    while done < n:
+        m = min(_CHUNK, n - done)
+        k = max(1, _ROWS // m)
+        for c0 in range(0, cfg.n_chains, k):
+            c1 = min(c0 + k, cfg.n_chains)
+            rows = np.concatenate([draw(rngs[c], m) for c in range(c0, c1)])
+            yield c0, c1, done, m, evaluate(rows)
+        done += m
+
+
+def _iid_chain_means(cfg: SamplerConfig, tag: int, draw: Callable,
+                     weight: Callable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-chain means of weight(rows) -> (rows,) over _iid_batches.
 
     Returns (chain_means, block_sums, block_counts) for the stderr rules.
     """
-    bsum = np.zeros((n_chains, _BLOCKS))
-    bcnt = np.zeros((n_chains, _BLOCKS), dtype=np.int64)
-
-    def run_group(chains):
-        for c in chains:
-            rng = _rng(seed, tag, c)
-            done = 0
-            while done < n_per_chain:
-                m = min(_CHUNK, n_per_chain - done)
-                w = evaluate(rng, m)
-                # block ids for this stretch of draws
-                ids = (np.arange(done, done + m) * _BLOCKS) // n_per_chain
-                np.add.at(bsum[c], ids, w)
-                np.add.at(bcnt[c], ids, 1)
-                done += m
-
-    _run_chain_groups(run_group, n_chains)
+    n = cfg.steps_per_chain
+    bsum = np.zeros((cfg.n_chains, _BLOCKS))
+    for c0, c1, done, m, w in _iid_batches(cfg, tag, draw, weight):
+        # flat (chain, block) ids in chain-major order: np.add.at adds in
+        # index order, so every block sums its draws in draw order
+        ids = (np.arange(done, done + m) * _BLOCKS) // n
+        flat = (np.arange(c0, c1)[:, None] * _BLOCKS + ids).ravel()
+        np.add.at(bsum.reshape(-1), flat, w)
+    # every chain splits its n draws into the same blocks
+    bcnt = np.tile(np.bincount((np.arange(n) * _BLOCKS) // n, minlength=_BLOCKS),
+                   (cfg.n_chains, 1))
     chain_means = bsum.sum(axis=1) / bcnt.sum(axis=1)
     return chain_means, bsum, bcnt
 
@@ -406,12 +393,10 @@ def estimate_abs_norm(state: StateSpec,
     if g.n_particles != model.n_particles:
         raise ValueError("reference density particle count does not match the model")
 
-    def evaluate(rng, m):
-        x = g.sample(rng, m)
+    def weight(x):
         return np.abs(model.values(x)) / g.pdf(x)
 
-    chain_means, bsum, bcnt = _iid_chain_means(
-        cfg.n_chains, cfg.steps_per_chain, cfg.seed, _TAG_ABS, evaluate)
+    chain_means, bsum, bcnt = _iid_chain_means(cfg, _TAG_ABS, g.sample, weight)
     return NdaEstimate(
         mean=float(chain_means.mean()),
         stderr=_stderr_from_chains(chain_means, bsum, bcnt),
@@ -444,13 +429,13 @@ def estimate_kin_nda_surface(state: StateSpec,
             f"state {state.name!r} has no explicit node parametrization; "
             "use the delta-shell estimator")
 
-    def evaluate(rng, m):
-        coords, w = param.sample(rng, m)
-        grads = model.gradients(coords)
-        return w * np.linalg.norm(grads, axis=1)
+    def weight(params):
+        coords, dS = param.measure_map(params)
+        w = dS / param.proposal_pdf(params)
+        return w * np.linalg.norm(model.gradients(coords), axis=1)
 
-    num_means, nbs, nbc = _iid_chain_means(
-        cfg.n_chains, cfg.steps_per_chain, cfg.seed, _TAG_SURFACE, evaluate)
+    num_means, nbs, nbc = _iid_chain_means(cfg, _TAG_SURFACE,
+                                           param.draw_params, weight)
     num = float(num_means.mean())
     num_err = _stderr_from_chains(num_means, nbs, nbc)
 
@@ -497,22 +482,15 @@ def estimate_kin_nda_shell(state: StateSpec,
     shell_w = np.empty((C, n))    # |grad Psi|^2 / g
     ratio_w = np.empty((C, n))    # |Psi| / g
 
-    def run_group(chains):
-        for c in chains:
-            rng = _rng(cfg.seed, _TAG_SHELL, c)
-            done = 0
-            while done < n:
-                m = min(_CHUNK, n - done)
-                x = g.sample(rng, m)
-                dens = g.pdf(x)
-                av = np.abs(model.values(x))
-                gr = model.gradients(x)
-                absvals[c, done:done + m] = av
-                shell_w[c, done:done + m] = np.sum(gr * gr, axis=1) / dens
-                ratio_w[c, done:done + m] = av / dens
-                done += m
+    def evaluate(x):
+        dens = g.pdf(x)
+        av = np.abs(model.values(x))
+        gr = model.gradients(x)
+        return av, np.sum(gr * gr, axis=1) / dens, av / dens
 
-    _run_chain_groups(run_group, C)
+    for c0, c1, done, m, cols in _iid_batches(cfg, _TAG_SHELL, g.sample, evaluate):
+        for out, col in zip((absvals, shell_w, ratio_w), cols):
+            out[c0:c1, done:done + m] = col.reshape(c1 - c0, m)
 
     if cfg.epsilon_ladder is not None:
         ladder = np.asarray(cfg.epsilon_ladder)

@@ -55,13 +55,6 @@ class Configuration:
             raise ValueError("configuration coordinates must be finite")
         object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def from_array(cls, coords) -> "Configuration":
-        coords = np.asarray(coords, dtype=float).reshape(-1)
-        if coords.size % 3 != 0:
-            raise ValueError("coordinate count is not a multiple of 3")
-        return cls(coords=coords, n_particles=coords.size // 3)
-
 
 def _as_batch(model: "WaveFunction", R) -> np.ndarray:
     if isinstance(R, Configuration):
@@ -409,10 +402,6 @@ class SlaterProduct(WaveFunction):
             out = out + prod
         return out
 
-    def _term_parts(self, t: Term, x: np.ndarray):
-        dets = [(_det(_block_matrix(b, x))) for b in t.blocks]
-        return dets
-
     def gradients(self, x: np.ndarray) -> np.ndarray:
         m = x.shape[0]
         out = np.zeros((m, 3 * self.n_particles))
@@ -541,7 +530,6 @@ class HarmonicPair(WaveFunction):
     pair's exact eigenstate with energy 5/4.
     """
 
-    structure_options = ("explicit_form", "product_with_factor")
     family = "harmonic"
     n_particles = 2
 

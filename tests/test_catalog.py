@@ -48,13 +48,24 @@ def test_sampled_node_points_lie_on_the_node(name):
     assert np.max(v / np.maximum(g, 1e-300)) < 1e-10
 
 
-def test_measure_map_shapes():
-    s = get_state("2P_2p")
-    p = np.array([[1.0, 0.3], [2.0, 1.1]])
-    coords, factor = s.node_param.measure_map(p)
-    assert coords.shape == (2, 3)
-    assert np.all(coords[:, 2] == 0.0)
-    assert np.all(factor > 0.0)
+@pytest.mark.parametrize("name", [s.name for s in ALL if s.node_param and s.node_param.sample])
+def test_node_geometry_treats_rows_independently(name):
+    """Parameters drawn from two streams and mapped in one call give the
+    same (coords, w) bit for bit as two separate sample calls, which is
+    what lets the surface estimator batch its chains."""
+    s = get_state(name)
+    p = s.node_param
+    draws = ((1, 300), (2, 77))
+    params = np.concatenate([p.draw_params(np.random.default_rng(seed), m)
+                             for seed, m in draws])
+    assert params.shape == (377, p.n_params)
+    coords, dS = p.measure_map(params)
+    w = dS / p.proposal_pdf(params)
+    assert coords.shape == (377, 3 * s.model.n_particles)
+    assert np.all(dS >= 0.0) and np.all(np.isfinite(w))
+    parts = [p.sample(np.random.default_rng(seed), m) for seed, m in draws]
+    assert coords.tobytes() == np.concatenate([c for c, _ in parts]).tobytes()
+    assert w.tobytes() == np.concatenate([v for _, v in parts]).tobytes()
 
 
 def test_implicit_marker_for_states_without_closed_node():

@@ -74,6 +74,12 @@ def test_usage_errors_exit_2(capsys):
     # surface kinetic requested for a state without a parametrized node
     assert run(["compute", "--state", "2P_2p", "--method", "shell",
                 "--chains", "1", "--components", "kin"], capsys)[0] == 2
+    # non-positive sampler budgets are rejected, not replaced by defaults
+    for flags in (["--chains", "0"], ["--steps", "0"], ["--samples", "0"],
+                  ["--samples", "-5"]):
+        code, out, err = run(["compute", "--state", "2P_2p",
+                              "--components", "pot"] + flags, capsys)
+        assert code == 2 and out == "" and "error:" in err, flags
 
 
 def test_unconverged_shell_exits_3(capsys):

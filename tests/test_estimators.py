@@ -6,11 +6,11 @@ much larger budgets.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
+import nda.estimators as estimators
 import nda.wavefunctions as wf
 from nda.catalog import get_state
 from nda.estimators import (SamplerConfig, estimate_abs_norm,
@@ -57,14 +57,25 @@ def test_same_seed_bitwise_identical():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
+def test_chain_batching_does_not_change_results(monkeypatch):
+    """Results are fixed by (seed, n_chains), however the chains are batched.
+
+    _ROWS = 1 evaluates one chain per model call; 150 groups the 52-draw
+    tail chunk (2100 = 2048 + 52 draws per chain) two chains at a time,
+    splitting the five chains unevenly; the default batches all of them.
+    """
     st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
     results = []
-    for n in ("1", "3", "8"):
-        monkeypatch.setenv("NDA_THREADS", n)
-        p = estimate_pot_nda(st, cfg=FAST)
-        k = estimate_kin_nda_surface(st, cfg=FAST)
-        results.append((p.mean, p.stderr, k.mean, k.stderr))
+    for rows in (1, 150, estimators._ROWS):
+        monkeypatch.setattr(estimators, "_ROWS", rows)
+        p = estimate_pot_nda(st, cfg=cfg)
+        s = estimate_standard_expectations(st, cfg=cfg)
+        a = estimate_abs_norm(st, cfg)
+        k = estimate_kin_nda_surface(st, cfg)
+        sh = estimate_kin_nda_shell(st, cfg)
+        results.append([(e.mean, e.stderr)
+                        for e in (p, s["kin"], s["pot"], a, k, sh)])
     assert results[0] == results[1] == results[2]
 
 
