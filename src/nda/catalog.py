@@ -125,7 +125,10 @@ class NodeParametrization:
     * ``draw_params(rng, m)`` draws parameters from the proposal;
     * ``proposal_pdf(params)`` is the proposal density in the parameters;
     * ``measure_map(params)`` maps them to configurations (m, 3N) on the
-      node together with the local surface measure factor dS/dparams.
+      node together with the local surface measure factor dS/dparams and
+      |grad Psi| at the configurations, or None for the last item when the
+      map does not evaluate the model.  ``model`` names the wave function
+      whose gradient the map evaluates (None for purely geometric maps).
 
     ``sample(rng, m)`` returns importance points (coords, w) with
     w = dS/dparams / proposal_pdf, so that mean(w * h(R)) estimates the
@@ -140,6 +143,7 @@ class NodeParametrization:
     measure_map: Optional[Callable] = None
     proposal_pdf: Optional[Callable] = None
     sample: Optional[Callable] = None
+    model: Optional[wf.WaveFunction] = None
 
     def __post_init__(self):
         if self.sample is not None or self.measure_map is None:
@@ -148,7 +152,7 @@ class NodeParametrization:
 
         def sample(rng, m):
             params = draw(rng, m)
-            coords, dS = measure_map(params)
+            coords, dS, _ = measure_map(params)
             return coords, dS / pdf(params)
 
         object.__setattr__(self, "sample", sample)
@@ -186,7 +190,7 @@ def _plane_param(Z: float) -> NodeParametrization:
     def measure_map(params):
         s, phi = params[:, 0], params[:, 1]
         coords = np.stack([s * np.cos(phi), s * np.sin(phi), np.zeros_like(s)], axis=1)
-        return coords, s
+        return coords, s, None
 
     def proposal_pdf(params):
         return _gamma_pdf(params[:, 0], 2.0, 2.0 / Z) / (2.0 * pi)
@@ -208,7 +212,7 @@ def _equal_radii_param(Z: float) -> NodeParametrization:
         return np.column_stack([r, _uniform_sphere(rng, n), _uniform_sphere(rng, n)])
 
     def measure_map(params):
-        return params[:, 1:7] * params[:, :1], sqrt(2.0) * params[:, 0] ** 4
+        return params[:, 1:7] * params[:, :1], sqrt(2.0) * params[:, 0] ** 4, None
 
     def proposal_pdf(params):
         return _gamma_pdf(params[:, 0], 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
@@ -233,7 +237,7 @@ def _relative_plane_param(omega: float) -> NodeParametrization:
     def measure_map(params):
         x1, y1, x2, y2, z = (params[:, i] for i in range(5))
         coords = np.stack([x1, y1, z, x2, y2, z], axis=1)
-        return coords, np.full(len(z), sqrt(2.0))
+        return coords, np.full(len(z), sqrt(2.0)), None
 
     def proposal_pdf(params):
         xy, z = params[:, :4], params[:, 4]
@@ -272,7 +276,7 @@ def _azimuth_lock_param(Z: float, coupling: str) -> NodeParametrization:
                            s2 * np.cos(phi2), s2 * np.sin(phi2), z2], axis=1)
         # dS in (s, z) coordinates is sqrt(s1^2+s2^2); polar substitution
         # (s,z) -> (r,theta) contributes r1 r2
-        return coords, np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2
+        return coords, np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2, None
 
     def proposal_pdf(params):
         return (0.5 * _gamma_pdf(params[:, 1], 3.0, 2.0 / Z)
@@ -316,7 +320,7 @@ def _perpendicular_param_2e(Z: float) -> NodeParametrization:
         n1 = np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2
         coords = np.concatenate([n1 * r1[:, None], n2 * r2[:, None]], axis=1)
         # coarea: |grad(r1.r2)| / slope * volume jacobian
-        return coords, np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2
+        return coords, np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2, None
 
     def proposal_pdf(params):
         return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
@@ -385,7 +389,8 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
         grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
         slope = hi * vu  # |d(Psi)/d(cos angle between the solved dir and u)|
         jac = (r1 * r2 * r3 * r4) ** 2
-        return coords, np.where(ok, grad_norm / np.maximum(slope, 1e-290) * jac, 0.0)
+        dS = np.where(ok, grad_norm / np.maximum(slope, 1e-290) * jac, 0.0)
+        return coords, dS, grad_norm
 
     def proposal_pdf(params):
         return np.prod([_gamma_pdf(params[:, i], 3.0, 2.0 / Z) for i in range(4)],
@@ -401,6 +406,7 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
         draw_params=draw_params,
         measure_map=measure_map,
         proposal_pdf=proposal_pdf,
+        model=model,
     )
 
 
@@ -424,7 +430,7 @@ def _paired_radial_param(Z: float) -> NodeParametrization:
         coords = np.where((params[:, 0] < 0.5)[:, None],
                           np.concatenate([sheet, spect], axis=1),
                           np.concatenate([spect, sheet], axis=1))
-        return coords, sqrt(2.0) * params[:, 1] ** 4
+        return coords, sqrt(2.0) * params[:, 1] ** 4, None
 
     def proposal_pdf(params):
         # a spectator's density in space is gamma_pdf(rs) / (4 pi rs^2)
@@ -482,8 +488,9 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
         z2 = _solve_z2(x1[:, 0], x1[:, 1], x1[:, 2], x2, y2)
         coords = np.stack([x1[:, 0], x1[:, 1], x1[:, 2], x2, y2, z2], axis=1)
         grads = model.gradients(coords)
-        factor = np.linalg.norm(grads, axis=1) / np.maximum(np.abs(grads[:, 5]), 1e-290)
-        return coords, factor * (r1 ** 2 * s2)
+        grad_norm = np.linalg.norm(grads, axis=1)
+        factor = grad_norm / np.maximum(np.abs(grads[:, 5]), 1e-290)
+        return coords, factor * (r1 ** 2 * s2), grad_norm
 
     def proposal_pdf(params):
         return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
@@ -497,6 +504,7 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
         draw_params=draw_params,
         measure_map=measure_map,
         proposal_pdf=proposal_pdf,
+        model=model,
     )
 
 

@@ -88,6 +88,7 @@ def _estimate_entry(est: NdaEstimate, exact=None) -> dict:
         "seed": est.seed,
         "method": est.method,
         "status": est.status,
+        "n_rejected": est.n_rejected,
     }
     if exact is not None:
         ex = float(exact)
@@ -236,6 +237,7 @@ def cmd_compute(args) -> int:
             "mean": k["mean"] + p["mean"],
             "stderr": float(np.hypot(k["stderr"], p["stderr"])),
             "n_samples": k["n_samples"] + p["n_samples"],
+            "n_rejected": k["n_rejected"] + p["n_rejected"],
             "n_chains": cfg.n_chains,
             "seed": cfg.seed,
             "method": "sum",

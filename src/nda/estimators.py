@@ -8,6 +8,12 @@ Shared conventions:
   call, and i.i.d. draws of several chains share one model call.  Every
   array operation treats rows independently and every per-chain sum keeps
   its order, so the batching never enters the arithmetic;
+* a chain consumes its stream in chunks of _CHUNK steps or draws: a
+  Metropolis chain draws a chunk's (steps, 3N) proposal noise and then its
+  uniforms, so _CHUNK fixes which random number feeds which step and
+  changing it changes every seeded result.  The Metropolis engine refills
+  one (chains, _CHUNK, 3N) noise buffer and one uniform buffer chain by
+  chain instead of allocating and stacking fresh arrays every chunk;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise.
@@ -95,7 +101,11 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class NdaEstimate:
-    """One scalar estimate.  status is "ok", "warning: ...", or "unconverged"."""
+    """One scalar estimate.  status is "ok", "warning: ...", or "unconverged".
+
+    n_rejected counts the samples a Metropolis estimator dropped (singular
+    potential, or within float noise of the node); they are not in n_samples.
+    """
 
     mean: float
     stderr: float
@@ -104,6 +114,7 @@ class NdaEstimate:
     seed: int
     method: str
     status: str = "ok"
+    n_rejected: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -164,13 +175,16 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
+    # one noise and one uniform buffer per run, refilled chain by chain
+    noise = np.empty((cfg.n_chains, min(_CHUNK, steps), dim))
+    unif = np.empty((cfg.n_chains, min(_CHUNK, steps)))
     accepted = 0
     done = 0
     while done < steps:
         m = min(_CHUNK, steps - done)
-        noise = np.stack([rng.uniform(-step, step, size=(m, dim))
-                          for rng in rngs])
-        unif = np.stack([rng.random(m) for rng in rngs])
+        for c, rng in enumerate(rngs):
+            noise[c, :m] = rng.uniform(-step, step, size=(m, dim))
+            unif[c, :m] = rng.random(m)
         for j in range(m):
             xp = x + noise[:, j, :]
             vp = model.values(xp)
@@ -260,6 +274,7 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
         seed=cfg.seed,
         method="metropolis_abs_psi",
         status=_acceptance_status(rate),
+        n_rejected=int(rejected.sum()),
     )
 
 
@@ -300,8 +315,7 @@ def estimate_standard_expectations(state: StateSpec,
         if j % thin:
             return
         V = potential_batch(h, x)
-        grads = model.gradients(x)
-        laps = model.laplacians(x)
+        _, grads, laps = model.vgl(x)
         gnorm = np.linalg.norm(grads, axis=1)
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
         safe = np.where(ok, v, 1.0)
@@ -328,6 +342,7 @@ def estimate_standard_expectations(state: StateSpec,
             seed=cfg.seed,
             method="metropolis_psi_squared",
             status=status,
+            n_rejected=int(rejected.sum()),
         )
     return out
 
@@ -430,9 +445,11 @@ def estimate_kin_nda_surface(state: StateSpec,
             "use the delta-shell estimator")
 
     def weight(params):
-        coords, dS = param.measure_map(params)
+        coords, dS, grad_norm = param.measure_map(params)
         w = dS / param.proposal_pdf(params)
-        return w * np.linalg.norm(model.gradients(coords), axis=1)
+        if grad_norm is None or param.model is not model:
+            grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
+        return w * grad_norm
 
     num_means, nbs, nbc = _iid_chain_means(cfg, _TAG_SURFACE,
                                            param.draw_params, weight)

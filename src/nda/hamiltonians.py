@@ -70,54 +70,68 @@ def harmonic_pair(omega: float, g0: float = 0.0) -> HamiltonianSpec:
 
 def potential_batch(h: HamiltonianSpec, x: np.ndarray,
                     n_particles: Optional[int] = None) -> np.ndarray:
-    """Potential energy for an (m, 3N) batch; inf-free by construction or raises."""
+    """Potential energy for an (m, 3N) batch.
+
+    A singular row (an electron within 1e-300 of the nucleus, or two
+    particles that close to each other) is inf; the other rows are
+    unaffected, so a sampler can reject and count the singular ones.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 3 != 0:
         raise ValueError("batch must have shape (m, 3N)")
     n = x.shape[1] // 3 if n_particles is None else n_particles
     pos = x.reshape(x.shape[0], n, 3)
-    v = np.zeros(x.shape[0])
+    bad = []  # row masks of singular rows
+
+    def safe(d):
+        # d with distances below _MIN_DISTANCE set to 1, their rows kept in bad
+        near = d < _MIN_DISTANCE
+        if not near.any():
+            return d
+        bad.append(near.any(axis=1) if near.ndim > 1 else near)
+        return np.where(near, 1.0, d)
+
     if h.family == "coulomb_atom":
         r = np.linalg.norm(pos, axis=2)
-        if np.any(r < _MIN_DISTANCE):
-            raise SingularPointError("electron at the nucleus")
-        v -= h.Z * np.sum(1.0 / r, axis=1)
+        v = np.zeros(x.shape[0])
+        v -= h.Z * np.sum(1.0 / safe(r), axis=1)
         if h.ee:
             for i, j in combinations(range(n), 2):
-                rij = np.linalg.norm(pos[:, i] - pos[:, j], axis=1)
-                if np.any(rij < _MIN_DISTANCE):
-                    raise SingularPointError("coincident electrons")
-                v += 1.0 / rij
-        return v
-    # harmonic_pair
-    if n != 2:
-        raise ValueError("harmonic_pair is a two-particle hamiltonian")
-    v = 0.5 * h.omega ** 2 * np.sum(x * x, axis=1)
-    if h.g0 != 0.0:
-        r12 = np.linalg.norm(pos[:, 0] - pos[:, 1], axis=1)
-        if np.any(r12 < _MIN_DISTANCE):
-            raise SingularPointError("coincident particles")
-        v += h.g0 / r12
+                v += 1.0 / safe(np.linalg.norm(pos[:, i] - pos[:, j], axis=1))
+    else:
+        if n != 2:
+            raise ValueError("harmonic_pair is a two-particle hamiltonian")
+        v = 0.5 * h.omega ** 2 * np.sum(x * x, axis=1)
+        if h.g0 != 0.0:
+            v += h.g0 / safe(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=1))
+    for rows in bad:
+        v[rows] = np.inf
     return v
 
 
 def potential(h: HamiltonianSpec, R) -> float:
-    """Potential energy at a single configuration (flat 3N vector or Configuration)."""
+    """Potential energy at a single configuration (flat 3N vector or Configuration).
+
+    Raises SingularPointError at coincident charges.
+    """
     coords = getattr(R, "coords", R)
     x = np.asarray(coords, dtype=float).reshape(1, -1)
-    return float(potential_batch(h, x)[0])
+    v = float(potential_batch(h, x)[0])
+    if not np.isfinite(v):
+        raise SingularPointError("configuration sits on a potential singularity "
+                                 "(electron at the nucleus or coincident particles)")
+    return v
 
 
 def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
     """(H psi)/psi = -lap(psi)/(2 psi) + V, guarded against node contamination."""
     x = _as_batch(model, R)
-    psi = float(model.values(x)[0])
-    grad = model.gradients(x)[0]
-    gnorm = float(np.linalg.norm(grad))
+    v, g, lap = model.vgl(x)
+    psi = float(v[0])
+    gnorm = float(np.linalg.norm(g[0]))
     if abs(psi) < 1e-14 * gnorm:
         raise NodeProximityError(
             "configuration is within float noise of the nodal set "
             f"(|psi| = {abs(psi):.3e}, |grad psi| = {gnorm:.3e})"
         )
-    lap = float(model.laplacians(x)[0])
-    return -0.5 * lap / psi + float(potential_batch(h, x)[0])
+    return -0.5 * float(lap[0]) / psi + potential(h, x[0])

@@ -1,7 +1,8 @@
 """Wave-function models: orbitals, Slater-determinant products, explicit pair forms.
 
-All models expose a batched API (``values``, ``gradients``, ``laplacians``)
-over arrays of shape ``(m, 3N)`` plus the scalar convenience operations
+All models expose a batched API (``values``, ``gradients``, ``laplacians``
+and the fused ``vgl``, which returns all three for the same points) over
+arrays of shape ``(m, 3N)`` plus the scalar convenience operations
 :func:`evaluate`, :func:`gradient`, :func:`laplacian` acting on a single
 :class:`Configuration`.
 
@@ -90,22 +91,24 @@ def _as_batch(model: "WaveFunction", R) -> np.ndarray:
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
-# real solid harmonics through l=2, as (poly, grad) closures
-def _sh_1(xyz):
-    return np.ones(xyz.shape[0])
+# real solid harmonics through l=2, as (poly, grad) closures over points in
+# component-major layout: p is (3, m), p[0] the x coordinates, and the
+# gradient is (3, m) too, so every operation runs along the m points
+def _sh_1(p):
+    return np.ones(p.shape[1])
 
 
-def _sh_1_grad(xyz):
-    return np.zeros_like(xyz)
+def _sh_1_grad(p):
+    return np.zeros_like(p)
 
 
 def _make_axis_poly(axis: int):
-    def poly(xyz):
-        return xyz[:, axis]
+    def poly(p):
+        return p[axis]
 
-    def grad(xyz):
-        g = np.zeros_like(xyz)
-        g[:, axis] = 1.0
+    def grad(p):
+        g = np.zeros_like(p)
+        g[axis] = 1.0
         return g
 
     return poly, grad
@@ -114,49 +117,49 @@ def _make_axis_poly(axis: int):
 def _sh2_table():
     # m -> (polynomial, gradient), all harmonic, unnormalized
     def xy(p):
-        return p[:, 0] * p[:, 1]
+        return p[0] * p[1]
 
     def xy_g(p):
         g = np.zeros_like(p)
-        g[:, 0] = p[:, 1]
-        g[:, 1] = p[:, 0]
+        g[0] = p[1]
+        g[1] = p[0]
         return g
 
     def yz(p):
-        return p[:, 1] * p[:, 2]
+        return p[1] * p[2]
 
     def yz_g(p):
         g = np.zeros_like(p)
-        g[:, 1] = p[:, 2]
-        g[:, 2] = p[:, 1]
+        g[1] = p[2]
+        g[2] = p[1]
         return g
 
     def zsq(p):
-        return 2.0 * p[:, 2] ** 2 - p[:, 0] ** 2 - p[:, 1] ** 2
+        return 2.0 * p[2] ** 2 - p[0] ** 2 - p[1] ** 2
 
     def zsq_g(p):
         g = np.empty_like(p)
-        g[:, 0] = -2.0 * p[:, 0]
-        g[:, 1] = -2.0 * p[:, 1]
-        g[:, 2] = 4.0 * p[:, 2]
+        g[0] = -2.0 * p[0]
+        g[1] = -2.0 * p[1]
+        g[2] = 4.0 * p[2]
         return g
 
     def zx(p):
-        return p[:, 2] * p[:, 0]
+        return p[2] * p[0]
 
     def zx_g(p):
         g = np.zeros_like(p)
-        g[:, 0] = p[:, 2]
-        g[:, 2] = p[:, 0]
+        g[0] = p[2]
+        g[2] = p[0]
         return g
 
     def xxyy(p):
-        return p[:, 0] ** 2 - p[:, 1] ** 2
+        return p[0] ** 2 - p[1] ** 2
 
     def xxyy_g(p):
         g = np.zeros_like(p)
-        g[:, 0] = 2.0 * p[:, 0]
-        g[:, 1] = -2.0 * p[:, 1]
+        g[0] = 2.0 * p[0]
+        g[1] = -2.0 * p[1]
         return g
 
     return {-2: (xy, xy_g), -1: (yz, yz_g), 0: (zsq, zsq_g), 1: (zx, zx_g), 2: (xxyy, xxyy_g)}
@@ -205,31 +208,40 @@ class Orbital:
                     "reference-only (see reference.subshell_kin_nda)"
                 )
 
-    # radial factor and its first two derivatives, as arrays over r
-    def _radial(self, r):
+    # radial factor and, with derivs, its first two derivatives over r
+    def _radial(self, r, derivs: bool = True):
         s = self.scale
         if self.kind == "hydrogenic_1s":
             f = np.exp(-s * r)
-            return f, -s * f, s * s * f
+            return (f, -s * f, s * s * f) if derivs else (f,)
         if self.kind == "hydrogenic_2s":
             e = np.exp(-0.5 * s * r)
             f = (1.0 - 0.5 * s * r) * e
+            if not derivs:
+                return (f,)
             fp = -s * (1.0 - 0.25 * s * r) * e
             fpp = s * s * (0.75 - 0.125 * s * r) * e
             return f, fp, fpp
         if self.kind in ("hydrogenic_2p",):
             f = np.exp(-0.5 * s * r)
-            return f, -0.5 * s * f, 0.25 * s * s * f
+            return (f, -0.5 * s * f, 0.25 * s * s * f) if derivs else (f,)
         if self.kind == "hydrogenic_general":
             a = s / self.n
             f = np.exp(-a * r)
-            return f, -a * f, a * a * f
+            return (f, -a * f, a * a * f) if derivs else (f,)
         if self.kind in ("gaussian_s", "gaussian_p"):
             f = np.exp(-0.5 * s * r * r)
+            if not derivs:
+                return (f,)
             fp = -s * r * f
             fpp = (s * s * r * r - s) * f
             return f, fp, fpp
         raise AssertionError(self.kind)
+
+    def _radial_key(self):
+        # orbitals with equal keys share one radial factor f(r)
+        kind = "gaussian" if self.kind.startswith("gaussian") else self.kind
+        return kind, self.scale, self.n
 
     def _poly(self):
         if self.kind in ("hydrogenic_1s", "hydrogenic_2s", "gaussian_s"):
@@ -252,22 +264,23 @@ class Orbital:
         r = np.linalg.norm(xyz, axis=1)
         poly, _, _ = self._poly()
         f, _, _ = self._radial(r)
-        return poly(xyz) * f
+        return poly(xyz.T) * f
 
     def grad(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
         poly, polyg, _ = self._poly()
         f, fp, _ = self._radial(r)
         rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        rhat = xyz * rinv[:, None]
-        return f[:, None] * polyg(xyz) + (poly(xyz) * fp)[:, None] * rhat
+        p = xyz.T
+        rhat = p * rinv
+        return np.ascontiguousarray((f * polyg(p) + (poly(p) * fp) * rhat).T)
 
     def lap(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
         poly, _, l = self._poly()
         f, fp, fpp = self._radial(r)
         rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        return poly(xyz) * (fpp + 2.0 * (l + 1) * fp * rinv)
+        return poly(xyz.T) * (fpp + 2.0 * (l + 1) * fp * rinv)
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +303,10 @@ class WaveFunction:
 
     def laplacians(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def vgl(self, x: np.ndarray):
+        """(values, gradients, laplacians) at the same points."""
+        return self.values(x), self.gradients(x), self.laplacians(x)
 
 
 def evaluate(model: WaveFunction, R) -> float:
@@ -329,46 +346,33 @@ class Term:
     blocks: Tuple[DetBlock, ...]
 
 
-def _block_matrix(block: DetBlock, x: np.ndarray) -> np.ndarray:
-    m = x.shape[0]
-    n = len(block.electrons)
-    M = np.empty((m, n, n))
-    for i, e in enumerate(block.electrons):
-        xyz = x[:, 3 * e : 3 * e + 3]
-        for j, orb in enumerate(block.orbitals):
-            M[:, i, j] = orb.value(xyz)
-    return M
+def _stack(A) -> np.ndarray:
+    """(m, n, n) matrices from rows of columns A[i][j], each of shape (m,)."""
+    return np.stack([np.stack(row, axis=1) for row in A], axis=1)
 
 
-def _det(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
+def _det(A) -> np.ndarray:
+    """Determinant of a square block given as rows of columns, A[i][j] (m,)."""
+    n = len(A)
     if n == 1:
-        return M[:, 0, 0]
+        return A[0][0]
     if n == 2:
         # explicit form keeps row swaps exact sign flips in floating point
-        return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    return np.linalg.det(M)
+        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    return np.linalg.det(_stack(A))
 
 
-def _cofactors(M: np.ndarray) -> np.ndarray:
-    """C[i, j] = d det / d M[i, j]; stable at the node (no matrix inverse)."""
-    m, n, _ = M.shape
+def _cofactors(A) -> list:
+    """C[i][j] = d det / d A[i][j]; stable at the node (no matrix inverse)."""
+    n = len(A)
     if n == 1:
-        return np.ones((m, 1, 1))
+        return [[np.ones(A[0][0].shape[0])]]
     if n == 2:
-        C = np.empty_like(M)
-        C[:, 0, 0] = M[:, 1, 1]
-        C[:, 0, 1] = -M[:, 1, 0]
-        C[:, 1, 0] = -M[:, 0, 1]
-        C[:, 1, 1] = M[:, 0, 0]
-        return C
-    C = np.empty_like(M)
+        return [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
+    M = _stack(A)
     rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = M[:, rows != i][:, :, rows != j]
-            C[:, i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return C
+    return [[(-1.0) ** (i + j) * np.linalg.det(M[:, rows != i][:, :, rows != j])
+             for j in range(n)] for i in range(n)]
 
 
 class SlaterProduct(WaveFunction):
@@ -376,6 +380,13 @@ class SlaterProduct(WaveFunction):
 
     Covers everything from a single orbital (1x1 determinant) through
     det-up x det-down products and their symmetry-coupled sums.
+
+    Every evaluation builds one orbital table: |r| and 1/r once per
+    electron, the radial factor once per (electron, radial kind), each
+    orbital's value (gradient, Laplacian) once per (electron, orbital), and
+    each distinct block's determinant and cofactors once, shared by every
+    term that holds the block.  The index plan behind the table is fixed at
+    construction.
     """
 
     structure = "orbital_product_antisymmetrized"
@@ -393,54 +404,137 @@ class SlaterProduct(WaveFunction):
         self.family = family
         self.parameters = dict(parameters or {})
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[0])
+        # index plan: one table slot per distinct (electron, orbital) pair,
+        # slots grouped per electron by radial factor, blocks as slot matrices
+        slots = {}
+        radial = {}  # electron -> {radial key: (orbital, members)}
+        blocks = {}  # slot matrix -> block index
+        self._blocks = []  # (electrons, slot matrix)
+        self._term_blocks = []  # (coeff, block indices)
         for t in self.terms:
-            prod = np.full(x.shape[0], t.coeff)
+            bids = []
             for b in t.blocks:
-                prod = prod * _det(_block_matrix(b, x))
-            out = out + prod
-        return out
+                idx = []
+                for e in b.electrons:
+                    row = []
+                    for orb in b.orbitals:
+                        k = slots.get((e, orb))
+                        if k is None:
+                            k = slots[(e, orb)] = len(slots)
+                            groups = radial.setdefault(e, {})
+                            members = groups.setdefault(orb._radial_key(), (orb, []))[1]
+                            members.append((k, *orb._poly()))
+                        row.append(k)
+                    idx.append(tuple(row))
+                idx = tuple(idx)
+                if idx not in blocks:
+                    blocks[idx] = len(self._blocks)
+                    self._blocks.append((b.electrons, idx))
+                bids.append(blocks[idx])
+            self._term_blocks.append((t.coeff, tuple(bids)))
+        self._n_slots = len(slots)
+        self._electrons = [(e, [(orb, tuple(members)) for orb, members in groups.values()])
+                           for e, groups in radial.items()]
+
+    def _table(self, xt: np.ndarray, want_grad: bool, want_lap: bool):
+        """Per slot: the orbital value and, as asked, its (3, m) gradient and
+        its Laplacian, for points xt in component-major layout (3N, m).
+
+        Same expressions as Orbital.value/grad/lap; a constant polynomial
+        (l = 0) is left out of the products, which is exact.
+        """
+        derivs = want_grad or want_lap
+        val = [None] * self._n_slots
+        grad = [None] * self._n_slots
+        lap = [None] * self._n_slots
+        for e, groups in self._electrons:
+            p = xt[3 * e : 3 * e + 3]
+            r = np.linalg.norm(p, axis=0)
+            if derivs:
+                rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+            if want_grad:
+                rhat = p * rinv
+            for orb, members in groups:
+                rad = orb._radial(r, derivs)
+                f = rad[0]
+                lapfac = {}
+                for k, poly, polyg, l in members:
+                    P = None if l == 0 else poly(p)
+                    val[k] = f if P is None else P * f
+                    if not derivs:
+                        continue
+                    fp, fpp = rad[1], rad[2]
+                    if want_grad:
+                        grad[k] = f * polyg(p) + (fp if P is None else P * fp) * rhat
+                    if want_lap:
+                        if l not in lapfac:
+                            lapfac[l] = fpp + 2.0 * (l + 1) * fp * rinv
+                        lap[k] = lapfac[l] if P is None else P * lapfac[l]
+        return val, grad, lap
+
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+        """(values, gradients, laplacians), None for a part not asked for."""
+        m = x.shape[0]
+        derivs = want_grad or want_lap
+        val, tgrad, tlap = self._table(np.ascontiguousarray(x.T), want_grad, want_lap)
+        dets, rows, laps = [], [], []
+        for electrons, idx in self._blocks:
+            A = [[val[k] for k in row] for row in idx]
+            dets.append(_det(A))
+            if not derivs:
+                continue
+            C = _cofactors(A)
+            if want_grad:
+                brows = []
+                for i, slots in enumerate(idx):
+                    row = np.zeros((3, m))
+                    for j, k in enumerate(slots):
+                        row += C[i][j] * tgrad[k]
+                    brows.append(row)
+                rows.append(brows)
+            if want_lap:
+                lap_b = np.zeros(m)
+                for i, slots in enumerate(idx):
+                    for j, k in enumerate(slots):
+                        lap_b += C[i][j] * tlap[k]
+                laps.append(lap_b)
+
+        v = np.zeros(m)
+        gt = np.zeros((3 * self.n_particles, m)) if want_grad else None
+        lap = np.zeros(m) if want_lap else None
+        for coeff, bids in self._term_blocks:
+            prod = np.full(m, coeff)
+            for bi in bids:
+                prod = prod * dets[bi]
+            v = v + prod
+            if not derivs:
+                continue
+            for pos, bi in enumerate(bids):
+                other = np.full(m, coeff)
+                for pos2, bj in enumerate(bids):
+                    if pos2 != pos:
+                        other = other * dets[bj]
+                if want_grad:
+                    for e, row in zip(self._blocks[bi][0], rows[bi]):
+                        gt[3 * e : 3 * e + 3] += other * row
+                if want_lap:
+                    lap += other * laps[bi]
+        # row-major (m, 3N) as before: numpy's sum over a row (np.linalg.norm)
+        # adds in a layout-dependent order
+        g = np.ascontiguousarray(gt.T) if want_grad else None
+        return v, g, lap
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self._evaluate(x, False, False)[0]
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        out = np.zeros((m, 3 * self.n_particles))
-        for t in self.terms:
-            mats = [_block_matrix(b, x) for b in t.blocks]
-            dets = [_det(M) for M in mats]
-            for bi, b in enumerate(t.blocks):
-                other = np.full(m, t.coeff)
-                for bj, d in enumerate(dets):
-                    if bj != bi:
-                        other = other * d
-                C = _cofactors(mats[bi])
-                for i, e in enumerate(b.electrons):
-                    xyz = x[:, 3 * e : 3 * e + 3]
-                    row = np.zeros((m, 3))
-                    for j, orb in enumerate(b.orbitals):
-                        row += C[:, i, j][:, None] * orb.grad(xyz)
-                    out[:, 3 * e : 3 * e + 3] += other[:, None] * row
-        return out
+        return self._evaluate(x, True, False)[1]
 
     def laplacians(self, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        out = np.zeros(m)
-        for t in self.terms:
-            mats = [_block_matrix(b, x) for b in t.blocks]
-            dets = [_det(M) for M in mats]
-            for bi, b in enumerate(t.blocks):
-                other = np.full(m, t.coeff)
-                for bj, d in enumerate(dets):
-                    if bj != bi:
-                        other = other * d
-                C = _cofactors(mats[bi])
-                lap_b = np.zeros(m)
-                for i, e in enumerate(b.electrons):
-                    xyz = x[:, 3 * e : 3 * e + 3]
-                    for j, orb in enumerate(b.orbitals):
-                        lap_b += C[:, i, j] * orb.lap(xyz)
-                out += other * lap_b
-        return out
+        return self._evaluate(x, False, True)[2]
+
+    def vgl(self, x: np.ndarray):
+        return self._evaluate(x, True, True)
 
 
 # --------------------------------------------------------------------------
@@ -608,3 +702,7 @@ class Scaled(WaveFunction):
 
     def laplacians(self, x):
         return self.c * self.base.laplacians(x)
+
+    def vgl(self, x):
+        v, g, lap = self.base.vgl(x)
+        return self.c * v, self.c * g, self.c * lap

@@ -59,7 +59,7 @@ def test_node_geometry_treats_rows_independently(name):
     params = np.concatenate([p.draw_params(np.random.default_rng(seed), m)
                              for seed, m in draws])
     assert params.shape == (377, p.n_params)
-    coords, dS = p.measure_map(params)
+    coords, dS, _ = p.measure_map(params)
     w = dS / p.proposal_pdf(params)
     assert coords.shape == (377, 3 * s.model.n_particles)
     assert np.all(dS >= 0.0) and np.all(np.isfinite(w))

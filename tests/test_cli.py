@@ -29,6 +29,8 @@ def test_compute_json_roundtrip(capsys):
     pot = rec.estimates["pot"]
     assert abs(pot["mean"] - (-1 / 6)) < 4 * pot["stderr"]
     assert rec.estimates["sum"]["exact"]["rational"] == "-1/8"
+    # no sample sits on a singularity or the node at this budget
+    assert pot["n_rejected"] == 0 and rec.estimates["sum"]["n_rejected"] == 0
     # sigma_deviation is |mean - exact| / stderr
     assert pot["sigma_deviation"] == pytest.approx(
         abs(pot["mean"] + 1 / 6) / pot["stderr"])

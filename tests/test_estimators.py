@@ -185,6 +185,103 @@ def test_missing_model_rejected():
         estimate_pot_nda(st, cfg=FAST)
 
 
+def _reference_metropolis_samples(state, cfg, thin, power, tag):
+    """The Metropolis walk with fresh per-chunk noise: every chain draws its
+    chunk into its own array and the chunks are np.stack-ed."""
+    model = state.model
+    dim = 3 * model.n_particles
+    steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
+    step = state.proposal_step * (0.5 if power == 2 else 1.0)
+    rngs = [estimators._rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
+    x = np.concatenate([state.reference_density.sample(rng, 1) for rng in rngs])
+    v = model.values(x)
+    t = np.abs(v) if power == 1 else v * v
+    kept = []
+    done = 0
+    while done < steps:
+        m = min(estimators._CHUNK, steps - done)
+        noise = np.stack([rng.uniform(-step, step, size=(m, dim)) for rng in rngs])
+        unif = np.stack([rng.random(m) for rng in rngs])
+        for j in range(m):
+            xp = x + noise[:, j, :]
+            vp = model.values(xp)
+            tp = np.abs(vp) if power == 1 else vp * vp
+            acc = unif[:, j] * t < tp
+            x = np.where(acc[:, None], xp, x)
+            t = np.where(acc, tp, t)
+            if done + j >= burn and (done + j - burn) % thin == 0:
+                kept.append(x)
+        done += m
+    return np.stack(kept, axis=1).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
+def test_reused_noise_buffer_matches_fresh_chunks(name, power):
+    """Two chunks, the second short: the refilled buffer walks the chains
+    exactly as freshly stacked noise does."""
+    st = get_state(name)
+    cfg = SamplerConfig(n_chains=3, steps_per_chain=estimators._CHUNK + 37, seed=5)
+    got = metropolis_samples(st, cfg, thin=7, power=power)
+    ref = _reference_metropolis_samples(st, cfg, thin=7, power=power,
+                                        tag=estimators._TAG_TOPOLOGY)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",
+                                  "1S_1s2_2p2"])
+def test_surface_evaluates_one_gradient_row_per_draw(name, monkeypatch):
+    st = get_state(name)
+    rows = []
+    for attr in ("gradients", "vgl"):
+        method = getattr(st.model, attr)
+
+        def counted(x, method=method):
+            rows.append(len(x))
+            return method(x)
+        monkeypatch.setattr(st.model, attr, counted)
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=1000, seed=3)
+    estimate_kin_nda_surface(st, cfg)
+    assert sum(rows) == cfg.n_chains * cfg.steps_per_chain
+
+
+def test_surface_gradient_belongs_to_the_state_model():
+    """A node map reports |grad Psi| of the model it was built for; a
+    rescaled state model gets its own gradient, so the ratio stays exact."""
+    st = get_state("3P_1s2p")
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=1000, seed=3)
+    sc = dataclasses.replace(st, model=wf.Scaled(4.0, st.model))
+    assert (estimate_kin_nda_surface(st, cfg).mean
+            == estimate_kin_nda_surface(sc, cfg).mean)
+
+
+def test_singular_point_is_rejected_and_counted(monkeypatch):
+    """An electron on the nucleus at one kept step drops that one sample
+    from the potential and standard estimators instead of aborting them."""
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=400, seed=7)
+    potential_batch = estimators.potential_batch
+
+    def one_at_nucleus(h, x):
+        calls.append(None)
+        if len(calls) == 30:
+            x = x.copy()
+            x[2, 3:6] = 0.0
+        return potential_batch(h, x)
+    monkeypatch.setattr(estimators, "potential_batch", one_at_nucleus)
+
+    calls = []
+    pot = estimate_pot_nda(st, cfg=cfg)
+    n_keep = cfg.n_chains * (cfg.steps_per_chain - cfg.resolved_burn_in())
+    assert pot.n_rejected == 1 and pot.n_samples == n_keep - 1
+    assert np.isfinite(pot.mean) and np.isfinite(pot.stderr)
+
+    calls = []
+    std = estimate_standard_expectations(st, cfg=cfg)
+    for est in std.values():
+        assert est.n_rejected == 1 and est.n_samples == len(calls) * cfg.n_chains - 1
+        assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+
+
 # ----------------------------------------------------- topology sampler
 
 

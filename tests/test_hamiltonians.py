@@ -1,4 +1,5 @@
 import unittest
+import warnings
 
 import numpy as np
 
@@ -33,6 +34,22 @@ class TestPotential(unittest.TestCase):
             potential(h, np.zeros(3))
         with self.assertRaises(SingularPointError):
             potential(h, np.array([1.0, 0, 0, 1.0, 0, 0]))
+
+    def test_singular_rows_are_inf_in_a_batch(self):
+        rng = np.random.default_rng(5)
+        for h in (coulomb_atom(Z=1, ee=True), harmonic_pair(omega=0.25, g0=1.0)):
+            x = rng.normal(size=(6, 6))
+            x[1, 3:6] = 0.0               # electron at the nucleus
+            x[4, 3:6] = x[4, 0:3]         # coincident particles
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                V = potential_batch(h, x)
+            regular = [0, 2, 3, 5]
+            self.assertEqual(V[regular].tobytes(),
+                             potential_batch(h, x[regular]).tobytes())
+            self.assertTrue(np.isinf(V[4]))
+            if h.family == "coulomb_atom":
+                self.assertTrue(np.isinf(V[1]))
 
     def test_bad_family_rejected(self):
         with self.assertRaises(ValueError):

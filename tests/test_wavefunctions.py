@@ -8,9 +8,11 @@ relative error while h = 1e-4 keeps it near 1e-7.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nda.wavefunctions as wf
-from nda.catalog import catalog_list, get_state
+from nda.catalog import catalog_list, get_state, subshell_family
 
 
 def _fd_gradient(model, x, h=1e-6):
@@ -98,6 +100,10 @@ def test_scaled_wrapper():
     assert np.array_equal(doubled.laplacians(x), 2.0 * base.laplacians(x))
     flipped = wf.Scaled(-1.0, base)
     assert np.array_equal(flipped.values(x), -base.values(x))
+    v, g, lap = doubled.vgl(x)
+    assert np.array_equal(v, 2.0 * base.values(x))
+    assert np.array_equal(g, 2.0 * base.gradients(x))
+    assert np.array_equal(lap, 2.0 * base.laplacians(x))
     with pytest.raises(ValueError):
         wf.Scaled(0.0, base)
 
@@ -121,3 +127,118 @@ def test_harmonic_pair_jastrow_factor():
     u = np.linalg.norm(x[:, :3] - x[:, 3:], axis=1) / np.sqrt(2.0)
     ratio = corr.values(x) / plain.values(x)
     assert np.allclose(ratio, 1.0 + 0.25 * np.sqrt(2.0) * u, rtol=1e-12)
+
+
+def test_default_vgl_is_the_three_methods():
+    for model in (get_state("1D_2p2").model, get_state("harmonic_exact").model):
+        x = _test_points(2, seed=4)
+        v, g, lap = model.vgl(x)
+        assert v.tobytes() == model.values(x).tobytes()
+        assert g.tobytes() == model.gradients(x).tobytes()
+        assert lap.tobytes() == model.laplacians(x).tobytes()
+
+
+# ------------------------------------------- fused SlaterProduct evaluation
+
+
+def _reference_vgl(model, x):
+    """SlaterProduct evaluated orbital by orbital: every block matrix is
+    rebuilt per term from Orbital.value, and gradients and Laplacians come
+    from Orbital.grad and Orbital.lap, accumulated in the model's order."""
+    m = x.shape[0]
+
+    def block(b):
+        return [[orb.value(x[:, 3 * e:3 * e + 3]) for orb in b.orbitals]
+                for e in b.electrons]
+
+    v = np.zeros(m)
+    g = np.zeros((m, 3 * model.n_particles))
+    lap = np.zeros(m)
+    for t in model.terms:
+        prod = np.full(m, t.coeff)
+        for b in t.blocks:
+            prod = prod * wf._det(block(b))
+        v = v + prod
+    for t in model.terms:
+        mats = [block(b) for b in t.blocks]
+        dets = [wf._det(A) for A in mats]
+        for bi, b in enumerate(t.blocks):
+            other = np.full(m, t.coeff)
+            for bj, d in enumerate(dets):
+                if bj != bi:
+                    other = other * d
+            C = wf._cofactors(mats[bi])
+            lap_b = np.zeros(m)
+            for i, e in enumerate(b.electrons):
+                xyz = x[:, 3 * e:3 * e + 3]
+                row = np.zeros((m, 3))
+                for j, orb in enumerate(b.orbitals):
+                    row += C[i][j][:, None] * orb.grad(xyz)
+                    lap_b += C[i][j] * orb.lap(xyz)
+                g[:, 3 * e:3 * e + 3] += other[:, None] * row
+            lap += other * lap_b
+    return v, g, lap
+
+
+_SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2")
+
+
+def _slater_model(name, Z):
+    if name == "det3":
+        # a 3x3 block with gaussian and l = 2 orbitals: the stacked-matrix path
+        orbs = (wf.Orbital("gaussian_s", Z), wf.Orbital("gaussian_p", Z, axis="y"),
+                wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=0))
+        term = wf.Term(coeff=1.0, blocks=(wf.DetBlock(orbs, (0, 1, 2)),))
+        return wf.SlaterProduct([term], n_particles=3, family="coulomb")
+    if name.startswith("subshell"):
+        return subshell_family(1, int(name[-1]), Z).model
+    return get_state(name, Z=Z).model
+
+
+# coordinates away from the float underflow of 1/r, plus exact zeros
+_COORD = st.floats(1e-3, 6.0) | st.floats(-6.0, -1e-3) | st.just(0.0)
+
+
+def _draw_points(data, n_particles):
+    x = data.draw(arrays(np.float64, (6, 3 * n_particles), elements=_COORD))
+    # two more rows with one electron at the origin
+    e = data.draw(st.integers(0, n_particles - 1))
+    at_origin = x[:2].copy()
+    at_origin[:, 3 * e:3 * e + 3] = 0.0
+    return np.concatenate([x, at_origin])
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "det3")),
+       Z=st.floats(0.3, 4.0), data=st.data())
+def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
+    model = _slater_model(name, Z)
+    x = _draw_points(data, model.n_particles)
+    ref = _reference_vgl(model, x)
+    fused = model.vgl(x)
+    separate = (model.values(x), model.gradients(x), model.laplacians(x))
+    for r, f, s in zip(ref, fused, separate):
+        assert r.tobytes() == f.tobytes() == s.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from([("3S_1s2s", 0, 1), ("3P_1s2p", 0, 1),
+                             ("1S_1s2_2s2", 0, 1), ("1S_1s2_2s2", 2, 3),
+                             ("1S_1s2_2p2", 0, 1), ("1S_1s2_2p2", 2, 3)]),
+       Z=st.floats(0.3, 4.0), data=st.data())
+def test_same_spin_swap_negates_vgl(pair, Z, data):
+    """Values and per-electron gradient blocks are exact under the swap."""
+    name, i, j = pair
+    model = _slater_model(name, Z)
+    x = _draw_points(data, model.n_particles)
+    bi, bj = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
+    xs = x.copy()
+    xs[:, bi], xs[:, bj] = x[:, bj], x[:, bi]
+    v, g, lap = model.vgl(x)
+    vs, gs, laps = model.vgl(xs)
+    assert np.array_equal(vs, -v)
+    expect = -g
+    expect[:, bi], expect[:, bj] = -g[:, bj], -g[:, bi]
+    assert np.array_equal(gs, expect)
+    # the Laplacian sums over both electrons, in an order the swap permutes
+    assert np.allclose(laps, -lap, rtol=1e-12, atol=1e-12)
