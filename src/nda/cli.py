@@ -89,6 +89,7 @@ def _estimate_entry(est: NdaEstimate, exact=None) -> dict:
         "method": est.method,
         "status": est.status,
         "n_rejected": est.n_rejected,
+        "acceptance_rate": est.acceptance_rate,
     }
     if exact is not None:
         ex = float(exact)

@@ -5,9 +5,13 @@ Shared conventions:
 * every chain owns an RNG stream derived from (seed, stream tag, chain
   index), so results depend only on the seed and the chain count;
 * chains are batched: a Metropolis step moves every chain with one model
-  call, and i.i.d. draws of several chains share one model call.  Every
-  array operation treats rows independently and every per-chain sum keeps
-  its order, so the batching never enters the arithmetic;
+  call, and i.i.d. draws of several chains share one model call.  Kept
+  Metropolis steps reach the estimators in blocks of
+  k = max(1, _ROWS // n_chains) steps, collect(js, xs, vs), so the
+  potential and vgl of about _ROWS rows (at least one row per chain) share
+  one call.  Every array operation treats rows independently and every
+  per-chain sum keeps its order, so the batching never enters the
+  arithmetic;
 * a chain consumes its stream in chunks of _CHUNK steps or draws: a
   Metropolis chain draws a chunk's (steps, 3N) proposal noise and then its
   uniforms, so _CHUNK fixes which random number feeds which step and
@@ -44,7 +48,7 @@ __all__ = [
 ]
 
 _CHUNK = 2048   # draws per chain and chunk
-_ROWS = 2048    # i.i.d. rows per model call, but at least one chain chunk
+_ROWS = 2048    # rows per model call, but at least one chain chunk or step
 _BLOCKS = 50
 _MASK64 = (1 << 64) - 1
 
@@ -105,6 +109,8 @@ class NdaEstimate:
 
     n_rejected counts the samples a Metropolis estimator dropped (singular
     potential, or within float noise of the node); they are not in n_samples.
+    acceptance_rate is the Metropolis estimators' fraction of accepted
+    moves over all chains and steps; None for the other methods.
     """
 
     mean: float
@@ -115,6 +121,7 @@ class NdaEstimate:
     method: str
     status: str = "ok"
     n_rejected: int = 0
+    acceptance_rate: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
@@ -148,13 +155,18 @@ def _stderr_from_chains(chain_means: np.ndarray,
 
 
 def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
-                tag: int, collect: Callable) -> float:
+                tag: int, collect: Callable, thin: int = 1) -> float:
     """Metropolis chains with stationary density |Psi|^power.
 
-    Every chain advances in one batch.  collect(kept_step_index, x,
-    raw_values) is invoked for every post-burn-in step with the current
-    configurations of all chains, (n_chains, 3N).  Returns the global
-    acceptance rate.
+    Every chain advances in one batch.  Every thin-th post-burn-in step is
+    kept: its configurations and raw values are copied into a block of
+    k = max(1, _ROWS // n_chains) kept steps, and collect(js, xs, vs) is
+    invoked with the kept-step indices js (n,), the configurations xs
+    (n, n_chains, 3N) and the raw values vs (n, n_chains), n = k for every
+    full block and n <= k for the last one.  A block thus holds at most
+    max(_ROWS, n_chains) rows, which collect evaluates in one model call;
+    the block is reused, so collect copies what it keeps.  Returns the
+    global acceptance rate.
     """
     density = state.reference_density
     if density is None:
@@ -178,6 +190,12 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     # one noise and one uniform buffer per run, refilled chain by chain
     noise = np.empty((cfg.n_chains, min(_CHUNK, steps), dim))
     unif = np.empty((cfg.n_chains, min(_CHUNK, steps)))
+    # one block of kept steps per run, handed to collect when full
+    k = max(1, _ROWS // cfg.n_chains)
+    js = np.empty(k, dtype=np.int64)
+    xs = np.empty((k, cfg.n_chains, dim))
+    vs = np.empty((k, cfg.n_chains))
+    n = 0
     accepted = 0
     done = 0
     while done < steps:
@@ -195,11 +213,27 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
                 v = np.where(acc, vp, v)
                 t = np.where(acc, tp, t)
             accepted += int(np.count_nonzero(acc))
-            g = done + j
-            if g >= burn:
-                collect(g - burn, x, v)
+            g = done + j - burn
+            if g >= 0 and g % thin == 0:
+                js[n], xs[n], vs[n] = g, x, v
+                n += 1
+                if n == k:
+                    collect(js, xs, vs)
+                    n = 0
         done += m
+    if n:
+        collect(js[:n], xs[:n], vs[:n])
     return accepted / (cfg.n_chains * steps)
+
+
+def _step_major_ids(js: np.ndarray, n_chains: int, n_keep: int) -> np.ndarray:
+    """Flat (chain, block) ids of a block of kept steps js, step-major.
+
+    np.add.at adds in index order, so with these ids every (chain, block)
+    sum adds its steps in step order.
+    """
+    return (js[:, None] * _BLOCKS // n_keep
+            + np.arange(n_chains) * _BLOCKS).ravel()
 
 
 def _acceptance_status(rate: float) -> str:
@@ -214,6 +248,10 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
 
     Returns an (n_kept_total, 3N) array; used by the topology module.
     """
+    if power not in (1, 2):
+        raise ValueError("power must be 1 (|Psi|) or 2 (Psi^2)")
+    if thin < 1:
+        raise ValueError("thin must be a positive integer")
     model = state.model
     if model is None:
         raise ValueError(f"state {state.name!r} has no evaluable model")
@@ -221,11 +259,10 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
     kept_per_chain = (cfg.steps_per_chain - burn + thin - 1) // thin
     out = np.empty((cfg.n_chains, kept_per_chain, 3 * model.n_particles))
 
-    def collect(j, x, v):
-        if j % thin == 0:
-            out[:, j // thin] = x
+    def collect(js, xs, vs):
+        out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, power, state, cfg, tag, collect)
+    _metropolis(model, power, state, cfg, tag, collect, thin)
     return out.reshape(-1, out.shape[-1])
 
 
@@ -253,13 +290,13 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
     bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
     rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(j, x, v):
-        V = potential_batch(h, x)
+    def collect(js, xs, vs):
+        V = potential_batch(h, xs.reshape(-1, xs.shape[-1]))
         ok = np.isfinite(V)
-        b = j * _BLOCKS // n_keep
-        bsum[:, b] += np.where(ok, V, 0.0)
-        bcnt[:, b] += ok
-        rejected[:] += ~ok
+        flat = _step_major_ids(js, C, n_keep)
+        np.add.at(bsum.reshape(-1), flat, np.where(ok, V, 0.0))
+        np.add.at(bcnt.reshape(-1), flat, ok)
+        rejected[:] += (~ok).reshape(-1, C).sum(axis=0)
 
     rate = _metropolis(model, 1, state, cfg, _TAG_POT, collect)
     counts = bcnt.sum(axis=1)
@@ -275,6 +312,7 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
         method="metropolis_abs_psi",
         status=_acceptance_status(rate),
         n_rejected=int(rejected.sum()),
+        acceptance_rate=rate,
     )
 
 
@@ -311,22 +349,22 @@ def estimate_standard_expectations(state: StateSpec,
     bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
     rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(j, x, v):
-        if j % thin:
-            return
+    def collect(js, xs, vs):
+        x = xs.reshape(-1, xs.shape[-1])
+        v = vs.reshape(-1)
         V = potential_batch(h, x)
         _, grads, laps = model.vgl(x)
         gnorm = np.linalg.norm(grads, axis=1)
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
         safe = np.where(ok, v, 1.0)
         tloc = -0.5 * laps / safe
-        b = j * _BLOCKS // n_keep
-        bsum[0, :, b] += np.where(ok, tloc, 0.0)
-        bsum[1, :, b] += np.where(ok, V, 0.0)
-        bcnt[:, b] += ok
-        rejected[:] += ~ok
+        flat = _step_major_ids(js, C, n_keep)
+        np.add.at(bsum[0].reshape(-1), flat, np.where(ok, tloc, 0.0))
+        np.add.at(bsum[1].reshape(-1), flat, np.where(ok, V, 0.0))
+        np.add.at(bcnt.reshape(-1), flat, ok)
+        rejected[:] += (~ok).reshape(-1, C).sum(axis=0)
 
-    rate = _metropolis(model, 2, state, cfg, _TAG_STD, collect)
+    rate = _metropolis(model, 2, state, cfg, _TAG_STD, collect, thin)
     counts = bcnt.sum(axis=1)
     if (counts == 0).any():
         raise RuntimeError("a chain collected no valid samples")
@@ -343,6 +381,7 @@ def estimate_standard_expectations(state: StateSpec,
             method="metropolis_psi_squared",
             status=status,
             n_rejected=int(rejected.sum()),
+            acceptance_rate=rate,
         )
     return out
 

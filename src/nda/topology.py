@@ -13,6 +13,7 @@ from itertools import permutations, product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .catalog import StateSpec
@@ -116,34 +117,6 @@ class DomainReport:
     confidence_note: str
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:          # path compression
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-    def n_components(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i and p == i)
-
-
 def _sample_points(state: StateSpec, n_points: int, seed: int,
                    thin: int = 10, n_chains: int = 8) -> np.ndarray:
     """n_points decorrelated |Psi|-distributed configurations."""
@@ -164,8 +137,9 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     Samples follow |Psi|; an edge joins two k-nearest neighbors only when
     both endpoints and all segment_checks interior points of the straight
     segment carry the same sign of Psi.  Connected components of that graph
-    are counted with union-find.  The count converges to the true domain
-    count from above as the sampling is refined.
+    are counted with scipy.sparse.csgraph.connected_components.  The count
+    converges to the true domain count from above as the sampling is
+    refined.
 
     Isolated far-tail points whose nearest neighbors all sit across a nodal
     sheet would otherwise surface as spurious singleton components, so tiny
@@ -209,26 +183,34 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
         v = v.reshape(hi - lo, segment_checks)
         good[lo:hi] = np.all(v * signs[src[lo:hi], None] > 0, axis=1)
 
-    uf = _UnionFind(n_points)
-    for i, j in zip(src[good], dst[good]):
-        uf.union(int(i), int(j))
+    edges = [(src[good], dst[good])]
     n_edges = int(src.size)
+
+    def components():
+        # imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
+        # which would add about 50 ms to every import of nda
+        from scipy.sparse.csgraph import connected_components
+        i, j = (np.concatenate(e) for e in zip(*edges))
+        adj = coo_matrix((np.ones(i.size, dtype=bool), (i, j)),
+                         shape=(n_points, n_points))
+        return connected_components(adj, directed=False)
 
     def segment_ok(i: int, j: int) -> bool:
         mid = pts[i] + frac[:, None] * (pts[j] - pts[i])
         return bool(np.all(model.values(mid) * signs[i] > 0))
 
-    # rescue pass for under-connected tiny components
+    # rescue pass for under-connected tiny components; labels are
+    # recomputed once per round, so merges within a round see the labels
+    # of the round's start
     small = max(32, n_points // 200)
     kq = min(n_points, 256)
     stable = False
     while not stable:
         stable = True
-        roots = np.array([uf.find(i) for i in range(n_points)])
-        uniq, counts = np.unique(roots, return_counts=True)
-        if uniq.size == 1:
+        n_domains, roots = components()
+        if n_domains == 1:
             break
-        for r, c in zip(uniq, counts):
+        for r, c in enumerate(np.bincount(roots)):
             if c >= small:
                 continue
             members = np.where(roots == r)[0]
@@ -243,7 +225,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                     tried += 1
                     n_edges += 1
                     if segment_ok(int(p), q):
-                        uf.union(int(p), q)
+                        edges.append(([p], [q]))
                         merged = True
                         break
                     if tried >= 24:
@@ -256,7 +238,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     notes.append("count is an upper bound; it can only decrease under "
                  "refinement of n_points or segment_checks")
     return DomainReport(
-        n_domains=uf.n_components(),
+        n_domains=n_domains,
         n_points=n_points,
         n_edges_tested=n_edges,
         confidence_note="; ".join(notes),

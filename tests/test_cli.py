@@ -31,6 +31,11 @@ def test_compute_json_roundtrip(capsys):
     assert rec.estimates["sum"]["exact"]["rational"] == "-1/8"
     # no sample sits on a singularity or the node at this budget
     assert pot["n_rejected"] == 0 and rec.estimates["sum"]["n_rejected"] == 0
+    # the Metropolis pot estimate reports its acceptance rate; the surface
+    # kin estimate and the sum have none
+    assert 0.0 < pot["acceptance_rate"] <= 1.0
+    assert rec.estimates["kin"]["acceptance_rate"] is None
+    assert "acceptance_rate" not in rec.estimates["sum"]
     # sigma_deviation is |mean - exact| / stderr
     assert pot["sigma_deviation"] == pytest.approx(
         abs(pot["mean"] + 1 / 6) / pot["stderr"])

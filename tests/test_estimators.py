@@ -185,9 +185,10 @@ def test_missing_model_rejected():
         estimate_pot_nda(st, cfg=FAST)
 
 
-def _reference_metropolis_samples(state, cfg, thin, power, tag):
+def _reference_walk(state, cfg, thin, power, tag):
     """The Metropolis walk with fresh per-chunk noise: every chain draws its
-    chunk into its own array and the chunks are np.stack-ed."""
+    chunk into its own array and the chunks are np.stack-ed.  Yields
+    (kept-step index, x, raw values) for every thin-th kept step."""
     model = state.model
     dim = 3 * model.n_particles
     steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
@@ -196,7 +197,6 @@ def _reference_metropolis_samples(state, cfg, thin, power, tag):
     x = np.concatenate([state.reference_density.sample(rng, 1) for rng in rngs])
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
-    kept = []
     done = 0
     while done < steps:
         m = min(estimators._CHUNK, steps - done)
@@ -208,11 +208,81 @@ def _reference_metropolis_samples(state, cfg, thin, power, tag):
             tp = np.abs(vp) if power == 1 else vp * vp
             acc = unif[:, j] * t < tp
             x = np.where(acc[:, None], xp, x)
+            v = np.where(acc, vp, v)
             t = np.where(acc, tp, t)
             if done + j >= burn and (done + j - burn) % thin == 0:
-                kept.append(x)
+                yield done + j - burn, x, v
         done += m
-    return np.stack(kept, axis=1).reshape(-1, dim)
+
+
+def _reference_metropolis_samples(state, cfg, thin, power, tag):
+    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, power, tag)]
+    return np.stack(kept, axis=1).reshape(-1, kept[0].shape[1])
+
+
+def _reference_reduce(bsum, bcnt, rejected):
+    counts = bcnt.sum(axis=1)
+    chain_means = bsum.sum(axis=1) / counts
+    return (float(chain_means.mean()),
+            estimators._stderr_from_chains(chain_means, bsum, bcnt),
+            int(counts.sum()), int(rejected.sum()))
+
+
+def _reference_pot(state, cfg):
+    """estimate_pot_nda with one potential_batch call per kept step."""
+    h = state.hamiltonian()
+    C, B = cfg.n_chains, estimators._BLOCKS
+    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
+    bsum, bcnt = np.zeros((C, B)), np.zeros((C, B), dtype=np.int64)
+    rejected = np.zeros(C, dtype=np.int64)
+    for j, x, _ in _reference_walk(state, cfg, 1, 1, estimators._TAG_POT):
+        V = estimators.potential_batch(h, x)
+        ok = np.isfinite(V)
+        b = j * B // n_keep
+        bsum[:, b] += np.where(ok, V, 0.0)
+        bcnt[:, b] += ok
+        rejected += ~ok
+    return _reference_reduce(bsum, bcnt, rejected)
+
+
+def _reference_std(state, cfg, thin):
+    """estimate_standard_expectations with one potential_batch and one vgl
+    call per thin-th kept step."""
+    h, model = state.hamiltonian(), state.model
+    C, B = cfg.n_chains, estimators._BLOCKS
+    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
+    bsum, bcnt = np.zeros((2, C, B)), np.zeros((C, B), dtype=np.int64)
+    rejected = np.zeros(C, dtype=np.int64)
+    for j, x, v in _reference_walk(state, cfg, thin, 2, estimators._TAG_STD):
+        V = estimators.potential_batch(h, x)
+        _, grads, laps = model.vgl(x)
+        ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * np.linalg.norm(grads, axis=1))
+        tloc = -0.5 * laps / np.where(ok, v, 1.0)
+        b = j * B // n_keep
+        bsum[0, :, b] += np.where(ok, tloc, 0.0)
+        bsum[1, :, b] += np.where(ok, V, 0.0)
+        bcnt[:, b] += ok
+        rejected += ~ok
+    return {"kin": _reference_reduce(bsum[0], bcnt, rejected),
+            "pot": _reference_reduce(bsum[1], bcnt, rejected)}
+
+
+def _fields(est):
+    return est.mean, est.stderr, est.n_samples, est.n_rejected
+
+
+@pytest.mark.parametrize("n_chains", [1, 3, 8])
+def test_kept_step_blocks_match_per_step_collectors(n_chains):
+    """Blocks of kept steps (a partial last one here: 1875 kept steps) give
+    the per-step reduction bit for bit, for every thinning."""
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=n_chains,
+                        steps_per_chain=estimators._CHUNK + 37, seed=5)
+    assert _fields(estimate_pot_nda(st, cfg=cfg)) == _reference_pot(st, cfg)
+    for thin in (4, 7):
+        got = estimate_standard_expectations(st, cfg=cfg, thin=thin)
+        ref = _reference_std(st, cfg, thin)
+        assert {k: _fields(e) for k, e in got.items()} == ref
 
 
 @pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
@@ -260,25 +330,32 @@ def test_singular_point_is_rejected_and_counted(monkeypatch):
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=400, seed=7)
     potential_batch = estimators.potential_batch
+    # rows reach potential_batch step-major, however many steps share a
+    # call: row r is chain r % n_chains of the (r // n_chains)-th evaluated
+    # kept step; move electron 1 of chain 2 at evaluated step 29
+    target = 29 * cfg.n_chains + 2
 
     def one_at_nucleus(h, x):
-        calls.append(None)
-        if len(calls) == 30:
+        r = target - seen[0]
+        seen[0] += len(x)
+        if 0 <= r < len(x):
             x = x.copy()
-            x[2, 3:6] = 0.0
+            x[r, 3:6] = 0.0
         return potential_batch(h, x)
     monkeypatch.setattr(estimators, "potential_batch", one_at_nucleus)
 
-    calls = []
+    kept = cfg.steps_per_chain - cfg.resolved_burn_in()
+    seen = [0]
     pot = estimate_pot_nda(st, cfg=cfg)
-    n_keep = cfg.n_chains * (cfg.steps_per_chain - cfg.resolved_burn_in())
-    assert pot.n_rejected == 1 and pot.n_samples == n_keep - 1
+    assert pot.n_rejected == 1 and pot.n_samples == cfg.n_chains * kept - 1
     assert np.isfinite(pot.mean) and np.isfinite(pot.stderr)
 
-    calls = []
-    std = estimate_standard_expectations(st, cfg=cfg)
+    thin = 4
+    seen = [0]
+    std = estimate_standard_expectations(st, cfg=cfg, thin=thin)
+    n_thinned = (kept + thin - 1) // thin
     for est in std.values():
-        assert est.n_rejected == 1 and est.n_samples == len(calls) * cfg.n_chains - 1
+        assert est.n_rejected == 1 and est.n_samples == cfg.n_chains * n_thinned - 1
         assert np.isfinite(est.mean) and np.isfinite(est.stderr)
 
 
@@ -293,3 +370,13 @@ def test_metropolis_samples_shape_and_support():
     assert x.shape[0] == 4 * ((2_000 - 200) // 10)
     v = np.abs(st.model.values(x))
     assert np.all(v > 0.0)  # Metropolis on |psi| never lands exactly on the node
+
+
+@pytest.mark.parametrize("bad", [{"power": 3}, {"power": 0}, {"thin": 0},
+                                 {"thin": -3}])
+def test_metropolis_samples_rejects_bad_input(bad, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    with pytest.raises(ValueError):
+        metropolis_samples(get_state("2P_2p"), FAST, **bad)
