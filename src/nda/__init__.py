@@ -26,9 +26,8 @@ from .reference import (SubshellParams, harmonic_reference, quasiclassical_gap,
                         subshell_kin_nda, subshell_pot_nda, subshell_total)
 from .topology import (DomainReport, TransformSpec, count_nodal_domains,
                        find_block_transform, test_node_equivalence)
-from .wavefunctions import (Coupled2p2, HarmonicPair, Orbital, Scaled,
-                            SlaterProduct, WaveFunction, evaluate, gradient,
-                            laplacian)
+from .wavefunctions import (HarmonicPair, Orbital, Scaled, SlaterProduct,
+                            WaveFunction, evaluate, gradient, laplacian)
 
 __all__ = [
     "__version__",
@@ -45,6 +44,6 @@ __all__ = [
     "subshell_kin_nda", "subshell_pot_nda", "subshell_total",
     "DomainReport", "TransformSpec", "count_nodal_domains",
     "find_block_transform", "test_node_equivalence",
-    "Coupled2p2", "HarmonicPair", "Orbital", "Scaled", "SlaterProduct",
+    "HarmonicPair", "Orbital", "Scaled", "SlaterProduct",
     "WaveFunction", "evaluate", "gradient", "laplacian",
 ]

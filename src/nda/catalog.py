@@ -555,12 +555,31 @@ def _orb(kind, Z, **kw):
     return wf.Orbital(kind=kind, scale=float(Z), **kw)
 
 
+def _product_state(Z, n, terms):
+    """Coulomb SlaterProduct of n electrons with unit coefficients; each term
+    is a tuple of determinant blocks, each block an (orbitals, electrons) pair."""
+    return wf.SlaterProduct(
+        [wf.Term(coeff=1.0, blocks=tuple(wf.DetBlock(orbitals=o, electrons=e)
+                                         for o, e in t)) for t in terms],
+        n_particles=n, family="coulomb", parameters={"Z": float(Z)})
+
+
 def _det_state(Z, orbitals, electrons):
-    term = wf.Term(coeff=1.0, blocks=(wf.DetBlock(orbitals=orbitals,
-                                                  electrons=electrons),))
-    n = len(electrons)
-    return wf.SlaterProduct([term], n_particles=n, family="coulomb",
-                            parameters={"Z": float(Z)})
+    return _product_state(Z, len(electrons), [((orbitals, electrons),)])
+
+
+def _2p2_model(Z, coupling):
+    """Two 2p electrons with rho(r) = exp(-Z r / 2):
+
+    "cross": (x1 y2 - x2 y1) rho rho, one 2x2 determinant (triplet P)
+    "plus" : (x1 y2 + x2 y1) rho rho, two products (a singlet D component)
+    "dot"  : (r1 . r2) rho rho, three products (singlet S)
+    """
+    p = {a: (_orb("hydrogenic_2p", Z, axis=a),) for a in "xyz"}
+    if coupling == "cross":
+        return _det_state(Z, p["x"] + p["y"], (0, 1))
+    pairs = ("xy", "yx") if coupling == "plus" else ("xx", "yy", "zz")
+    return _product_state(Z, 2, [((p[a], (0,)), (p[b], (1,))) for a, b in pairs])
 
 
 def _build_2P_2p(Z):
@@ -606,12 +625,7 @@ def _build_3P_1s2p(Z):
 
 def _build_1S_1s2_2s2(Z):
     orbs = (_orb("hydrogenic_1s", Z), _orb("hydrogenic_2s", Z))
-    term = wf.Term(coeff=1.0, blocks=(
-        wf.DetBlock(orbitals=orbs, electrons=(0, 1)),
-        wf.DetBlock(orbitals=orbs, electrons=(2, 3)),
-    ))
-    model = wf.SlaterProduct([term], n_particles=4, family="coulomb",
-                             parameters={"Z": float(Z)})
+    model = _product_state(Z, 4, [((orbs, (0, 1)), (orbs, (2, 3)))])
     return StateSpec(
         name="1S_1s2_2s2", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 4), Z),
@@ -628,12 +642,8 @@ def _build_1S_1s2_2p2(Z):
     terms = []
     for axis in ("x", "y", "z"):
         orbs = (_orb("hydrogenic_1s", Z), _orb("hydrogenic_2p", Z, axis=axis))
-        terms.append(wf.Term(coeff=1.0, blocks=(
-            wf.DetBlock(orbitals=orbs, electrons=(0, 1)),
-            wf.DetBlock(orbitals=orbs, electrons=(2, 3)),
-        )))
-    model = wf.SlaterProduct(terms, n_particles=4, family="coulomb",
-                             parameters={"Z": float(Z)})
+        terms.append(((orbs, (0, 1)), (orbs, (2, 3))))
+    model = _product_state(Z, 4, terms)
     return StateSpec(
         name="1S_1s2_2p2", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 4), Z),
@@ -646,13 +656,9 @@ def _build_1S_1s2_2p2(Z):
 
 
 def _build_2p2(Z, coupling, name):
-    model = wf.Coupled2p2(coupling=coupling, Z=float(Z))
-    if coupling == "cross":
-        node = _azimuth_lock_param(float(Z), "cross")
-    elif coupling == "plus":
-        node = _azimuth_lock_param(float(Z), "plus")
-    else:
-        node = _perpendicular_param_2e(float(Z))
+    model = _2p2_model(Z, coupling)
+    node = (_perpendicular_param_2e(float(Z)) if coupling == "dot"
+            else _azimuth_lock_param(float(Z), coupling))
     return StateSpec(
         name=name, model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-1, 4), Z),
@@ -761,7 +767,7 @@ def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
     if k == 1 and l <= 2:
         model = _det_state(Z, (_orb("hydrogenic_general", Z, n=l + 1, l=l, m=l),), (0,))
     elif k == 2 and l == 1:
-        model = wf.Coupled2p2(coupling="cross", Z=float(Z))
+        model = _2p2_model(Z, "cross")
         node = _azimuth_lock_param(float(Z), "cross")
     return StateSpec(
         name=f"subshell_k{k}_l{l}", model=model, parameters={"Z": Z, "k": k, "l": l},

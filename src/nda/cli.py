@@ -298,18 +298,14 @@ def _verify_cells(state, cfg, method: str):
             yield "pot_nda", estimate_pot_nda(state, None, cfg), pot_exact
         kin_exact = state.exact_nda.get("kin")
         if kin_exact is not None:
-            if node_parametrization(state).kind != "determinant_zero":
-                est = estimate_kin_nda_surface(state, cfg)
-            else:
-                est = estimate_kin_nda_shell(state, cfg)
-            yield "kin_nda", est, kin_exact
+            yield "kin_nda", _kin_estimate(state, cfg, "auto"), kin_exact
 
 
 def cmd_verify_tables(args) -> int:
     cfg = _sampler_config(args)
-    names = [args.only] if args.only else [
-        s.name for s in catalog_list()
-        if s.model is not None and (s.exact_nda or s.exact_standard)]
+    names = ([n.strip() for n in args.only.split(",") if n.strip()] if args.only
+             else [s.name for s in catalog_list()
+                   if s.model is not None and (s.exact_nda or s.exact_standard)])
     worst = 0.0
     failures = 0
     rows = []

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def harmonic_pair(omega: float, g0: float = 0.0) -> HamiltonianSpec:
     return HamiltonianSpec(family="harmonic_pair", omega=float(omega), g0=float(g0))
 
 
-def potential_batch(h: HamiltonianSpec, x: np.ndarray,
-                    n_particles: Optional[int] = None) -> np.ndarray:
+def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
     """Potential energy for an (m, 3N) batch.
 
     A singular row (an electron within 1e-300 of the nucleus, or two
@@ -79,7 +77,7 @@ def potential_batch(h: HamiltonianSpec, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 3 != 0:
         raise ValueError("batch must have shape (m, 3N)")
-    n = x.shape[1] // 3 if n_particles is None else n_particles
+    n = x.shape[1] // 3
     pos = x.reshape(x.shape[0], n, 3)
     bad = []  # row masks of singular rows
 

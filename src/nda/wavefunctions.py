@@ -1,10 +1,14 @@
-"""Wave-function models: orbitals, Slater-determinant products, explicit pair forms.
+"""Wave-function models: orbitals, Slater-determinant products, the harmonic pair.
 
-All models expose a batched API (``values``, ``gradients``, ``laplacians``
-and the fused ``vgl``, which returns all three for the same points) over
-arrays of shape ``(m, 3N)`` plus the scalar convenience operations
-:func:`evaluate`, :func:`gradient`, :func:`laplacian` acting on a single
-:class:`Configuration`.
+Two models cover the catalog.  :class:`SlaterProduct` holds every Coulomb
+state, the 2p^2 couplings included, as a sum of products of per-channel
+determinants of hydrogenic orbitals; :class:`HarmonicPair` is the trap pair.
+Each evaluates through one ``_evaluate(x, want_grad, want_lap)``, which
+computes the shared parts once per call.  All models expose a batched API
+(``values``, ``gradients``, ``laplacians`` and the fused ``vgl``, which
+returns all three for the same points) over arrays of shape ``(m, 3N)``
+plus the scalar convenience operations :func:`evaluate`, :func:`gradient`,
+:func:`laplacian` acting on a single :class:`Configuration`.
 
 Radial factors are kept unnormalized (e.g. the 2p radial part is
 ``exp(-Z r / 2)``): every quantity computed downstream is a ratio of
@@ -26,7 +30,6 @@ __all__ = [
     "DetBlock",
     "Term",
     "SlaterProduct",
-    "Coupled2p2",
     "HarmonicPair",
     "Scaled",
     "evaluate",
@@ -292,7 +295,6 @@ class WaveFunction:
 
     n_particles: int
     family: str  # "coulomb" | "harmonic"
-    structure: str
     parameters: dict
 
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -306,7 +308,7 @@ class WaveFunction:
 
     def vgl(self, x: np.ndarray):
         """(values, gradients, laplacians) at the same points."""
-        return self.values(x), self.gradients(x), self.laplacians(x)
+        raise NotImplementedError
 
 
 def evaluate(model: WaveFunction, R) -> float:
@@ -388,8 +390,6 @@ class SlaterProduct(WaveFunction):
     term that holds the block.  The index plan behind the table is fixed at
     construction.
     """
-
-    structure = "orbital_product_antisymmetrized"
 
     def __init__(self, terms: Sequence[Term], n_particles: int, family: str,
                  parameters: Optional[dict] = None):
@@ -538,83 +538,7 @@ class SlaterProduct(WaveFunction):
 
 
 # --------------------------------------------------------------------------
-# explicit two-particle forms
-
-_COUPLINGS = ("cross", "plus", "dot")
-
-
-class Coupled2p2(WaveFunction):
-    """Two electrons in the 2p subshell with an explicit angular coupling.
-
-    coupling "cross": (x1 y2 - x2 y1) rho rho  (triplet P)
-    coupling "plus" : (x1 y2 + x2 y1) rho rho  (a singlet D component)
-    coupling "dot"  : (r1 . r2) rho rho        (singlet S)
-
-    with rho(r) = exp(-Z r / 2).
-    """
-
-    structure = "explicit_form"
-    family = "coulomb"
-    n_particles = 2
-
-    def __init__(self, coupling: str, Z: float = 1.0):
-        if coupling not in _COUPLINGS:
-            raise ValueError(f"coupling must be one of {_COUPLINGS}")
-        if Z <= 0:
-            raise ValueError("Z must be positive")
-        self.coupling = coupling
-        self.Z = float(Z)
-        self.parameters = {"Z": self.Z, "coupling": coupling}
-
-    def _ang(self, a: np.ndarray, b: np.ndarray):
-        # returns A, dA/da, dA/db  (each gradient shape (m, 3))
-        if self.coupling == "cross":
-            A = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
-            ga = np.stack([b[:, 1], -b[:, 0], np.zeros(len(A))], axis=1)
-            gb = np.stack([-a[:, 1], a[:, 0], np.zeros(len(A))], axis=1)
-        elif self.coupling == "plus":
-            A = a[:, 0] * b[:, 1] + b[:, 0] * a[:, 1]
-            ga = np.stack([b[:, 1], b[:, 0], np.zeros(len(A))], axis=1)
-            gb = np.stack([a[:, 1], a[:, 0], np.zeros(len(A))], axis=1)
-        else:
-            A = np.sum(a * b, axis=1)
-            ga = b.copy()
-            gb = a.copy()
-        return A, ga, gb
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        a, b = x[:, 0:3], x[:, 3:6]
-        r1 = np.linalg.norm(a, axis=1)
-        r2 = np.linalg.norm(b, axis=1)
-        A, _, _ = self._ang(a, b)
-        return A * np.exp(-0.5 * self.Z * (r1 + r2))
-
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        a, b = x[:, 0:3], x[:, 3:6]
-        r1 = np.linalg.norm(a, axis=1)
-        r2 = np.linalg.norm(b, axis=1)
-        A, ga, gb = self._ang(a, b)
-        rho = np.exp(-0.5 * self.Z * (r1 + r2))
-        r1i = np.where(r1 > 0, 1.0 / np.maximum(r1, 1e-300), 0.0)
-        r2i = np.where(r2 > 0, 1.0 / np.maximum(r2, 1e-300), 0.0)
-        out = np.empty_like(x)
-        out[:, 0:3] = rho[:, None] * (ga - (0.5 * self.Z * A * r1i)[:, None] * a)
-        out[:, 3:6] = rho[:, None] * (gb - (0.5 * self.Z * A * r2i)[:, None] * b)
-        return out
-
-    def laplacians(self, x: np.ndarray) -> np.ndarray:
-        a, b = x[:, 0:3], x[:, 3:6]
-        r1 = np.linalg.norm(a, axis=1)
-        r2 = np.linalg.norm(b, axis=1)
-        A, ga, gb = self._ang(a, b)
-        rho = np.exp(-0.5 * self.Z * (r1 + r2))
-        Z = self.Z
-        r1i = np.where(r1 > 0, 1.0 / np.maximum(r1, 1e-300), 0.0)
-        r2i = np.where(r2 > 0, 1.0 / np.maximum(r2, 1e-300), 0.0)
-        # per electron: A (f'' + 2 f'/r) + 2 f' rhat . grad_A, with f = exp(-Zr/2)
-        lap1 = A * (0.25 * Z * Z - Z * r1i) - Z * r1i * np.sum(a * ga, axis=1)
-        lap2 = A * (0.25 * Z * Z - Z * r2i) - Z * r2i * np.sum(b * gb, axis=1)
-        return rho * (lap1 + lap2)
+# explicit two-particle form
 
 
 class HarmonicPair(WaveFunction):
@@ -633,52 +557,47 @@ class HarmonicPair(WaveFunction):
         self.omega = float(omega)
         self.correlated = bool(correlated)
         self.beta = float(beta)
-        self.structure = "product_with_factor" if correlated else "explicit_form"
         self.parameters = {"omega": self.omega, "correlated": correlated, "beta": beta}
 
-    def _parts(self, x: np.ndarray):
-        G = np.exp(-0.5 * self.omega * np.sum(x * x, axis=1))
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+        """(values, gradients, laplacians), None for a part not asked for."""
+        S = np.sum(x * x, axis=1)
+        G = np.exp(-0.5 * self.omega * S)
         B = x[:, 2] - x[:, 5]
-        d = x[:, 0:3] - x[:, 3:6]
-        r12 = np.linalg.norm(d, axis=1)
-        return G, B, d, r12
+        GB = G * B
+        v, g, lap = GB, None, None
+        if self.correlated:
+            d = x[:, 0:3] - x[:, 3:6]
+            r12 = np.linalg.norm(d, axis=1)
+            J = 1.0 + self.beta * r12
+            v = v * J
+        if not (want_grad or want_lap):
+            return v, g, lap
+        g0 = -self.omega * x * GB[:, None]
+        g0[:, 2] += G
+        g0[:, 5] -= G
+        if self.correlated:
+            ri = np.where(r12 > 0, 1.0 / np.maximum(r12, 1e-300), 0.0)
+            gJ = np.concatenate([d * ri[:, None], -d * ri[:, None]], axis=1) * self.beta
+        if want_grad:
+            g = g0 * J[:, None] + GB[:, None] * gJ if self.correlated else g0
+        if want_lap:
+            lap = GB * (self.omega ** 2 * S - 8.0 * self.omega)
+            if self.correlated:
+                lap = lap * J + 2.0 * np.sum(g0 * gJ, axis=1) + GB * (4.0 * self.beta * ri)
+        return v, g, lap
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        G, B, _, r12 = self._parts(x)
-        v = G * B
-        if self.correlated:
-            v = v * (1.0 + self.beta * r12)
-        return v
-
-    def _grad0(self, x, G, B):
-        out = -self.omega * x * (G * B)[:, None]
-        out[:, 2] += G
-        out[:, 5] -= G
-        return out
+        return self._evaluate(x, False, False)[0]
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        G, B, d, r12 = self._parts(x)
-        g0 = self._grad0(x, G, B)
-        if not self.correlated:
-            return g0
-        J = 1.0 + self.beta * r12
-        ri = np.where(r12 > 0, 1.0 / np.maximum(r12, 1e-300), 0.0)
-        gJ = np.concatenate([d * ri[:, None], -d * ri[:, None]], axis=1) * self.beta
-        return g0 * J[:, None] + (G * B)[:, None] * gJ
+        return self._evaluate(x, True, False)[1]
 
     def laplacians(self, x: np.ndarray) -> np.ndarray:
-        G, B, d, r12 = self._parts(x)
-        S = np.sum(x * x, axis=1)
-        lap0 = G * B * (self.omega ** 2 * S - 8.0 * self.omega)
-        if not self.correlated:
-            return lap0
-        J = 1.0 + self.beta * r12
-        ri = np.where(r12 > 0, 1.0 / np.maximum(r12, 1e-300), 0.0)
-        g0 = self._grad0(x, G, B)
-        gJ = np.concatenate([d * ri[:, None], -d * ri[:, None]], axis=1) * self.beta
-        cross = 2.0 * np.sum(g0 * gJ, axis=1)
-        lapJ = 4.0 * self.beta * ri
-        return lap0 * J + cross + G * B * lapJ
+        return self._evaluate(x, False, True)[2]
+
+    def vgl(self, x: np.ndarray):
+        return self._evaluate(x, True, True)
 
 
 class Scaled(WaveFunction):
@@ -691,7 +610,6 @@ class Scaled(WaveFunction):
         self.base = base
         self.n_particles = base.n_particles
         self.family = base.family
-        self.structure = base.structure
         self.parameters = dict(base.parameters)
 
     def values(self, x):

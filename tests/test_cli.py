@@ -103,6 +103,14 @@ def test_verify_tables_quadrature_passes(capsys):
     assert "[PASS]" in out and "FAIL" not in out
 
 
+def test_verify_tables_only_takes_a_comma_list(capsys):
+    code, out, _ = run(["verify-tables", "--only", "2P_2p,3S_1s2s",
+                        "--method", "quadrature"], capsys)
+    assert code == 0
+    assert "checked 4 cells" in out
+    assert "2P_2p" in out and "3S_1s2s" in out
+
+
 def test_verify_tables_flags_large_deviations(capsys, monkeypatch):
     # poison one exact reference value; a correct sampler must now land
     # more than 4 sigma away from it and the command must exit 1

@@ -129,9 +129,12 @@ def test_harmonic_pair_jastrow_factor():
     assert np.allclose(ratio, 1.0 + 0.25 * np.sqrt(2.0) * u, rtol=1e-12)
 
 
-def test_default_vgl_is_the_three_methods():
-    for model in (get_state("1D_2p2").model, get_state("harmonic_exact").model):
-        x = _test_points(2, seed=4)
+def test_harmonic_pair_vgl_is_the_three_methods():
+    # both branches of the fused evaluation; the last row has r12 = 0
+    x = _test_points(2, seed=4)
+    x = np.concatenate([x, x[:1, [0, 1, 2, 0, 1, 2]]])
+    for name in ("harmonic_noninteracting", "harmonic_exact"):
+        model = get_state(name).model
         v, g, lap = model.vgl(x)
         assert v.tobytes() == model.values(x).tobytes()
         assert g.tobytes() == model.gradients(x).tobytes()
@@ -180,7 +183,8 @@ def _reference_vgl(model, x):
     return v, g, lap
 
 
-_SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2")
+_SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
+                  "3P_2p2", "1S_2p2", "1D_2p2")
 
 
 def _slater_model(name, Z):
@@ -222,7 +226,7 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(pair=st.sampled_from([("3S_1s2s", 0, 1), ("3P_1s2p", 0, 1),
+@given(pair=st.sampled_from([("3S_1s2s", 0, 1), ("3P_1s2p", 0, 1), ("3P_2p2", 0, 1),
                              ("1S_1s2_2s2", 0, 1), ("1S_1s2_2s2", 2, 3),
                              ("1S_1s2_2p2", 0, 1), ("1S_1s2_2p2", 2, 3)]),
        Z=st.floats(0.3, 4.0), data=st.data())
@@ -242,3 +246,23 @@ def test_same_spin_swap_negates_vgl(pair, Z, data):
     assert np.array_equal(gs, expect)
     # the Laplacian sums over both electrons, in an order the swap permutes
     assert np.allclose(laps, -lap, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("Z", [1.0, 2.5])
+def test_2p2_couplings_match_closed_forms(Z):
+    """The 2p^2 SlaterProducts are the explicit forms times rho(r1) rho(r2),
+    with rho(r) = exp(-Z r / 2), to 1e-12 of |r1| |r2| rho rho (the forms
+    are sums of terms that cancel near the node)."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(scale=2.0, size=(500, 6))
+    a, b = x[:, :3], x[:, 3:]
+    r1, r2 = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    rho = np.exp(-0.5 * Z * (r1 + r2))
+    cross = (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]) * rho
+    forms = {"3P_2p2": cross, "subshell_k2_l1": cross,
+             "1D_2p2": (a[:, 0] * b[:, 1] + b[:, 0] * a[:, 1]) * rho,
+             "1S_2p2": np.sum(a * b, axis=1) * rho}
+    for name, expect in forms.items():
+        model = get_state(name, Z=Z).model
+        err = np.abs(model.values(x) - expect)
+        assert np.all(err <= 1e-12 * r1 * r2 * rho), name
