@@ -164,6 +164,13 @@ def _get_state_from_args(args) -> "StateSpec":
     return get_state(args.state, **kwargs)
 
 
+def _evaluable(state):
+    """state, or a ValueError when it has no model to sample."""
+    if state.model is None:
+        raise ValueError(f"state {state.name!r} has no evaluable model")
+    return state
+
+
 def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerConfig:
     chains = args.chains if args.chains is not None else default_chains
     if args.samples is not None:
@@ -205,6 +212,10 @@ def cmd_compute(args) -> int:
     state = _get_state_from_args(args)
     cfg = _sampler_config(args)
     components = [c.strip() for c in args.components.split(",") if c.strip()]
+    for comp in components:
+        if comp not in ("pot", "kin", "abs_norm", "kin_std", "pot_std"):
+            print(f"error: unknown component {comp!r}", file=sys.stderr)
+            return 2
     method = args.method
 
     estimates = {}
@@ -221,15 +232,12 @@ def cmd_compute(args) -> int:
             est = (quadrature_estimate(state, "abs_norm") if method == "quadrature"
                    else estimate_abs_norm(state, cfg))
             exact = None
-        elif comp in ("kin_std", "pot_std"):
+        else:                                   # kin_std or pot_std
             if std_cache is None:
                 std_cache = estimate_standard_expectations(state, None, cfg)
             est = std_cache["kin" if comp == "kin_std" else "pot"]
             exact = (state.exact_standard or {}).get(
                 "kin" if comp == "kin_std" else "pot")
-        else:
-            print(f"error: unknown component {comp!r}", file=sys.stderr)
-            return 2
         estimates[comp] = _estimate_entry(est, exact)
 
     if "kin" in estimates and "pot" in estimates:
@@ -306,13 +314,10 @@ def cmd_verify_tables(args) -> int:
     names = ([n.strip() for n in args.only.split(",") if n.strip()] if args.only
              else [s.name for s in catalog_list()
                    if s.model is not None and (s.exact_nda or s.exact_standard)])
-    worst = 0.0
+    states = [_evaluable(get_state(name)) for name in names]
     failures = 0
     rows = []
-    for name in names:
-        state = get_state(name)
-        if state.model is None:
-            continue
+    for name, state in zip(names, states):
         for comp, est, exact in _verify_cells(state, cfg, args.method):
             ex = float(exact)
             if est.stderr > 0.0:
@@ -321,7 +326,6 @@ def cmd_verify_tables(args) -> int:
             else:
                 dev = abs(est.mean - ex)
                 tag = "PASS" if dev <= 1e-7 else "FAIL"
-            worst = max(worst, dev)
             if tag == "FAIL":
                 failures += 1
             line = (f"[{tag}] {name:<14} {comp:<8} mean={est.mean:+.6g} "
@@ -365,8 +369,8 @@ def _parse_flip(text: str, n_particles: int) -> TransformSpec:
 
 
 def cmd_equiv(args) -> int:
-    state_a = get_state(args.a)
-    state_b = get_state(args.b)
+    state_a = _evaluable(get_state(args.a))
+    state_b = _evaluable(get_state(args.b))
     n = state_a.model.n_particles
     if args.flip and args.transform:
         print("error: give either --flip or --transform, not both", file=sys.stderr)

@@ -18,14 +18,23 @@ Shared conventions:
   changing it changes every seeded result.  The Metropolis engine refills
   one (chains, _CHUNK, 3N) noise buffer and one uniform buffer chain by
   chain instead of allocating and stacking fresh arrays every chunk;
+* every estimator but the shell (which fits a line per chain) is an
+  integrand handed to one engine reducer: _metropolis_average calls
+  integrand(x, v) on the rows x of a block of kept steps and their raw
+  values v and gets back (ok, values), a mask of the rows it keeps (None
+  keeps all) and a tuple of per-row arrays, one per estimate; _iid_average
+  calls integrand(x) on a batch of draws and gets back one per-row array.
+  Both add the rows into one _Blocks accumulator, which splits each
+  chain's kept steps or draws into 50 blocks, counts the rejected rows and
+  builds the NdaEstimates;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
-  otherwise.
+  otherwise (Flyvbjerg & Petersen 1989).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -132,22 +141,81 @@ def _rng(seed: int, tag: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, tag, chain)))
 
 
-def _stderr_from_chains(chain_means: np.ndarray,
-                        block_sums: Optional[np.ndarray] = None,
-                        block_counts: Optional[np.ndarray] = None) -> float:
+def _stderr_from_chains(chain_means: np.ndarray, block_sums: np.ndarray,
+                        block_counts: np.ndarray) -> float:
     """Across-chain scatter for >= 8 chains, else pooled 50-block blocking."""
     C = chain_means.size
     if C >= 8:
-        return float(np.std(chain_means, ddof=1) / np.sqrt(C))
-    if block_sums is None:
-        if C < 2:
-            return 0.0
         return float(np.std(chain_means, ddof=1) / np.sqrt(C))
     ok = block_counts > 0
     bm = block_sums[ok] / block_counts[ok]
     if bm.size < 2:
         return 0.0
     return float(np.std(bm, ddof=1) / np.sqrt(bm.size))
+
+
+def _model(state: StateSpec):
+    if state.model is None:
+        raise ValueError(f"state {state.name!r} has no evaluable model")
+    return state.model
+
+
+def _density(state: StateSpec):
+    if state.reference_density is None:
+        raise ValueError(f"state {state.name!r} has no reference density")
+    return state.reference_density
+
+
+class _Blocks:
+    """Per-(chain, block) sums of n_values integrands, with their counts.
+
+    Each chain's n_per_chain kept steps or draws are split into _BLOCKS
+    blocks; step s of chain c lands in block s * _BLOCKS // n_per_chain.
+    np.add.at adds in index order, so every block sums its rows in the
+    order they are added, and the engines add them in step order.
+    """
+
+    def __init__(self, n_chains: int, n_per_chain: int, n_values: int = 1):
+        self.n_per_chain = n_per_chain
+        self.sums = np.zeros((n_values, n_chains, _BLOCKS))
+        self.counts = np.zeros((n_chains, _BLOCKS), dtype=np.int64)
+        self.rejected = 0
+
+    def add(self, chains: np.ndarray, steps: np.ndarray, values: tuple,
+            ok: Optional[np.ndarray] = None) -> None:
+        """Add rows laid out as chains and steps broadcast and raveled;
+        rows outside the mask ok are counted as rejected."""
+        flat = (steps * _BLOCKS // self.n_per_chain + chains * _BLOCKS).ravel()
+        if ok is None:
+            np.add.at(self.counts.reshape(-1), flat, 1)
+        else:
+            np.add.at(self.counts.reshape(-1), flat, ok)
+            self.rejected += flat.size - int(np.count_nonzero(ok))
+            values = [np.where(ok, w, 0.0) for w in values]
+        for bsum, w in zip(self.sums, values):
+            np.add.at(bsum.reshape(-1), flat, w)
+
+    def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
+                  acceptance_rate: Optional[float] = None) -> list:
+        """One NdaEstimate per integrand: the mean of the chain means."""
+        counts = self.counts.sum(axis=1)
+        if (counts == 0).any():
+            raise RuntimeError("a chain collected no valid samples")
+        out = []
+        for bsum in self.sums:
+            chain_means = bsum.sum(axis=1) / counts
+            out.append(NdaEstimate(
+                mean=float(chain_means.mean()),
+                stderr=_stderr_from_chains(chain_means, bsum, self.counts),
+                n_samples=int(counts.sum()),
+                n_chains=cfg.n_chains,
+                seed=cfg.seed,
+                method=method,
+                status=status,
+                n_rejected=self.rejected,
+                acceptance_rate=acceptance_rate,
+            ))
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -168,10 +236,7 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     the block is reused, so collect copies what it keeps.  Returns the
     global acceptance rate.
     """
-    density = state.reference_density
-    if density is None:
-        raise ValueError(f"state {state.name!r} has no reference density "
-                         "to initialize chains")
+    density = _density(state)
     dim = 3 * model.n_particles
     steps = cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
@@ -226,14 +291,27 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     return accepted / (cfg.n_chains * steps)
 
 
-def _step_major_ids(js: np.ndarray, n_chains: int, n_keep: int) -> np.ndarray:
-    """Flat (chain, block) ids of a block of kept steps js, step-major.
+def _metropolis_average(model, power: int, state: StateSpec,
+                        cfg: SamplerConfig, tag: int, method: str,
+                        integrand: Callable, n_values: int = 1,
+                        thin: int = 1) -> list:
+    """Block averages of integrand over the kept steps of _metropolis.
 
-    np.add.at adds in index order, so with these ids every (chain, block)
-    sum adds its steps in step order.
+    integrand(x, v) gets the (rows, 3N) configurations of a block of kept
+    steps, step-major, and their raw values (rows,), and returns
+    (ok, values): the mask of rows it keeps (None keeps all) and n_values
+    per-row arrays.  Returns one NdaEstimate per array.
     """
-    return (js[:, None] * _BLOCKS // n_keep
-            + np.arange(n_chains) * _BLOCKS).ravel()
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
+                  n_values)
+    chains = np.arange(cfg.n_chains)
+
+    def collect(js, xs, vs):
+        ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
+        acc.add(chains, js[:, None], values, ok)
+
+    rate = _metropolis(model, power, state, cfg, tag, collect, thin)
+    return acc.estimates(cfg, method, _acceptance_status(rate), rate)
 
 
 def _acceptance_status(rate: float) -> str:
@@ -252,9 +330,7 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
         raise ValueError("power must be 1 (|Psi|) or 2 (Psi^2)")
     if thin < 1:
         raise ValueError("thin must be a positive integer")
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
+    model = _model(state)
     burn = cfg.resolved_burn_in()
     kept_per_chain = (cfg.steps_per_chain - burn + thin - 1) // thin
     out = np.empty((cfg.n_chains, kept_per_chain, 3 * model.n_particles))
@@ -279,41 +355,17 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
     coincidences.
     """
     cfg = cfg or SamplerConfig()
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
+    model = _model(state)
     if h is None:
         h = state.hamiltonian()
-    C = cfg.n_chains
-    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum = np.zeros((C, _BLOCKS))
-    bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
-    rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(js, xs, vs):
-        V = potential_batch(h, xs.reshape(-1, xs.shape[-1]))
-        ok = np.isfinite(V)
-        flat = _step_major_ids(js, C, n_keep)
-        np.add.at(bsum.reshape(-1), flat, np.where(ok, V, 0.0))
-        np.add.at(bcnt.reshape(-1), flat, ok)
-        rejected[:] += (~ok).reshape(-1, C).sum(axis=0)
+    def integrand(x, v):
+        V = potential_batch(h, x)
+        return np.isfinite(V), (V,)
 
-    rate = _metropolis(model, 1, state, cfg, _TAG_POT, collect)
-    counts = bcnt.sum(axis=1)
-    if (counts == 0).any():
-        raise RuntimeError("a chain collected no finite potential samples")
-    chain_means = bsum.sum(axis=1) / counts
-    return NdaEstimate(
-        mean=float(chain_means.mean()),
-        stderr=_stderr_from_chains(chain_means, bsum, bcnt),
-        n_samples=int(counts.sum()),
-        n_chains=C,
-        seed=cfg.seed,
-        method="metropolis_abs_psi",
-        status=_acceptance_status(rate),
-        n_rejected=int(rejected.sum()),
-        acceptance_rate=rate,
-    )
+    est, = _metropolis_average(model, 1, state, cfg, _TAG_POT,
+                               "metropolis_abs_psi", integrand)
+    return est
 
 
 def estimate_standard_expectations(state: StateSpec,
@@ -338,52 +390,21 @@ def estimate_standard_expectations(state: StateSpec,
     cfg = cfg or SamplerConfig()
     if thin < 1:
         raise ValueError("thin must be a positive integer")
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
+    model = _model(state)
     if h is None:
         h = state.hamiltonian()
-    C = cfg.n_chains
-    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum = np.zeros((2, C, _BLOCKS))          # 0: kin, 1: pot
-    bcnt = np.zeros((C, _BLOCKS), dtype=np.int64)
-    rejected = np.zeros(C, dtype=np.int64)
 
-    def collect(js, xs, vs):
-        x = xs.reshape(-1, xs.shape[-1])
-        v = vs.reshape(-1)
+    def integrand(x, v):
         V = potential_batch(h, x)
         _, grads, laps = model.vgl(x)
         gnorm = np.linalg.norm(grads, axis=1)
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
-        safe = np.where(ok, v, 1.0)
-        tloc = -0.5 * laps / safe
-        flat = _step_major_ids(js, C, n_keep)
-        np.add.at(bsum[0].reshape(-1), flat, np.where(ok, tloc, 0.0))
-        np.add.at(bsum[1].reshape(-1), flat, np.where(ok, V, 0.0))
-        np.add.at(bcnt.reshape(-1), flat, ok)
-        rejected[:] += (~ok).reshape(-1, C).sum(axis=0)
+        return ok, (-0.5 * laps / np.where(ok, v, 1.0), V)
 
-    rate = _metropolis(model, 2, state, cfg, _TAG_STD, collect, thin)
-    counts = bcnt.sum(axis=1)
-    if (counts == 0).any():
-        raise RuntimeError("a chain collected no valid samples")
-    status = _acceptance_status(rate)
-    out = {}
-    for slot, name in ((0, "kin"), (1, "pot")):
-        chain_means = bsum[slot].sum(axis=1) / counts
-        out[name] = NdaEstimate(
-            mean=float(chain_means.mean()),
-            stderr=_stderr_from_chains(chain_means, bsum[slot], bcnt),
-            n_samples=int(counts.sum()),
-            n_chains=C,
-            seed=cfg.seed,
-            method="metropolis_psi_squared",
-            status=status,
-            n_rejected=int(rejected.sum()),
-            acceptance_rate=rate,
-        )
-    return out
+    kin, pot = _metropolis_average(model, 2, state, cfg, _TAG_STD,
+                                   "metropolis_psi_squared", integrand,
+                                   n_values=2, thin=thin)
+    return {"kin": kin, "pot": pot}
 
 
 # --------------------------------------------------------------------------
@@ -413,52 +434,27 @@ def _iid_batches(cfg: SamplerConfig, tag: int, draw: Callable,
         done += m
 
 
-def _iid_chain_means(cfg: SamplerConfig, tag: int, draw: Callable,
-                     weight: Callable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-chain means of weight(rows) -> (rows,) over _iid_batches.
-
-    Returns (chain_means, block_sums, block_counts) for the stderr rules.
-    """
-    n = cfg.steps_per_chain
-    bsum = np.zeros((cfg.n_chains, _BLOCKS))
-    for c0, c1, done, m, w in _iid_batches(cfg, tag, draw, weight):
-        # flat (chain, block) ids in chain-major order: np.add.at adds in
-        # index order, so every block sums its draws in draw order
-        ids = (np.arange(done, done + m) * _BLOCKS) // n
-        flat = (np.arange(c0, c1)[:, None] * _BLOCKS + ids).ravel()
-        np.add.at(bsum.reshape(-1), flat, w)
-    # every chain splits its n draws into the same blocks
-    bcnt = np.tile(np.bincount((np.arange(n) * _BLOCKS) // n, minlength=_BLOCKS),
-                   (cfg.n_chains, 1))
-    chain_means = bsum.sum(axis=1) / bcnt.sum(axis=1)
-    return chain_means, bsum, bcnt
+def _iid_average(cfg: SamplerConfig, tag: int, method: str, draw: Callable,
+                 integrand: Callable) -> NdaEstimate:
+    """Block average of integrand(rows) -> (rows,) over _iid_batches."""
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
+    for c0, c1, done, m, w in _iid_batches(cfg, tag, draw, integrand):
+        acc.add(np.arange(c0, c1)[:, None], np.arange(done, done + m), (w,))
+    return acc.estimates(cfg, method)[0]
 
 
 def estimate_abs_norm(state: StateSpec,
                       cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
     """Integral of |Psi| by importance ratio against the reference density g."""
     cfg = cfg or SamplerConfig()
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
-    g = state.reference_density
-    if g is None:
-        raise ValueError(f"state {state.name!r} has no reference density")
+    model, g = _model(state), _density(state)
     if g.n_particles != model.n_particles:
         raise ValueError("reference density particle count does not match the model")
 
     def weight(x):
         return np.abs(model.values(x)) / g.pdf(x)
 
-    chain_means, bsum, bcnt = _iid_chain_means(cfg, _TAG_ABS, g.sample, weight)
-    return NdaEstimate(
-        mean=float(chain_means.mean()),
-        stderr=_stderr_from_chains(chain_means, bsum, bcnt),
-        n_samples=cfg.n_chains * cfg.steps_per_chain,
-        n_chains=cfg.n_chains,
-        seed=cfg.seed,
-        method="reference_ratio",
-    )
+    return _iid_average(cfg, _TAG_ABS, "reference_ratio", g.sample, weight)
 
 
 # --------------------------------------------------------------------------
@@ -474,9 +470,7 @@ def estimate_kin_nda_surface(state: StateSpec,
     estimate_abs_norm.  Errors combine in quadrature.
     """
     cfg = cfg or SamplerConfig()
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
+    model = _model(state)
     param = node_parametrization(state)
     if param.kind == "determinant_zero" or param.sample is None:
         raise ValueError(
@@ -490,26 +484,17 @@ def estimate_kin_nda_surface(state: StateSpec,
             grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
         return w * grad_norm
 
-    num_means, nbs, nbc = _iid_chain_means(cfg, _TAG_SURFACE,
-                                           param.draw_params, weight)
-    num = float(num_means.mean())
-    num_err = _stderr_from_chains(num_means, nbs, nbc)
-
-    den_est = estimate_abs_norm(state, cfg)
-    if not np.isfinite(den_est.mean) or den_est.mean <= 0.0:
+    num = _iid_average(cfg, _TAG_SURFACE, "surface_param", param.draw_params,
+                       weight)
+    den = estimate_abs_norm(state, cfg)
+    if not np.isfinite(den.mean) or den.mean <= 0.0:
         raise ValueError("zero denominator: integral of |Psi| estimated <= 0")
 
-    mean = num / den_est.mean
-    rel = np.hypot(num_err / num if num != 0.0 else 0.0,
-                   den_est.stderr / den_est.mean)
-    return NdaEstimate(
-        mean=mean,
-        stderr=abs(mean) * float(rel),
-        n_samples=cfg.n_chains * cfg.steps_per_chain + den_est.n_samples,
-        n_chains=cfg.n_chains,
-        seed=cfg.seed,
-        method="surface_param",
-    )
+    mean = num.mean / den.mean
+    rel = np.hypot(num.stderr / num.mean if num.mean != 0.0 else 0.0,
+                   den.stderr / den.mean)
+    return replace(num, mean=mean, stderr=abs(mean) * float(rel),
+                   n_samples=num.n_samples + den.n_samples)
 
 
 def estimate_kin_nda_shell(state: StateSpec,
@@ -523,12 +508,7 @@ def estimate_kin_nda_shell(state: StateSpec,
     integral-of-|Psi| estimate from the same draws.
     """
     cfg = cfg or SamplerConfig()
-    model = state.model
-    if model is None:
-        raise ValueError(f"state {state.name!r} has no evaluable model")
-    g = state.reference_density
-    if g is None:
-        raise ValueError(f"state {state.name!r} has no reference density")
+    model, g = _model(state), _density(state)
     if cfg.n_chains < 2:
         raise ValueError("delta-shell stderr needs at least 2 chains")
     C, n = cfg.n_chains, cfg.steps_per_chain

@@ -152,6 +152,10 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
         raise ValueError(f"state {state.name!r} has no evaluable model")
     if n_points < 1000:
         raise ValueError("n_points must be at least 1000")
+    if not 1 <= k_neighbors < n_points:
+        raise ValueError("k_neighbors must satisfy 1 <= k_neighbors < n_points")
+    if segment_checks < 1:
+        raise ValueError("segment_checks must be at least 1")
     pts = _sample_points(state, n_points, seed)
     n_points = pts.shape[0]
     signs = np.sign(model.values(pts))

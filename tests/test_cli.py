@@ -78,7 +78,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
     assert run(["compute", "--state", "2P_2p", "--components", "entropy"],
                capsys)[0] == 2
-    # surface kinetic requested for a state without a parametrized node
+    # the shell estimator needs at least two chains for its stderr
     assert run(["compute", "--state", "2P_2p", "--method", "shell",
                 "--chains", "1", "--components", "kin"], capsys)[0] == 2
     # non-positive sampler budgets are rejected, not replaced by defaults
@@ -87,6 +87,31 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(["compute", "--state", "2P_2p",
                               "--components", "pot"] + flags, capsys)
         assert code == 2 and out == "" and "error:" in err, flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--a", "subshell_k1_l30", "--b", "subshell_k1_l30"],
+    ["domains", "--state", "2P_2p", "--k", "0"],
+    ["domains", "--state", "2P_2p", "--k", "5000", "--points", "1000"],
+    ["domains", "--state", "2P_2p", "--k", "-1"],
+    ["domains", "--state", "2P_2p", "--checks", "0"],
+    ["domains", "--state", "2P_2p", "--checks", "-2"],
+    ["compute", "--state", "2P_2p", "--components", "pot,bogus"],
+    ["verify-tables", "--only", "subshell_k1_l30"],
+    ["verify-tables", "--only", "2P_2p,subshell_k1_l30"],
+], ids=["equiv-no-model", "domains-k0", "domains-k-too-large", "domains-k-neg",
+        "domains-checks0", "domains-checks-neg", "compute-bogus-component",
+        "verify-no-model", "verify-no-model-second"])
+def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
+    import nda.cli as cli
+    import nda.estimators as estimators
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and "error:" in err
 
 
 def test_unconverged_shell_exits_3(capsys):

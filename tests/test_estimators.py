@@ -285,6 +285,30 @@ def test_kept_step_blocks_match_per_step_collectors(n_chains):
         assert {k: _fields(e) for k, e in got.items()} == ref
 
 
+@pytest.mark.parametrize("n_chains", [3, 8])
+def test_iid_blocks_match_per_draw_reduction(n_chains):
+    """estimate_abs_norm equals drawing chain by chain and adding every
+    draw to its block one at a time, bit for bit."""
+    st = get_state("3S_1s2s")
+    g, model = st.reference_density, st.model
+    cfg = SamplerConfig(n_chains=n_chains,
+                        steps_per_chain=estimators._CHUNK + 37, seed=5)
+    n, B = cfg.steps_per_chain, estimators._BLOCKS
+    bsum, bcnt = np.zeros((n_chains, B)), np.zeros((n_chains, B), dtype=np.int64)
+    for c in range(n_chains):
+        rng = estimators._rng(cfg.seed, estimators._TAG_ABS, c)
+        done = 0
+        while done < n:
+            m = min(estimators._CHUNK, n - done)
+            x = g.sample(rng, m)
+            for j, w in enumerate(np.abs(model.values(x)) / g.pdf(x), done):
+                bsum[c, j * B // n] += w
+                bcnt[c, j * B // n] += 1
+            done += m
+    ref = _reference_reduce(bsum, bcnt, np.zeros(n_chains, dtype=np.int64))
+    assert _fields(estimate_abs_norm(st, cfg)) == ref
+
+
 @pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
 def test_reused_noise_buffer_matches_fresh_chunks(name, power):
     """Two chunks, the second short: the refilled buffer walks the chains
