@@ -15,9 +15,12 @@ Shared conventions:
 * a chain consumes its stream in chunks of _CHUNK steps or draws: a
   Metropolis chain draws a chunk's (steps, 3N) proposal noise and then its
   uniforms, so _CHUNK fixes which random number feeds which step and
-  changing it changes every seeded result.  The Metropolis engine refills
-  one (chains, _CHUNK, 3N) noise buffer and one uniform buffer chain by
-  chain instead of allocating and stacking fresh arrays every chunk;
+  changing it changes every seeded result.  The Metropolis engine draws a
+  chunk in slabs of s = max(1, min(_CHUNK, steps, _SLAB // n_chains))
+  steps into one (chains, s, 3N) noise buffer and one (chains, s) uniform
+  buffer, reading the uniforms through a second cursor on each chain's
+  stream, so its memory is about max(_SLAB, n_chains) * (3N + 1) doubles
+  at any chain count and the slab size never enters the walk;
 * every estimator but the shell (which fits a line per chain) is an
   integrand handed to one engine reducer: _metropolis_average calls
   integrand(x, v) on the rows x of a block of kept steps and their raw
@@ -58,6 +61,7 @@ __all__ = [
 
 _CHUNK = 2048   # draws per chain and chunk
 _ROWS = 2048    # rows per model call, but at least one chain chunk or step
+_SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
 _MASK64 = (1 << 64) - 1
 
@@ -235,6 +239,14 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     max(_ROWS, n_chains) rows, which collect evaluates in one model call;
     the block is reused, so collect copies what it keeps.  Returns the
     global acceptance rate.
+
+    Each chain draws a chunk of m <= _CHUNK steps as m * 3N proposal
+    uniforms followed by m acceptance uniforms.  Both are read slab by slab
+    (s steps at a time): the noise from the chain's generator and the
+    acceptance uniforms from a cursor copied from it and advanced past the
+    chunk's noise.  At the end of the chunk that cursor sits where the next
+    chunk starts, so the two swap roles.  The walk is therefore the same
+    for every slab size, bit for bit.
     """
     density = _density(state)
     dim = 3 * model.n_particles
@@ -252,9 +264,11 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
-    # one noise and one uniform buffer per run, refilled chain by chain
-    noise = np.empty((cfg.n_chains, min(_CHUNK, steps), dim))
-    unif = np.empty((cfg.n_chains, min(_CHUNK, steps)))
+    # one pair of slab buffers per run; urngs are the uniform cursors
+    s = max(1, min(_CHUNK, steps, _SLAB // cfg.n_chains))
+    noise = np.empty((cfg.n_chains, s, dim))
+    unif = np.empty((cfg.n_chains, s))
+    urngs = [np.random.default_rng(0) for _ in rngs]  # state set per chunk
     # one block of kept steps per run, handed to collect when full
     k = max(1, _ROWS // cfg.n_chains)
     js = np.empty(k, dtype=np.int64)
@@ -265,26 +279,36 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     done = 0
     while done < steps:
         m = min(_CHUNK, steps - done)
-        for c, rng in enumerate(rngs):
-            noise[c, :m] = rng.uniform(-step, step, size=(m, dim))
-            unif[c, :m] = rng.random(m)
-        for j in range(m):
-            xp = x + noise[:, j, :]
-            vp = model.values(xp)
-            tp = np.abs(vp) if power == 1 else vp * vp
-            acc = unif[:, j] * t < tp
-            if acc.any():
-                x[acc] = xp[acc]
-                v = np.where(acc, vp, v)
-                t = np.where(acc, tp, t)
-            accepted += int(np.count_nonzero(acc))
-            g = done + j - burn
-            if g >= 0 and g % thin == 0:
-                js[n], xs[n], vs[n] = g, x, v
-                n += 1
-                if n == k:
-                    collect(js, xs, vs)
-                    n = 0
+        for rng, urng in zip(rngs, urngs):
+            urng.bit_generator.state = rng.bit_generator.state
+            urng.bit_generator.advance(m * dim)
+        for a in range(0, m, s):
+            b = min(s, m - a)
+            for c in range(cfg.n_chains):
+                rngs[c].random(out=noise[c, :b])
+                urngs[c].random(out=unif[c, :b])
+            # uniform(-step, step) computes -step + 2 step * u: the same bits
+            slab = noise[:, :b]
+            slab *= 2 * step
+            slab -= step
+            for j in range(b):
+                xp = x + noise[:, j, :]
+                vp = model.values(xp)
+                tp = np.abs(vp) if power == 1 else vp * vp
+                acc = unif[:, j] * t < tp
+                np.copyto(x, xp, where=acc[:, None])
+                np.copyto(v, vp, where=acc)
+                np.copyto(t, tp, where=acc)
+                accepted += int(np.count_nonzero(acc))
+                g = done + a + j - burn
+                if g >= 0 and g % thin == 0:
+                    js[n], xs[n], vs[n] = g, x, v
+                    n += 1
+                    if n == k:
+                        collect(js, xs, vs)
+                        n = 0
+        # each uniform cursor now sits where its chain's next chunk starts
+        rngs, urngs = urngs, rngs
         done += m
     if n:
         collect(js[:n], xs[:n], vs[:n])

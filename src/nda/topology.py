@@ -277,6 +277,8 @@ def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
         raise ValueError("states have different particle counts")
     if t.n_particles != ma.n_particles:
         raise ValueError("transformation size does not match the states")
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
 
     oversample = int(1.05 * n_points) + 64
     pts = _sample_points(state_a, oversample, seed, thin=4)

@@ -91,6 +91,8 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["equiv", "--a", "subshell_k1_l30", "--b", "subshell_k1_l30"],
+    ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points", "0"],
+    ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points", "-5"],
     ["domains", "--state", "2P_2p", "--k", "0"],
     ["domains", "--state", "2P_2p", "--k", "5000", "--points", "1000"],
     ["domains", "--state", "2P_2p", "--k", "-1"],
@@ -99,7 +101,8 @@ def test_usage_errors_exit_2(capsys):
     ["compute", "--state", "2P_2p", "--components", "pot,bogus"],
     ["verify-tables", "--only", "subshell_k1_l30"],
     ["verify-tables", "--only", "2P_2p,subshell_k1_l30"],
-], ids=["equiv-no-model", "domains-k0", "domains-k-too-large", "domains-k-neg",
+], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
+        "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
         "verify-no-model", "verify-no-model-second"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):

@@ -6,6 +6,7 @@ much larger budgets.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,12 +64,16 @@ def test_chain_batching_does_not_change_results(monkeypatch):
     _ROWS = 1 evaluates one chain per model call; 150 groups the 52-draw
     tail chunk (2100 = 2048 + 52 draws per chain) two chains at a time,
     splitting the five chains unevenly; the default batches all of them.
+    _SLAB = 1 draws the Metropolis noise one step at a time, 5 * 37 in
+    37-step slabs, and the default a chunk at a time.
     """
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
     results = []
-    for rows in (1, 150, estimators._ROWS):
+    for rows, slab in ((1, 1), (150, 5 * 37),
+                       (estimators._ROWS, estimators._SLAB)):
         monkeypatch.setattr(estimators, "_ROWS", rows)
+        monkeypatch.setattr(estimators, "_SLAB", slab)
         p = estimate_pot_nda(st, cfg=cfg)
         s = estimate_standard_expectations(st, cfg=cfg)
         a = estimate_abs_norm(st, cfg)
@@ -310,15 +315,38 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
 
 
 @pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
-def test_reused_noise_buffer_matches_fresh_chunks(name, power):
-    """Two chunks, the second short: the refilled buffer walks the chains
-    exactly as freshly stacked noise does."""
+def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
+    """Two chunks, the second short: the refilled slab buffers walk the
+    chains exactly as freshly stacked noise does, whatever the slab size.
+    At 3 chains the default _SLAB draws each chunk in one slab, 3 * 37
+    rows end the full chunk in a 13-step slab, and a _SLAB below the chain
+    count draws one step per slab; 300 chains cut the default _SLAB into
+    873-step slabs."""
     st = get_state(name)
-    cfg = SamplerConfig(n_chains=3, steps_per_chain=estimators._CHUNK + 37, seed=5)
-    got = metropolis_samples(st, cfg, thin=7, power=power)
-    ref = _reference_metropolis_samples(st, cfg, thin=7, power=power,
-                                        tag=estimators._TAG_TOPOLOGY)
-    assert got.tobytes() == ref.tobytes()
+    default = estimators._SLAB
+    for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
+        monkeypatch.setattr(estimators, "_SLAB", slab)
+        cfg = SamplerConfig(n_chains=n_chains,
+                            steps_per_chain=estimators._CHUNK + 37, seed=5)
+        got = metropolis_samples(st, cfg, thin=7, power=power)
+        ref = _reference_metropolis_samples(st, cfg, thin=7, power=power,
+                                            tag=estimators._TAG_TOPOLOGY)
+        assert got.tobytes() == ref.tobytes(), (n_chains, slab)
+
+
+def test_metropolis_memory_is_bounded_by_the_slab():
+    """The noise buffer holds a slab of every chain's noise, not a chunk: at
+    512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB."""
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=512, steps_per_chain=estimators._CHUNK + 37,
+                        seed=5)
+    tracemalloc.start()
+    try:
+        estimate_pot_nda(st, cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",

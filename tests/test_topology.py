@@ -85,6 +85,12 @@ class TestEquivalence(unittest.TestCase):
         self.assertEqual(out["verdict"], "equivalent")
         self.assertEqual(out["agreement_fraction"], 1.0)
 
+    def test_nonpositive_point_count_rejected(self):
+        st = get_state("3P_2p2")
+        for n in (0, -5):
+            with self.assertRaises(ValueError):
+                node_equivalence(st, st, TransformSpec.identity(2), n_points=n)
+
     def test_singlet_triplet_flip_map(self):
         # flipping one axis of one particle carries the 1D node onto the 3P node
         t = TransformSpec.axis_flip(2, axis=0, particle=1)
