@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .catalog import catalog_list, catalog_to_json, get_state, node_parametrization
+from .catalog import catalog_list, catalog_to_json, get_state
 from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          estimate_kin_nda_shell, estimate_kin_nda_surface,
                          estimate_pot_nda, estimate_standard_expectations,
@@ -202,7 +202,7 @@ def _kin_estimate(state, cfg, method: str) -> NdaEstimate:
     if method == "surface":
         return estimate_kin_nda_surface(state, cfg)
     # auto: prefer the exact node parametrization when available
-    if node_parametrization(state).kind != "determinant_zero":
+    if state.node_param is not None:
         return estimate_kin_nda_surface(state, cfg)
     return estimate_kin_nda_shell(state, cfg)
 

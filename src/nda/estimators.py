@@ -21,15 +21,15 @@ Shared conventions:
   buffer, reading the uniforms through a second cursor on each chain's
   stream, so its memory is about max(_SLAB, n_chains) * (3N + 1) doubles
   at any chain count and the slab size never enters the walk;
-* every estimator but the shell (which fits a line per chain) is an
-  integrand handed to one engine reducer: _metropolis_average calls
-  integrand(x, v) on the rows x of a block of kept steps and their raw
-  values v and gets back (ok, values), a mask of the rows it keeps (None
-  keeps all) and a tuple of per-row arrays, one per estimate; _iid_average
-  calls integrand(x) on a batch of draws and gets back one per-row array.
-  Both add the rows into one _Blocks accumulator, which splits each
-  chain's kept steps or draws into 50 blocks, counts the rejected rows and
-  builds the NdaEstimates;
+* every estimator is an integrand handed to one engine reducer:
+  _metropolis_average calls integrand(x, v) on the rows x of a block of
+  kept steps and their raw values v and gets back (ok, values), a mask of
+  the rows it keeps (None keeps all) and a tuple of per-row arrays, one per
+  estimate; _iid_average calls integrand(x) on a batch of draws and gets
+  back a sequence of per-row arrays.  Both add the rows into one _Blocks
+  accumulator, which splits each chain's kept steps or draws into 50
+  blocks, counts the rejected rows and gives the per-chain means and the
+  NdaEstimates; the shell fits its line to the per-chain means;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise (Flyvbjerg & Petersen 1989).
@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .catalog import StateSpec, node_parametrization
+from .catalog import StateSpec
 from .hamiltonians import HamiltonianSpec, potential_batch
 from .quadrature import quadrature_oracle
 
@@ -81,7 +81,8 @@ class SamplerConfig:
     burn_in defaults to 10% of steps_per_chain; proposal_step defaults to
     the per-state tuned half-width carried by the StateSpec.
     epsilon_ladder applies to the delta-shell estimator only; when omitted
-    the ladder is derived from the sampled |Psi| scale.
+    a pilot pass over the first min(_CHUNK, steps_per_chain) draws of each
+    chain sets it from the sampled |Psi| scale.
     """
 
     n_chains: int = 8
@@ -199,27 +200,27 @@ class _Blocks:
         for bsum, w in zip(self.sums, values):
             np.add.at(bsum.reshape(-1), flat, w)
 
-    def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
-                  acceptance_rate: Optional[float] = None) -> list:
-        """One NdaEstimate per integrand: the mean of the chain means."""
+    def chain_means(self) -> np.ndarray:
+        """(n_values, n_chains) mean of every integrand over each chain."""
         counts = self.counts.sum(axis=1)
         if (counts == 0).any():
             raise RuntimeError("a chain collected no valid samples")
-        out = []
-        for bsum in self.sums:
-            chain_means = bsum.sum(axis=1) / counts
-            out.append(NdaEstimate(
-                mean=float(chain_means.mean()),
-                stderr=_stderr_from_chains(chain_means, bsum, self.counts),
-                n_samples=int(counts.sum()),
-                n_chains=cfg.n_chains,
-                seed=cfg.seed,
-                method=method,
-                status=status,
-                n_rejected=self.rejected,
-                acceptance_rate=acceptance_rate,
-            ))
-        return out
+        return self.sums.sum(axis=2) / counts
+
+    def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
+                  acceptance_rate: Optional[float] = None) -> list:
+        """One NdaEstimate per integrand: the mean of the chain means."""
+        return [NdaEstimate(
+            mean=float(means.mean()),
+            stderr=_stderr_from_chains(means, bsum, self.counts),
+            n_samples=int(self.counts.sum()),
+            n_chains=cfg.n_chains,
+            seed=cfg.seed,
+            method=method,
+            status=status,
+            n_rejected=self.rejected,
+            acceptance_rate=acceptance_rate,
+        ) for means, bsum in zip(self.chain_means(), self.sums)]
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def _acceptance_status(rate: float) -> str:
 
 
 def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
-                       power: int = 1, tag: int = _TAG_TOPOLOGY) -> np.ndarray:
+                       power: int = 1) -> np.ndarray:
     """Thinned |Psi|^power-distributed configurations, stacked over chains.
 
     Returns an (n_kept_total, 3N) array; used by the topology module.
@@ -362,7 +363,7 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
     def collect(js, xs, vs):
         out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, power, state, cfg, tag, collect, thin)
+    _metropolis(model, power, state, cfg, _TAG_TOPOLOGY, collect, thin)
     return out.reshape(-1, out.shape[-1])
 
 
@@ -458,13 +459,13 @@ def _iid_batches(cfg: SamplerConfig, tag: int, draw: Callable,
         done += m
 
 
-def _iid_average(cfg: SamplerConfig, tag: int, method: str, draw: Callable,
-                 integrand: Callable) -> NdaEstimate:
-    """Block average of integrand(rows) -> (rows,) over _iid_batches."""
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
+def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
+                 integrand: Callable, n_values: int = 1) -> _Blocks:
+    """Block sums of integrand(rows) -> n_values per-row arrays."""
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain, n_values)
     for c0, c1, done, m, w in _iid_batches(cfg, tag, draw, integrand):
-        acc.add(np.arange(c0, c1)[:, None], np.arange(done, done + m), (w,))
-    return acc.estimates(cfg, method)[0]
+        acc.add(np.arange(c0, c1)[:, None], np.arange(done, done + m), w)
+    return acc
 
 
 def estimate_abs_norm(state: StateSpec,
@@ -476,9 +477,10 @@ def estimate_abs_norm(state: StateSpec,
         raise ValueError("reference density particle count does not match the model")
 
     def weight(x):
-        return np.abs(model.values(x)) / g.pdf(x)
+        return (np.abs(model.values(x)) / g.pdf(x),)
 
-    return _iid_average(cfg, _TAG_ABS, "reference_ratio", g.sample, weight)
+    return _iid_average(cfg, _TAG_ABS, g.sample, weight).estimates(
+        cfg, "reference_ratio")[0]
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +497,8 @@ def estimate_kin_nda_surface(state: StateSpec,
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)
-    param = node_parametrization(state)
-    if param.kind == "determinant_zero" or param.sample is None:
+    param = state.node_param
+    if param is None:
         raise ValueError(
             f"state {state.name!r} has no explicit node parametrization; "
             "use the delta-shell estimator")
@@ -506,10 +508,10 @@ def estimate_kin_nda_surface(state: StateSpec,
         w = dS / param.proposal_pdf(params)
         if grad_norm is None or param.model is not model:
             grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
-        return w * grad_norm
+        return (w * grad_norm,)
 
-    num = _iid_average(cfg, _TAG_SURFACE, "surface_param", param.draw_params,
-                       weight)
+    num = _iid_average(cfg, _TAG_SURFACE, param.draw_params,
+                       weight).estimates(cfg, "surface_param")[0]
     den = estimate_abs_norm(state, cfg)
     if not np.isfinite(den.mean) or den.mean <= 0.0:
         raise ValueError("zero denominator: integral of |Psi| estimated <= 0")
@@ -527,69 +529,60 @@ def estimate_kin_nda_shell(state: StateSpec,
 
     Samples are drawn iid from the reference density g.  For each ladder
     epsilon the surface integral is estimated as the g-average of
-    1{|Psi| < eps} |grad Psi|^2 / (2 eps g); a per-chain least-squares line
-    in eps^2 is extrapolated to eps -> 0 and divided by the chain's
-    integral-of-|Psi| estimate from the same draws.
+    1{|Psi| < eps} |grad Psi|^2 / (2 eps g); a least-squares line in eps^2
+    through each chain's averages is extrapolated to eps -> 0 and divided
+    by the chain's g-average of |Psi| / g.  Gradients are evaluated only
+    inside the widest rung; fewer than 100 hits in the narrowest one mark
+    the estimate "unconverged".  Without an epsilon_ladder, a pilot pass
+    over each chain's first min(_CHUNK, steps_per_chain) draws sets eps_0
+    to the mean over chains of the 1 % |Psi| quantile.
     """
     cfg = cfg or SamplerConfig()
     model, g = _model(state), _density(state)
     if cfg.n_chains < 2:
         raise ValueError("delta-shell stderr needs at least 2 chains")
-    C, n = cfg.n_chains, cfg.steps_per_chain
-
-    # pass over the samples once, retaining the three per-sample scalars
-    absvals = np.empty((C, n))
-    shell_w = np.empty((C, n))    # |grad Psi|^2 / g
-    ratio_w = np.empty((C, n))    # |Psi| / g
-
-    def evaluate(x):
-        dens = g.pdf(x)
-        av = np.abs(model.values(x))
-        gr = model.gradients(x)
-        return av, np.sum(gr * gr, axis=1) / dens, av / dens
-
-    for c0, c1, done, m, cols in _iid_batches(cfg, _TAG_SHELL, g.sample, evaluate):
-        for out, col in zip((absvals, shell_w, ratio_w), cols):
-            out[c0:c1, done:done + m] = col.reshape(c1 - c0, m)
-
     if cfg.epsilon_ladder is not None:
         ladder = np.asarray(cfg.epsilon_ladder)
     else:
-        # eps_0 set so the widest shell captures ~1% of the samples
-        eps0 = float(np.mean(np.quantile(absvals, 0.01, axis=1)))
+        # one chunk per chain, so each chain's draws arrive in one batch
+        pilot = replace(cfg, steps_per_chain=min(_CHUNK, cfg.steps_per_chain),
+                        burn_in=None)
+        quantiles = [np.quantile(av.reshape(c1 - c0, m), 0.01, axis=1)
+                     for c0, c1, _, m, av in _iid_batches(
+                         pilot, _TAG_SHELL, g.sample,
+                         lambda x: np.abs(model.values(x)))]
+        eps0 = float(np.mean(np.concatenate(quantiles)))
         if eps0 <= 0.0:
             raise RuntimeError("could not scale the epsilon ladder: |Psi| "
                                "quantile vanished")
         ladder = eps0 * 0.5 ** np.arange(4)
+    K = ladder.size
 
-    hits_smallest = 0
-    kin = np.empty(C)
-    xs = ladder ** 2
-    for c in range(C):
-        ys = np.empty(ladder.size)
-        for k, eps in enumerate(ladder):
-            mask = absvals[c] < eps
-            ys[k] = np.sum(shell_w[c][mask]) / (2.0 * eps * n)
-            if k == ladder.size - 1:
-                hits_smallest += int(mask.sum())
-        # least-squares intercept of ys against eps^2
-        xm, ym = xs.mean(), ys.mean()
-        slope = np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2)
-        intercept = ym - slope * xm
-        kin[c] = intercept / np.mean(ratio_w[c])
+    def integrand(x):
+        dens = g.pdf(x)
+        av = np.abs(model.values(x))
+        cols = np.zeros((K + 2, len(x)))
+        rows = np.flatnonzero(av < ladder[0])
+        gr = model.gradients(x[rows])
+        inside = av[rows] < ladder[:, None]                 # (K, rows)
+        cols[:K, rows] = np.where(inside, np.sum(gr * gr, axis=1) / dens[rows]
+                                  / (2.0 * ladder[:, None]), 0.0)
+        cols[K, rows] = inside[-1]
+        cols[K + 1] = av / dens
+        return cols
 
-    status = "ok"
-    if hits_smallest < 100:
-        status = "unconverged"
-    return NdaEstimate(
-        mean=float(kin.mean()),
-        stderr=float(np.std(kin, ddof=1) / np.sqrt(C)),
-        n_samples=C * n,
-        n_chains=C,
-        seed=cfg.seed,
-        method="delta_shell",
-        status=status,
-    )
+    acc = _iid_average(cfg, _TAG_SHELL, g.sample, integrand, K + 2)
+    means = acc.chain_means()
+    # least-squares intercept against eps^2, every chain at once; eps in
+    # units of the widest rung, so that no ladder's squares underflow
+    xs, ys = ((ladder / ladder[0]) ** 2)[:, None], means[:K]
+    dx = xs - xs.mean()
+    slope = np.sum(dx * (ys - ys.mean(axis=0)), axis=0) / np.sum(dx ** 2)
+    kin = (ys.mean(axis=0) - slope * xs.mean()) / means[K + 1]
+    status = "ok" if acc.sums[K].sum() >= 100 else "unconverged"
+    return replace(acc.estimates(cfg, "delta_shell", status)[0],
+                   mean=float(kin.mean()),
+                   stderr=float(np.std(kin, ddof=1) / np.sqrt(cfg.n_chains)))
 
 
 # --------------------------------------------------------------------------

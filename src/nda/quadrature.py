@@ -44,25 +44,24 @@ class NotReducibleError(ValueError):
 # --------------------------------------------------------------------------
 # composite Gauss-Legendre helpers
 
-def _panels(f: Callable, a: float, b: float, n_panels: int, n_pts: int) -> float:
+def _gauss_legendre(f: Callable, edges: np.ndarray, n_pts: int) -> float:
+    """n_pts-point Gauss-Legendre rule on every panel between edges."""
     x0, w0 = np.polynomial.legendre.leggauss(n_pts)
-    edges = np.linspace(a, b, n_panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         total += half * np.sum(w0 * f(mid + half * x0))
     return float(total)
+
+
+def _panels(f: Callable, a: float, b: float, n_panels: int, n_pts: int) -> float:
+    return _gauss_legendre(f, np.linspace(a, b, n_panels + 1), n_pts)
 
 
 def _radial(f: Callable, L: float, n_panels: int = 24, n_pts: int = 16) -> float:
     # graded panels: geometric refinement toward 0 picks up the r^k behavior
-    edges = L * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-    x0, w0 = np.polynomial.legendre.leggauss(n_pts)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * np.sum(w0 * f(mid + half * x0))
-    return float(total)
+    return _gauss_legendre(f, L * (np.linspace(0.0, 1.0, n_panels + 1) ** 2),
+                           n_pts)
 
 
 def _moment(k: int, c: float, L: float) -> float:

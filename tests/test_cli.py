@@ -125,6 +125,16 @@ def test_unconverged_shell_exits_3(capsys):
     assert "unconverged" in out
 
 
+def test_shell_burn_in_beyond_the_pilot_pass(capsys):
+    # the shell's pilot pass covers one chunk of draws; a --burn-in longer
+    # than that chunk must not make its config invalid
+    code, out, _ = run(["compute", "--state", "2P_2p", "--components", "kin",
+                        "--method", "shell", "--chains", "4", "--steps",
+                        "5000", "--burn-in", "3000"], capsys)
+    assert code == 3
+    assert "unconverged" in out
+
+
 def test_verify_tables_quadrature_passes(capsys):
     code, out, _ = run(["verify-tables", "--method", "quadrature"], capsys)
     assert code == 0

@@ -411,6 +411,105 @@ def test_singular_point_is_rejected_and_counted(monkeypatch):
         assert np.isfinite(est.mean) and np.isfinite(est.stderr)
 
 
+def _reference_shell(state, cfg):
+    """The delta-shell estimator as a retained-array reduction: every draw's
+    |Psi|, |grad Psi|^2 / g and |Psi| / g kept per chain, the default
+    ladder from the 1 % |Psi| quantile of all of them, one line per chain."""
+    model, g = state.model, state.reference_density
+    C, n = cfg.n_chains, cfg.steps_per_chain
+    absvals, shell_w, ratio_w = (np.empty((C, n)) for _ in range(3))
+    for c in range(C):
+        rng = estimators._rng(cfg.seed, estimators._TAG_SHELL, c)
+        for done in range(0, n, estimators._CHUNK):
+            x = g.sample(rng, min(estimators._CHUNK, n - done))
+            dens, av, gr = g.pdf(x), np.abs(model.values(x)), model.gradients(x)
+            cut = slice(done, done + len(x))
+            absvals[c, cut] = av
+            shell_w[c, cut] = np.sum(gr * gr, axis=1) / dens
+            ratio_w[c, cut] = av / dens
+    if cfg.epsilon_ladder is not None:
+        ladder = np.asarray(cfg.epsilon_ladder)
+    else:
+        eps0 = float(np.mean(np.quantile(absvals, 0.01, axis=1)))
+        ladder = eps0 * 0.5 ** np.arange(4)
+    xs = ladder ** 2
+    kin = np.empty(C)
+    for c in range(C):
+        ys = np.array([np.sum(shell_w[c][absvals[c] < eps]) / (2.0 * eps * n)
+                       for eps in ladder])
+        slope = (np.sum((xs - xs.mean()) * (ys - ys.mean()))
+                 / np.sum((xs - xs.mean()) ** 2))
+        kin[c] = (ys.mean() - slope * xs.mean()) / np.mean(ratio_w[c])
+    hits = int(np.count_nonzero(absvals < ladder[-1]))
+    return (kin.mean(), np.std(kin, ddof=1) / np.sqrt(C),
+            "ok" if hits >= 100 else "unconverged")
+
+
+@pytest.mark.parametrize("name", ["2P_2p", "1S_1s2_2p2"])
+@pytest.mark.parametrize("steps,ladder", [
+    (estimators._CHUNK, None),
+    (estimators._CHUNK + 37, (2e-2, 1e-2, 5e-3, 2.5e-3))])
+def test_shell_matches_retained_array_reduction(name, steps, ladder):
+    """Up to one chunk per chain the pilot pass sees every draw, so the
+    default ladder is the full-sample one; past it an explicit ladder
+    fixes the rungs.  Either way the block sums give the retained-array
+    fit to rounding."""
+    st = get_state(name)
+    cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, seed=5,
+                        epsilon_ladder=ladder)
+    est = estimate_kin_nda_shell(st, cfg)
+    mean, stderr, status = _reference_shell(st, cfg)
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+    assert est.status == status
+    assert est.n_samples == cfg.n_chains * steps
+
+
+def test_shell_memory_does_not_grow_with_the_draws():
+    """1.6M draws: three retained (chains, draws) arrays alone are 38 MB."""
+    st = get_state("2P_2p")
+    cfg = SamplerConfig(n_chains=16, steps_per_chain=100_000, seed=5)
+    tracemalloc.start()
+    try:
+        estimate_kin_nda_shell(st, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def _count_gradient_rows(model, monkeypatch):
+    rows = []
+    for attr in ("gradients", "vgl"):
+        method = getattr(model, attr)
+
+        def counted(x, method=method):
+            rows.append(len(x))
+            return method(x)
+        monkeypatch.setattr(model, attr, counted)
+    return rows
+
+
+def test_shell_evaluates_gradients_only_inside_the_widest_rung(monkeypatch):
+    st = get_state("1S_1s2_2p2")
+    rows = _count_gradient_rows(st.model, monkeypatch)
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=10_000, seed=3)
+    estimate_kin_nda_shell(st, cfg)
+    assert 0 < sum(rows) <= 0.05 * cfg.n_chains * cfg.steps_per_chain
+
+
+def test_shell_with_an_empty_ladder_stays_finite(monkeypatch):
+    """No draw falls below a 1e-300 rung, so no batch has a shell row."""
+    st = get_state("2P_2p")
+    rows = _count_gradient_rows(st.model, monkeypatch)
+    cfg = SamplerConfig(n_chains=2, steps_per_chain=3000, seed=3,
+                        epsilon_ladder=(1e-300, 1e-301))
+    est = estimate_kin_nda_shell(st, cfg)
+    assert sum(rows) == 0
+    assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+    assert est.status == "unconverged"
+
+
 # ----------------------------------------------------- topology sampler
 
 
