@@ -16,8 +16,8 @@ from .catalog import (StateSpec, NodeParametrization, ReferenceDensity,
                       node_parametrization, subshell_family)
 from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          estimate_kin_nda_shell, estimate_kin_nda_surface,
-                         estimate_pot_nda, estimate_standard_expectations,
-                         quadrature_estimate)
+                         estimate_pot_and_standard, estimate_pot_nda,
+                         estimate_standard_expectations, quadrature_estimate)
 from .hamiltonians import (HamiltonianSpec, NodeProximityError,
                            SingularPointError, coulomb_atom, harmonic_pair,
                            local_energy, potential)
@@ -36,7 +36,8 @@ __all__ = [
     "subshell_family",
     "NdaEstimate", "SamplerConfig",
     "estimate_abs_norm", "estimate_kin_nda_shell", "estimate_kin_nda_surface",
-    "estimate_pot_nda", "estimate_standard_expectations", "quadrature_estimate",
+    "estimate_pot_and_standard", "estimate_pot_nda",
+    "estimate_standard_expectations", "quadrature_estimate",
     "HamiltonianSpec", "NodeProximityError", "SingularPointError",
     "coulomb_atom", "harmonic_pair", "local_energy", "potential",
     "NotReducibleError", "quadrature_oracle",

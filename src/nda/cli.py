@@ -29,8 +29,8 @@ from . import __version__
 from .catalog import catalog_list, catalog_to_json, get_state
 from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          estimate_kin_nda_shell, estimate_kin_nda_surface,
-                         estimate_pot_nda, estimate_standard_expectations,
-                         quadrature_estimate)
+                         estimate_pot_and_standard, estimate_pot_nda,
+                         estimate_standard_expectations, quadrature_estimate)
 from .quadrature import NotReducibleError
 from .topology import TransformSpec, count_nodal_domains, test_node_equivalence
 
@@ -207,6 +207,27 @@ def _kin_estimate(state, cfg, method: str) -> NdaEstimate:
     return estimate_kin_nda_shell(state, cfg)
 
 
+def _metropolis_estimates(state, cfg, pot: bool, std: bool) -> dict:
+    """The sampled pot_nda (if pot) and kin_std, pot_std (if std), by key;
+    when both are asked for, their walks share one pass."""
+    if pot and std:
+        return estimate_pot_and_standard(state, cfg)
+    out = {}
+    if pot:
+        out["pot_nda"] = estimate_pot_nda(state, None, cfg)
+    if std:
+        est = estimate_standard_expectations(state, None, cfg)
+        out["kin_std"], out["pot_std"] = est["kin"], est["pot"]
+    return out
+
+
+def _combined_status(*statuses: str) -> str:
+    """"unconverged" if any part is, else the first part's warning."""
+    if "unconverged" in statuses:
+        return "unconverged"
+    return next((s for s in statuses if s != "ok"), "ok")
+
+
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     state = _get_state_from_args(args)
@@ -218,12 +239,19 @@ def cmd_compute(args) -> int:
             return 2
     method = args.method
 
+    # the sampled pot, kin_std and pot_std, from one pass at first use
+    pot_mc = "pot" in components and method != "quadrature"
+    std_mc = "kin_std" in components or "pot_std" in components
+    sampled = None
     estimates = {}
-    std_cache = None
     for comp in components:
         if comp == "pot":
-            est = (quadrature_estimate(state, "pot_nda") if method == "quadrature"
-                   else estimate_pot_nda(state, None, cfg))
+            if method == "quadrature":
+                est = quadrature_estimate(state, "pot_nda")
+            else:
+                sampled = sampled or _metropolis_estimates(state, cfg, pot_mc,
+                                                           std_mc)
+                est = sampled["pot_nda"]
             exact = state.exact_nda.get("pot") if state.exact_nda else None
         elif comp == "kin":
             est = _kin_estimate(state, cfg, method)
@@ -233,9 +261,9 @@ def cmd_compute(args) -> int:
                    else estimate_abs_norm(state, cfg))
             exact = None
         else:                                   # kin_std or pot_std
-            if std_cache is None:
-                std_cache = estimate_standard_expectations(state, None, cfg)
-            est = std_cache["kin" if comp == "kin_std" else "pot"]
+            sampled = sampled or _metropolis_estimates(state, cfg, pot_mc,
+                                                       std_mc)
+            est = sampled[comp]
             exact = (state.exact_standard or {}).get(
                 "kin" if comp == "kin_std" else "pot")
         estimates[comp] = _estimate_entry(est, exact)
@@ -250,7 +278,7 @@ def cmd_compute(args) -> int:
             "n_chains": cfg.n_chains,
             "seed": cfg.seed,
             "method": "sum",
-            "status": "ok",
+            "status": _combined_status(k["status"], p["status"]),
         }
         if state.exact_total_energy is not None:
             total["exact"] = _exact_repr(state.exact_total_energy)
@@ -294,19 +322,18 @@ def _verify_cells(state, cfg, method: str):
             except NotReducibleError:
                 continue
         return
-    if state.exact_standard:
-        std = estimate_standard_expectations(state, None, cfg)
-        for comp, key in (("kin_std", "kin"), ("pot_std", "pot")):
-            exact = state.exact_standard.get(key)
-            if exact is not None:
-                yield comp, std[key], exact
-    if state.exact_nda:
-        pot_exact = state.exact_nda.get("pot")
-        if pot_exact is not None:
-            yield "pot_nda", estimate_pot_nda(state, None, cfg), pot_exact
-        kin_exact = state.exact_nda.get("kin")
-        if kin_exact is not None:
-            yield "kin_nda", _kin_estimate(state, cfg, "auto"), kin_exact
+    pot_exact = (state.exact_nda or {}).get("pot")
+    sampled = _metropolis_estimates(state, cfg, pot_exact is not None,
+                                    bool(state.exact_standard))
+    for comp, key in (("kin_std", "kin"), ("pot_std", "pot")):
+        exact = (state.exact_standard or {}).get(key)
+        if exact is not None:
+            yield comp, sampled[comp], exact
+    if pot_exact is not None:
+        yield "pot_nda", sampled["pot_nda"], pot_exact
+    kin_exact = (state.exact_nda or {}).get("kin")
+    if kin_exact is not None:
+        yield "kin_nda", _kin_estimate(state, cfg, "auto"), kin_exact
 
 
 def cmd_verify_tables(args) -> int:

@@ -5,22 +5,28 @@ Shared conventions:
 * every chain owns an RNG stream derived from (seed, stream tag, chain
   index), so results depend only on the seed and the chain count;
 * chains are batched: a Metropolis step moves every chain with one model
-  call, and i.i.d. draws of several chains share one model call.  Kept
+  call, and i.i.d. draws of several chains share one model call.  The
+  Metropolis engine moves several walks in lock-step (the |Psi| walk of
+  pot_nda and the Psi^2 walk of the standard expectations, in
+  estimate_pot_and_standard): its rows are walks x chains, one model call
+  per step for all of them, and each walk keeps its own streams, proposal
+  width, acceptance density, acceptance count and thinning.  Kept
   Metropolis steps reach the estimators in blocks of
-  k = max(1, _ROWS // n_chains) steps, collect(js, xs, vs), so the
-  potential and vgl of about _ROWS rows (at least one row per chain) share
-  one call.  Every array operation treats rows independently and every
-  per-chain sum keeps its order, so the batching never enters the
-  arithmetic;
+  k = max(1, _ROWS // n_chains) steps per walk, collect(js, xs, vs), so
+  the potential and vgl of about _ROWS rows (at least one row per chain)
+  share one call.  Every array operation treats rows independently and
+  every per-chain sum keeps its order, so neither the batching nor the
+  other walks enter the arithmetic;
 * a chain consumes its stream in chunks of _CHUNK steps or draws: a
   Metropolis chain draws a chunk's (steps, 3N) proposal noise and then its
   uniforms, so _CHUNK fixes which random number feeds which step and
   changing it changes every seeded result.  The Metropolis engine draws a
-  chunk in slabs of s = max(1, min(_CHUNK, steps, _SLAB // n_chains))
-  steps into one (chains, s, 3N) noise buffer and one (chains, s) uniform
-  buffer, reading the uniforms through a second cursor on each chain's
-  stream, so its memory is about max(_SLAB, n_chains) * (3N + 1) doubles
-  at any chain count and the slab size never enters the walk;
+  chunk in slabs of s = max(1, min(_CHUNK, steps, _SLAB // n_chains)
+  // n_walks) steps into one (rows, s, 3N) noise buffer and one (rows, s)
+  uniform buffer, reading the uniforms through a second cursor on each
+  chain's stream, so its memory is about max(_SLAB, n_chains) * (3N + 1)
+  doubles at any chain count, however many walks share it, and the slab
+  size never enters the walk;
 * every estimator is an integrand handed to one engine reducer:
   _metropolis_average calls integrand(x, v) on the rows x of a block of
   kept steps and their raw values v and gets back (ok, values), a mask of
@@ -54,6 +60,7 @@ __all__ = [
     "estimate_kin_nda_shell",
     "estimate_abs_norm",
     "estimate_standard_expectations",
+    "estimate_pot_and_standard",
     "quadrature_estimate",
     "quadrature_oracle",
     "metropolis_samples",
@@ -63,6 +70,7 @@ _CHUNK = 2048   # draws per chain and chunk
 _ROWS = 2048    # rows per model call, but at least one chain chunk or step
 _SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
+_STD_THIN = 4  # default thinning of the Psi^2 integrand
 _MASK64 = (1 << 64) - 1
 
 # stream tags keep the estimators' random streams disjoint for a given seed
@@ -227,19 +235,52 @@ class _Blocks:
 # Metropolis engine
 
 
-def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
-                tag: int, collect: Callable, thin: int = 1) -> float:
-    """Metropolis chains with stationary density |Psi|^power.
+class _Kept:
+    """One walk's block of kept steps, handed to collect when full.
 
-    Every chain advances in one batch.  Every thin-th post-burn-in step is
-    kept: its configurations and raw values are copied into a block of
+    x and v are views of the walk's rows of the engine's state, which the
+    engine updates in place; keep copies them into the block.
+    """
+
+    def __init__(self, collect: Callable, thin: int, x: np.ndarray,
+                 v: np.ndarray, k: int):
+        self.collect, self.thin, self.x, self.v = collect, thin, x, v
+        self.js = np.empty(k, dtype=np.int64)
+        self.xs = np.empty((k,) + x.shape)
+        self.vs = np.empty((k,) + v.shape)
+        self.n = 0
+
+    def keep(self, g: int) -> None:
+        n = self.n
+        self.js[n], self.xs[n], self.vs[n] = g, self.x, self.v
+        self.n = n + 1
+        if self.n == self.js.size:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.n:
+            self.collect(self.js[:self.n], self.xs[:self.n], self.vs[:self.n])
+            self.n = 0
+
+
+def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
+                walks) -> list:
+    """Metropolis walks moved in lock-step, one model call per step.
+
+    walks is a sequence of (power, tag, collect, thin), each a walk of
+    n_chains chains with stationary density |Psi|^power on the streams of
+    tag.  Walk w owns rows w * n_chains .. (w + 1) * n_chains - 1 of one
+    batch, and every step moves all the rows with one model.values call;
+    each walk keeps its own proposal width, acceptance density and count.
+    Every thin-th post-burn-in step of a walk is kept: its configurations
+    and raw values are copied into the walk's block of
     k = max(1, _ROWS // n_chains) kept steps, and collect(js, xs, vs) is
     invoked with the kept-step indices js (n,), the configurations xs
     (n, n_chains, 3N) and the raw values vs (n, n_chains), n = k for every
     full block and n <= k for the last one.  A block thus holds at most
     max(_ROWS, n_chains) rows, which collect evaluates in one model call;
-    the block is reused, so collect copies what it keeps.  Returns the
-    global acceptance rate.
+    the block is reused, so collect copies what it keeps.  Returns each
+    walk's global acceptance rate.
 
     Each chain draws a chunk of m <= _CHUNK steps as m * 3N proposal
     uniforms followed by m acceptance uniforms.  Both are read slab by slab
@@ -247,36 +288,45 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
     acceptance uniforms from a cursor copied from it and advanced past the
     chunk's noise.  At the end of the chunk that cursor sits where the next
     chunk starts, so the two swap roles.  The walk is therefore the same
-    for every slab size, bit for bit.
+    for every slab size, bit for bit; and since model.values treats rows
+    independently, each walk is the walk it would be on its own.  The slab
+    of one walk's s steps is cut by the number of walks, so the buffers
+    hold no more rows than one walk's.
     """
     density = _density(state)
     dim = 3 * model.n_particles
-    steps = cfg.steps_per_chain
+    C, steps = cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
-    if cfg.proposal_step is not None:
-        step = cfg.proposal_step
-    else:
-        # |Psi|^2 is roughly a factor sqrt(2) narrower than |Psi| in every
-        # direction; halving the tuned |Psi| step keeps the walk near the
-        # diffusive optimum for both densities (measured, not derived).
-        step = state.proposal_step * (0.5 if power == 2 else 1.0)
+    rows = [slice(w * C, (w + 1) * C) for w in range(len(walks))]
+    powers = [walk[0] for walk in walks]
+    # |Psi|^2 is roughly a factor sqrt(2) narrower than |Psi| in every
+    # direction; halving the tuned |Psi| step keeps the walk near the
+    # diffusive optimum for both densities (measured, not derived).
+    widths = [cfg.proposal_step if cfg.proposal_step is not None
+              else state.proposal_step * (0.5 if power == 2 else 1.0)
+              for power in powers]
 
-    rngs = [_rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
+    rngs = [_rng(cfg.seed, tag, c) for _, tag, _, _ in walks for c in range(C)]
     x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
     v = model.values(x)
-    t = np.abs(v) if power == 1 else v * v
-    # one pair of slab buffers per run; urngs are the uniform cursors
-    s = max(1, min(_CHUNK, steps, _SLAB // cfg.n_chains))
-    noise = np.empty((cfg.n_chains, s, dim))
-    unif = np.empty((cfg.n_chains, s))
+    # acceptance densities: |v|, squared in place on the rows of the
+    # Psi^2 walks (|v| * |v| has the bits of v * v)
+    squared = [sl for sl, power in zip(rows, powers) if power == 2]
+    t, tp = np.abs(v), np.empty_like(v)
+    for sl in squared:
+        np.square(t[sl], out=t[sl])
+    tp_squared = [tp[sl] for sl in squared]
+    # one set of slab buffers per run; urngs are the uniform cursors, and
+    # accs holds each step's acceptances until the slab's are counted
+    s = max(1, min(_CHUNK, steps, _SLAB // C) // len(walks))
+    noise = np.empty((len(rngs), s, dim))
+    unif = np.empty((len(rngs), s))
+    accs = np.empty((s, len(rngs)), dtype=bool)
+    accepted = np.zeros(len(rngs), dtype=np.int64)
     urngs = [np.random.default_rng(0) for _ in rngs]  # state set per chunk
-    # one block of kept steps per run, handed to collect when full
-    k = max(1, _ROWS // cfg.n_chains)
-    js = np.empty(k, dtype=np.int64)
-    xs = np.empty((k, cfg.n_chains, dim))
-    vs = np.empty((k, cfg.n_chains))
-    n = 0
-    accepted = 0
+    k = max(1, _ROWS // C)
+    kept = [_Kept(collect, thin, x[sl], v[sl], k)
+            for (_, _, collect, thin), sl in zip(walks, rows)]
     done = 0
     while done < steps:
         m = min(_CHUNK, steps - done)
@@ -285,58 +335,63 @@ def _metropolis(model, power: int, state: StateSpec, cfg: SamplerConfig,
             urng.bit_generator.advance(m * dim)
         for a in range(0, m, s):
             b = min(s, m - a)
-            for c in range(cfg.n_chains):
-                rngs[c].random(out=noise[c, :b])
-                urngs[c].random(out=unif[c, :b])
-            # uniform(-step, step) computes -step + 2 step * u: the same bits
-            slab = noise[:, :b]
-            slab *= 2 * step
-            slab -= step
+            for c, (rng, urng) in enumerate(zip(rngs, urngs)):
+                rng.random(out=noise[c, :b])
+                urng.random(out=unif[c, :b])
+            # uniform(-w, w) computes -w + 2 w * u: the same bits
+            for sl, width in zip(rows, widths):
+                slab = noise[sl, :b]
+                slab *= 2 * width
+                slab -= width
             for j in range(b):
                 xp = x + noise[:, j, :]
                 vp = model.values(xp)
-                tp = np.abs(vp) if power == 1 else vp * vp
-                acc = unif[:, j] * t < tp
+                np.abs(vp, out=tp)
+                for tw in tp_squared:
+                    np.square(tw, out=tw)
+                acc = np.less(unif[:, j] * t, tp, out=accs[j])
                 np.copyto(x, xp, where=acc[:, None])
                 np.copyto(v, vp, where=acc)
                 np.copyto(t, tp, where=acc)
-                accepted += int(np.count_nonzero(acc))
                 g = done + a + j - burn
-                if g >= 0 and g % thin == 0:
-                    js[n], xs[n], vs[n] = g, x, v
-                    n += 1
-                    if n == k:
-                        collect(js, xs, vs)
-                        n = 0
+                if g >= 0:
+                    for walk in kept:
+                        if g % walk.thin == 0:
+                            walk.keep(g)
+            accepted += accs[:b].sum(axis=0)
         # each uniform cursor now sits where its chain's next chunk starts
         rngs, urngs = urngs, rngs
         done += m
-    if n:
-        collect(js[:n], xs[:n], vs[:n])
-    return accepted / (cfg.n_chains * steps)
+    for walk in kept:
+        walk.flush()
+    return [int(accepted[sl].sum()) / (C * steps) for sl in rows]
 
 
-def _metropolis_average(model, power: int, state: StateSpec,
-                        cfg: SamplerConfig, tag: int, method: str,
-                        integrand: Callable, n_values: int = 1,
-                        thin: int = 1) -> list:
-    """Block averages of integrand over the kept steps of _metropolis.
+def _metropolis_average(model, state: StateSpec, cfg: SamplerConfig,
+                        walks) -> list:
+    """Block averages of integrands over the kept steps of _metropolis.
 
-    integrand(x, v) gets the (rows, 3N) configurations of a block of kept
-    steps, step-major, and their raw values (rows,), and returns
-    (ok, values): the mask of rows it keeps (None keeps all) and n_values
-    per-row arrays.  Returns one NdaEstimate per array.
+    walks is a sequence of (power, tag, method, integrand, n_values, thin),
+    moved in lock-step.  integrand(x, v) gets the (rows, 3N)
+    configurations of a block of kept steps, step-major, and their raw
+    values (rows,), and returns (ok, values): the mask of rows it keeps
+    (None keeps all) and n_values per-row arrays.  Returns, per walk, one
+    NdaEstimate per array.
     """
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
-                  n_values)
+    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
     chains = np.arange(cfg.n_chains)
+    accs, engine = [], []
+    for power, tag, method, integrand, n_values, thin in walks:
+        acc = _Blocks(cfg.n_chains, n_keep, n_values)
 
-    def collect(js, xs, vs):
-        ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
-        acc.add(chains, js[:, None], values, ok)
-
-    rate = _metropolis(model, power, state, cfg, tag, collect, thin)
-    return acc.estimates(cfg, method, _acceptance_status(rate), rate)
+        def collect(js, xs, vs, acc=acc, integrand=integrand):
+            ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
+            acc.add(chains, js[:, None], values, ok)
+        accs.append((acc, method))
+        engine.append((power, tag, collect, thin))
+    rates = _metropolis(model, state, cfg, engine)
+    return [acc.estimates(cfg, method, _acceptance_status(rate), rate)
+            for (acc, method), rate in zip(accs, rates)]
 
 
 def _acceptance_status(rate: float) -> str:
@@ -363,12 +418,37 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
     def collect(js, xs, vs):
         out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, power, state, cfg, _TAG_TOPOLOGY, collect, thin)
+    _metropolis(model, state, cfg, [(power, _TAG_TOPOLOGY, collect, thin)])
     return out.reshape(-1, out.shape[-1])
 
 
 # --------------------------------------------------------------------------
 # potential-energy estimators
+
+
+def _pot_walk(h: HamiltonianSpec) -> tuple:
+    """The |Psi| walk of E_pot^nda, as a _metropolis_average walk."""
+
+    def integrand(x, v):
+        V = potential_batch(h, x)
+        return np.isfinite(V), (V,)
+
+    return 1, _TAG_POT, "metropolis_abs_psi", integrand, 1, 1
+
+
+def _std_walk(model, h: HamiltonianSpec, thin: int) -> tuple:
+    """The Psi^2 walk of <T> and <V>, as a _metropolis_average walk."""
+    if thin < 1:
+        raise ValueError("thin must be a positive integer")
+
+    def integrand(x, v):
+        V = potential_batch(h, x)
+        _, grads, laps = model.vgl(x)
+        gnorm = np.linalg.norm(grads, axis=1)
+        ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
+        return ok, (-0.5 * laps / np.where(ok, v, 1.0), V)
+
+    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, thin
 
 
 def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
@@ -383,20 +463,14 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
     model = _model(state)
     if h is None:
         h = state.hamiltonian()
-
-    def integrand(x, v):
-        V = potential_batch(h, x)
-        return np.isfinite(V), (V,)
-
-    est, = _metropolis_average(model, 1, state, cfg, _TAG_POT,
-                               "metropolis_abs_psi", integrand)
+    (est,), = _metropolis_average(model, state, cfg, [_pot_walk(h)])
     return est
 
 
 def estimate_standard_expectations(state: StateSpec,
                                    h: Optional[HamiltonianSpec] = None,
                                    cfg: Optional[SamplerConfig] = None,
-                                   thin: int = 4) -> dict:
+                                   thin: int = _STD_THIN) -> dict:
     """Standard quantum expectations <T> and <V> over the density Psi^2.
 
     The kinetic part uses the local kinetic energy -lap(Psi)/(2 Psi).
@@ -413,23 +487,30 @@ def estimate_standard_expectations(state: StateSpec,
     for every catalog state).
     """
     cfg = cfg or SamplerConfig()
-    if thin < 1:
-        raise ValueError("thin must be a positive integer")
     model = _model(state)
     if h is None:
         h = state.hamiltonian()
-
-    def integrand(x, v):
-        V = potential_batch(h, x)
-        _, grads, laps = model.vgl(x)
-        gnorm = np.linalg.norm(grads, axis=1)
-        ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
-        return ok, (-0.5 * laps / np.where(ok, v, 1.0), V)
-
-    kin, pot = _metropolis_average(model, 2, state, cfg, _TAG_STD,
-                                   "metropolis_psi_squared", integrand,
-                                   n_values=2, thin=thin)
+    (kin, pot), = _metropolis_average(model, state, cfg,
+                                      [_std_walk(model, h, thin)])
     return {"kin": kin, "pot": pot}
+
+
+def estimate_pot_and_standard(state: StateSpec,
+                              cfg: Optional[SamplerConfig] = None) -> dict:
+    """estimate_pot_nda and estimate_standard_expectations in one pass.
+
+    The |Psi| walk and the Psi^2 walk move in lock-step, one model call
+    per step for both.  Each is bit for bit the walk of its own estimator
+    (state's Hamiltonian, default thinning), so the results equal the two
+    separate calls.  Returns a dict with keys "pot_nda", "kin_std" and
+    "pot_std".
+    """
+    cfg = cfg or SamplerConfig()
+    model = _model(state)
+    h = state.hamiltonian()
+    (pot,), (kin_std, pot_std) = _metropolis_average(
+        model, state, cfg, [_pot_walk(h), _std_walk(model, h, _STD_THIN)])
+    return {"pot_nda": pot, "kin_std": kin_std, "pot_std": pot_std}
 
 
 # --------------------------------------------------------------------------

@@ -113,8 +113,60 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
         raise AssertionError("sampling started")
     monkeypatch.setattr(estimators, "_metropolis", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
+    monkeypatch.setattr(cli, "estimate_pot_and_standard", no_sampling)
     code, out, err = run(argv, capsys)
     assert code == 2 and "error:" in err
+
+
+def test_sum_status_comes_from_its_parts(capsys):
+    # a 60-Bohr proposal step is almost never accepted: pot warns, and the
+    # sum of kin and pot carries that warning rather than "ok"
+    code, out, _ = run(["compute", "--state", "3S_1s2s", "--components",
+                        "kin,pot", "--chains", "4", "--steps", "3000",
+                        "--step", "60", "--format", "json"], capsys)
+    assert code == 0
+    est = RunRecord.from_json(out).estimates
+    assert est["kin"]["status"] == "ok"
+    assert est["pot"]["status"].startswith("warning: acceptance rate")
+    assert est["sum"]["status"] == est["pot"]["status"]
+
+
+def test_sum_status_rules():
+    from nda.cli import _combined_status
+    assert _combined_status("ok", "ok") == "ok"
+    assert _combined_status("warning: a", "warning: b") == "warning: a"
+    assert _combined_status("ok", "warning: b") == "warning: b"
+    assert _combined_status("warning: a", "unconverged") == "unconverged"
+    assert _combined_status("unconverged", "ok") == "unconverged"
+
+
+def test_compute_runs_pot_and_std_in_one_pass(capsys, monkeypatch):
+    """pot, kin_std and pot_std come from one lock-step pass, with the
+    entries the separate estimators give."""
+    import nda.cli as cli
+    from nda.catalog import get_state
+    from nda.estimators import (SamplerConfig, estimate_pot_nda,
+                                estimate_standard_expectations)
+
+    def no_separate_walk(*args, **kwargs):
+        raise AssertionError("separate walk started")
+    argv = ["compute", "--state", "3S_1s2s", "--components",
+            "kin,pot,kin_std,pot_std", "--chains", "4", "--steps", "1500",
+            "--seed", "3", "--format", "json"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "estimate_pot_nda", no_separate_walk)
+        m.setattr(cli, "estimate_standard_expectations", no_separate_walk)
+        code, out, _ = run(argv, capsys)
+    assert code == 0
+    got = RunRecord.from_json(out).estimates
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=1500, seed=3)
+    std = estimate_standard_expectations(st, None, cfg)
+    want = {"pot": cli._estimate_entry(estimate_pot_nda(st, None, cfg),
+                                       st.exact_nda["pot"]),
+            "kin_std": cli._estimate_entry(std["kin"], st.exact_standard["kin"]),
+            "pot_std": cli._estimate_entry(std["pot"], st.exact_standard["pot"])}
+    assert {k: got[k] for k in want} == json.loads(json.dumps(want))
 
 
 def test_unconverged_shell_exits_3(capsys):

@@ -13,10 +13,11 @@ import pytest
 
 import nda.estimators as estimators
 import nda.wavefunctions as wf
-from nda.catalog import get_state
+from nda.catalog import catalog_list, get_state
 from nda.estimators import (SamplerConfig, estimate_abs_norm,
                             estimate_kin_nda_shell, estimate_kin_nda_surface,
-                            estimate_pot_nda, estimate_standard_expectations,
+                            estimate_pot_and_standard, estimate_pot_nda,
+                            estimate_standard_expectations,
                             metropolis_samples, quadrature_estimate)
 from nda.quadrature import quadrature_oracle
 
@@ -79,9 +80,12 @@ def test_chain_batching_does_not_change_results(monkeypatch):
         a = estimate_abs_norm(st, cfg)
         k = estimate_kin_nda_surface(st, cfg)
         sh = estimate_kin_nda_shell(st, cfg)
+        j = estimate_pot_and_standard(st, cfg=cfg)
         results.append([(e.mean, e.stderr)
-                        for e in (p, s["kin"], s["pot"], a, k, sh)])
+                        for e in (p, s["kin"], s["pot"], a, k, sh,
+                                  j["pot_nda"], j["kin_std"], j["pot_std"])])
     assert results[0] == results[1] == results[2]
+    assert results[0][6:] == results[0][:3]
 
 
 def test_different_seeds_differ():
@@ -336,17 +340,51 @@ def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
 
 def test_metropolis_memory_is_bounded_by_the_slab():
     """The noise buffer holds a slab of every chain's noise, not a chunk: at
-    512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB."""
+    512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB.
+    Two walks in lock-step split one walk's slab between them (34 MB if
+    each drew a full slab)."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=512, steps_per_chain=estimators._CHUNK + 37,
                         seed=5)
-    tracemalloc.start()
-    try:
-        estimate_pot_nda(st, cfg=cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24e6
+    for estimate in (estimate_pot_nda, estimate_pot_and_standard):
+        tracemalloc.start()
+        try:
+            estimate(st, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, estimate.__name__
+
+
+JOINT_CONFIGS = [SamplerConfig(n_chains=8, steps_per_chain=2000, seed=11),
+                 SamplerConfig(n_chains=3, steps_per_chain=3000, seed=5),
+                 SamplerConfig(n_chains=1024, steps_per_chain=60, seed=9),
+                 SamplerConfig(n_chains=5, steps_per_chain=2100, burn_in=777,
+                               proposal_step=0.7, seed=2)]
+
+
+@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
+def test_joint_pass_equals_the_separate_estimators(name):
+    """The |Psi| and Psi^2 walks moved in lock-step give estimate_pot_nda
+    and estimate_standard_expectations field for field, bit for bit."""
+    st = get_state(name)
+    for cfg in JOINT_CONFIGS:
+        got = estimate_pot_and_standard(st, cfg=cfg)
+        std = estimate_standard_expectations(st, cfg=cfg)
+        ref = {"pot_nda": estimate_pot_nda(st, cfg=cfg),
+               "kin_std": std["kin"], "pot_std": std["pot"]}
+        assert {k: repr(e) for k, e in got.items()} == \
+            {k: repr(e) for k, e in ref.items()}, cfg
+
+
+def test_thin_is_checked_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    for thin in (0, -2):
+        with pytest.raises(ValueError):
+            estimate_standard_expectations(get_state("2P_2p"), cfg=FAST,
+                                           thin=thin)
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",

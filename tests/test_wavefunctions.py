@@ -83,12 +83,30 @@ def test_antisymmetry_of_determinantal_states():
         assert np.array_equal(v, -vs), name
 
 
-def test_values_vectorized_consistent_with_rowwise():
-    model = get_state("3P_1s2p").model
-    x = _test_points(2, n=8, seed=5)
-    batch = model.values(x)
-    single = np.array([model.values(row[None, :])[0] for row in x])
-    assert np.array_equal(batch, single)
+@pytest.mark.parametrize("method", ["values", "vgl"])
+@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
+def test_values_vectorized_consistent_with_rowwise(name, method):
+    """A row's result does not depend on its batch neighbours, bit for bit:
+    each row alone, the rows together and the rows inside a larger batch
+    (behind and between other points) agree.  Lock-step Metropolis walks
+    and chain batching rely on this."""
+    model = get_state(name).model
+    evaluate = getattr(model, method)
+    x = _test_points(model.n_particles, n=8, seed=5)
+    others = _test_points(model.n_particles, n=300, seed=6)
+    at = np.arange(len(x)) * 3 + 17                # rows of x in the big batch
+    big = np.insert(others, at - np.arange(len(x)), x, axis=0)
+    assert np.array_equal(big[at], x)
+
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    batch = parts(evaluate(x))
+    inside = parts(evaluate(big))
+    for i, row in enumerate(x):
+        alone = parts(evaluate(row[None, :]))
+        for a, b, c in zip(alone, batch, inside):
+            assert np.array_equal(a[0], b[i]) and np.array_equal(a[0], c[at[i]])
 
 
 def test_scaled_wrapper():
