@@ -18,10 +18,10 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,41 +62,30 @@ class RunRecord:
 # helpers
 
 
-def _fraction_or_none(x) -> Optional[Fraction]:
-    if x is None:
-        return None
-    return Fraction(x)
+def _fmt_exact(v, digits: int = 10) -> str:
+    """Small rationals as p/q; irrational closed forms (they carry sqrt(pi)
+    etc.) as floats of the given significant digits."""
+    f = Fraction(v)
+    if f.denominator <= 10_000:
+        return f"{f.numerator}/{f.denominator}"
+    return f"{float(f):.{digits}g}"
 
 
-def _exact_repr(x) -> Optional[dict]:
-    f = _fraction_or_none(x)
-    if f is None:
-        return None
-    # closed forms that are not small rationals (they carry sqrt(pi) etc.)
-    # read better as plain floats
-    if f.denominator > 10_000:
-        return {"rational": f"{float(f):.12g}", "value": float(f)}
-    return {"rational": f"{f.numerator}/{f.denominator}", "value": float(f)}
+def _deviation(mean: float, stderr: float, exact) -> float:
+    """|mean - exact| in units of stderr; without a stderr, 0 within 1e-7
+    of the exact value and infinite beyond."""
+    diff = abs(mean - float(exact))
+    if stderr > 0.0:
+        return diff / stderr
+    return 0.0 if diff <= 1e-7 else float("inf")
 
 
 def _estimate_entry(est: NdaEstimate, exact=None) -> dict:
-    entry = {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_samples": est.n_samples,
-        "n_chains": est.n_chains,
-        "seed": est.seed,
-        "method": est.method,
-        "status": est.status,
-        "n_rejected": est.n_rejected,
-        "acceptance_rate": est.acceptance_rate,
-    }
+    entry = asdict(est)
     if exact is not None:
-        ex = float(exact)
-        entry["exact"] = _exact_repr(exact)
-        entry["sigma_deviation"] = (
-            abs(est.mean - ex) / est.stderr if est.stderr > 0.0
-            else (0.0 if abs(est.mean - ex) <= 1e-7 else float("inf")))
+        entry["exact"] = {"rational": _fmt_exact(exact, 12),
+                          "value": float(exact)}
+        entry["sigma_deviation"] = _deviation(est.mean, est.stderr, exact)
     return entry
 
 
@@ -191,34 +180,84 @@ def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerCon
 
 
 # --------------------------------------------------------------------------
-# compute
+# the estimate plan
 
 
-def _kin_estimate(state, cfg, method: str) -> NdaEstimate:
-    if method == "quadrature":
-        return quadrature_estimate(state, "kin_nda")
-    if method == "shell":
-        return estimate_kin_nda_shell(state, cfg)
-    if method == "surface":
-        return estimate_kin_nda_surface(state, cfg)
-    # auto: prefer the exact node parametrization when available
-    if state.node_param is not None:
-        return estimate_kin_nda_surface(state, cfg)
-    return estimate_kin_nda_shell(state, cfg)
+class _Component(NamedTuple):
+    target: Optional[str]   # quadrature_oracle target; None: always sampled
+    field: Optional[str]    # StateSpec field holding the exact reference
+    key: Optional[str]      # the exact value's key in that field
 
 
-def _metropolis_estimates(state, cfg, pot: bool, std: bool) -> dict:
-    """The sampled pot_nda (if pot) and kin_std, pot_std (if std), by key;
-    when both are asked for, their walks share one pass."""
-    if pot and std:
-        return estimate_pot_and_standard(state, cfg)
-    out = {}
-    if pot:
-        out["pot_nda"] = estimate_pot_nda(state, None, cfg)
-    if std:
-        est = estimate_standard_expectations(state, None, cfg)
-        out["kin_std"], out["pot_std"] = est["kin"], est["pot"]
-    return out
+_COMPONENTS = {
+    "pot": _Component("pot_nda", "exact_nda", "pot"),
+    "kin": _Component("kin_nda", "exact_nda", "kin"),
+    "abs_norm": _Component("abs_norm", None, None),
+    "kin_std": _Component(None, "exact_standard", "kin"),
+    "pot_std": _Component(None, "exact_standard", "pot"),
+}
+
+
+def _exact(state, comp: str):
+    """The exact reference of a component for state, or None."""
+    c = _COMPONENTS[comp]
+    return c.field and (getattr(state, c.field) or {}).get(c.key)
+
+
+def _plan(state, cfg: SamplerConfig, components: list,
+          method: str) -> Callable[[], dict]:
+    """Check every input, then return the call that estimates components.
+
+    An unknown component, a state with no model to sample, the surface
+    estimator on a state without a node parametrization and the shell
+    estimator on fewer than 2 chains raise ValueError here, before any
+    sampling.  method is "auto" (kin by surface where the state has a
+    parametrization, else by shell), "surface", "shell" or "quadrature"
+    (every component with a quadrature target; kin_std and pot_std are
+    sampled).  The call returns {component: NdaEstimate} in the order
+    given.  It runs the quadrature components first, so that a missing
+    reduction raises before any sampling, and samples pot with kin_std or
+    pot_std in one lock-step pass.
+    """
+    for comp in components:
+        if comp not in _COMPONENTS:
+            raise ValueError(f"unknown component {comp!r}")
+    quad = [c for c in components
+            if method == "quadrature" and _COMPONENTS[c].target]
+    sampled = set(components) - set(quad)
+    if sampled:
+        _evaluable(state)
+    if "kin" in sampled:
+        if method == "auto":
+            method = "surface" if state.node_param is not None else "shell"
+        if method == "surface" and state.node_param is None:
+            raise ValueError(
+                f"state {state.name!r} has no explicit node parametrization; "
+                "use the delta-shell estimator")
+        if method == "shell" and cfg.n_chains < 2:
+            raise ValueError("delta-shell stderr needs at least 2 chains")
+    std = bool(sampled & {"kin_std", "pot_std"})
+
+    def run() -> dict:
+        out = {c: quadrature_estimate(state, _COMPONENTS[c].target)
+               for c in quad}
+        if "pot" in sampled and std:
+            mc = estimate_pot_and_standard(state, cfg)
+            out.update(pot=mc["pot_nda"], kin_std=mc["kin_std"],
+                       pot_std=mc["pot_std"])
+        elif "pot" in sampled:
+            out["pot"] = estimate_pot_nda(state, cfg=cfg)
+        elif std:
+            mc = estimate_standard_expectations(state, cfg=cfg)
+            out.update(kin_std=mc["kin"], pot_std=mc["pot"])
+        if "abs_norm" in sampled:
+            out["abs_norm"] = estimate_abs_norm(state, cfg)
+        if "kin" in sampled:
+            out["kin"] = (estimate_kin_nda_surface if method == "surface"
+                          else estimate_kin_nda_shell)(state, cfg)
+        return {c: out[c] for c in components}
+
+    return run
 
 
 def _combined_status(*statuses: str) -> str:
@@ -228,66 +267,27 @@ def _combined_status(*statuses: str) -> str:
     return next((s for s in statuses if s != "ok"), "ok")
 
 
+# --------------------------------------------------------------------------
+# compute
+
+
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     state = _get_state_from_args(args)
     cfg = _sampler_config(args)
     components = [c.strip() for c in args.components.split(",") if c.strip()]
-    for comp in components:
-        if comp not in ("pot", "kin", "abs_norm", "kin_std", "pot_std"):
-            print(f"error: unknown component {comp!r}", file=sys.stderr)
-            return 2
-    method = args.method
-
-    # the sampled pot, kin_std and pot_std, from one pass at first use
-    pot_mc = "pot" in components and method != "quadrature"
-    std_mc = "kin_std" in components or "pot_std" in components
-    sampled = None
-    estimates = {}
-    for comp in components:
-        if comp == "pot":
-            if method == "quadrature":
-                est = quadrature_estimate(state, "pot_nda")
-            else:
-                sampled = sampled or _metropolis_estimates(state, cfg, pot_mc,
-                                                           std_mc)
-                est = sampled["pot_nda"]
-            exact = state.exact_nda.get("pot") if state.exact_nda else None
-        elif comp == "kin":
-            est = _kin_estimate(state, cfg, method)
-            exact = state.exact_nda.get("kin") if state.exact_nda else None
-        elif comp == "abs_norm":
-            est = (quadrature_estimate(state, "abs_norm") if method == "quadrature"
-                   else estimate_abs_norm(state, cfg))
-            exact = None
-        else:                                   # kin_std or pot_std
-            sampled = sampled or _metropolis_estimates(state, cfg, pot_mc,
-                                                       std_mc)
-            est = sampled[comp]
-            exact = (state.exact_standard or {}).get(
-                "kin" if comp == "kin_std" else "pot")
-        estimates[comp] = _estimate_entry(est, exact)
-
-    if "kin" in estimates and "pot" in estimates:
-        k, p = estimates["kin"], estimates["pot"]
-        total = {
-            "mean": k["mean"] + p["mean"],
-            "stderr": float(np.hypot(k["stderr"], p["stderr"])),
-            "n_samples": k["n_samples"] + p["n_samples"],
-            "n_rejected": k["n_rejected"] + p["n_rejected"],
-            "n_chains": cfg.n_chains,
-            "seed": cfg.seed,
-            "method": "sum",
-            "status": _combined_status(k["status"], p["status"]),
-        }
-        if state.exact_total_energy is not None:
-            total["exact"] = _exact_repr(state.exact_total_energy)
-            ex = float(state.exact_total_energy)
-            total["sigma_deviation"] = (
-                abs(total["mean"] - ex) / total["stderr"]
-                if total["stderr"] > 0 else
-                (0.0 if abs(total["mean"] - ex) <= 1e-7 else float("inf")))
-        estimates["sum"] = total
+    ests = _plan(state, cfg, components, args.method)()
+    estimates = {c: _estimate_entry(est, _exact(state, c))
+                 for c, est in ests.items()}
+    if "kin" in ests and "pot" in ests:
+        k, p = ests["kin"], ests["pot"]
+        total = replace(k, mean=k.mean + p.mean,
+                        stderr=float(np.hypot(k.stderr, p.stderr)),
+                        n_samples=k.n_samples + p.n_samples,
+                        n_rejected=k.n_rejected + p.n_rejected, method="sum",
+                        status=_combined_status(k.status, p.status))
+        estimates["sum"] = _estimate_entry(total, state.exact_total_energy)
+        del estimates["sum"]["acceptance_rate"]
 
     record = RunRecord(
         command="compute",
@@ -310,30 +310,16 @@ def cmd_compute(args) -> int:
 # verify-tables
 
 
-def _verify_cells(state, cfg, method: str):
-    """Yield (component, NdaEstimate, exact Fraction) for every known cell."""
+def _verify_plans(state, cfg, method: str) -> list:
+    """The plans of every state cell with an exact value: for "mc", one by
+    compute's auto; for "quadrature", one per kin_nda and pot_nda cell, so
+    that a cell without a reduction can be skipped alone."""
     if method == "quadrature":
-        for comp, key in (("kin_nda", "kin"), ("pot_nda", "pot")):
-            exact = (state.exact_nda or {}).get(key)
-            if exact is None:
-                continue
-            try:
-                yield comp, quadrature_estimate(state, comp), exact
-            except NotReducibleError:
-                continue
-        return
-    pot_exact = (state.exact_nda or {}).get("pot")
-    sampled = _metropolis_estimates(state, cfg, pot_exact is not None,
-                                    bool(state.exact_standard))
-    for comp, key in (("kin_std", "kin"), ("pot_std", "pot")):
-        exact = (state.exact_standard or {}).get(key)
-        if exact is not None:
-            yield comp, sampled[comp], exact
-    if pot_exact is not None:
-        yield "pot_nda", sampled["pot_nda"], pot_exact
-    kin_exact = (state.exact_nda or {}).get("kin")
-    if kin_exact is not None:
-        yield "kin_nda", _kin_estimate(state, cfg, "auto"), kin_exact
+        return [_plan(state, cfg, [c], method) for c in ("kin", "pot")
+                if _exact(state, c) is not None]
+    cells = [c for c in ("kin_std", "pot_std", "pot", "kin")
+             if _exact(state, c) is not None]
+    return [_plan(state, cfg, cells, "auto")]
 
 
 def cmd_verify_tables(args) -> int:
@@ -342,27 +328,28 @@ def cmd_verify_tables(args) -> int:
              else [s.name for s in catalog_list()
                    if s.model is not None and (s.exact_nda or s.exact_standard)])
     states = [_evaluable(get_state(name)) for name in names]
-    failures = 0
-    rows = []
-    for name, state in zip(names, states):
-        for comp, est, exact in _verify_cells(state, cfg, args.method):
-            ex = float(exact)
-            if est.stderr > 0.0:
-                dev = abs(est.mean - ex) / est.stderr
-                tag = "PASS" if dev <= 3.0 else ("MARGINAL" if dev <= 4.0 else "FAIL")
-            else:
-                dev = abs(est.mean - ex)
-                tag = "PASS" if dev <= 1e-7 else "FAIL"
-            if tag == "FAIL":
-                failures += 1
-            line = (f"[{tag}] {name:<14} {comp:<8} mean={est.mean:+.6g} "
-                    f"stderr={est.stderr:.2g} "
-                    f"exact={_fmt_exact(exact)}={ex:+.6g}")
+    # every state's checks pass before any state is sampled
+    plans = [(name, state, plan) for name, state in zip(names, states)
+             for plan in _verify_plans(state, cfg, args.method)]
+    failures = cells = 0
+    for name, state, plan in plans:
+        try:
+            ests = plan()
+        except NotReducibleError:           # a quadrature cell is skipped
+            continue
+        for comp, est in ests.items():
+            exact = _exact(state, comp)
+            dev = _deviation(est.mean, est.stderr, exact)
+            tag = "PASS" if dev <= 3.0 else ("MARGINAL" if dev <= 4.0 else "FAIL")
+            failures += tag == "FAIL"
+            cells += 1
+            line = (f"[{tag}] {name:<14} {_COMPONENTS[comp].target or comp:<8} "
+                    f"mean={est.mean:+.6g} stderr={est.stderr:.2g} "
+                    f"exact={_fmt_exact(exact)}={float(exact):+.6g}")
             if est.stderr > 0.0:
                 line += f" dev={dev:.2f} sigma"
-            rows.append(line)
             print(line)
-    print(f"checked {len(rows)} cells; failures: {failures}")
+    print(f"checked {cells} cells; failures: {failures}")
     return 1 if failures else 0
 
 
@@ -420,17 +407,6 @@ def cmd_equiv(args) -> int:
         if "warning" in result:
             print(f"warning: {result['warning']}")
     return 0
-
-
-def _fmt_exact(v) -> str:
-    """Small rationals as p/q; irrational closed forms as floats."""
-    try:
-        f = Fraction(v)
-    except (TypeError, ValueError):
-        return f"{float(v):.10g}"
-    if f.denominator <= 10_000:
-        return f"{f.numerator}/{f.denominator}"
-    return f"{float(f):.10g}"
 
 
 def cmd_catalog(args) -> int:

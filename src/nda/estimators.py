@@ -451,7 +451,7 @@ def _std_walk(model, h: HamiltonianSpec, thin: int) -> tuple:
     return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, thin
 
 
-def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
+def estimate_pot_nda(state: StateSpec,
                      cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
     """E_pot^nda: the |Psi|-weighted average of the potential.
 
@@ -461,14 +461,12 @@ def estimate_pot_nda(state: StateSpec, h: Optional[HamiltonianSpec] = None,
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)
-    if h is None:
-        h = state.hamiltonian()
-    (est,), = _metropolis_average(model, state, cfg, [_pot_walk(h)])
+    (est,), = _metropolis_average(model, state, cfg,
+                                  [_pot_walk(state.hamiltonian())])
     return est
 
 
 def estimate_standard_expectations(state: StateSpec,
-                                   h: Optional[HamiltonianSpec] = None,
                                    cfg: Optional[SamplerConfig] = None,
                                    thin: int = _STD_THIN) -> dict:
     """Standard quantum expectations <T> and <V> over the density Psi^2.
@@ -488,10 +486,8 @@ def estimate_standard_expectations(state: StateSpec,
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)
-    if h is None:
-        h = state.hamiltonian()
-    (kin, pot), = _metropolis_average(model, state, cfg,
-                                      [_std_walk(model, h, thin)])
+    (kin, pot), = _metropolis_average(
+        model, state, cfg, [_std_walk(model, state.hamiltonian(), thin)])
     return {"kin": kin, "pot": pot}
 
 

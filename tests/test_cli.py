@@ -101,10 +101,21 @@ def test_usage_errors_exit_2(capsys):
     ["compute", "--state", "2P_2p", "--components", "pot,bogus"],
     ["verify-tables", "--only", "subshell_k1_l30"],
     ["verify-tables", "--only", "2P_2p,subshell_k1_l30"],
+    # each of these fails on a later component or state than the first
+    ["compute", "--state", "2P_2p", "--components", "pot,kin", "--method",
+     "shell", "--chains", "1", "--steps", "100000"],
+    ["compute", "--state", "subshell_k1_l1", "--components", "pot,kin",
+     "--method", "surface", "--steps", "100000"],
+    ["compute", "--state", "3P_1s2p", "--components", "kin_std,kin",
+     "--method", "quadrature", "--steps", "100000"],
+    ["verify-tables", "--only", "2P_2p,subshell_k1_l1", "--chains", "1",
+     "--steps", "50000"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
-        "verify-no-model", "verify-no-model-second"])
+        "verify-no-model", "verify-no-model-second", "compute-shell-1-chain",
+        "compute-surface-no-param", "compute-quadrature-irreducible",
+        "verify-shell-1-chain"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators
@@ -112,10 +123,11 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
     monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(estimators, "_iid_batches", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_and_standard", no_sampling)
     code, out, err = run(argv, capsys)
-    assert code == 2 and "error:" in err
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_sum_status_comes_from_its_parts(capsys):
@@ -129,6 +141,17 @@ def test_sum_status_comes_from_its_parts(capsys):
     assert est["kin"]["status"] == "ok"
     assert est["pot"]["status"].startswith("warning: acceptance rate")
     assert est["sum"]["status"] == est["pot"]["status"]
+
+
+def test_sum_of_quadrature_parts_claims_no_sampling(capsys):
+    code, out, _ = run(["compute", "--state", "2P_2p", "--components",
+                        "kin,pot", "--method", "quadrature", "--format", "json"],
+                       capsys)
+    assert code == 0
+    est = RunRecord.from_json(out).estimates
+    for key in ("n_samples", "n_chains", "seed"):
+        assert est["sum"][key] == est["kin"][key] == est["pot"][key] == 0, key
+    assert est["sum"]["mean"] == pytest.approx(-1 / 8, abs=1e-8)
 
 
 def test_sum_status_rules():
@@ -161,12 +184,37 @@ def test_compute_runs_pot_and_std_in_one_pass(capsys, monkeypatch):
     got = RunRecord.from_json(out).estimates
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=1500, seed=3)
-    std = estimate_standard_expectations(st, None, cfg)
-    want = {"pot": cli._estimate_entry(estimate_pot_nda(st, None, cfg),
+    std = estimate_standard_expectations(st, cfg=cfg)
+    want = {"pot": cli._estimate_entry(estimate_pot_nda(st, cfg=cfg),
                                        st.exact_nda["pot"]),
             "kin_std": cli._estimate_entry(std["kin"], st.exact_standard["kin"]),
             "pot_std": cli._estimate_entry(std["pot"], st.exact_standard["pot"])}
     assert {k: got[k] for k in want} == json.loads(json.dumps(want))
+
+
+def test_verify_tables_agrees_with_compute(capsys):
+    """Each verify-tables line of a state quotes compute's mean, stderr and
+    deviation for the same cell and sampler flags."""
+    flags = ["--chains", "4", "--steps", "1500", "--seed", "3"]
+    code, out, _ = run(["compute", "--state", "3S_1s2s", "--components",
+                        "kin,pot,kin_std,pot_std", "--format", "json"] + flags,
+                       capsys)
+    assert code == 0
+    est = RunRecord.from_json(out).estimates
+    code, out, _ = run(["verify-tables", "--only", "3S_1s2s"] + flags, capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "checked 4 cells; failures: 0"
+    cells = {"kin_std": "kin_std", "pot_std": "pot_std", "pot_nda": "pot",
+             "kin_nda": "kin"}
+    for line in lines[:-1]:
+        fields = line.split()
+        e = est[cells[fields[2]]]
+        assert fields[3] == f"mean={e['mean']:+.6g}", line
+        assert fields[4] == f"stderr={e['stderr']:.2g}", line
+        assert fields[5].startswith(f"exact={e['exact']['rational']}="), line
+        assert fields[6] == f"dev={e['sigma_deviation']:.2f}", line
+    assert sorted(f.split()[2] for f in lines[:-1]) == sorted(cells)
 
 
 def test_unconverged_shell_exits_3(capsys):
