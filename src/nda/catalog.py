@@ -84,7 +84,14 @@ def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ReferenceDensity:
     """Product density g: exponentials exp(-a r) for Coulomb states,
-    isotropic Gaussians exp(-omega r^2 / 2) for harmonic states."""
+    isotropic Gaussians exp(-omega r^2 / 2) for harmonic states.
+
+    ``sample(rng, n)`` makes the per-particle RNG calls in particle order
+    (Coulomb: a gamma radius, then a normal direction; harmonic: a normal
+    draw), writes them into one (n, N, 3) buffer, and normalizes and scales
+    all particles in a few column-wise passes.  ``pdf`` scores the (n, N, 3)
+    layout the same way: no norm over a length-3 axis, no inner-axis sum.
+    """
 
     family: str
     n_particles: int
@@ -92,23 +99,28 @@ class ReferenceDensity:
     omega: float = 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        cols = []
-        for _ in range(self.n_particles):
-            if self.family == "coulomb":
-                r = rng.gamma(3.0, 1.0 / self.a, size=n)
-                cols.append(_uniform_sphere(rng, n) * r[:, None])
-            else:
-                cols.append(rng.standard_normal((n, 3)) / sqrt(self.omega))
-        return np.concatenate(cols, axis=1)
+        N = self.n_particles
+        out = np.empty((n, N, 3))
+        if self.family == "coulomb":
+            r = np.empty((n, N))
+            for i in range(N):
+                r[:, i] = rng.gamma(3.0, 1.0 / self.a, size=n)
+                out[:, i] = rng.standard_normal((n, 3))
+            out /= wf._norms(out)[..., None]
+            out *= r[..., None]
+        else:
+            for i in range(N):
+                out[:, i] = rng.standard_normal((n, 3))
+            out /= sqrt(self.omega)
+        return out.reshape(n, 3 * N)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        pos = x.reshape(x.shape[0], self.n_particles, 3)
         if self.family == "coulomb":
-            r = np.linalg.norm(pos, axis=2)
+            r = wf._norms(x.reshape(x.shape[0], self.n_particles, 3))
             c = (self.a ** 3 / (8.0 * pi)) ** self.n_particles
-            return c * np.exp(-self.a * np.sum(r, axis=1))
+            return c * np.exp(-self.a * wf._row_sums(r))
         c = (self.omega / (2.0 * pi)) ** (1.5 * self.n_particles)
-        return c * np.exp(-0.5 * self.omega * np.sum(x * x, axis=1))
+        return c * np.exp(-0.5 * self.omega * wf._row_sums(x * x))
 
 
 # --------------------------------------------------------------------------

@@ -311,15 +311,16 @@ def cmd_compute(args) -> int:
 
 
 def _verify_plans(state, cfg, method: str) -> list:
-    """The plans of every state cell with an exact value: for "mc", one by
-    compute's auto; for "quadrature", one per kin_nda and pot_nda cell, so
-    that a cell without a reduction can be skipped alone."""
+    """(components, plan) of every state cell with an exact value: for
+    "mc", one plan by compute's auto; for "quadrature", one per kin_nda
+    and pot_nda cell, so that a cell without a reduction can be skipped
+    alone."""
     if method == "quadrature":
-        return [_plan(state, cfg, [c], method) for c in ("kin", "pot")
+        return [([c], _plan(state, cfg, [c], method)) for c in ("kin", "pot")
                 if _exact(state, c) is not None]
     cells = [c for c in ("kin_std", "pot_std", "pot", "kin")
              if _exact(state, c) is not None]
-    return [_plan(state, cfg, cells, "auto")]
+    return [(cells, _plan(state, cfg, cells, "auto"))]
 
 
 def cmd_verify_tables(args) -> int:
@@ -329,13 +330,17 @@ def cmd_verify_tables(args) -> int:
                    if s.model is not None and (s.exact_nda or s.exact_standard)])
     states = [_evaluable(get_state(name)) for name in names]
     # every state's checks pass before any state is sampled
-    plans = [(name, state, plan) for name, state in zip(names, states)
-             for plan in _verify_plans(state, cfg, args.method)]
-    failures = cells = 0
-    for name, state, plan in plans:
+    plans = [(name, state, comps, plan) for name, state in zip(names, states)
+             for comps, plan in _verify_plans(state, cfg, args.method)]
+    failures = cells = skipped = 0
+    for name, state, comps, plan in plans:
         try:
             ests = plan()
         except NotReducibleError:           # a quadrature cell is skipped
+            for comp in comps:
+                print(f"[SKIP] {name} {_COMPONENTS[comp].target or comp}: "
+                      "no quadrature reduction")
+            skipped += len(comps)
             continue
         for comp, est in ests.items():
             exact = _exact(state, comp)
@@ -349,7 +354,8 @@ def cmd_verify_tables(args) -> int:
             if est.stderr > 0.0:
                 line += f" dev={dev:.2f} sigma"
             print(line)
-    print(f"checked {cells} cells; failures: {failures}")
+    print(f"checked {cells} cells; failures: {failures}"
+          + (f"; skipped {skipped}" if skipped else ""))
     return 1 if failures else 0
 
 

@@ -14,11 +14,10 @@ within float noise of the node, where the ratio is meaningless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .wavefunctions import WaveFunction, _as_batch
+from .wavefunctions import WaveFunction, _as_batch, _norms, _row_sums
 
 __all__ = [
     "HamiltonianSpec",
@@ -90,18 +89,21 @@ def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
         return np.where(near, 1.0, d)
 
     if h.family == "coulomb_atom":
-        r = np.linalg.norm(pos, axis=2)
         v = np.zeros(x.shape[0])
-        v -= h.Z * np.sum(1.0 / safe(r), axis=1)
-        if h.ee:
-            for i, j in combinations(range(n), 2):
-                v += 1.0 / safe(np.linalg.norm(pos[:, i] - pos[:, j], axis=1))
+        v -= h.Z * _row_sums(1.0 / safe(_norms(pos)))
+        if h.ee and n > 1:
+            # the pairs (i, j), i < j, in the order of combinations(range(n), 2)
+            d = np.concatenate([pos[:, i:i + 1] - pos[:, i + 1:] for i in range(n - 1)],
+                               axis=1)
+            inv = 1.0 / safe(_norms(d))
+            for k in range(inv.shape[1]):
+                v += inv[:, k]
     else:
         if n != 2:
             raise ValueError("harmonic_pair is a two-particle hamiltonian")
-        v = 0.5 * h.omega ** 2 * np.sum(x * x, axis=1)
+        v = 0.5 * h.omega ** 2 * _row_sums(x * x)
         if h.g0 != 0.0:
-            v += h.g0 / safe(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=1))
+            v += h.g0 / safe(_norms(pos[:, 0] - pos[:, 1]))
     for rows in bad:
         v[rows] = np.inf
     return v

@@ -60,6 +60,22 @@ class Configuration:
         object.__setattr__(self, "coords", coords)
 
 
+def _norms(p: np.ndarray) -> np.ndarray:
+    """|p| over a last axis of length 3, with x^2 + y^2 + z^2 added in order:
+    the bits of np.linalg.norm(p, axis=-1), in three column-wise passes."""
+    s = p * p
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a summed over its last axis one column at a time, in order: the bits
+    of np.sum(a, axis=-1) on fewer than eight columns of nonnegative terms."""
+    s = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        s = s + a[..., j]
+    return s
+
+
 def _as_batch(model: "WaveFunction", R) -> np.ndarray:
     if isinstance(R, Configuration):
         if R.n_particles != model.n_particles:
@@ -246,22 +262,21 @@ class Orbital:
         kind = "gaussian" if self.kind.startswith("gaussian") else self.kind
         return kind, self.scale, self.n
 
-    def _poly(self):
-        if self.kind in ("hydrogenic_1s", "hydrogenic_2s", "gaussian_s"):
-            return _sh_1, _sh_1_grad, 0
+    def _angular(self):
+        """(l, which): the harmonic's degree, and its axis (l = 1) or m (l = 2)."""
         if self.kind in ("hydrogenic_2p", "gaussian_p"):
-            p, g = _make_axis_poly(_AXES[self.axis])
-            return p, g, 1
-        if self.kind == "hydrogenic_general":
-            if self.l == 0:
-                return _sh_1, _sh_1_grad, 0
-            if self.l == 1:
-                axis = {-1: 1, 0: 2, 1: 0}[self.m]
-                p, g = _make_axis_poly(axis)
-                return p, g, 1
-            p, g = _SH2[self.m]
-            return p, g, 2
-        raise AssertionError(self.kind)
+            return 1, _AXES[self.axis]
+        if self.kind == "hydrogenic_general" and self.l > 0:
+            return self.l, {-1: 1, 0: 2, 1: 0}[self.m] if self.l == 1 else self.m
+        return 0, None
+
+    def _poly(self):
+        l, which = self._angular()
+        if l == 0:
+            return _sh_1, _sh_1_grad, 0
+        if l == 1:
+            return (*_make_axis_poly(which), 1)
+        return (*_SH2[which], 2)
 
     def value(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
@@ -377,18 +392,61 @@ def _cofactors(A) -> list:
              for j in range(n)] for i in range(n)]
 
 
+def _key(idx):
+    """A flat index list as a slice where it steps evenly upward (indexing
+    with it is a view), else as an integer array (a gather)."""
+    idx = np.asarray(idx, dtype=np.intp).ravel()
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if step > 0 and np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """a summed over its first axis in index order, up to the sign of a zero
+    result.  numpy's reduce adds fewer than eight terms in order but may
+    pair the terms of a longer run, so those are added one by one."""
+    if len(a) < 8:
+        return np.add.reduce(a)
+    s = a[0] + a[1]
+    for t in a[2:]:
+        s += t
+    return s
+
+
+def _cat(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class SlaterProduct(WaveFunction):
     """Sum of products of per-channel determinants over disjoint electron sets.
 
     Covers everything from a single orbital (1x1 determinant) through
     det-up x det-down products and their symmetry-coupled sums.
 
-    Every evaluation builds one orbital table: |r| and 1/r once per
-    electron, the radial factor once per (electron, radial kind), each
-    orbital's value (gradient, Laplacian) once per (electron, orbital), and
-    each distinct block's determinant and cofactors once, shared by every
-    term that holds the block.  The index plan behind the table is fixed at
-    construction.
+    The plan, fixed at construction, holds the model as index arrays, and a
+    call makes a few whole-array passes over the points, laid out (N, 3, m):
+
+    * |r| of all electrons at once, each radial kind once over the stacked
+      electrons that use it;
+    * a table with a row per (electron, harmonic) of each radial kind (the
+      l = 0 row, the l = 1 rows over the span of axes in use, a row per
+      l = 2 harmonic) of values, gradients and Laplacians, one operation
+      per degree;
+    * the distinct blocks grouped by size: a gather (a slice where the rows
+      step evenly) per size for the matrices and per matrix position for
+      the gradients and Laplacians, then determinants, cofactors, gradient
+      rows and Laplacians of all blocks of the size at once; a 1x1 block is
+      its table row;
+    * the terms as a (terms, blocks) index array, padded with a row of ones
+      where block counts differ: the products, the products over the other
+      blocks, and each electron's gradient contributions in term order,
+      padded with zeros where electrons sit in unequal numbers of terms.
+
+    Each output element has the bits of the orbital-by-orbital form
+    (``_reference_vgl`` in tests/test_wavefunctions.py): every product and
+    sum runs in its order, and a sum that form starts from 0.0 is the
+    ordered sum plus 0.0 (the start only turns -0.0 into +0.0).
     """
 
     def __init__(self, terms: Sequence[Term], n_particles: int, family: str,
@@ -404,124 +462,239 @@ class SlaterProduct(WaveFunction):
         self.family = family
         self.parameters = dict(parameters or {})
 
-        # index plan: one table slot per distinct (electron, orbital) pair,
-        # slots grouped per electron by radial factor, blocks as slot matrices
-        slots = {}
-        radial = {}  # electron -> {radial key: (orbital, members)}
-        blocks = {}  # slot matrix -> block index
-        self._blocks = []  # (electrons, slot matrix)
-        self._term_blocks = []  # (coeff, block indices)
+        # radial kinds, each with the electrons and harmonics that use it
+        kinds = {}
         for t in self.terms:
-            bids = []
             for b in t.blocks:
-                idx = []
-                for e in b.electrons:
-                    row = []
-                    for orb in b.orbitals:
-                        k = slots.get((e, orb))
-                        if k is None:
-                            k = slots[(e, orb)] = len(slots)
-                            groups = radial.setdefault(e, {})
-                            members = groups.setdefault(orb._radial_key(), (orb, []))[1]
-                            members.append((k, *orb._poly()))
-                        row.append(k)
-                    idx.append(tuple(row))
-                idx = tuple(idx)
-                if idx not in blocks:
-                    blocks[idx] = len(self._blocks)
-                    self._blocks.append((b.electrons, idx))
-                bids.append(blocks[idx])
-            self._term_blocks.append((t.coeff, tuple(bids)))
-        self._n_slots = len(slots)
-        self._electrons = [(e, [(orb, tuple(members)) for orb, members in groups.values()])
-                           for e, groups in radial.items()]
+                for orb in b.orbitals:
+                    kind = kinds.setdefault(orb._radial_key(), (orb, set(), set()))
+                    kind[1].update(b.electrons)
+                    kind[2].add(orb._angular())
+        row = {}  # (electron, radial key, harmonic) -> table row
+        self._kinds = []  # (orbital, electrons, l = 0 row, axes, l = 1 row, l = 2 rows)
+        n_rows = 0
+        for key, (orb, electrons, harmonics) in kinds.items():
+            electrons = sorted(electrons)
+            E = len(electrons)
+            row0 = row1 = axes = None
+            if (0, None) in harmonics:
+                row0 = n_rows
+                for i, e in enumerate(electrons):
+                    row[e, key, (0, None)] = n_rows + i
+                n_rows += E
+            on = sorted(w for l, w in harmonics if l == 1)
+            if on:
+                axes, row1, A = slice(on[0], on[-1] + 1), n_rows, on[-1] + 1 - on[0]
+                for i, e in enumerate(electrons):
+                    for a in on:
+                        row[e, key, (1, a)] = n_rows + i * A + a - on[0]
+                n_rows += E * A
+            polys = []
+            for w in sorted(w for l, w in harmonics if l == 2):
+                for i, e in enumerate(electrons):
+                    row[e, key, (2, w)] = n_rows + i
+                polys.append((n_rows, *_SH2[w]))
+                n_rows += E
+            self._kinds.append((orb, _key(electrons), row0, axes, row1, tuple(polys)))
+        self._n_rows = n_rows
 
-    def _table(self, xt: np.ndarray, want_grad: bool, want_lap: bool):
-        """Per slot: the orbital value and, as asked, its (3, m) gradient and
-        its Laplacian, for points xt in component-major layout (3N, m).
+        # distinct blocks as table-row matrices, grouped by size; a size's
+        # gradient rows come as (n, blocks): row i of its block k at
+        # base + i * blocks + k
+        blocks = {}
+        for t in self.terms:
+            for b in t.blocks:
+                blocks[b.electrons, b.orbitals] = tuple(
+                    tuple(row[e, o._radial_key(), o._angular()] for o in b.orbitals)
+                    for e in b.electrons)
+        ids, first_row = {}, {}
+        self._sizes = []  # (n, blocks, key of the (n, n, blocks) rows, (i, j) keys)
+        base = 0
+        for n in sorted({len(e) for e, _ in blocks}):
+            group = sorted((rows, b) for b, rows in blocks.items() if len(b[0]) == n)
+            for k, (_, b) in enumerate(group):
+                ids[b] = len(ids)
+                first_row[b] = (base + k, len(group))
+            base += n * len(group)
+            mats = np.array([rows for rows, _ in group], dtype=np.intp)
+            self._sizes.append((n, len(group), _key(mats.transpose(1, 2, 0)),
+                                [[_key(mats[:, i, j]) for j in range(n)] for i in range(n)]))
 
-        Same expressions as Orbital.value/grad/lap; a constant polynomial
-        (l = 0) is left out of the products, which is exact.
+        # terms, and their factors (term, block position) in term order
+        K = max(len(t.blocks) for t in self.terms)
+        pad = len(ids)  # the row of ones
+        B = np.array([[ids[b.electrons, b.orbitals] for b in t.blocks]
+                      + [pad] * (K - len(t.blocks)) for t in self.terms],
+                     dtype=np.intp).reshape(len(self.terms), K)
+        self._padded = any(len(t.blocks) < K for t in self.terms)
+        self._terms = tuple(_key(B[:, k]) for k in range(K))
+        coeff = np.array([[t.coeff] for t in self.terms])
+        self._coeff = None if np.all(coeff == 1.0) else coeff
+        factors = [(t * K + k, B[t, k]) for t, term in enumerate(self.terms)
+                   for k in range(len(term.blocks))]
+        self._factors = (_key([f for f, _ in factors]), _key([b for _, b in factors]))
+        # each electron's gradient contributions (factor, block row)
+        contrib = [[] for _ in range(n_particles)]
+        for t, term in enumerate(self.terms):
+            for k, b in enumerate(term.blocks):
+                first, stride = first_row[b.electrons, b.orbitals]
+                for i, e in enumerate(b.electrons):
+                    contrib[e].append((t * K + k, first + i * stride))
+        width = max(len(c) for c in contrib)
+        self._zero_pad = any(len(c) < width for c in contrib)
+        zero = (len(self.terms) * K, base)  # the zero factor and block row
+        grid = np.array([c + [zero] * (width - len(c)) for c in contrib],
+                        dtype=np.intp).reshape(n_particles, width, 2).transpose(1, 0, 2)
+        self._contrib = (width, _key(grid[..., 0]), _key(grid[..., 1]))
+
+    def _table(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+        """Table values (rows, m) and, as asked, gradients (rows, 3, m) and
+        Laplacians (rows, m) at the points x (m, 3N).
+
+        Same expressions as Orbital.value/grad/lap, less the terms that only
+        add a signed zero: a constant polynomial (l = 0) is left out of the
+        products, and of f grad(P) only the f on an l = 1 orbital's own axis
+        is added (f * 0.0 elsewhere).  A gradient entry may thus differ from
+        Orbital.grad in the sign of a zero, and no output keeps that sign:
+        products and sums pass it on only as a zero, and every output is a
+        sum plus 0.0.
         """
+        m = x.shape[0]
         derivs = want_grad or want_lap
-        val = [None] * self._n_slots
-        grad = [None] * self._n_slots
-        lap = [None] * self._n_slots
-        for e, groups in self._electrons:
-            p = xt[3 * e : 3 * e + 3]
-            r = np.linalg.norm(p, axis=0)
+        xt = np.ascontiguousarray(x.T)
+        pos = xt.reshape(self.n_particles, 3, m)
+        r = np.sqrt(np.add.reduce((xt * xt).reshape(pos.shape), axis=1))
+        if derivs:
+            rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+        if want_grad:
+            rhat = pos * rinv[:, None]
+        T = np.empty((self._n_rows, m))
+        G = np.empty((self._n_rows, 3, m)) if want_grad else None
+        L = np.empty((self._n_rows, m)) if want_lap else None
+        for orb, es, row0, axes, row1, polys in self._kinds:
+            rad = orb._radial(r[es], derivs)
+            f = rad[0]
+            E = len(f)
             if derivs:
-                rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+                fp, fpp, ri = rad[1], rad[2], rinv[es]
             if want_grad:
-                rhat = p * rinv
-            for orb, members in groups:
-                rad = orb._radial(r, derivs)
-                f = rad[0]
-                lapfac = {}
-                for k, poly, polyg, l in members:
-                    P = None if l == 0 else poly(p)
-                    val[k] = f if P is None else P * f
-                    if not derivs:
-                        continue
-                    fp, fpp = rad[1], rad[2]
+                rh = rhat[es]
+            if row0 is not None:
+                s = slice(row0, row0 + E)
+                T[s] = f
+                if want_grad:
+                    np.multiply(fp[:, None], rh, out=G[s])
+                if want_lap:
+                    np.add(fpp, 2.0 * fp * ri, out=L[s])
+            if axes is not None:
+                A = axes.stop - axes.start
+                s = slice(row1, row1 + E * A)
+                P = pos[es, axes]
+                np.multiply(P, f[:, None], out=T[s].reshape(E, A, m))
+                if want_grad:
+                    g = G[s].reshape(E, A, 3, m)
+                    np.multiply((P * fp[:, None])[:, :, None], rh[:, None], out=g)
+                    for k in range(A):
+                        g[:, k, axes.start + k] += f
+                if want_lap:
+                    np.multiply(P, (fpp + 4.0 * fp * ri)[:, None], out=L[s].reshape(E, A, m))
+            if polys:
+                p = pos[es].transpose(1, 0, 2)
+                for row2, poly, polyg in polys:
+                    s = slice(row2, row2 + E)
+                    P = poly(p)
+                    T[s] = P * f
                     if want_grad:
-                        grad[k] = f * polyg(p) + (fp if P is None else P * fp) * rhat
+                        g = f * polyg(p) + (P * fp) * rh.transpose(1, 0, 2)
+                        G[s] = g.transpose(1, 0, 2)
                     if want_lap:
-                        if l not in lapfac:
-                            lapfac[l] = fpp + 2.0 * (l + 1) * fp * rinv
-                        lap[k] = lapfac[l] if P is None else P * lapfac[l]
-        return val, grad, lap
+                        L[s] = P * (fpp + 6.0 * fp * ri)
+        return T, G, L
+
+    def _blocks(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+        """Determinants (blocks, m) and, as asked, gradient rows (rows, 3, m)
+        and Laplacians (blocks, m) of the distinct blocks, in plan order."""
+        m = x.shape[0]
+        T, G, L = self._table(x, want_grad, want_lap)
+        dets, rows, laps = [], [], []
+        for n, nb, key, keys in self._sizes:
+            if n == 1:
+                dets.append(T[key])
+                if want_grad:
+                    rows.append(G[key])
+                if want_lap:
+                    laps.append(L[key])
+                continue
+            A = T[key].reshape(n, n, nb * m)
+            dets.append(_det(A).reshape(nb, m))
+            if not (want_grad or want_lap):
+                continue
+            C = [[c.reshape(nb, m) for c in row] for row in _cofactors(A)]
+            if want_grad:
+                for i in range(n):
+                    row = C[i][0][:, None] * G[keys[i][0]]
+                    for j in range(1, n):
+                        row += C[i][j][:, None] * G[keys[i][j]]
+                    rows.append(row)
+            if want_lap:
+                ij = [(i, j) for i in range(n) for j in range(n)]
+                lap = C[0][0] * L[keys[0][0]]
+                for i, j in ij[1:]:
+                    lap += C[i][j] * L[keys[i][j]]
+                laps.append(lap)
+        return (_cat(dets), _cat(rows) if want_grad else None,
+                _cat(laps) if want_lap else None)
 
     def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
         """(values, gradients, laplacians), None for a part not asked for."""
         m = x.shape[0]
         derivs = want_grad or want_lap
-        val, tgrad, tlap = self._table(np.ascontiguousarray(x.T), want_grad, want_lap)
-        dets, rows, laps = [], [], []
-        for electrons, idx in self._blocks:
-            A = [[val[k] for k in row] for row in idx]
-            dets.append(_det(A))
-            if not derivs:
-                continue
-            C = _cofactors(A)
-            if want_grad:
-                brows = []
-                for i, slots in enumerate(idx):
-                    row = np.zeros((3, m))
-                    for j, k in enumerate(slots):
-                        row += C[i][j] * tgrad[k]
-                    brows.append(row)
-                rows.append(brows)
-            if want_lap:
-                lap_b = np.zeros(m)
-                for i, slots in enumerate(idx):
-                    for j, k in enumerate(slots):
-                        lap_b += C[i][j] * tlap[k]
-                laps.append(lap_b)
+        D, R, LB = self._blocks(x, want_grad, want_lap)
+        if self._padded:
+            D = np.concatenate([D, np.ones((1, m))])
+        coeff = self._coeff
+        prod = D[self._terms[0]] if coeff is None else coeff * D[self._terms[0]]
+        for k in self._terms[1:]:
+            prod = prod * D[k]
+        v = _ordered_sum(prod) + 0.0
+        if not derivs:
+            return v, None, None
 
-        v = np.zeros(m)
-        gt = np.zeros((3 * self.n_particles, m)) if want_grad else None
-        lap = np.zeros(m) if want_lap else None
-        for coeff, bids in self._term_blocks:
-            prod = np.full(m, coeff)
-            for bi in bids:
-                prod = prod * dets[bi]
-            v = v + prod
-            if not derivs:
-                continue
-            for pos, bi in enumerate(bids):
-                other = np.full(m, coeff)
-                for pos2, bj in enumerate(bids):
-                    if pos2 != pos:
-                        other = other * dets[bj]
-                if want_grad:
-                    for e, row in zip(self._blocks[bi][0], rows[bi]):
-                        gt[3 * e : 3 * e + 3] += other * row
-                if want_lap:
-                    lap += other * laps[bi]
-        # row-major (m, 3N) as before: numpy's sum over a row (np.linalg.norm)
-        # adds in a layout-dependent order
-        g = np.ascontiguousarray(gt.T) if want_grad else None
+        # per factor, coeff times the determinants of the term's other blocks
+        other = None
+        K = len(self._terms)
+        if K > 1 or coeff is not None:
+            parts = []
+            for k in range(K):
+                rest = [self._terms[j] for j in range(K) if j != k]
+                if not rest:
+                    parts.append(np.broadcast_to(coeff, (len(coeff), m)))
+                    continue
+                o = D[rest[0]] if coeff is None else coeff * D[rest[0]]
+                for j in rest[1:]:
+                    o = o * D[j]
+                parts.append(o)
+            other = np.stack(parts, axis=1).reshape(len(self.terms) * K, m)
+        lap = g = None
+        if want_lap:
+            fo, fb = self._factors
+            c = LB[fb]
+            lap = _ordered_sum(c if other is None else other[fo] * c) + 0.0
+        if want_grad:
+            n = self.n_particles
+            width, cf, cr = self._contrib
+            if self._zero_pad:
+                R = np.concatenate([R, np.zeros((1, 3, m))])
+                if other is not None:
+                    other = np.concatenate([other, np.zeros((1, m))])
+            c = R[cr]
+            if other is not None:  # in place unless c is a view of R
+                c = np.multiply(other[cf][:, None], c,
+                                out=None if isinstance(cr, slice) else c)
+            gt = _ordered_sum(c.reshape(width, n, 3, m))
+            # row-major (m, 3N): numpy's sum over a row (np.linalg.norm)
+            # adds in a layout-dependent order
+            g = np.add(gt.reshape(3 * n, m).T, 0.0, out=np.empty((m, 3 * n)))
         return v, g, lap
 
     def values(self, x: np.ndarray) -> np.ndarray:

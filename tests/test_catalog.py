@@ -131,3 +131,43 @@ def test_proposal_steps_are_tuned_per_state():
             assert s.proposal_step > 0.0
     # heavier states take shorter steps
     assert get_state("1S_1s2_2s2").proposal_step < get_state("2P_2p").proposal_step
+
+
+# ------------------------------------- stacked reference draws stay bitwise
+
+
+def _reference_sample(g, rng, n):
+    """ReferenceDensity.sample particle by particle: a gamma radius and a
+    normal direction normalized by np.linalg.norm (Coulomb), or a scaled
+    normal draw (harmonic), concatenated along the coordinates."""
+    cols = []
+    for _ in range(g.n_particles):
+        if g.family == "coulomb":
+            r = rng.gamma(3.0, 1.0 / g.a, size=n)
+            v = rng.standard_normal((n, 3))
+            cols.append(v / np.linalg.norm(v, axis=1, keepdims=True) * r[:, None])
+        else:
+            cols.append(rng.standard_normal((n, 3)) / np.sqrt(g.omega))
+    return np.concatenate(cols, axis=1)
+
+
+def _reference_pdf(g, x):
+    pos = x.reshape(x.shape[0], g.n_particles, 3)
+    if g.family == "coulomb":
+        r = np.linalg.norm(pos, axis=2)
+        c = (g.a ** 3 / (8.0 * np.pi)) ** g.n_particles
+        return c * np.exp(-g.a * np.sum(r, axis=1))
+    c = (g.omega / (2.0 * np.pi)) ** (1.5 * g.n_particles)
+    return c * np.exp(-0.5 * g.omega * np.sum(x * x, axis=1))
+
+
+@pytest.mark.parametrize("name", [s.name for s in ALL if s.reference_density])
+@pytest.mark.parametrize("n", [1, 37, 2048])
+def test_reference_density_matches_particle_loop_bitwise(name, n):
+    g = get_state(name).reference_density
+    x = g.sample(np.random.default_rng(n), n)
+    assert x.tobytes() == _reference_sample(g, np.random.default_rng(n), n).tobytes()
+    # rows with an electron at the origin and with signed-zero coordinates
+    pts = np.concatenate([x, x[:1] * 0.0, -(x[:1] * 0.0)])
+    pts[-1, 3:] = x[0, 3:]
+    assert g.pdf(pts).tobytes() == _reference_pdf(g, pts).tobytes()

@@ -249,6 +249,18 @@ def test_verify_tables_only_takes_a_comma_list(capsys):
     assert "2P_2p" in out and "3S_1s2s" in out
 
 
+def test_verify_tables_names_the_cells_it_skips(capsys):
+    # 3P_1s2p has no quadrature reduction for kin_nda; its pot_nda cell is
+    # checked, and the skipped cell is named and counted
+    code, out, _ = run(["verify-tables", "--only", "3P_1s2p,2P_2p",
+                        "--method", "quadrature"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert "[SKIP] 3P_1s2p kin_nda: no quadrature reduction" in lines
+    assert sum(line.startswith("[SKIP]") for line in lines) == 1
+    assert lines[-1] == "checked 3 cells; failures: 0; skipped 1"
+
+
 def test_verify_tables_flags_large_deviations(capsys, monkeypatch):
     # poison one exact reference value; a correct sampler must now land
     # more than 4 sigma away from it and the command must exit 1

@@ -1,5 +1,6 @@
 import unittest
 import warnings
+from itertools import combinations
 
 import numpy as np
 
@@ -63,6 +64,50 @@ class TestPotential(unittest.TestCase):
         h = harmonic_pair(omega=0.25)
         with self.assertRaises(ValueError):
             potential_batch(h, np.zeros((1, 9)))
+
+
+def _reference_potential_batch(h, x):
+    """potential_batch with np.linalg.norm per electron and per pair."""
+    n = x.shape[1] // 3
+    pos = x.reshape(x.shape[0], n, 3)
+    bad = np.zeros(x.shape[0], dtype=bool)
+
+    def safe(d):
+        near = d < 1e-300
+        bad[:] |= near.any(axis=1) if near.ndim > 1 else near
+        return np.where(near, 1.0, d)
+
+    if h.family == "coulomb_atom":
+        v = np.zeros(x.shape[0])
+        v -= h.Z * np.sum(1.0 / safe(np.linalg.norm(pos, axis=2)), axis=1)
+        if h.ee:
+            for i, j in combinations(range(n), 2):
+                v += 1.0 / safe(np.linalg.norm(pos[:, i] - pos[:, j], axis=1))
+    else:
+        v = 0.5 * h.omega ** 2 * np.sum(x * x, axis=1)
+        if h.g0 != 0.0:
+            v += h.g0 / safe(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=1))
+    v[bad] = np.inf
+    return v
+
+
+class TestPotentialBatchBitwise(unittest.TestCase):
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [(coulomb_atom(Z=z, ee=ee), n) for z in (1.0, 2.5)
+                 for ee in (False, True) for n in (1, 2, 3, 4)]
+        cases += [(harmonic_pair(omega=0.25, g0=g0), 2) for g0 in (0.0, 1.0)]
+        for h, n in cases:
+            for m in (1, 37, 2048):
+                x = rng.uniform(-4.0, 4.0, (m, 3 * n))
+                if m > 1:
+                    x[-1, :3] = 0.0                       # electron at the origin
+                    if n > 1:
+                        x[-2, 3:6] = x[-2, :3]            # coincident pair
+                    x[0, 1::3] = -0.0                     # signed zeros
+                got = potential_batch(h, x)
+                self.assertEqual(got.tobytes(),
+                                 _reference_potential_batch(h, x).tobytes(), (h, n, m))
 
 
 class TestLocalEnergy(unittest.TestCase):

@@ -212,6 +212,20 @@ def _slater_model(name, Z):
                 wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=0))
         term = wf.Term(coeff=1.0, blocks=(wf.DetBlock(orbs, (0, 1, 2)),))
         return wf.SlaterProduct([term], n_particles=3, family="coulomb")
+    if name == "mixed":
+        # every branch of the plan: 1x1, 2x2 and 3x3 blocks over 6 electrons
+        # in one term; a second term with coefficient -0.5 and two blocks
+        # (terms padded with ones), which leaves electrons 1, 2 and 4 in one
+        # term only (gradient contributions padded with zeros)
+        s1 = (wf.Orbital("hydrogenic_1s", Z),)
+        sp = (wf.Orbital("hydrogenic_2s", Z), wf.Orbital("hydrogenic_2p", Z, axis="x"))
+        dps = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=-2),
+               wf.Orbital("hydrogenic_2p", Z, axis="z"), wf.Orbital("hydrogenic_1s", Z))
+        ps = (wf.Orbital("hydrogenic_2p", Z, axis="y"), wf.Orbital("hydrogenic_2s", Z))
+        terms = [wf.Term(coeff=1.0, blocks=(wf.DetBlock(s1, (0,)), wf.DetBlock(sp, (1, 2)),
+                                            wf.DetBlock(dps, (3, 4, 5)))),
+                 wf.Term(coeff=-0.5, blocks=(wf.DetBlock(ps, (0, 3)), wf.DetBlock(s1, (5,))))]
+        return wf.SlaterProduct(terms, n_particles=6, family="coulomb")
     if name.startswith("subshell"):
         return subshell_family(1, int(name[-1]), Z).model
     return get_state(name, Z=Z).model
@@ -231,11 +245,18 @@ def _draw_points(data, n_particles):
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "det3")),
+@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "det3",
+                                              "mixed")),
        Z=st.floats(0.3, 4.0), data=st.data())
 def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     model = _slater_model(name, Z)
     x = _draw_points(data, model.n_particles)
+    # rows of signed zeros: -0.0 x and +0.0 y coordinates; electron 0 at
+    # (-0.0, -0.0, -0.0)
+    zeros = x[:2].copy()
+    zeros[0, 0::3], zeros[0, 1::3] = -0.0, 0.0
+    zeros[1, :3] = -0.0
+    x = np.concatenate([x, zeros])
     ref = _reference_vgl(model, x)
     fused = model.vgl(x)
     separate = (model.values(x), model.gradients(x), model.laplacians(x))

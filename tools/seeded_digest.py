@@ -1,0 +1,111 @@
+"""Print one ``label sha1`` line per seeded output of the nda program.
+
+Each line names an output and gives the SHA-1 of its bytes (arrays) or of
+the repr of its fields (estimates).  Run it in two checkouts and diff the
+outputs: no difference means every listed output is bitwise unchanged.
+
+    PYTHONPATH=src python tools/seeded_digest.py > digest.txt
+
+For each catalog state with a model, the outputs are:
+
+* ``vgl`` (and ``values``, ``gradients``, ``laplacians``) at fixed points,
+  1, 37 and 2048 rows, some with signed-zero coordinates or an electron at
+  the origin;
+* the reference density's ``sample`` and ``pdf`` at n = 1, 37 and 2048;
+* ``potential_batch`` of the state's Hamiltonian (and, for atoms, of the
+  interacting atom) on those points, with coincident-particle rows;
+* at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, the
+  joint pot and std pass, abs, surface, shell and ``metropolis_samples``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import astuple
+from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
+
+from nda import estimators as est
+from nda.catalog import catalog_list
+from nda.hamiltonians import coulomb_atom, potential_batch
+
+CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
+ROWS = (1, 37, 2048)
+
+
+def _sha(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        data = obj.dtype.str.encode() + repr(obj.shape).encode() + obj.tobytes()
+    else:
+        data = repr(obj).encode()
+    return hashlib.sha1(data).hexdigest()
+
+
+def _fields(value):
+    """An estimate, or a dict of them, as a tuple of its exact fields."""
+    if isinstance(value, dict):
+        return tuple((k, _fields(v)) for k, v in sorted(value.items()))
+    return astuple(value)
+
+
+def _points(n_particles: int, m: int, seed: int) -> np.ndarray:
+    """m rows of 3N coordinates; from the fourth row on, every fourth row
+    has signed-zero x (-0.0) and y (+0.0) coordinates and the last row puts
+    electron 0 at the origin, and repeats it as electron 1 where there is
+    one (a coincident pair)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4.0, 4.0, (m, 3 * n_particles))
+    x[3::4, 0::3] = -0.0
+    x[3::4, 1::3] = 0.0
+    if m > 1:
+        x[-1, 0:3] = 0.0
+        if n_particles > 1:
+            x[-1, 3:6] = 0.0
+    return x
+
+
+def digest(states: Optional[Sequence] = None,
+           configs: Sequence[Tuple[int, int]] = CONFIGS,
+           rows: Sequence[int] = ROWS) -> Iterator[str]:
+    """Yield the ``label sha1`` lines for the given catalog states."""
+    states = [s for s in (states or catalog_list()) if s.model is not None]
+    for st in states:
+        model, g, n = st.model, st.reference_density, st.model.n_particles
+        hams = [("h", st.hamiltonian())]
+        if "Z" in st.parameters:
+            hams.append(("h_ee", coulomb_atom(float(st.parameters["Z"]), ee=True)))
+        for m in rows:
+            x = _points(n, m, seed=m)
+            for part, a in zip(("v", "g", "lap"), model.vgl(x)):
+                yield f"{st.name}/vgl.{part}/m={m} {_sha(a)}"
+            for meth in ("values", "gradients", "laplacians"):
+                yield f"{st.name}/{meth}/m={m} {_sha(getattr(model, meth)(x))}"
+            draws = g.sample(np.random.default_rng(m), m)
+            yield f"{st.name}/density.sample/n={m} {_sha(draws)}"
+            yield f"{st.name}/density.pdf/n={m} {_sha(g.pdf(draws))}"
+            yield f"{st.name}/density.pdf.points/m={m} {_sha(g.pdf(x))}"
+            for label, h in hams:
+                yield f"{st.name}/potential_batch.{label}/m={m} {_sha(potential_batch(h, x))}"
+        for chains, steps in configs:
+            cfg = est.SamplerConfig(n_chains=chains, steps_per_chain=steps)
+            tag = f"{chains}x{steps}"
+            runs = [("pot", lambda: est.estimate_pot_nda(st, cfg)),
+                    ("std", lambda: est.estimate_standard_expectations(st, cfg)),
+                    ("joint", lambda: est.estimate_pot_and_standard(st, cfg)),
+                    ("abs", lambda: est.estimate_abs_norm(st, cfg)),
+                    ("surface", lambda: est.estimate_kin_nda_surface(st, cfg)),
+                    ("shell", lambda: est.estimate_kin_nda_shell(st, cfg))]
+            for name, run in runs:
+                if name == "surface" and st.node_param is None:
+                    continue
+                if name == "shell" and chains < 2:
+                    continue
+                yield f"{st.name}/{name}/{tag} {_sha(_fields(run()))}"
+            yield (f"{st.name}/metropolis_samples/{tag} "
+                   f"{_sha(est.metropolis_samples(st, cfg))}")
+
+
+if __name__ == "__main__":
+    for line in digest():
+        print(line, flush=True)
