@@ -6,7 +6,7 @@ Each :class:`StateSpec` bundles a wave-function model with
   :class:`fractions.Fraction` so identities can be checked exactly),
 * the Hamiltonian it is an eigenstate of (noninteracting Coulomb atoms for
   the atomic entries; the harmonic pair for the trap entries),
-* a normalized reference density ``g`` used by ratio and level-set
+* a normalized reference density ``g`` used by the ratio and shell
   estimators, and
 * where the node is known analytically, a :class:`NodeParametrization`
   that draws surface parameters and maps them onto the node with the exact
@@ -73,7 +73,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# reference densities (exactly normalized; used by ratio/level-set estimators)
+# reference densities (exactly normalized; used by ratio and shell estimators)
 
 
 def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -556,10 +556,11 @@ def _zsq(coef: Fraction, Z) -> Fraction | float:
 
 
 def _coulomb_density(Z, n, rate=0.75):
-    # Per-electron radial decay a = rate * Z.  The rate is chosen per state so
-    # that (i) the set {|Psi| < eps} is dominated by the nodal slab rather than
-    # the large-r tail (needs a >= mean orbital decay rate) and (ii) |Psi|/g
-    # keeps finite variance (needs a < twice the slowest orbital decay rate).
+    # Per-electron radial decay a = rate * Z.  |Psi|/g keeps finite variance
+    # only for a < twice the slowest orbital decay rate.  The per-state rates
+    # were tuned for a shell selected by |Psi| < eps, which also needed
+    # a >= the mean orbital decay rate; the shell now selects by node
+    # distance and has no lower limit.
     return ReferenceDensity(family="coulomb", n_particles=n, a=rate * float(Z))
 
 

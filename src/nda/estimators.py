@@ -2,14 +2,19 @@
 
 Shared conventions:
 
-* every chain owns an RNG stream derived from (seed, stream tag, chain
-  index), so results depend only on the seed and the chain count;
+* every Metropolis walk and every i.i.d. estimator call owns one RNG
+  stream, seeded from (seed, stream tag), so results depend only on the
+  seed and the chain count.  A walk draws its chains' starting points in
+  one call, then per step and chain 3N proposal uniforms and one
+  acceptance uniform, a slab of steps at a time (_metropolis); an i.i.d.
+  call draws _CHUNK rows at a time, and row r of its stream is draw r % n
+  of chain r // n, so its chains are disjoint runs of one stream.  Memory
+  is bounded by _SLAB and _CHUNK, not by the sample budget;
 * chains are batched: a Metropolis step moves every chain with one model
-  call, and i.i.d. draws of several chains share one model call.  The
-  Metropolis engine moves several walks in lock-step (the |Psi| walk of
-  pot_nda and the Psi^2 walk of the standard expectations, in
-  estimate_pot_and_standard): its rows are walks x chains, one model call
-  per step for all of them, and each walk keeps its own streams, proposal
+  call, and several walks move in lock-step (the |Psi| walk of pot_nda
+  and the Psi^2 walk of the standard expectations, in
+  estimate_pot_and_standard): the rows are walks x chains, one model call
+  per step for all of them, and each walk keeps its own stream, proposal
   width, acceptance density, acceptance count and thinning.  Kept
   Metropolis steps reach the estimators in blocks of
   k = max(1, _ROWS // n_chains) steps per walk, collect(js, xs, vs), so
@@ -17,25 +22,18 @@ Shared conventions:
   share one call.  Every array operation treats rows independently and
   every per-chain sum keeps its order, so neither the batching nor the
   other walks enter the arithmetic;
-* a chain consumes its stream in chunks of _CHUNK steps or draws: a
-  Metropolis chain draws a chunk's (steps, 3N) proposal noise and then its
-  uniforms, so _CHUNK fixes which random number feeds which step and
-  changing it changes every seeded result.  The Metropolis engine draws a
-  chunk in slabs of s = max(1, min(_CHUNK, steps, _SLAB // n_chains)
-  // n_walks) steps into one (rows, s, 3N) noise buffer and one (rows, s)
-  uniform buffer, reading the uniforms through a second cursor on each
-  chain's stream, so its memory is about max(_SLAB, n_chains) * (3N + 1)
-  doubles at any chain count, however many walks share it, and the slab
-  size never enters the walk;
 * every estimator is an integrand handed to one engine reducer:
   _metropolis_average calls integrand(x, v) on the rows x of a block of
   kept steps and their raw values v and gets back (ok, values), a mask of
   the rows it keeps (None keeps all) and a tuple of per-row arrays, one per
-  estimate; _iid_average calls integrand(x) on a batch of draws and gets
+  estimate; _iid_average calls integrand(x) on a block of draws and gets
   back a sequence of per-row arrays.  Both add the rows into one _Blocks
   accumulator, which splits each chain's kept steps or draws into 50
   blocks, counts the rejected rows and gives the per-chain means and the
-  NdaEstimates; the shell fits its line to the per-chain means;
+  NdaEstimates;
+* the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
+  and fits a line in eps^2 to each chain's rung means; its pilot draws set
+  the default ladder and then count like the others;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise (Flyvbjerg & Petersen 1989).
@@ -44,6 +42,7 @@ Shared conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -66,8 +65,8 @@ __all__ = [
     "metropolis_samples",
 ]
 
-_CHUNK = 2048   # draws per chain and chunk
-_ROWS = 2048    # rows per model call, but at least one chain chunk or step
+_CHUNK = 2048   # i.i.d. draws per block; Metropolis steps per slab at most
+_ROWS = 2048    # kept Metropolis rows per model call, but at least one step
 _SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
 _STD_THIN = 4  # default thinning of the Psi^2 integrand
@@ -88,9 +87,10 @@ class SamplerConfig:
 
     burn_in defaults to 10% of steps_per_chain; proposal_step defaults to
     the per-state tuned half-width carried by the StateSpec.
-    epsilon_ladder applies to the delta-shell estimator only; when omitted
-    a pilot pass over the first min(_CHUNK, steps_per_chain) draws of each
-    chain sets it from the sampled |Psi| scale.
+    epsilon_ladder applies to the delta-shell estimator only, in units of
+    the node-distance proxy |Psi| / |grad Psi| (a length); when omitted, the
+    1 % quantile of that proxy over the call's first
+    n_chains * min(_CHUNK, steps_per_chain) draws sets its widest rung.
     """
 
     n_chains: int = 8
@@ -150,8 +150,8 @@ class NdaEstimate:
 # chain streams and errors
 
 
-def _rng(seed: int, tag: int, chain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, tag, chain)))
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, tag)))
 
 
 def _stderr_from_chains(chain_means: np.ndarray, block_sums: np.ndarray,
@@ -268,7 +268,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     """Metropolis walks moved in lock-step, one model call per step.
 
     walks is a sequence of (power, tag, collect, thin), each a walk of
-    n_chains chains with stationary density |Psi|^power on the streams of
+    n_chains chains with stationary density |Psi|^power on the stream of
     tag.  Walk w owns rows w * n_chains .. (w + 1) * n_chains - 1 of one
     batch, and every step moves all the rows with one model.values call;
     each walk keeps its own proposal width, acceptance density and count.
@@ -282,22 +282,19 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     the block is reused, so collect copies what it keeps.  Returns each
     walk's global acceptance rate.
 
-    Each chain draws a chunk of m <= _CHUNK steps as m * 3N proposal
-    uniforms followed by m acceptance uniforms.  Both are read slab by slab
-    (s steps at a time): the noise from the chain's generator and the
-    acceptance uniforms from a cursor copied from it and advanced past the
-    chunk's noise.  At the end of the chunk that cursor sits where the next
-    chunk starts, so the two swap roles.  The walk is therefore the same
-    for every slab size, bit for bit; and since model.values treats rows
-    independently, each walk is the walk it would be on its own.  The slab
-    of one walk's s steps is cut by the number of walks, so the buffers
-    hold no more rows than one walk's.
+    A walk's stream gives its n_chains starting points (one density.sample
+    call) and then, step by step and chain by chain, 3N proposal uniforms
+    and one acceptance uniform, filled s steps at a time.  The walk is
+    therefore the same for every slab size, bit for bit; and since
+    model.values treats rows independently, each walk is the walk it would
+    be on its own.  The slab of one walk's s steps is cut by the number of
+    walks, so the buffer holds no more rows than one walk's.
     """
     density = _density(state)
     dim = 3 * model.n_particles
-    C, steps = cfg.n_chains, cfg.steps_per_chain
+    W, C, steps = len(walks), cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
-    rows = [slice(w * C, (w + 1) * C) for w in range(len(walks))]
+    rows = [slice(w * C, (w + 1) * C) for w in range(W)]
     powers = [walk[0] for walk in walks]
     # |Psi|^2 is roughly a factor sqrt(2) narrower than |Psi| in every
     # direction; halving the tuned |Psi| step keeps the walk near the
@@ -306,8 +303,8 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
               else state.proposal_step * (0.5 if power == 2 else 1.0)
               for power in powers]
 
-    rngs = [_rng(cfg.seed, tag, c) for _, tag, _, _ in walks for c in range(C)]
-    x = np.concatenate([density.sample(rng, 1) for rng in rngs], axis=0)
+    rngs = [_stream(cfg.seed, tag) for _, tag, _, _ in walks]
+    x = np.concatenate([density.sample(rng, C) for rng in rngs])
     v = model.values(x)
     # acceptance densities: |v|, squared in place on the rows of the
     # Psi^2 walks (|v| * |v| has the bits of v * v)
@@ -316,52 +313,46 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     for sl in squared:
         np.square(t[sl], out=t[sl])
     tp_squared = [tp[sl] for sl in squared]
-    # one set of slab buffers per run; urngs are the uniform cursors, and
-    # accs holds each step's acceptances until the slab's are counted
-    s = max(1, min(_CHUNK, steps, _SLAB // C) // len(walks))
-    noise = np.empty((len(rngs), s, dim))
-    unif = np.empty((len(rngs), s))
-    accs = np.empty((s, len(rngs)), dtype=bool)
-    accepted = np.zeros(len(rngs), dtype=np.int64)
-    urngs = [np.random.default_rng(0) for _ in rngs]  # state set per chunk
+    # one slab buffer per run, and the slab's acceptance uniforms gathered
+    # row-major into ua; accs holds each step's acceptances until the
+    # slab's are counted.  Accepted rows of x move as whole void items.
+    s = max(1, min(_CHUNK, steps, _SLAB // C) // W)
+    u = np.empty((W, s, C, dim + 1))
+    ua = np.empty((s, W * C))
+    accs = np.empty((s, W * C), dtype=bool)
+    accepted = np.zeros(W * C, dtype=np.int64)
+    xp = np.empty_like(x)
+    row = np.dtype((np.void, x.itemsize * dim))
+    xv, xpv = x.view(row).reshape(-1), xp.view(row).reshape(-1)
+    x3, xp3 = x.reshape(W, C, dim), xp.reshape(W, C, dim)
     k = max(1, _ROWS // C)
     kept = [_Kept(collect, thin, x[sl], v[sl], k)
             for (_, _, collect, thin), sl in zip(walks, rows)]
-    done = 0
-    while done < steps:
-        m = min(_CHUNK, steps - done)
-        for rng, urng in zip(rngs, urngs):
-            urng.bit_generator.state = rng.bit_generator.state
-            urng.bit_generator.advance(m * dim)
-        for a in range(0, m, s):
-            b = min(s, m - a)
-            for c, (rng, urng) in enumerate(zip(rngs, urngs)):
-                rng.random(out=noise[c, :b])
-                urng.random(out=unif[c, :b])
-            # uniform(-w, w) computes -w + 2 w * u: the same bits
-            for sl, width in zip(rows, widths):
-                slab = noise[sl, :b]
-                slab *= 2 * width
-                slab -= width
-            for j in range(b):
-                xp = x + noise[:, j, :]
-                vp = model.values(xp)
-                np.abs(vp, out=tp)
-                for tw in tp_squared:
-                    np.square(tw, out=tw)
-                acc = np.less(unif[:, j] * t, tp, out=accs[j])
-                np.copyto(x, xp, where=acc[:, None])
-                np.copyto(v, vp, where=acc)
-                np.copyto(t, tp, where=acc)
-                g = done + a + j - burn
-                if g >= 0:
-                    for walk in kept:
-                        if g % walk.thin == 0:
-                            walk.keep(g)
-            accepted += accs[:b].sum(axis=0)
-        # each uniform cursor now sits where its chain's next chunk starts
-        rngs, urngs = urngs, rngs
-        done += m
+    for a in range(0, steps, s):
+        b = min(s, steps - a)
+        # uniform(-w, w) computes -w + 2 w * u: the same bits
+        for w, (rng, width) in enumerate(zip(rngs, widths)):
+            rng.random(out=u[w, :b])
+            noise = u[w, :b, :, :dim]
+            noise *= 2 * width
+            noise -= width
+        np.copyto(ua[:b].reshape(b, W, C), u[:, :b, :, dim].transpose(1, 0, 2))
+        for j in range(b):
+            np.add(x3, u[:, j, :, :dim], out=xp3)
+            vp = model.values(xp)
+            np.abs(vp, out=tp)
+            for sq in tp_squared:
+                np.square(sq, out=sq)
+            acc = np.less(ua[j] * t, tp, out=accs[j])
+            np.copyto(xv, xpv, where=acc)
+            np.copyto(v, vp, where=acc)
+            np.copyto(t, tp, where=acc)
+            g = a + j - burn
+            if g >= 0:
+                for walk in kept:
+                    if g % walk.thin == 0:
+                        walk.keep(g)
+        accepted += accs[:b].sum(axis=0)
     for walk in kept:
         walk.flush()
     return [int(accepted[sl].sum()) / (C * steps) for sl in rows]
@@ -513,35 +504,26 @@ def estimate_pot_and_standard(state: StateSpec,
 # reference-ratio (independent-sample) estimators
 
 
-def _iid_batches(cfg: SamplerConfig, tag: int, draw: Callable,
-                 evaluate: Callable) -> Iterator[tuple]:
-    """Chain-batched i.i.d. sampling.
+def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable) -> Iterator[tuple]:
+    """The call's n_chains * steps_per_chain i.i.d. draws as one stream.
 
-    Chain c draws draw(rng_c, m) from its own stream in chunks of
-    m <= _CHUNK rows.  The chunks of max(1, _ROWS // m) consecutive chains
-    are concatenated, chain-major, and passed to evaluate in one call.
-    Yields (c0, c1, done, m, evaluate(rows)) for chains c0 <= c < c1 and
-    draws done .. done + m of each.
+    Draws draw(rng, m) in blocks of m <= _CHUNK rows from the stream of
+    tag, and yields (chains, draws, x) per block: row r of the stream is
+    draw r % n of chain r // n, n = steps_per_chain.
     """
-    n = cfg.steps_per_chain
-    rngs = [_rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        k = max(1, _ROWS // m)
-        for c0 in range(0, cfg.n_chains, k):
-            c1 = min(c0 + k, cfg.n_chains)
-            rows = np.concatenate([draw(rngs[c], m) for c in range(c0, c1)])
-            yield c0, c1, done, m, evaluate(rows)
-        done += m
+    n, total = cfg.steps_per_chain, cfg.n_chains * cfg.steps_per_chain
+    rng = _stream(cfg.seed, tag)
+    for r0 in range(0, total, _CHUNK):
+        r = np.arange(r0, min(r0 + _CHUNK, total))
+        yield r // n, r % n, draw(rng, r.size)
 
 
 def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
                  integrand: Callable, n_values: int = 1) -> _Blocks:
     """Block sums of integrand(rows) -> n_values per-row arrays."""
     acc = _Blocks(cfg.n_chains, cfg.steps_per_chain, n_values)
-    for c0, c1, done, m, w in _iid_batches(cfg, tag, draw, integrand):
-        acc.add(np.arange(c0, c1)[:, None], np.arange(done, done + m), w)
+    for chains, draws, x in _iid_stream(cfg, tag, draw):
+        acc.add(chains, draws, integrand(x))
     return acc
 
 
@@ -602,61 +584,62 @@ def estimate_kin_nda_surface(state: StateSpec,
 
 def estimate_kin_nda_shell(state: StateSpec,
                            cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
-    """E_kin^nda from a thin |Psi| < epsilon shell, extrapolated to zero width.
+    """E_kin^nda from a thin shell about the node, extrapolated to zero width.
 
-    Samples are drawn iid from the reference density g.  For each ladder
-    epsilon the surface integral is estimated as the g-average of
-    1{|Psi| < eps} |grad Psi|^2 / (2 eps g); a least-squares line in eps^2
+    Samples are drawn iid from the reference density g, and the shell is
+    selected by the node-distance proxy d = |Psi| / |grad Psi|.  For each
+    ladder epsilon the surface integral is estimated as the g-average of
+    1{d < eps} |grad Psi| / (2 eps g); a least-squares line in eps^2
     through each chain's averages is extrapolated to eps -> 0 and divided
-    by the chain's g-average of |Psi| / g.  Gradients are evaluated only
-    inside the widest rung; fewer than 100 hits in the narrowest one mark
-    the estimate "unconverged".  Without an epsilon_ladder, a pilot pass
-    over each chain's first min(_CHUNK, steps_per_chain) draws sets eps_0
-    to the mean over chains of the 1 % |Psi| quantile.
+    by the chain's g-average of |Psi| / g.  Fewer than 100 hits in the
+    narrowest rung mark the estimate "unconverged".  The pilot, the
+    stream's first n_chains * min(_CHUNK, steps_per_chain) draws, is
+    evaluated first; without an epsilon_ladder it sets eps_0 to the 1 %
+    quantile of its d.  Its rows then enter the averages like any other.
     """
     cfg = cfg or SamplerConfig()
     model, g = _model(state), _density(state)
     if cfg.n_chains < 2:
         raise ValueError("delta-shell stderr needs at least 2 chains")
+
+    def evaluate(x):
+        v, grads, _ = model._evaluate(x, True, False)
+        av, dens = np.abs(v), g.pdf(x)
+        gn = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+        return av / np.maximum(gn, 1e-300), gn / dens, av / dens
+
+    stream = ((chains, draws, evaluate(x))
+              for chains, draws, x in _iid_stream(cfg, _TAG_SHELL, g.sample))
+    pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
     if cfg.epsilon_ladder is not None:
         ladder = np.asarray(cfg.epsilon_ladder)
     else:
-        # one chunk per chain, so each chain's draws arrive in one batch
-        pilot = replace(cfg, steps_per_chain=min(_CHUNK, cfg.steps_per_chain),
-                        burn_in=None)
-        quantiles = [np.quantile(av.reshape(c1 - c0, m), 0.01, axis=1)
-                     for c0, c1, _, m, av in _iid_batches(
-                         pilot, _TAG_SHELL, g.sample,
-                         lambda x: np.abs(model.values(x)))]
-        eps0 = float(np.mean(np.concatenate(quantiles)))
+        eps0 = float(np.quantile(np.concatenate([p[2][0] for p in pilot]), 0.01))
         if eps0 <= 0.0:
-            raise RuntimeError("could not scale the epsilon ladder: |Psi| "
-                               "quantile vanished")
+            raise RuntimeError("could not scale the epsilon ladder: node "
+                               "distance quantile vanished")
         ladder = eps0 * 0.5 ** np.arange(4)
     K = ladder.size
-
-    def integrand(x):
-        dens = g.pdf(x)
-        av = np.abs(model.values(x))
-        cols = np.zeros((K + 2, len(x)))
-        rows = np.flatnonzero(av < ladder[0])
-        gr = model.gradients(x[rows])
-        inside = av[rows] < ladder[:, None]                 # (K, rows)
-        cols[:K, rows] = np.where(inside, np.sum(gr * gr, axis=1) / dens[rows]
-                                  / (2.0 * ladder[:, None]), 0.0)
-        cols[K, rows] = inside[-1]
-        cols[K + 1] = av / dens
-        return cols
-
-    acc = _iid_average(cfg, _TAG_SHELL, g.sample, integrand, K + 2)
-    means = acc.chain_means()
+    # every draw adds |Psi| / g; the K rungs and the narrowest rung's hits
+    # are zero outside the widest rung, so only its rows are added there
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
+    shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, K + 1)
+    for chains, draws, (d, gw, aw) in chain(pilot, stream):
+        acc.add(chains, draws, (aw,))
+        rows = np.flatnonzero(d < ladder[0])
+        inside = d[rows] < ladder[:, None]                  # (K, rows)
+        shell.add(chains[rows], draws[rows],
+                  (*np.where(inside, gw[rows] / (2.0 * ladder[:, None]), 0.0),
+                   inside[-1]))
+    (ratio,) = acc.chain_means()
+    means = shell.sums.sum(axis=2) / acc.counts.sum(axis=1)
     # least-squares intercept against eps^2, every chain at once; eps in
     # units of the widest rung, so that no ladder's squares underflow
     xs, ys = ((ladder / ladder[0]) ** 2)[:, None], means[:K]
     dx = xs - xs.mean()
     slope = np.sum(dx * (ys - ys.mean(axis=0)), axis=0) / np.sum(dx ** 2)
-    kin = (ys.mean(axis=0) - slope * xs.mean()) / means[K + 1]
-    status = "ok" if acc.sums[K].sum() >= 100 else "unconverged"
+    kin = (ys.mean(axis=0) - slope * xs.mean()) / ratio
+    status = "ok" if shell.sums[K].sum() >= 100 else "unconverged"
     return replace(acc.estimates(cfg, "delta_shell", status)[0],
                    mean=float(kin.mean()),
                    stderr=float(np.std(kin, ddof=1) / np.sqrt(cfg.n_chains)))

@@ -118,7 +118,7 @@ class DomainReport:
 
 
 def _sample_points(state: StateSpec, n_points: int, seed: int,
-                   thin: int = 10, n_chains: int = 8) -> np.ndarray:
+                   thin: int = 10, n_chains: int = 128) -> np.ndarray:
     """n_points decorrelated |Psi|-distributed configurations."""
     per_chain = (n_points + n_chains - 1) // n_chains
     steps = per_chain * thin

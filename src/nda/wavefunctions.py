@@ -325,6 +325,10 @@ class WaveFunction:
         """(values, gradients, laplacians) at the same points."""
         raise NotImplementedError
 
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+        """(values, gradients, laplacians), None for a part not asked for."""
+        raise NotImplementedError
+
 
 def evaluate(model: WaveFunction, R) -> float:
     """Amplitude of the model at one configuration (zero is legal: point on node)."""
@@ -797,3 +801,7 @@ class Scaled(WaveFunction):
     def vgl(self, x):
         v, g, lap = self.base.vgl(x)
         return self.c * v, self.c * g, self.c * lap
+
+    def _evaluate(self, x, want_grad, want_lap):
+        return tuple(None if a is None else self.c * a
+                     for a in self.base._evaluate(x, want_grad, want_lap))

@@ -123,7 +123,7 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
     monkeypatch.setattr(estimators, "_metropolis", no_sampling)
-    monkeypatch.setattr(estimators, "_iid_batches", no_sampling)
+    monkeypatch.setattr(estimators, "_iid_stream", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_and_standard", no_sampling)
     code, out, err = run(argv, capsys)

@@ -13,7 +13,7 @@ import pytest
 
 import nda.estimators as estimators
 import nda.wavefunctions as wf
-from nda.catalog import catalog_list, get_state
+from nda.catalog import ReferenceDensity, catalog_list, get_state
 from nda.estimators import (SamplerConfig, estimate_abs_norm,
                             estimate_kin_nda_shell, estimate_kin_nda_surface,
                             estimate_pot_and_standard, estimate_pot_nda,
@@ -194,34 +194,37 @@ def test_missing_model_rejected():
         estimate_pot_nda(st, cfg=FAST)
 
 
+def _stream(seed, tag):
+    """The generator of one walk or one i.i.d. call, built independently of
+    the engine."""
+    return np.random.default_rng(np.random.SeedSequence((seed & (2 ** 64 - 1), tag)))
+
+
 def _reference_walk(state, cfg, thin, power, tag):
-    """The Metropolis walk with fresh per-chunk noise: every chain draws its
-    chunk into its own array and the chunks are np.stack-ed.  Yields
-    (kept-step index, x, raw values) for every thin-th kept step."""
+    """The Metropolis walk drawn one step at a time: the stream gives the
+    chains' starting points, then per step one (chains, 3N + 1) array of
+    uniforms, the proposal noise and then the acceptance uniform of every
+    chain.  Yields (kept-step index, x, raw values) for every thin-th kept
+    step."""
     model = state.model
     dim = 3 * model.n_particles
     steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
     step = state.proposal_step * (0.5 if power == 2 else 1.0)
-    rngs = [estimators._rng(cfg.seed, tag, c) for c in range(cfg.n_chains)]
-    x = np.concatenate([state.reference_density.sample(rng, 1) for rng in rngs])
+    rng = _stream(cfg.seed, tag)
+    x = state.reference_density.sample(rng, cfg.n_chains)
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
-    done = 0
-    while done < steps:
-        m = min(estimators._CHUNK, steps - done)
-        noise = np.stack([rng.uniform(-step, step, size=(m, dim)) for rng in rngs])
-        unif = np.stack([rng.random(m) for rng in rngs])
-        for j in range(m):
-            xp = x + noise[:, j, :]
-            vp = model.values(xp)
-            tp = np.abs(vp) if power == 1 else vp * vp
-            acc = unif[:, j] * t < tp
-            x = np.where(acc[:, None], xp, x)
-            v = np.where(acc, vp, v)
-            t = np.where(acc, tp, t)
-            if done + j >= burn and (done + j - burn) % thin == 0:
-                yield done + j - burn, x, v
-        done += m
+    for j in range(steps):
+        u = rng.random((cfg.n_chains, dim + 1))
+        xp = x + (-step + 2 * step * u[:, :dim])
+        vp = model.values(xp)
+        tp = np.abs(vp) if power == 1 else vp * vp
+        acc = u[:, dim] * t < tp
+        x = np.where(acc[:, None], xp, x)
+        v = np.where(acc, vp, v)
+        t = np.where(acc, tp, t)
+        if j >= burn and (j - burn) % thin == 0:
+            yield j - burn, x, v
 
 
 def _reference_metropolis_samples(state, cfg, thin, power, tag):
@@ -296,7 +299,8 @@ def test_kept_step_blocks_match_per_step_collectors(n_chains):
 
 @pytest.mark.parametrize("n_chains", [3, 8])
 def test_iid_blocks_match_per_draw_reduction(n_chains):
-    """estimate_abs_norm equals drawing chain by chain and adding every
+    """estimate_abs_norm equals drawing the call's one stream in _CHUNK-row
+    blocks, giving row r to draw r % n of chain r // n, and adding every
     draw to its block one at a time, bit for bit."""
     st = get_state("3S_1s2s")
     g, model = st.reference_density, st.model
@@ -304,28 +308,25 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
                         steps_per_chain=estimators._CHUNK + 37, seed=5)
     n, B = cfg.steps_per_chain, estimators._BLOCKS
     bsum, bcnt = np.zeros((n_chains, B)), np.zeros((n_chains, B), dtype=np.int64)
-    for c in range(n_chains):
-        rng = estimators._rng(cfg.seed, estimators._TAG_ABS, c)
-        done = 0
-        while done < n:
-            m = min(estimators._CHUNK, n - done)
-            x = g.sample(rng, m)
-            for j, w in enumerate(np.abs(model.values(x)) / g.pdf(x), done):
-                bsum[c, j * B // n] += w
-                bcnt[c, j * B // n] += 1
-            done += m
+    rng = _stream(cfg.seed, estimators._TAG_ABS)
+    total = n_chains * n
+    for r0 in range(0, total, estimators._CHUNK):
+        x = g.sample(rng, min(estimators._CHUNK, total - r0))
+        for r, w in enumerate(np.abs(model.values(x)) / g.pdf(x), r0):
+            c, j = divmod(r, n)
+            bsum[c, j * B // n] += w
+            bcnt[c, j * B // n] += 1
     ref = _reference_reduce(bsum, bcnt, np.zeros(n_chains, dtype=np.int64))
     assert _fields(estimate_abs_norm(st, cfg)) == ref
 
 
 @pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
 def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
-    """Two chunks, the second short: the refilled slab buffers walk the
-    chains exactly as freshly stacked noise does, whatever the slab size.
-    At 3 chains the default _SLAB draws each chunk in one slab, 3 * 37
-    rows end the full chunk in a 13-step slab, and a _SLAB below the chain
-    count draws one step per slab; 300 chains cut the default _SLAB into
-    873-step slabs."""
+    """The refilled slab buffer walks the chains exactly as one fresh array
+    of uniforms per step does, whatever the slab size: at 3 chains the
+    default _SLAB draws 2048-step slabs (a short 37-step one last), 3 * 37
+    rows draw 37-step slabs (a 13-step one last), and a _SLAB below the chain count draws one
+    step per slab; 300 chains cut the default _SLAB into 873-step slabs."""
     st = get_state(name)
     default = estimators._SLAB
     for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
@@ -450,35 +451,33 @@ def test_singular_point_is_rejected_and_counted(monkeypatch):
 
 
 def _reference_shell(state, cfg):
-    """The delta-shell estimator as a retained-array reduction: every draw's
-    |Psi|, |grad Psi|^2 / g and |Psi| / g kept per chain, the default
-    ladder from the 1 % |Psi| quantile of all of them, one line per chain."""
+    """The proxy delta-shell estimator as a retained-array reduction: the
+    call's stream drawn in _CHUNK-row blocks and kept whole as (chains,
+    draws) arrays of d = |Psi| / |grad Psi|, |grad Psi| / g and |Psi| / g;
+    the default ladder from the 1 % quantile of d over the stream's first
+    n_chains * min(_CHUNK, n) draws; one line per chain."""
     model, g = state.model, state.reference_density
-    C, n = cfg.n_chains, cfg.steps_per_chain
-    absvals, shell_w, ratio_w = (np.empty((C, n)) for _ in range(3))
-    for c in range(C):
-        rng = estimators._rng(cfg.seed, estimators._TAG_SHELL, c)
-        for done in range(0, n, estimators._CHUNK):
-            x = g.sample(rng, min(estimators._CHUNK, n - done))
-            dens, av, gr = g.pdf(x), np.abs(model.values(x)), model.gradients(x)
-            cut = slice(done, done + len(x))
-            absvals[c, cut] = av
-            shell_w[c, cut] = np.sum(gr * gr, axis=1) / dens
-            ratio_w[c, cut] = av / dens
+    C, n, chunk = cfg.n_chains, cfg.steps_per_chain, estimators._CHUNK
+    rng = _stream(cfg.seed, estimators._TAG_SHELL)
+    x = np.concatenate([g.sample(rng, min(chunk, C * n - r0))
+                        for r0 in range(0, C * n, chunk)])
+    dens, av = g.pdf(x), np.abs(model.values(x))
+    gn = np.linalg.norm(model.gradients(x), axis=1)
+    d = av / gn
     if cfg.epsilon_ladder is not None:
         ladder = np.asarray(cfg.epsilon_ladder)
     else:
-        eps0 = float(np.mean(np.quantile(absvals, 0.01, axis=1)))
-        ladder = eps0 * 0.5 ** np.arange(4)
+        ladder = np.quantile(d[:C * min(chunk, n)], 0.01) * 0.5 ** np.arange(4)
+    d, shell_w, ratio_w = (a.reshape(C, n) for a in (d, gn / dens, av / dens))
     xs = ladder ** 2
     kin = np.empty(C)
     for c in range(C):
-        ys = np.array([np.sum(shell_w[c][absvals[c] < eps]) / (2.0 * eps * n)
+        ys = np.array([np.sum(shell_w[c][d[c] < eps]) / (2.0 * eps * n)
                        for eps in ladder])
         slope = (np.sum((xs - xs.mean()) * (ys - ys.mean()))
                  / np.sum((xs - xs.mean()) ** 2))
         kin[c] = (ys.mean() - slope * xs.mean()) / np.mean(ratio_w[c])
-    hits = int(np.count_nonzero(absvals < ladder[-1]))
+    hits = int(np.count_nonzero(d < ladder[-1]))
     return (kin.mean(), np.std(kin, ddof=1) / np.sqrt(C),
             "ok" if hits >= 100 else "unconverged")
 
@@ -486,12 +485,13 @@ def _reference_shell(state, cfg):
 @pytest.mark.parametrize("name", ["2P_2p", "1S_1s2_2p2"])
 @pytest.mark.parametrize("steps,ladder", [
     (estimators._CHUNK, None),
-    (estimators._CHUNK + 37, (2e-2, 1e-2, 5e-3, 2.5e-3))])
+    (estimators._CHUNK + 37, (2e-2, 1e-2, 5e-3, 2.5e-3)),
+    (estimators._CHUNK + 37, None)])
 def test_shell_matches_retained_array_reduction(name, steps, ladder):
-    """Up to one chunk per chain the pilot pass sees every draw, so the
-    default ladder is the full-sample one; past it an explicit ladder
-    fixes the rungs.  Either way the block sums give the retained-array
-    fit to rounding."""
+    """The pilot is the stream's first n_chains * min(_CHUNK, n) draws: up
+    to one chunk per chain that is every draw, past it a prefix; an
+    explicit ladder fixes the rungs.  Either way the block sums give the
+    retained-array fit to rounding."""
     st = get_state(name)
     cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, seed=5,
                         epsilon_ladder=ladder)
@@ -516,34 +516,62 @@ def test_shell_memory_does_not_grow_with_the_draws():
     assert peak < 8 * 2 ** 20
 
 
-def _count_gradient_rows(model, monkeypatch):
+def _count_draws(monkeypatch):
+    """Rows of every ReferenceDensity.sample call, in call order."""
     rows = []
-    for attr in ("gradients", "vgl"):
-        method = getattr(model, attr)
+    sample = ReferenceDensity.sample
 
-        def counted(x, method=method):
-            rows.append(len(x))
-            return method(x)
-        monkeypatch.setattr(model, attr, counted)
+    def counted(self, rng, n):
+        rows.append(n)
+        return sample(self, rng, n)
+    monkeypatch.setattr(ReferenceDensity, "sample", counted)
     return rows
 
 
-def test_shell_evaluates_gradients_only_inside_the_widest_rung(monkeypatch):
+def test_one_stream_per_walk_and_per_iid_call(monkeypatch):
+    """A Metropolis walk draws its starting points in one density.sample
+    call; an i.i.d. call draws its n_chains * n draws in _CHUNK-row blocks."""
+    st = get_state("3S_1s2s")
+    drawn = _count_draws(monkeypatch)
+    cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
+    for run, walks in ((estimate_pot_nda, 1), (estimate_standard_expectations, 1),
+                       (estimate_pot_and_standard, 2), (metropolis_samples, 1)):
+        drawn.clear()
+        run(st, cfg)
+        assert drawn == [cfg.n_chains] * walks, run.__name__
+    drawn.clear()
+    estimate_abs_norm(st, cfg)
+    total = cfg.n_chains * cfg.steps_per_chain
+    assert len(drawn) == -(-total // estimators._CHUNK)
+    assert sum(drawn) == total and max(drawn) == estimators._CHUNK
+
+
+@pytest.mark.parametrize("steps", [1000, estimators._CHUNK + 37])
+def test_shell_evaluates_every_draw_once(steps, monkeypatch):
+    """The pilot's draws enter the averages: every draw of the stream is
+    drawn once and evaluated once, below one chunk per chain and past it."""
     st = get_state("1S_1s2_2p2")
-    rows = _count_gradient_rows(st.model, monkeypatch)
-    cfg = SamplerConfig(n_chains=4, steps_per_chain=10_000, seed=3)
-    estimate_kin_nda_shell(st, cfg)
-    assert 0 < sum(rows) <= 0.05 * cfg.n_chains * cfg.steps_per_chain
+    drawn = _count_draws(monkeypatch)
+    evaluated = []
+    evaluate = st.model._evaluate
+
+    def counted(x, want_grad, want_lap):
+        evaluated.append(len(x))
+        return evaluate(x, want_grad, want_lap)
+    monkeypatch.setattr(st.model, "_evaluate", counted)
+    cfg = SamplerConfig(n_chains=4, steps_per_chain=steps, seed=3)
+    est = estimate_kin_nda_shell(st, cfg)
+    total = cfg.n_chains * steps
+    assert sum(drawn) == sum(evaluated) == est.n_samples == total
+    assert len(drawn) == len(evaluated) == -(-total // estimators._CHUNK)
 
 
-def test_shell_with_an_empty_ladder_stays_finite(monkeypatch):
-    """No draw falls below a 1e-300 rung, so no batch has a shell row."""
+def test_shell_with_an_empty_ladder_stays_finite():
+    """No draw lies within 1e-300 of the node, so every rung is empty."""
     st = get_state("2P_2p")
-    rows = _count_gradient_rows(st.model, monkeypatch)
     cfg = SamplerConfig(n_chains=2, steps_per_chain=3000, seed=3,
                         epsilon_ladder=(1e-300, 1e-301))
     est = estimate_kin_nda_shell(st, cfg)
-    assert sum(rows) == 0
     assert np.isfinite(est.mean) and np.isfinite(est.stderr)
     assert est.status == "unconverged"
 

@@ -1,0 +1,134 @@
+"""Stderr calibration: z-scores of the estimators against the exact values.
+
+Runs the named estimators over a seed range and a set of catalog states at
+one config, and scores each estimate against the catalog's exact value,
+z = (mean - exact) / stderr.  If the quoted stderr is honest, the z-scores
+of an estimator at n_chains chains follow Student's t with n_chains - 1
+degrees of freedom.  It prints:
+
+* per (state, component, estimator) cell, the z mean, s.d. and largest
+  |z| over seeds;
+* pooled per estimator, the fraction of |z| beyond the two-sided 95 % and
+  99 % t quantiles (5 % and 1 % expected) and the KS p-value of all its
+  z-scores against that t law.
+
+    PYTHONPATH=src python tools/calibrate.py --estimators shell \\
+        --seeds 201-210 --chains 16 --steps 50000
+"""
+
+from __future__ import annotations
+
+import argparse
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from nda import estimators as est
+from nda.catalog import StateSpec, catalog_list, get_state
+
+# name -> (applies to the state, run, [(component, result key)])
+ESTIMATORS = {
+    "pot": (lambda st: True, est.estimate_pot_nda, [("pot_nda", None)]),
+    "std": (lambda st: True, est.estimate_standard_expectations,
+            [("kin_std", "kin"), ("pot_std", "pot")]),
+    "surface": (lambda st: st.node_param is not None,
+                est.estimate_kin_nda_surface, [("kin_nda", None)]),
+    "shell": (lambda st: True, est.estimate_kin_nda_shell, [("kin_nda", None)]),
+}
+
+
+def exact_value(state: StateSpec, component: str) -> Optional[float]:
+    """The catalog's exact kin_nda, pot_nda, kin_std or pot_std, if any."""
+    kind, table = component.split("_")
+    refs = state.exact_nda if table == "nda" else state.exact_standard
+    value = (refs or {}).get(kind)
+    return None if value is None else float(value)
+
+
+def z_scores(names: Sequence[str], seeds: Sequence[int],
+             states: Sequence[StateSpec], n_chains: int,
+             steps: int) -> Iterator[Tuple[str, str, str, int, float]]:
+    """Yield (estimator, state, component, seed, z) for every cell with an
+    exact value."""
+    for name in names:
+        applies, run, parts = ESTIMATORS[name]
+        for st in states:
+            cells = [(comp, key, exact_value(st, comp)) for comp, key in parts]
+            cells = [c for c in cells if c[2] is not None]
+            if st.model is None or not cells or not applies(st):
+                continue
+            for seed in seeds:
+                cfg = est.SamplerConfig(n_chains=n_chains, steps_per_chain=steps,
+                                        seed=seed)
+                res = run(st, cfg)
+                for comp, key, exact in cells:
+                    e = res if key is None else res[key]
+                    z = (e.mean - exact) / e.stderr if e.stderr > 0 else np.inf
+                    yield name, st.name, comp, seed, float(z)
+
+
+def report(rows: Sequence[Tuple[str, str, str, int, float]],
+           n_chains: int) -> List[str]:
+    """The per-cell and pooled lines for the rows of z_scores."""
+    from scipy import stats
+    df = n_chains - 1
+    q95, q99 = (float(stats.t.ppf(1.0 - p / 2.0, df)) for p in (0.05, 0.01))
+    lines = [f"{'estimator':9s} {'state':24s} {'component':9s} "
+             f"{'n':>4s} {'z mean':>7s} {'z s.d.':>7s} {'max |z|':>7s}"]
+    cells = {}
+    for name, state, comp, _, z in rows:
+        cells.setdefault((name, state, comp), []).append(z)
+    for (name, state, comp), zs in cells.items():
+        z = np.asarray(zs)
+        sd = float(np.std(z, ddof=1)) if z.size > 1 else float("nan")
+        lines.append(f"{name:9s} {state:24s} {comp:9s} {z.size:4d} "
+                     f"{z.mean():+7.2f} {sd:7.2f} {np.abs(z).max():7.2f}")
+    t_sd = np.sqrt(df / (df - 2.0)) if df > 2 else float("inf")
+    lines.append(f"pooled, against t_{df} (s.d. {t_sd:.2f}; 5 % beyond {q95:.2f}, "
+                 f"1 % beyond {q99:.2f}):")
+    for name in dict.fromkeys(r[0] for r in rows):
+        z = np.asarray([r[4] for r in rows if r[0] == name])
+        p = float(stats.kstest(z, "t", args=(df,)).pvalue)
+        sd = float(np.std(z, ddof=1)) if z.size > 1 else float("nan")
+        lines.append(f"  {name:9s} n {z.size:5d}  z mean {z.mean():+.2f}  "
+                     f"s.d. {sd:.2f}  beyond 95 % {np.mean(np.abs(z) > q95):.3f}  "
+                     f"beyond 99 % {np.mean(np.abs(z) > q99):.3f}  KS p {p:.3g}")
+    return lines
+
+
+def _seeds(text: str) -> List[int]:
+    """"201-210" or "7,20260801" (or a mix) as a list of seeds."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
+    return out
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--estimators", default="shell",
+                    help=f"comma list of {', '.join(ESTIMATORS)}")
+    ap.add_argument("--seeds", default="201-210", help="e.g. 201-230 or 7,8")
+    ap.add_argument("--states", default=None,
+                    help="comma list of catalog states (default: all)")
+    ap.add_argument("--chains", type=int, default=16)
+    ap.add_argument("--steps", type=int, default=50_000)
+    args = ap.parse_args(argv)
+    names = args.estimators.split(",")
+    unknown = [n for n in names if n not in ESTIMATORS]
+    if unknown:
+        ap.error(f"unknown estimators {unknown}")
+    if args.chains < 2:
+        ap.error("--chains must be at least 2")
+    states = ([get_state(s) for s in args.states.split(",")] if args.states
+              else catalog_list())
+    rows = list(z_scores(names, _seeds(args.seeds), states, args.chains,
+                         args.steps))
+    for line in report(rows, args.chains):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
