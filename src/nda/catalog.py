@@ -13,9 +13,10 @@ Each :class:`StateSpec` bundles a wave-function model with
   surface measure of that geometry.
 
 Surface parameters (n is a unit vector, drawn uniformly on the sphere) and
-the measure factor dS/dparams.  The test-suite checks every geometry's
-points against the node and its surface estimate against the exact
-energy (kin_nda + pot_nda = E):
+the measure factor dS/dparams.  Each geometry draws its parameters in the
+order listed, from a proposal declared once as a tuple of independent
+factors.  The test-suite checks every geometry's points against the node
+and its surface estimate against the exact energy (kin_nda + pot_nda = E):
 
 ==================  =========================================================
 kind                parameters; measure in those parameters
@@ -23,9 +24,9 @@ kind                parameters; measure in those parameters
 coordinate_plane    (s, phi) polar in the z=0 plane; dS = s ds dphi
 equal_radii         (r, n1, n2); dS = sqrt(2) r^4 dr dn1 dn2
 relative_plane      (x1, y1, x2, y2, z); dS = sqrt(2) dx1 dy1 dx2 dy2 dz
-azimuth_lock        (branch, r1, theta1, r2, theta2, alpha): both azimuths
-                    locked to alpha; dS = sqrt(s1^2+s2^2) r1 r2 dr1 dtheta1
-                    dr2 dtheta2 dalpha with s = r sin(theta)
+azimuth_lock        (branch, r1, r2, theta1, theta2, alpha): both azimuths
+                    locked to alpha; dS = sqrt(s1^2+s2^2) r1 r2 dr1 dr2
+                    dtheta1 dtheta2 dalpha with s = r sin(theta)
 perpendicular       1S_2p2: (r1, r2, n2, chi), rhat1 at angle chi on the
 (2 electrons)       circle orthogonal to n2; dS = sqrt(r1^2+r2^2) r1 r2
                     dr1 dr2 dn2 dchi
@@ -35,8 +36,9 @@ perpendicular       1S_1s2_2p2: (r1, r2, r3, r4, n1, n2, nf, chi), one
                     dr4 dn1 dn2 dnf dchi (coarea factor)
 paired_radial       (branch, r, na, nb, rs1, rs2, ns1, ns2): an equal-radii
                     sheet in one spin channel, the other channel's electrons
-                    rs ns free spectators; dS = sqrt(2) r^4 dr dna dnb
-                    d^3r_s1 d^3r_s2 (proposal density per unit volume)
+                    rs ns free spectators; dS = sqrt(2) r^4 rs1^2 rs2^2 dr
+                    dna dnb drs1 drs2 dns1 dns2 (the spectators' volume
+                    elements in polar coordinates)
 implicit_graph      (r1, n1, s2, phi2): electron 1 spherical, (x2, y2) polar,
                     node solved for z2; dS = |grad Psi| / |dPsi/dz2| r1^2 s2
                     dr1 dn1 ds2 dphi2 (graph surface measure)
@@ -50,7 +52,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
+from math import lgamma, log, pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,11 +76,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # reference densities (exactly normalized; used by ratio and shell estimators)
-
-
-def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -128,52 +125,140 @@ class ReferenceDensity:
 
 
 @dataclass(frozen=True)
+class Gamma:
+    """A radius drawn from Gamma(shape, scale): one column."""
+
+    shape: float
+    scale: float
+    width = 1
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.gamma(self.shape, self.scale, size=n)[:, None]
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        r = x[:, 0]
+        return np.exp((self.shape - 1) * np.log(r) - r / self.scale
+                      - lgamma(self.shape) - self.shape * log(self.scale))
+
+
+@dataclass(frozen=True)
+class Uniform:
+    """A value drawn uniformly on [lo, hi): one column."""
+
+    lo: float
+    hi: float
+    width = 1
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=n)[:, None]
+
+    def pdf(self, x: np.ndarray) -> float:
+        return 1.0 / (self.hi - self.lo)
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """A direction drawn uniformly on the unit sphere: three columns."""
+
+    width = 3
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        v = rng.standard_normal((n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def pdf(self, x: np.ndarray) -> float:
+        return 1.0 / (4.0 * pi)
+
+
+@dataclass(frozen=True)
+class Branch:
+    """A branch 0 or 1 with equal odds, stored as a float: one column."""
+
+    width = 1
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(0, 2, size=n).astype(float)[:, None]
+
+    def pdf(self, x: np.ndarray) -> float:
+        return 0.5
+
+
+@dataclass(frozen=True)
+class Normal:
+    """width independent standard normals divided by s: width columns."""
+
+    width: int
+    s: float
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal((n, self.width)) / self.s
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        s2 = self.s * self.s
+        return ((s2 / (2.0 * pi)) ** (0.5 * self.width)
+                * np.exp(-0.5 * s2 * np.sum(x * x, axis=1)))
+
+
+@dataclass(frozen=True)
 class NodeParametrization:
     """Exact parametrization of the nodal set.
 
-    Each geometry declares three functions of an (m, n_params) array of
-    surface parameters, all treating rows independently:
+    Each geometry declares its proposal once, as a tuple of independent
+    factors (Gamma, Uniform, Sphere, Branch, Normal) in the order they are
+    drawn; the surface parameters are their columns side by side.  From it:
 
-    * ``draw_params(rng, m)`` draws parameters from the proposal;
-    * ``proposal_pdf(params)`` is the proposal density in the parameters;
-    * ``measure_map(params)`` maps them to configurations (m, 3N) on the
-      node together with the local surface measure factor dS/dparams and
-      |grad Psi| at the configurations, or None for the last item when the
-      map does not evaluate the model.  ``model`` names the wave function
-      whose gradient the map evaluates (None for purely geometric maps).
+    * ``draw_params(rng, m)`` draws an (m, n_params) array, factor by
+      factor;
+    * ``proposal_pdf(params)`` is the product of the factor densities.
+
+    ``measure_map(params)`` maps parameters to configurations (m, 3N) on the
+    node together with the local surface measure factor dS/dparams and
+    |grad Psi| at the configurations, or None for the last item when the
+    map does not evaluate the model.  ``model`` names the wave function
+    whose gradient the map evaluates (None for purely geometric maps).  All
+    of these treat rows independently.
 
     ``sample(rng, m)`` returns importance points (coords, w) with
     w = dS/dparams / proposal_pdf, so that mean(w * h(R)) estimates the
-    surface integral of h.  Unless given, it is derived from the three
-    functions.
+    surface integral of h.  Unless given, it is derived from the above.
     """
 
     kind: str
     description: str
-    n_params: int
-    draw_params: Optional[Callable] = None
+    proposal: tuple = ()
     measure_map: Optional[Callable] = None
-    proposal_pdf: Optional[Callable] = None
     sample: Optional[Callable] = None
     model: Optional[wf.WaveFunction] = None
 
     def __post_init__(self):
         if self.sample is not None or self.measure_map is None:
             return
-        draw, measure_map, pdf = self.draw_params, self.measure_map, self.proposal_pdf
 
         def sample(rng, m):
-            params = draw(rng, m)
-            coords, dS, _ = measure_map(params)
-            return coords, dS / pdf(params)
+            params = self.draw_params(rng, m)
+            coords, dS, _ = self.measure_map(params)
+            return coords, dS / self.proposal_pdf(params)
 
         object.__setattr__(self, "sample", sample)
+
+    @property
+    def n_params(self) -> int:
+        return sum(f.width for f in self.proposal)
+
+    def draw_params(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.concatenate([f.draw(rng, m) for f in self.proposal], axis=1)
+
+    def proposal_pdf(self, params: np.ndarray) -> np.ndarray:
+        pdf, i = 1.0, 0
+        for f in self.proposal:
+            pdf = pdf * f.pdf(params[:, i:i + f.width])
+            i += f.width
+        return pdf
 
 
 IMPLICIT_MARKER = NodeParametrization(
     kind="determinant_zero",
     description="node known only implicitly as the zero set of the model",
-    n_params=0,
 )
 
 
@@ -184,103 +269,55 @@ def node_parametrization(state: "StateSpec") -> NodeParametrization:
     return IMPLICIT_MARKER
 
 
-# ---- gamma radial helpers (shape k, rate Z/2 unless noted)
-
-def _gamma_pdf(r, shape, scale):
-    from scipy.special import gammaln
-    return np.exp((shape - 1) * np.log(r) - r / scale
-                  - gammaln(shape) - shape * np.log(scale))
-
-
 def _plane_param(Z: float) -> NodeParametrization:
     # single electron, node z = 0; params (s, phi) polar in the plane
-    def draw_params(rng, n):
-        s = rng.gamma(2.0, 2.0 / Z, size=n)
-        phi = rng.uniform(0.0, 2.0 * pi, size=n)
-        return np.stack([s, phi], axis=1)
-
     def measure_map(params):
         s, phi = params[:, 0], params[:, 1]
         coords = np.stack([s * np.cos(phi), s * np.sin(phi), np.zeros_like(s)], axis=1)
         return coords, s, None
 
-    def proposal_pdf(params):
-        return _gamma_pdf(params[:, 0], 2.0, 2.0 / Z) / (2.0 * pi)
-
     return NodeParametrization(
         kind="coordinate_plane",
         description="z = 0 plane in polar coordinates (s, phi); dS = s ds dphi",
-        n_params=2,
-        draw_params=draw_params,
+        proposal=(Gamma(2.0, 2.0 / Z), Uniform(0.0, 2.0 * pi)),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
 def _equal_radii_param(Z: float) -> NodeParametrization:
     # two s-orbital electrons, node r1 = r2; params (r, n1, n2), n unit vectors
-    def draw_params(rng, n):
-        r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
-        return np.column_stack([r, _uniform_sphere(rng, n), _uniform_sphere(rng, n)])
-
     def measure_map(params):
         return params[:, 1:7] * params[:, :1], sqrt(2.0) * params[:, 0] ** 4, None
-
-    def proposal_pdf(params):
-        return _gamma_pdf(params[:, 0], 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
 
     return NodeParametrization(
         kind="equal_radii",
         description="r1 = r2 sheet; dS = sqrt(2) r^4 dr dn1 dn2",
-        n_params=7,
-        draw_params=draw_params,
+        proposal=(Gamma(6.0, 2.0 / (3.0 * Z)), Sphere(), Sphere()),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
 def _relative_plane_param(omega: float) -> NodeParametrization:
     # harmonic pair, node z1 = z2; params (x1, y1, x2, y2, z)
-    def draw_params(rng, n):
-        xy = rng.standard_normal((n, 4)) / sqrt(omega)
-        z = rng.standard_normal(n) / sqrt(2.0 * omega)
-        return np.concatenate([xy, z[:, None]], axis=1)
-
     def measure_map(params):
         x1, y1, x2, y2, z = (params[:, i] for i in range(5))
         coords = np.stack([x1, y1, z, x2, y2, z], axis=1)
         return coords, np.full(len(z), sqrt(2.0)), None
 
-    def proposal_pdf(params):
-        xy, z = params[:, :4], params[:, 4]
-        return ((omega / (2.0 * pi)) ** 2 * sqrt(omega / pi)
-                * np.exp(-0.5 * omega * np.sum(xy * xy, axis=1) - omega * z * z))
-
     return NodeParametrization(
         kind="relative_plane",
         description="z1 = z2 plane; dS = sqrt(2) dx1 dy1 dx2 dy2 dz",
-        n_params=5,
-        draw_params=draw_params,
+        proposal=(Normal(4, sqrt(omega)), Normal(1, sqrt(2.0 * omega))),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
 def _azimuth_lock_param(Z: float, coupling: str) -> NodeParametrization:
     # two 2p electrons; cross form (x1 y2 - x2 y1) vanishes when the azimuths
     # coincide mod pi, plus form (x1 y2 + x2 y1) when phi2 = -phi1 mod pi.
-    # params: (branch, r1, theta1, r2, theta2, alpha)
-    def draw_params(rng, n):
-        b = rng.integers(0, 2, size=n).astype(float)
-        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
-        r2 = rng.gamma(3.0, 2.0 / Z, size=n)
-        t1 = rng.uniform(0.0, pi, size=n)
-        t2 = rng.uniform(0.0, pi, size=n)
-        alpha = rng.uniform(0.0, 2.0 * pi, size=n)
-        return np.stack([b, r1, t1, r2, t2, alpha], axis=1)
-
+    # params: (branch, r1, r2, theta1, theta2, alpha)
     def measure_map(params):
-        b, r1, t1, r2, t2, alpha = (params[:, i] for i in range(6))
+        b, r1, r2, t1, t2, alpha = (params[:, i] for i in range(6))
         s1, z1 = r1 * np.sin(t1), r1 * np.cos(t1)
         s2, z2 = r2 * np.sin(t2), r2 * np.cos(t2)
         phi2 = alpha + b * pi if coupling == "cross" else -alpha + b * pi
@@ -290,18 +327,13 @@ def _azimuth_lock_param(Z: float, coupling: str) -> NodeParametrization:
         # (s,z) -> (r,theta) contributes r1 r2
         return coords, np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2, None
 
-    def proposal_pdf(params):
-        return (0.5 * _gamma_pdf(params[:, 1], 3.0, 2.0 / Z)
-                * _gamma_pdf(params[:, 3], 3.0, 2.0 / Z) / (pi * pi * 2.0 * pi))
-
+    radius, polar = Gamma(3.0, 2.0 / Z), Uniform(0.0, pi)
     return NodeParametrization(
         kind="azimuth_lock",
         description="azimuths locked (two branches); dS = sqrt(s1^2+s2^2) "
                     "ds1 dz1 ds2 dz2 dalpha",
-        n_params=6,
-        draw_params=draw_params,
+        proposal=(Branch(), radius, radius, polar, polar, Uniform(0.0, 2.0 * pi)),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
@@ -319,13 +351,6 @@ def _orthonormal_frame(u: np.ndarray):
 def _perpendicular_param_2e(Z: float) -> NodeParametrization:
     # 1S_2p2: node is rhat1 . rhat2 = 0; params (r1, r2, n2, chi), n2 a unit
     # vector and chi the angle of rhat1 on the circle orthogonal to it
-    def draw_params(rng, n):
-        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
-        r2 = rng.gamma(3.0, 2.0 / Z, size=n)
-        n2 = _uniform_sphere(rng, n)
-        chi = rng.uniform(0.0, 2.0 * pi, size=n)
-        return np.column_stack([r1, r2, n2, chi])
-
     def measure_map(params):
         r1, r2, n2, chi = params[:, 0], params[:, 1], params[:, 2:5], params[:, 5]
         e1, e2 = _orthonormal_frame(n2)
@@ -334,18 +359,13 @@ def _perpendicular_param_2e(Z: float) -> NodeParametrization:
         # coarea: |grad(r1.r2)| / slope * volume jacobian
         return coords, np.sqrt(r1 ** 2 + r2 ** 2) * r1 * r2, None
 
-    def proposal_pdf(params):
-        return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
-                * _gamma_pdf(params[:, 1], 3.0, 2.0 / Z) / (4.0 * pi * 2.0 * pi))
-
+    radius = Gamma(3.0, 2.0 / Z)
     return NodeParametrization(
         kind="perpendicular_directions",
         description="rhat1 . rhat2 = 0; dS = sqrt(r1^2+r2^2) r1 r2 "
                     "dr1 dr2 dn2 dchi",
-        n_params=6,
-        draw_params=draw_params,
+        proposal=(radius, radius, Sphere(), Uniform(0.0, 2.0 * pi)),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
@@ -368,12 +388,6 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
     # tail and the estimator's variance diverges.
     # params: (r1, r2, r3, r4, n1, n2, nf, chi), n unit vectors; nf is the
     # free down-channel direction, chi the angle on the solved circle
-    def draw_params(rng, n):
-        r = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(4)]
-        dirs = [_uniform_sphere(rng, n) for _ in range(3)]
-        chi = rng.uniform(0.0, 2.0 * pi, size=n)
-        return np.column_stack(r + dirs + [chi])
-
     def measure_map(params):
         m = len(params)
         r1, r2, r3, r4 = (params[:, i] for i in range(4))
@@ -404,20 +418,15 @@ def _perpendicular_param_4e(Z: float, model: wf.WaveFunction) -> NodeParametriza
         dS = np.where(ok, grad_norm / np.maximum(slope, 1e-290) * jac, 0.0)
         return coords, dS, grad_norm
 
-    def proposal_pdf(params):
-        return np.prod([_gamma_pdf(params[:, i], 3.0, 2.0 / Z) for i in range(4)],
-                       axis=0) / ((4.0 * pi) ** 3 * 2.0 * pi)
-
     return NodeParametrization(
         kind="perpendicular_directions",
         description="channel vectors orthogonal: v_up . v_down = 0; the "
                     "down-channel direction with the larger radial "
                     "coefficient is solved onto the circle n . u = c, so "
                     "every fiber meets the node exactly once",
-        n_params=14,
-        draw_params=draw_params,
+        proposal=(Gamma(3.0, 2.0 / Z),) * 4 + (Sphere(),) * 3
+        + (Uniform(0.0, 2.0 * pi),),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
         model=model,
     )
 
@@ -426,15 +435,8 @@ def _paired_radial_param(Z: float) -> NodeParametrization:
     # 1S_1s2_2s2: Psi = D(r1,r2) D(r3,r4) with radial 1s/2s determinants;
     # node = {r1 = r2} union {r3 = r4}; the off-sheet pair are spectators.
     # params: (branch, r, na, nb, rs1, rs2, ns1, ns2), n unit vectors; the
-    # spectators (rs, ns) are polar coordinates of points measured in d^3r
-    def draw_params(rng, n):
-        b = rng.integers(0, 2, size=n).astype(float)
-        r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
-        na, nb = _uniform_sphere(rng, n), _uniform_sphere(rng, n)
-        rs = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(2)]
-        ns = [_uniform_sphere(rng, n) for _ in range(2)]
-        return np.column_stack([b, r, na, nb] + rs + ns)
-
+    # spectators (rs, ns) are polar coordinates, so their volume element
+    # rs^2 drs dns enters dS
     def measure_map(params):
         sheet = params[:, 2:8] * params[:, 1:2]
         spect = np.concatenate([params[:, 10:13] * params[:, 8:9],
@@ -442,23 +444,18 @@ def _paired_radial_param(Z: float) -> NodeParametrization:
         coords = np.where((params[:, 0] < 0.5)[:, None],
                           np.concatenate([sheet, spect], axis=1),
                           np.concatenate([spect, sheet], axis=1))
-        return coords, sqrt(2.0) * params[:, 1] ** 4, None
+        rs1, rs2 = params[:, 8], params[:, 9]
+        return coords, sqrt(2.0) * params[:, 1] ** 4 * rs1 ** 2 * rs2 ** 2, None
 
-    def proposal_pdf(params):
-        # a spectator's density in space is gamma_pdf(rs) / (4 pi rs^2)
-        r, rs1, rs2 = params[:, 1], params[:, 8], params[:, 9]
-        return (0.5 * _gamma_pdf(r, 6.0, 2.0 / (3.0 * Z)) / (4.0 * pi) ** 2
-                * _gamma_pdf(rs1, 3.0, 2.0 / Z) / (4.0 * pi * rs1 ** 2)
-                * _gamma_pdf(rs2, 3.0, 2.0 / Z) / (4.0 * pi * rs2 ** 2))
-
+    spectator = Gamma(3.0, 2.0 / Z)
     return NodeParametrization(
         kind="paired_radial_sheets",
         description="two equal-radii sheets (one per spin channel), "
-                    "dS = sqrt(2) r^4 dr dna dnb d^3r_s1 d^3r_s2 each",
-        n_params=16,
-        draw_params=draw_params,
+                    "dS = sqrt(2) r^4 rs1^2 rs2^2 dr dna dnb drs1 drs2 dns1 "
+                    "dns2 each",
+        proposal=(Branch(), Gamma(6.0, 2.0 / (3.0 * Z)), Sphere(), Sphere(),
+                  spectator, spectator, Sphere(), Sphere()),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
     )
 
 
@@ -486,13 +483,6 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
             hi = np.where(take_hi, hi, mid)
         return 0.5 * (lo + hi)
 
-    def draw_params(rng, n):
-        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
-        n1 = _uniform_sphere(rng, n)
-        s2 = rng.gamma(2.0, 2.0 / Z, size=n)
-        p2 = rng.uniform(0.0, 2.0 * pi, size=n)
-        return np.column_stack([r1, n1, s2, p2])
-
     def measure_map(params):
         r1, s2, p2 = params[:, 0], params[:, 4], params[:, 5]
         x1 = params[:, 1:4] * params[:, :1]
@@ -504,18 +494,13 @@ def _implicit_graph_param(Z: float, model: wf.WaveFunction) -> NodeParametrizati
         factor = grad_norm / np.maximum(np.abs(grads[:, 5]), 1e-290)
         return coords, factor * (r1 ** 2 * s2), grad_norm
 
-    def proposal_pdf(params):
-        return (_gamma_pdf(params[:, 0], 3.0, 2.0 / Z)
-                * _gamma_pdf(params[:, 4], 2.0, 2.0 / Z) / (4.0 * pi * 2.0 * pi))
-
     return NodeParametrization(
         kind="implicit_graph",
         description="node solved for z2 (monotone 1D root); "
                     "dS = |grad Psi|/|dPsi/dz2| dx1 dy1 dz1 dx2 dy2",
-        n_params=6,
-        draw_params=draw_params,
+        proposal=(Gamma(3.0, 2.0 / Z), Sphere(), Gamma(2.0, 2.0 / Z),
+                  Uniform(0.0, 2.0 * pi)),
         measure_map=measure_map,
-        proposal_pdf=proposal_pdf,
         model=model,
     )
 
@@ -747,8 +732,8 @@ _ATOMIC_BUILDERS = {
 _HARMONIC_NAMES = ("harmonic_noninteracting", "harmonic_exact", "harmonic_mixed")
 
 
-def get_state(name: str, Z=Fraction(1), omega=Fraction(1, 4), g0=1) -> StateSpec:
-    """Build a catalog state by name (Z for atomic states, omega/g0 for traps)."""
+def get_state(name: str, Z=Fraction(1), omega=Fraction(1, 4)) -> StateSpec:
+    """Build a catalog state by name (Z for atomic states, omega for traps)."""
     if name in _ATOMIC_BUILDERS:
         return _ATOMIC_BUILDERS[name](Z)
     if name in _HARMONIC_NAMES:

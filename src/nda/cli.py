@@ -143,14 +143,15 @@ def _emit(record: RunRecord, fmt: str, out: Optional[str]) -> None:
 
 
 def _get_state_from_args(args) -> "StateSpec":
-    kwargs = {}
-    if getattr(args, "Z", None) is not None:
-        kwargs["Z"] = Fraction(args.Z)
-    if getattr(args, "omega", None) is not None:
-        kwargs["omega"] = Fraction(args.omega)
-    if getattr(args, "g0", None) is not None:
-        kwargs["g0"] = float(args.g0)
-    return get_state(args.state, **kwargs)
+    """The state named by --state, built at --Z or --omega where given; a
+    ValueError when the flag names a parameter the state does not have."""
+    kwargs = {key: Fraction(getattr(args, key)) for key in ("Z", "omega")
+              if getattr(args, key) is not None}
+    state = get_state(args.state, **kwargs)
+    for key in kwargs:
+        if key not in state.parameters:
+            raise ValueError(f"state {state.name!r} has no parameter {key}")
+    return state
 
 
 def _evaluable(state):
@@ -208,17 +209,19 @@ def _plan(state, cfg: SamplerConfig, components: list,
           method: str) -> Callable[[], dict]:
     """Check every input, then return the call that estimates components.
 
-    An unknown component, a state with no model to sample, the surface
-    estimator on a state without a node parametrization and the shell
-    estimator on fewer than 2 chains raise ValueError here, before any
-    sampling.  method is "auto" (kin by surface where the state has a
-    parametrization, else by shell), "surface", "shell" or "quadrature"
-    (every component with a quadrature target; kin_std and pot_std are
-    sampled).  The call returns {component: NdaEstimate} in the order
+    An empty component list, an unknown component, a state with no model to
+    sample, the surface estimator on a state without a node parametrization
+    and the shell estimator on fewer than 2 chains raise ValueError here,
+    before any sampling.  method is "auto" (kin by surface where the state
+    has a parametrization, else by shell), "surface", "shell" or
+    "quadrature" (every component with a quadrature target; kin_std and
+    pot_std are sampled).  The call returns {component: NdaEstimate} in the order
     given.  It runs the quadrature components first, so that a missing
     reduction raises before any sampling, and samples pot with kin_std or
     pot_std in one lock-step pass.
     """
+    if not components:
+        raise ValueError("no components given")
     for comp in components:
         if comp not in _COMPONENTS:
             raise ValueError(f"unknown component {comp!r}")
@@ -467,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
-    p.add_argument("--g0", default=None)
     p.add_argument("--components", default="kin,pot",
                    help="comma list: kin,pot,kin_std,pot_std,abs_norm")
     p.add_argument("--method", choices=("auto", "surface", "shell", "quadrature"),
@@ -487,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
-    p.add_argument("--g0", default=None)
     p.add_argument("--points", type=int, default=20_000)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--checks", type=int, default=16)

@@ -253,10 +253,12 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
 # node equivalence
 
 
-def _node_distance_proxy(model, x: np.ndarray) -> np.ndarray:
-    v = model.values(x)
-    g = np.linalg.norm(model.gradients(x), axis=1)
-    return np.abs(v) / np.maximum(g, 1e-300)
+def _sign_and_node_distance(model, x: np.ndarray):
+    """sign(Psi) and the node-distance proxy |Psi| / |grad Psi| at x, from
+    one value-and-gradient evaluation."""
+    v, grads, _ = model._evaluate(x, True, False)
+    g = np.linalg.norm(grads, axis=1)
+    return np.sign(v), np.abs(v) / np.maximum(g, 1e-300)
 
 
 def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
@@ -282,22 +284,16 @@ def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
 
     oversample = int(1.05 * n_points) + 64
     pts = _sample_points(state_a, oversample, seed, thin=4)
-    da = _node_distance_proxy(ma, pts)
-    db = _node_distance_proxy(mb, t.apply(pts))
+    sa, da = _sign_and_node_distance(ma, pts)
+    sb, db = _sign_and_node_distance(mb, t.apply(pts))
     ok = (da > _NODE_PROXIMITY) & (db > _NODE_PROXIMITY)
     resampled = int(np.sum(~ok[:n_points]))
-    valid = pts[ok]
-    if valid.shape[0] < n_points:
-        # extremely degenerate overlap; report on what survived
-        kept = valid
-    else:
-        kept = valid[:n_points]
-
-    s = (np.sign(ma.values(kept))
-         * np.sign(mb.values(t.apply(kept))))
+    # the first n_points that survive, or all of them in an extremely
+    # degenerate overlap
+    s = (sa * sb)[ok][:n_points]
     n_plus = int(np.sum(s > 0))
     n_minus = int(np.sum(s < 0))
-    total = max(kept.shape[0], 1)
+    total = max(s.shape[0], 1)
     agreement = max(n_plus, n_minus) / total
 
     out = {
@@ -342,19 +338,19 @@ def find_block_transform(state_a: StateSpec, state_b: StateSpec,
         raise ValueError("states have different particle counts")
 
     probe = _sample_points(state_a, n_probe, seed, thin=4)
-    keep = _node_distance_proxy(ma, probe) > _NODE_PROXIMITY
-    probe = probe[keep]
-    sa = np.sign(ma.values(probe))
+    sa, da = _sign_and_node_distance(ma, probe)
+    keep = da > _NODE_PROXIMITY
+    probe, sa = probe[keep], sa[keep]
 
     blocks48 = _signed_permutations()
     for perm in permutations(range(n)):
         for combo in product(range(len(blocks48)), repeat=n):
             t = TransformSpec.from_blocks([blocks48[i] for i in combo], perm)
-            mapped = t.apply(probe)
-            ok = _node_distance_proxy(mb, mapped) > _NODE_PROXIMITY
+            sb, db = _sign_and_node_distance(mb, t.apply(probe))
+            ok = db > _NODE_PROXIMITY
             if not np.any(ok):
                 continue
-            s = sa[ok] * np.sign(mb.values(mapped[ok]))
+            s = sa[ok] * sb[ok]
             if np.all(s == s[0]):
                 confirm = test_node_equivalence(
                     state_a, state_b, t, n_points=n_confirm, seed=seed + 1)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
+from scipy.special import gamma as gamma_fn, gammaln
 
-from nda.catalog import (catalog_list, catalog_to_json, get_state,
-                         node_parametrization, subshell_family)
+from nda.catalog import (Branch, Gamma, Normal, Sphere, Uniform, catalog_list,
+                         catalog_to_json, get_state, node_parametrization,
+                         subshell_family)
 from nda.reference import SubshellParams, subshell_kin_nda, subshell_pot_nda
 
 ALL = catalog_list()
@@ -171,3 +174,226 @@ def test_reference_density_matches_particle_loop_bitwise(name, n):
     pts = np.concatenate([x, x[:1] * 0.0, -(x[:1] * 0.0)])
     pts[-1, 3:] = x[0, 3:]
     assert g.pdf(pts).tobytes() == _reference_pdf(g, pts).tobytes()
+
+
+# ------------------------ declared node proposals match the hand-written pairs
+
+
+def _gamma_pdf(r, shape, scale):
+    return np.exp((shape - 1) * np.log(r) - r / scale
+                  - gammaln(shape) - shape * np.log(scale))
+
+
+def _sphere(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _plane(Z):
+    def draw(rng, n):
+        s = rng.gamma(2.0, 2.0 / Z, size=n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return np.stack([s, phi], axis=1)
+
+    return draw, lambda p: _gamma_pdf(p[:, 0], 2.0, 2.0 / Z) / (2.0 * np.pi)
+
+
+def _equal_radii(Z):
+    def draw(rng, n):
+        r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
+        return np.column_stack([r, _sphere(rng, n), _sphere(rng, n)])
+
+    return draw, lambda p: _gamma_pdf(p[:, 0], 6.0, 2.0 / (3.0 * Z)) / (4.0 * np.pi) ** 2
+
+
+def _relative_plane(omega):
+    def draw(rng, n):
+        xy = rng.standard_normal((n, 4)) / np.sqrt(omega)
+        z = rng.standard_normal(n) / np.sqrt(2.0 * omega)
+        return np.concatenate([xy, z[:, None]], axis=1)
+
+    def pdf(p):
+        xy, z = p[:, :4], p[:, 4]
+        return ((omega / (2.0 * np.pi)) ** 2 * np.sqrt(omega / np.pi)
+                * np.exp(-0.5 * omega * np.sum(xy * xy, axis=1) - omega * z * z))
+
+    return draw, pdf
+
+
+def _azimuth_lock(Z):
+    # columns (branch, r1, theta1, r2, theta2, alpha)
+    def draw(rng, n):
+        b = rng.integers(0, 2, size=n).astype(float)
+        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
+        r2 = rng.gamma(3.0, 2.0 / Z, size=n)
+        t1 = rng.uniform(0.0, np.pi, size=n)
+        t2 = rng.uniform(0.0, np.pi, size=n)
+        alpha = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return np.stack([b, r1, t1, r2, t2, alpha], axis=1)
+
+    def pdf(p):
+        return (0.5 * _gamma_pdf(p[:, 1], 3.0, 2.0 / Z) * _gamma_pdf(p[:, 3], 3.0, 2.0 / Z)
+                / (np.pi * np.pi * 2.0 * np.pi))
+
+    return draw, pdf
+
+
+def _azimuth_lock_map(coupling):
+    def measure_map(params):
+        b, r1, t1, r2, t2, alpha = (params[:, i] for i in range(6))
+        s1, z1 = r1 * np.sin(t1), r1 * np.cos(t1)
+        s2, z2 = r2 * np.sin(t2), r2 * np.cos(t2)
+        phi2 = alpha + b * np.pi if coupling == "cross" else -alpha + b * np.pi
+        coords = np.stack([s1 * np.cos(alpha), s1 * np.sin(alpha), z1,
+                           s2 * np.cos(phi2), s2 * np.sin(phi2), z2], axis=1)
+        return coords, np.sqrt(s1 ** 2 + s2 ** 2) * r1 * r2
+
+    return measure_map
+
+
+def _perpendicular_2e(Z):
+    def draw(rng, n):
+        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
+        r2 = rng.gamma(3.0, 2.0 / Z, size=n)
+        n2 = _sphere(rng, n)
+        chi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return np.column_stack([r1, r2, n2, chi])
+
+    def pdf(p):
+        return (_gamma_pdf(p[:, 0], 3.0, 2.0 / Z) * _gamma_pdf(p[:, 1], 3.0, 2.0 / Z)
+                / (4.0 * np.pi * 2.0 * np.pi))
+
+    return draw, pdf
+
+
+def _perpendicular_4e(Z):
+    def draw(rng, n):
+        r = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(4)]
+        dirs = [_sphere(rng, n) for _ in range(3)]
+        chi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return np.column_stack(r + dirs + [chi])
+
+    def pdf(p):
+        return np.prod([_gamma_pdf(p[:, i], 3.0, 2.0 / Z) for i in range(4)],
+                       axis=0) / ((4.0 * np.pi) ** 3 * 2.0 * np.pi)
+
+    return draw, pdf
+
+
+def _paired_radial(Z):
+    def draw(rng, n):
+        b = rng.integers(0, 2, size=n).astype(float)
+        r = rng.gamma(6.0, 2.0 / (3.0 * Z), size=n)
+        na, nb = _sphere(rng, n), _sphere(rng, n)
+        rs = [rng.gamma(3.0, 2.0 / Z, size=n) for _ in range(2)]
+        ns = [_sphere(rng, n) for _ in range(2)]
+        return np.column_stack([b, r, na, nb] + rs + ns)
+
+    def pdf(p):
+        # a spectator's density in space is gamma_pdf(rs) / (4 pi rs^2)
+        r, rs1, rs2 = p[:, 1], p[:, 8], p[:, 9]
+        return (0.5 * _gamma_pdf(r, 6.0, 2.0 / (3.0 * Z)) / (4.0 * np.pi) ** 2
+                * _gamma_pdf(rs1, 3.0, 2.0 / Z) / (4.0 * np.pi * rs1 ** 2)
+                * _gamma_pdf(rs2, 3.0, 2.0 / Z) / (4.0 * np.pi * rs2 ** 2))
+
+    return draw, pdf
+
+
+def _implicit_graph(Z):
+    def draw(rng, n):
+        r1 = rng.gamma(3.0, 2.0 / Z, size=n)
+        n1 = _sphere(rng, n)
+        s2 = rng.gamma(2.0, 2.0 / Z, size=n)
+        p2 = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return np.column_stack([r1, n1, s2, p2])
+
+    def pdf(p):
+        return (_gamma_pdf(p[:, 0], 3.0, 2.0 / Z) * _gamma_pdf(p[:, 4], 2.0, 2.0 / Z)
+                / (4.0 * np.pi * 2.0 * np.pi))
+
+    return draw, pdf
+
+
+_REFERENCE_PROPOSALS = {
+    "2P_2p": _plane, "3S_1s2s": _equal_radii, "3P_1s2p": _implicit_graph,
+    "1S_1s2_2s2": _paired_radial, "1S_1s2_2p2": _perpendicular_4e,
+    "3P_2p2": _azimuth_lock, "1S_2p2": _perpendicular_2e, "1D_2p2": _azimuth_lock,
+    "harmonic_noninteracting": _relative_plane, "harmonic_exact": _relative_plane,
+    "harmonic_mixed": _relative_plane,
+}
+
+
+def _reference_surface_points(s, params):
+    """coords and dS of the geometry before its proposal was declared as
+    factors: the azimuth lock took (branch, r1, theta1, r2, theta2, alpha),
+    and the paired-radial dS left the spectators' rs^2 to the pdf."""
+    if s.name in ("3P_2p2", "1D_2p2"):
+        return _azimuth_lock_map("cross" if s.name == "3P_2p2" else "plus")(params)
+    coords, dS, _ = s.node_param.measure_map(params)
+    if s.name == "1S_1s2_2s2":
+        dS = np.sqrt(2.0) * params[:, 1] ** 4
+    return coords, dS
+
+
+def test_reference_proposals_cover_every_parametrized_state():
+    assert set(_REFERENCE_PROPOSALS) == {s.name for s in ALL if s.node_param}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_PROPOSALS))
+@pytest.mark.parametrize("n", [1, 37, 2048])
+def test_declared_proposal_matches_hand_written_pair(name, n):
+    """Draws and mapped points bitwise, weights dS / pdf within 1e-14."""
+    s = get_state(name)
+    p = s.node_param
+    scale = float(s.parameters["omega"] if "omega" in s.parameters else s.parameters["Z"])
+    draw, pdf = _REFERENCE_PROPOSALS[name](scale)
+    old = draw(np.random.default_rng(n), n)
+    params = p.draw_params(np.random.default_rng(n), n)
+    order = [0, 1, 3, 2, 4, 5] if p.kind == "azimuth_lock" else slice(None)
+    assert params.tobytes() == old[:, order].tobytes()
+    coords, dS, _ = p.measure_map(params)
+    ref_coords, ref_dS = _reference_surface_points(s, old)
+    assert coords.tobytes() == ref_coords.tobytes()
+    np.testing.assert_allclose(dS / p.proposal_pdf(params), ref_dS / pdf(old),
+                               rtol=1e-14, atol=0.0)
+
+
+def _at(factor, *cols):
+    return factor.pdf(np.array([cols], dtype=float))
+
+
+@pytest.mark.parametrize("factor", [Gamma(2.0, 2.0), Gamma(6.0, 2.0 / 3.0),
+                                    Gamma(3.0, 0.5)], ids=repr)
+def test_gamma_factor_pdf_integrates_to_one(factor):
+    total, _ = quad(lambda r: _at(factor, r)[0], 0.0, np.inf)
+    assert abs(total - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("factor", [Uniform(0.0, np.pi), Uniform(0.0, 2.0 * np.pi)],
+                         ids=repr)
+def test_uniform_factor_pdf_integrates_to_one(factor):
+    total, _ = quad(lambda t: _at(factor, t), factor.lo, factor.hi)
+    assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("factor", [Normal(1, np.sqrt(0.5)), Normal(4, 0.5)], ids=repr)
+def test_normal_factor_pdf_integrates_to_one(factor):
+    # isotropic in its k columns: integrate over radius times the area of
+    # the unit (k-1)-sphere
+    k = factor.width
+    area = 2.0 * np.pi ** (k / 2) / gamma_fn(k / 2)
+    total, _ = quad(lambda r: _at(factor, r, *[0.0] * (k - 1))[0] * area * r ** (k - 1),
+                    0.0, np.inf)
+    assert abs(total - 1.0) < 1e-10
+
+
+def test_sphere_and_branch_factor_pdfs_sum_to_one():
+    sphere = Sphere()
+
+    def on_sphere(phi, theta):
+        d = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+        return _at(sphere, *d) * np.sin(theta)
+
+    total, _ = dblquad(on_sphere, 0.0, np.pi, 0.0, 2.0 * np.pi)
+    assert abs(total - 1.0) < 1e-12
+    assert _at(Branch(), 0.0) + _at(Branch(), 1.0) == 1.0

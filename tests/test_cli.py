@@ -110,12 +110,24 @@ def test_usage_errors_exit_2(capsys):
      "--method", "quadrature", "--steps", "100000"],
     ["verify-tables", "--only", "2P_2p,subshell_k1_l1", "--chains", "1",
      "--steps", "50000"],
+    # a flag naming a parameter the state does not have is an error, not
+    # a knob to ignore
+    ["compute", "--state", "harmonic_mixed", "--g0", "7", "--components",
+     "pot", "--method", "quadrature"],
+    ["domains", "--state", "harmonic_mixed", "--g0", "7"],
+    ["compute", "--state", "harmonic_noninteracting", "--Z", "5",
+     "--components", "pot"],
+    ["compute", "--state", "2P_2p", "--omega", "3", "--components", "pot"],
+    ["domains", "--state", "harmonic_exact", "--Z", "2"],
+    ["compute", "--state", "2P_2p", "--components", ","],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
         "verify-no-model", "verify-no-model-second", "compute-shell-1-chain",
         "compute-surface-no-param", "compute-quadrature-irreducible",
-        "verify-shell-1-chain"])
+        "verify-shell-1-chain", "compute-g0", "domains-g0",
+        "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
+        "compute-no-components"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators

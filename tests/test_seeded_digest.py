@@ -31,5 +31,6 @@ def test_seeded_digest_repeats_itself():
     kinds = {label.split("/")[1] for label in labels}
     assert kinds == {"vgl.v", "vgl.g", "vgl.lap", "values", "gradients", "laplacians",
                      "density.sample", "density.pdf", "density.pdf.points",
+                     "node.draw_params", "node.sample",
                      "potential_batch.h", "potential_batch.h_ee", "pot", "std",
                      "joint", "abs", "surface", "shell", "metropolis_samples"}

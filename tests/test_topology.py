@@ -4,7 +4,7 @@ import numpy as np
 
 from nda.catalog import get_state, subshell_family
 from nda.topology import (DomainReport, TransformSpec, count_nodal_domains,
-                          find_block_transform)
+                          find_block_transform, _sample_points)
 from nda.topology import test_node_equivalence as node_equivalence
 
 
@@ -105,6 +105,32 @@ class TestEquivalence(unittest.TestCase):
                                     n_points=20_000)
         self.assertEqual(out["verdict"], "inequivalent")
         self.assertLess(out["agreement_fraction"], 0.95)
+
+    def test_one_evaluation_per_model_matches_the_three_pass_reference(self):
+        # the reference evaluates values and gradients for the proxy and
+        # values again on the kept points; the result must not move
+        def proxy(model, x):
+            g = np.linalg.norm(model.gradients(x), axis=1)
+            return np.abs(model.values(x)) / np.maximum(g, 1e-300)
+
+        def reference(a, b, t, n_points, seed):
+            ma, mb = a.model, b.model
+            pts = _sample_points(a, int(1.05 * n_points) + 64, seed, thin=4)
+            ok = (proxy(ma, pts) > 1e-12) & (proxy(mb, t.apply(pts)) > 1e-12)
+            kept = pts[ok][:n_points]
+            s = np.sign(ma.values(kept)) * np.sign(mb.values(t.apply(kept)))
+            most = max(int(np.sum(s > 0)), int(np.sum(s < 0)))
+            total = max(kept.shape[0], 1)
+            return {"verdict": "equivalent" if most == total else "inequivalent",
+                    "agreement_fraction": most / total, "n_points": total,
+                    "resampled": int(np.sum(~ok[:n_points]))}
+
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        cases = [("1S_2p2", "3P_2p2", TransformSpec.identity(2)),
+                 ("3S_1s2s", "3P_1s2p", TransformSpec.from_blocks([q, np.eye(3)], (1, 0)))]
+        for a, b, t in cases:
+            args = (get_state(a), get_state(b), t, 5_000, 11)
+            self.assertEqual(node_equivalence(*args), reference(*args), (a, b))
 
     def test_search_finds_the_singlet_triplet_map(self):
         t = find_block_transform(get_state("1D_2p2"), get_state("3P_2p2"), seed=2)

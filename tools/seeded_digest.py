@@ -12,6 +12,9 @@ For each catalog state with a model, the outputs are:
   1, 37 and 2048 rows, some with signed-zero coordinates or an electron at
   the origin;
 * the reference density's ``sample`` and ``pdf`` at n = 1, 37 and 2048;
+* where the node is parametrized, the node parameters ``draw_params`` and
+  the importance points ``sample`` (coordinates and weights) at n = 1, 37
+  and 2048;
 * ``potential_batch`` of the state's Hamiltonian (and, for atoms, of the
   interacting atom) on those points, with coincident-particle rows;
 * at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, the
@@ -85,6 +88,13 @@ def digest(states: Optional[Sequence] = None,
             yield f"{st.name}/density.sample/n={m} {_sha(draws)}"
             yield f"{st.name}/density.pdf/n={m} {_sha(g.pdf(draws))}"
             yield f"{st.name}/density.pdf.points/m={m} {_sha(g.pdf(x))}"
+            if st.node_param is not None:
+                node = st.node_param
+                params = node.draw_params(np.random.default_rng(m), m)
+                yield f"{st.name}/node.draw_params/n={m} {_sha(params)}"
+                coords, w = node.sample(np.random.default_rng(m), m)
+                yield (f"{st.name}/node.sample/n={m} "
+                       f"{_sha(np.column_stack([coords, w]))}")
             for label, h in hams:
                 yield f"{st.name}/potential_batch.{label}/m={m} {_sha(potential_batch(h, x))}"
         for chains, steps in configs:
