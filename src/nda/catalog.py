@@ -521,7 +521,6 @@ class StateSpec:
     node_param: Optional[NodeParametrization]
     exact_standard: Optional[dict] = None   # {"kin": ..., "pot": ...}
     reference_density: Optional[ReferenceDensity] = None
-    proposal_step: float = 0.5
 
     def hamiltonian(self) -> HamiltonianSpec:
         """The Hamiltonian this state is catalogued with: noninteracting
@@ -589,7 +588,6 @@ def _build_2P_2p(Z):
         exact_standard={"kin": _zsq(Fraction(1, 8), Z), "pot": _zsq(Fraction(-1, 4), Z)},
         node_param=_plane_param(float(Z)),
         reference_density=_coulomb_density(Z, 1),
-        proposal_step=4.0 / float(Z),
     )
 
 
@@ -603,7 +601,6 @@ def _build_3S_1s2s(Z):
         exact_standard={"kin": _zsq(Fraction(5, 8), Z), "pot": _zsq(Fraction(-5, 4), Z)},
         node_param=_equal_radii_param(float(Z)),
         reference_density=_coulomb_density(Z, 2, rate=0.875),
-        proposal_step=2.0 / float(Z),
     )
 
 
@@ -617,7 +614,6 @@ def _build_3P_1s2p(Z):
         exact_standard={"kin": _zsq(Fraction(5, 8), Z), "pot": _zsq(Fraction(-5, 4), Z)},
         node_param=_implicit_graph_param(float(Z), model),
         reference_density=_coulomb_density(Z, 2, rate=0.5),
-        proposal_step=2.0 / float(Z),
     )
 
 
@@ -632,7 +628,6 @@ def _build_1S_1s2_2s2(Z):
         exact_standard={"kin": _zsq(Fraction(5, 4), Z), "pot": _zsq(Fraction(-5, 2), Z)},
         node_param=_paired_radial_param(float(Z)),
         reference_density=_coulomb_density(Z, 4, rate=0.5),
-        proposal_step=1.5 / float(Z),
     )
 
 
@@ -649,7 +644,6 @@ def _build_1S_1s2_2p2(Z):
         exact_standard={"kin": _zsq(Fraction(5, 4), Z), "pot": _zsq(Fraction(-5, 2), Z)},
         node_param=_perpendicular_param_4e(float(Z), model),
         reference_density=_coulomb_density(Z, 4, rate=0.5),
-        proposal_step=1.5 / float(Z),
     )
 
 
@@ -664,7 +658,6 @@ def _build_2p2(Z, coupling, name):
         exact_standard={"kin": _zsq(Fraction(1, 4), Z), "pot": _zsq(Fraction(-1, 2), Z)},
         node_param=node,
         reference_density=_coulomb_density(Z, 2),
-        proposal_step=2.5 / float(Z),
     )
 
 
@@ -686,7 +679,6 @@ def _build_harmonic(omega, which):
             exact_standard={"kin": 2 * omega, "pot": 2 * omega},
             node_param=_relative_plane_param(om),
             reference_density=_harmonic_density(om),
-            proposal_step=1.25 / sqrt(om),
         )
     if which == "exact":
         if abs(om - 0.25) > 1e-12:
@@ -700,7 +692,6 @@ def _build_harmonic(omega, which):
             exact_nda={"kin": ref["kin_nda"], "pot": ref["pot_nda"]},
             node_param=_relative_plane_param(om),
             reference_density=_harmonic_density(om),
-            proposal_step=1.25 / sqrt(om),
         )
     # mixed: the noninteracting state paired with the interacting Hamiltonian
     if abs(om - 0.25) > 1e-12:
@@ -714,7 +705,6 @@ def _build_harmonic(omega, which):
         exact_nda={"kin": ref["kin_nda"], "pot": ref["pot_nda"]},
         node_param=_relative_plane_param(om),
         reference_density=_harmonic_density(om),
-        proposal_step=1.25 / sqrt(om),
     )
 
 
@@ -776,7 +766,6 @@ def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
         node_param=node,
         reference_density=_coulomb_density(Z, max(k, 1), rate=1.5 / (l + 1))
         if model is not None else None,
-        proposal_step=(4.0 if k == 1 else 2.5) / float(Z),
     )
 
 

@@ -449,7 +449,8 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
                    help="total sample budget, e.g. 1e6 (overrides --steps)")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--step", type=float, default=None,
-                   help="Metropolis proposal half-width (Bohr)")
+                   help="starting half-width, adapted during burn-in unless "
+                        "--burn-in 0")
     p.add_argument("--seed", type=int, default=20260801)
 
 

@@ -15,7 +15,11 @@ Shared conventions:
   and the Psi^2 walk of the standard expectations, in
   estimate_pot_and_standard): the rows are walks x chains, one model call
   per step for all of them, and each walk keeps its own stream, proposal
-  width, acceptance density, acceptance count and thinning.  Kept
+  width, acceptance density, acceptance count and thinning.  A walk sets
+  its own proposal width during burn-in, updating it every _ADAPT steps
+  toward acceptance 0.5 from its start at SamplerConfig.proposal_step or
+  half the RMS coordinate of its starting points; the kept steps use the
+  width burn-in ends with.  Kept
   Metropolis steps reach the estimators in blocks of
   k = max(1, _ROWS // n_chains) steps per walk, collect(js, xs, vs), so
   the potential and vgl of about _ROWS rows (at least one row per chain)
@@ -41,6 +45,7 @@ Shared conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Tuple
@@ -70,6 +75,7 @@ _ROWS = 2048    # kept Metropolis rows per model call, but at least one step
 _SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
 _STD_THIN = 4  # default thinning of the Psi^2 integrand
+_ADAPT = 16    # burn-in steps per Metropolis proposal-width update
 _MASK64 = (1 << 64) - 1
 
 # stream tags keep the estimators' random streams disjoint for a given seed
@@ -85,8 +91,11 @@ _TAG_TOPOLOGY = 16
 class SamplerConfig:
     """Monte Carlo budget and reproducibility knobs.
 
-    burn_in defaults to 10% of steps_per_chain; proposal_step defaults to
-    the per-state tuned half-width carried by the StateSpec.
+    burn_in defaults to 10% of steps_per_chain.  proposal_step is the
+    starting half-width of every Metropolis walk; by default a walk starts
+    at half the RMS coordinate of its starting points.  During burn-in each
+    walk adapts its width toward acceptance 0.5 every 16 steps, and keeps
+    the width it ends burn-in with; burn_in=0 keeps the starting width.
     epsilon_ladder applies to the delta-shell estimator only, in units of
     the node-distance proxy |Psi| / |grad Psi| (a length); when omitted, the
     1 % quantile of that proxy over the call's first
@@ -132,7 +141,8 @@ class NdaEstimate:
     n_rejected counts the samples a Metropolis estimator dropped (singular
     potential, or within float noise of the node); they are not in n_samples.
     acceptance_rate is the Metropolis estimators' fraction of accepted
-    moves over all chains and steps; None for the other methods.
+    moves over all chains and the kept (post-burn-in) steps; None for the
+    other methods.
     """
 
     mean: float
@@ -280,15 +290,26 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     full block and n <= k for the last one.  A block thus holds at most
     max(_ROWS, n_chains) rows, which collect evaluates in one model call;
     the block is reused, so collect copies what it keeps.  Returns each
-    walk's global acceptance rate.
+    walk's acceptance rate over its kept steps.
+
+    A walk proposes uniform(-w, w) moves in every coordinate.  Its
+    half-width w starts at cfg.proposal_step, or else at half the RMS
+    coordinate of its starting points, and after every _ADAPT-th burn-in
+    step j it becomes w exp(3 (rate - 0.5) / sqrt(j / _ADAPT)), rate being
+    the walk's acceptance over those _ADAPT steps and all its chains
+    (a Robbins-Monro step toward acceptance 0.5; Andrieu & Thoms 2008).
+    The kept steps share the width burn-in ends with, so the kept chain is
+    a Metropolis chain with a fixed kernel.
 
     A walk's stream gives its n_chains starting points (one density.sample
     call) and then, step by step and chain by chain, 3N proposal uniforms
-    and one acceptance uniform, filled s steps at a time.  The walk is
-    therefore the same for every slab size, bit for bit; and since
-    model.values treats rows independently, each walk is the walk it would
-    be on its own.  The slab of one walk's s steps is cut by the number of
-    walks, so the buffer holds no more rows than one walk's.
+    and one acceptance uniform, filled s steps at a time (during burn-in
+    at most up to the next width update).  The width updates fall on fixed
+    step indices, so the walk is the same for every slab size, bit for
+    bit; and since model.values treats rows independently, each walk is
+    the walk it would be on its own.  The slab of one walk's s steps is cut
+    by the number of walks, so the buffer holds no more rows than one
+    walk's.
     """
     density = _density(state)
     dim = 3 * model.n_particles
@@ -296,15 +317,12 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     burn = cfg.resolved_burn_in()
     rows = [slice(w * C, (w + 1) * C) for w in range(W)]
     powers = [walk[0] for walk in walks]
-    # |Psi|^2 is roughly a factor sqrt(2) narrower than |Psi| in every
-    # direction; halving the tuned |Psi| step keeps the walk near the
-    # diffusive optimum for both densities (measured, not derived).
-    widths = [cfg.proposal_step if cfg.proposal_step is not None
-              else state.proposal_step * (0.5 if power == 2 else 1.0)
-              for power in powers]
 
     rngs = [_stream(cfg.seed, tag) for _, tag, _, _ in walks]
     x = np.concatenate([density.sample(rng, C) for rng in rngs])
+    widths = [cfg.proposal_step if cfg.proposal_step is not None
+              else 0.5 * float(np.sqrt(np.mean(x[sl] * x[sl]))) for sl in rows]
+    log_widths = [math.log(width) for width in widths]
     v = model.values(x)
     # acceptance densities: |v|, squared in place on the rows of the
     # Psi^2 walks (|v| * |v| has the bits of v * v)
@@ -315,7 +333,9 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     tp_squared = [tp[sl] for sl in squared]
     # one slab buffer per run, and the slab's acceptance uniforms gathered
     # row-major into ua; accs holds each step's acceptances until the
-    # slab's are counted.  Accepted rows of x move as whole void items.
+    # slab's are counted into accepted, which restarts at every width
+    # update and at the end of burn-in.  Accepted rows of x move as whole
+    # void items.
     s = max(1, min(_CHUNK, steps, _SLAB // C) // W)
     u = np.empty((W, s, C, dim + 1))
     ua = np.empty((s, W * C))
@@ -328,8 +348,11 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     k = max(1, _ROWS // C)
     kept = [_Kept(collect, thin, x[sl], v[sl], k)
             for (_, _, collect, thin), sl in zip(walks, rows)]
-    for a in range(0, steps, s):
-        b = min(s, steps - a)
+    a = 0
+    while a < steps:
+        # during burn-in a slab ends at the next width update
+        b = (min(s, steps - a) if a >= burn
+             else min(s, _ADAPT - a % _ADAPT, burn - a))
         # uniform(-w, w) computes -w + 2 w * u: the same bits
         for w, (rng, width) in enumerate(zip(rngs, widths)):
             rng.random(out=u[w, :b])
@@ -353,9 +376,18 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
                     if g % walk.thin == 0:
                         walk.keep(g)
         accepted += accs[:b].sum(axis=0)
+        a += b
+        if a <= burn and a % _ADAPT == 0:
+            for w, sl in enumerate(rows):
+                rate = int(accepted[sl].sum()) / (_ADAPT * C)
+                log_widths[w] += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
+                widths[w] = math.exp(log_widths[w])
+            accepted[:] = 0
+        if a == burn:
+            accepted[:] = 0
     for walk in kept:
         walk.flush()
-    return [int(accepted[sl].sum()) / (C * steps) for sl in rows]
+    return [int(accepted[sl].sum()) / (C * (steps - burn)) for sl in rows]
 
 
 def _metropolis_average(model, state: StateSpec, cfg: SamplerConfig,

@@ -110,12 +110,11 @@ def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
 
 
 def potential(h: HamiltonianSpec, R) -> float:
-    """Potential energy at a single configuration (flat 3N vector or Configuration).
+    """Potential energy at a single configuration, a flat length-3N vector.
 
     Raises SingularPointError at coincident charges.
     """
-    coords = getattr(R, "coords", R)
-    x = np.asarray(coords, dtype=float).reshape(1, -1)
+    x = np.asarray(R, dtype=float).reshape(1, -1)
     v = float(potential_batch(h, x)[0])
     if not np.isfinite(v):
         raise SingularPointError("configuration sits on a potential singularity "

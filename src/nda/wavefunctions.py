@@ -8,7 +8,7 @@ computes the shared parts once per call.  All models expose a batched API
 (``values``, ``gradients``, ``laplacians`` and the fused ``vgl``, which
 returns all three for the same points) over arrays of shape ``(m, 3N)``
 plus the scalar convenience operations :func:`evaluate`, :func:`gradient`,
-:func:`laplacian` acting on a single :class:`Configuration`.
+:func:`laplacian` acting on a single flat length-3N coordinate vector.
 
 Radial factors are kept unnormalized (e.g. the 2p radial part is
 ``exp(-Z r / 2)``): every quantity computed downstream is a ratio of
@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "Configuration",
     "Orbital",
     "WaveFunction",
     "DetBlock",
@@ -36,28 +35,6 @@ __all__ = [
     "gradient",
     "laplacian",
 ]
-
-
-# --------------------------------------------------------------------------
-# configurations
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Positions of N particles as a flat length-3N coordinate vector (Bohr)."""
-
-    coords: np.ndarray
-    n_particles: int
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float).reshape(-1)
-        if coords.size != 3 * self.n_particles:
-            raise ValueError(
-                f"coords has length {coords.size}, expected {3 * self.n_particles}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("configuration coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
 
 
 def _norms(p: np.ndarray) -> np.ndarray:
@@ -77,22 +54,14 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _as_batch(model: "WaveFunction", R) -> np.ndarray:
-    if isinstance(R, Configuration):
-        if R.n_particles != model.n_particles:
-            raise ValueError(
-                f"configuration has {R.n_particles} particles, "
-                f"model expects {model.n_particles}"
-            )
-        x = R.coords
-    else:
-        x = np.asarray(R, dtype=float).reshape(-1)
-        if x.size != 3 * model.n_particles:
-            raise ValueError(
-                f"coordinate vector has length {x.size}, "
-                f"expected {3 * model.n_particles}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("coordinates must be finite")
+    x = np.asarray(R, dtype=float).reshape(-1)
+    if x.size != 3 * model.n_particles:
+        raise ValueError(
+            f"coordinate vector has length {x.size}, "
+            f"expected {3 * model.n_particles}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("coordinates must be finite")
     return x[None, :]
 
 

@@ -128,14 +128,6 @@ def test_reference_density_pdf_matches_sampler():
         assert abs(ratio.mean() - 1.0) < 5e-2, name
 
 
-def test_proposal_steps_are_tuned_per_state():
-    for s in ALL:
-        if s.model is not None:
-            assert s.proposal_step > 0.0
-    # heavier states take shorter steps
-    assert get_state("1S_1s2_2s2").proposal_step < get_state("2P_2p").proposal_step
-
-
 # ------------------------------------- stacked reference draws stay bitwise
 
 

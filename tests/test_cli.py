@@ -143,11 +143,13 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
 
 
 def test_sum_status_comes_from_its_parts(capsys):
-    # a 60-Bohr proposal step is almost never accepted: pot warns, and the
-    # sum of kin and pot carries that warning rather than "ok"
+    # a 60-Bohr proposal step, kept fixed without burn-in, is almost never
+    # accepted: pot warns, and the sum of kin and pot carries that warning
+    # rather than "ok"
     code, out, _ = run(["compute", "--state", "3S_1s2s", "--components",
                         "kin,pot", "--chains", "4", "--steps", "3000",
-                        "--step", "60", "--format", "json"], capsys)
+                        "--step", "60", "--burn-in", "0", "--format", "json"],
+                       capsys)
     assert code == 0
     est = RunRecord.from_json(out).estimates
     assert est["kin"]["status"] == "ok"

@@ -6,6 +6,7 @@ much larger budgets.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -181,10 +182,44 @@ def test_explicit_epsilon_ladder_is_respected():
 
 
 def test_absurd_proposal_step_is_flagged():
+    """Without burn-in the width is never adapted, so a fixed absurd width
+    shows in the acceptance status."""
+    st = get_state("2P_2p")
+    cfg = dataclasses.replace(FAST, proposal_step=200.0, burn_in=0)
+    est = estimate_pot_nda(st, cfg=cfg)
+    assert est.status.startswith("warning: acceptance rate")
+
+
+def test_burn_in_adapts_an_absurd_start():
+    """The default burn-in brings a width 100 times too wide to acceptance
+    near 0.5, measured over the kept steps."""
     st = get_state("2P_2p")
     cfg = dataclasses.replace(FAST, proposal_step=200.0)
     est = estimate_pot_nda(st, cfg=cfg)
-    assert est.status.startswith("warning: acceptance rate")
+    assert 0.4 <= est.acceptance_rate <= 0.6
+    assert est.status == "ok"
+
+
+@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
+                         + ["subshell_k1_l1", "subshell_k1_l2"])
+def test_adapted_walks_accept_half_and_hit_exact_values(name):
+    """On every model state, the subshell models included, the |Psi| and
+    Psi^2 walks started at half the RMS starting coordinate accept 0.45 to
+    0.55 of their kept moves, and pot_nda, kin_std and pot_std lie within
+    the t_15 quantile for p = 1e-4 (5.24 stderr) of their exact values."""
+    st = get_state(name)
+    got = estimate_pot_and_standard(
+        st, cfg=SamplerConfig(n_chains=16, steps_per_chain=20_000))
+    for key in ("pot_nda", "kin_std"):
+        assert 0.45 <= got[key].acceptance_rate <= 0.55, (key, got[key])
+    exact = {"pot_nda": st.exact_nda["pot"]}
+    if st.exact_standard is not None:
+        exact.update(kin_std=st.exact_standard["kin"],
+                     pot_std=st.exact_standard["pot"])
+    for key, value in exact.items():
+        est = got[key]
+        assert est.status == "ok", key
+        assert abs(est.mean - float(value)) < 5.24 * est.stderr, (key, est)
 
 
 def test_missing_model_rejected():
@@ -204,14 +239,19 @@ def _reference_walk(state, cfg, thin, power, tag):
     """The Metropolis walk drawn one step at a time: the stream gives the
     chains' starting points, then per step one (chains, 3N + 1) array of
     uniforms, the proposal noise and then the acceptance uniform of every
-    chain.  Yields (kept-step index, x, raw values) for every thin-th kept
-    step."""
+    chain.  The half-width starts at cfg.proposal_step or half the RMS
+    starting coordinate; after burn-in step j, j a multiple of 16, its log
+    moves by 3 (rate - 0.5) / sqrt(j / 16), rate being the acceptance of
+    the last 16 steps.  Yields (kept-step index, x, raw values) for every
+    thin-th kept step."""
     model = state.model
     dim = 3 * model.n_particles
     steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
-    step = state.proposal_step * (0.5 if power == 2 else 1.0)
     rng = _stream(cfg.seed, tag)
     x = state.reference_density.sample(rng, cfg.n_chains)
+    step = (cfg.proposal_step if cfg.proposal_step is not None
+            else 0.5 * float(np.sqrt(np.mean(x * x))))
+    log_step, n_accepted = math.log(step), 0
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
     for j in range(steps):
@@ -223,6 +263,11 @@ def _reference_walk(state, cfg, thin, power, tag):
         x = np.where(acc[:, None], xp, x)
         v = np.where(acc, vp, v)
         t = np.where(acc, tp, t)
+        n_accepted += int(acc.sum())
+        if j + 1 <= burn and (j + 1) % 16 == 0:
+            rate = n_accepted / (16 * cfg.n_chains)
+            log_step += 3.0 * (rate - 0.5) / math.sqrt((j + 1) // 16)
+            step, n_accepted = math.exp(log_step), 0
         if j >= burn and (j - burn) % thin == 0:
             yield j - burn, x, v
 
