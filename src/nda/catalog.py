@@ -6,8 +6,8 @@ Each :class:`StateSpec` bundles a wave-function model with
   :class:`fractions.Fraction` so identities can be checked exactly),
 * the Hamiltonian it is an eigenstate of (noninteracting Coulomb atoms for
   the atomic entries; the harmonic pair for the trap entries),
-* a normalized reference density ``g`` used by the ratio and shell
-  estimators, and
+* a normalized reference density ``g`` derived from the model, which the
+  ratio and shell estimators sample and the Metropolis walks start from, and
 * where the node is known analytically, a :class:`NodeParametrization`
   that draws surface parameters and maps them onto the node with the exact
   surface measure of that geometry.
@@ -80,32 +80,53 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceDensity:
-    """Product density g: exponentials exp(-a r) for Coulomb states,
-    isotropic Gaussians exp(-omega r^2 / 2) for harmonic states.
+    """Normalized product density g of a model (:meth:`of`).
 
-    ``sample(rng, n)`` makes the per-particle RNG calls in particle order
-    (Coulomb: a gamma radius, then a normal direction; harmonic: a normal
-    draw), writes them into one (n, N, 3) buffer, and normalizes and scales
-    all particles in a few column-wise passes.  ``pdf`` scores the (n, N, 3)
-    layout the same way: no norm over a length-3 axis, no inner-axis sum.
+    Coulomb: each electron's radius comes from the equal-weight mixture of
+    Gamma(3, n / Z), r^2 exp(-Z r / n), over the model's distinct orbital
+    decay lengths n / Z (``Orbital.radial_scale``); its direction is
+    uniform.  So each electron's factor is finite and positive at the origin
+    and decays like the slowest orbital: |Psi| / g and |grad Psi| / g grow
+    at most polynomially in the radii, and every moment of the ratio and
+    shell weights is finite, with no tempering or defensive component.
+    Harmonic: the Gaussian exp(-omega r^2 / 2) at the model's omega.
+
+    ``sample(rng, n)`` draws, for Coulomb, the (n, N) mixture components
+    (with two or more decay lengths), then the (n, N) gamma radii, then the
+    (n, N, 3) normal directions, one RNG call each; for harmonic, a normal
+    draw per particle in particle order into one (n, N, 3) buffer.  It
+    normalizes and scales all particles in a few column-wise passes; ``pdf``
+    scores the (n, N, 3) layout the same way, with no norm over a length-3
+    axis and no inner-axis sum.  Both treat rows independently.
     """
 
     family: str
     n_particles: int
-    a: float = 0.0
+    scales: tuple = ()   # Coulomb: the distinct radial decay lengths n / Z
     omega: float = 0.0
+
+    @classmethod
+    def of(cls, model: wf.WaveFunction) -> "ReferenceDensity":
+        """g of a model (a Scaled model has its base's); scales in order."""
+        if isinstance(model, wf.Scaled):
+            return cls.of(model.base)
+        if isinstance(model, wf.HarmonicPair):
+            return cls("harmonic", model.n_particles, omega=model.omega)
+        scales = dict.fromkeys(o.radial_scale() for t in model.terms
+                               for b in t.blocks for o in b.orbitals)
+        return cls("coulomb", model.n_particles, scales=tuple(scales))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         N = self.n_particles
-        out = np.empty((n, N, 3))
         if self.family == "coulomb":
-            r = np.empty((n, N))
-            for i in range(N):
-                r[:, i] = rng.gamma(3.0, 1.0 / self.a, size=n)
-                out[:, i] = rng.standard_normal((n, 3))
+            s = np.array(self.scales)
+            s = s[rng.integers(len(s), size=(n, N))] if len(s) > 1 else s[0]
+            r = rng.standard_gamma(3.0, size=(n, N)) * s
+            out = rng.standard_normal((n, N, 3))
             out /= wf._norms(out)[..., None]
             out *= r[..., None]
         else:
+            out = np.empty((n, N, 3))
             for i in range(N):
                 out[:, i] = rng.standard_normal((n, 3))
             out /= sqrt(self.omega)
@@ -114,8 +135,13 @@ class ReferenceDensity:
     def pdf(self, x: np.ndarray) -> np.ndarray:
         if self.family == "coulomb":
             r = wf._norms(x.reshape(x.shape[0], self.n_particles, 3))
-            c = (self.a ** 3 / (8.0 * pi)) ** self.n_particles
-            return c * np.exp(-self.a * wf._row_sums(r))
+            g1 = 0.0  # one electron's factor: Gamma(3, s) radial pdf / (4 pi r^2)
+            for s in self.scales:
+                g1 = g1 + np.exp(-r / s) / (8.0 * pi * s ** 3 * len(self.scales))
+            p = g1[:, 0]
+            for i in range(1, self.n_particles):
+                p = p * g1[:, i]
+            return p
         c = (self.omega / (2.0 * pi)) ** (1.5 * self.n_particles)
         return c * np.exp(-0.5 * self.omega * wf._row_sums(x * x))
 
@@ -520,7 +546,10 @@ class StateSpec:
     exact_nda: Optional[dict]        # {"kin": ..., "pot": ...}
     node_param: Optional[NodeParametrization]
     exact_standard: Optional[dict] = None   # {"kin": ..., "pot": ...}
-    reference_density: Optional[ReferenceDensity] = None
+
+    @property
+    def reference_density(self) -> ReferenceDensity:
+        return ReferenceDensity.of(self.model)  # derived on each access
 
     def hamiltonian(self) -> HamiltonianSpec:
         """The Hamiltonian this state is catalogued with: noninteracting
@@ -537,15 +566,6 @@ def _zsq(coef: Fraction, Z) -> Fraction | float:
     if isinstance(Z, (int, Fraction)):
         return coef * Fraction(Z) ** 2
     return float(coef) * Z ** 2
-
-
-def _coulomb_density(Z, n, rate=0.75):
-    # Per-electron radial decay a = rate * Z.  |Psi|/g keeps finite variance
-    # only for a < twice the slowest orbital decay rate.  The per-state rates
-    # were tuned for a shell selected by |Psi| < eps, which also needed
-    # a >= the mean orbital decay rate; the shell now selects by node
-    # distance and has no lower limit.
-    return ReferenceDensity(family="coulomb", n_particles=n, a=rate * float(Z))
 
 
 def _orb(kind, Z, **kw):
@@ -587,7 +607,6 @@ def _build_2P_2p(Z):
         exact_nda={"kin": _zsq(Fraction(1, 24), Z), "pot": _zsq(Fraction(-1, 6), Z)},
         exact_standard={"kin": _zsq(Fraction(1, 8), Z), "pot": _zsq(Fraction(-1, 4), Z)},
         node_param=_plane_param(float(Z)),
-        reference_density=_coulomb_density(Z, 1),
     )
 
 
@@ -600,7 +619,6 @@ def _build_3S_1s2s(Z):
                    "pot": _zsq(Fraction(-1185, 1768), Z)},
         exact_standard={"kin": _zsq(Fraction(5, 8), Z), "pot": _zsq(Fraction(-5, 4), Z)},
         node_param=_equal_radii_param(float(Z)),
-        reference_density=_coulomb_density(Z, 2, rate=0.875),
     )
 
 
@@ -613,7 +631,6 @@ def _build_3P_1s2p(Z):
         exact_nda={"kin": _zsq(Fraction(1, 20), Z), "pot": _zsq(Fraction(-27, 40), Z)},
         exact_standard={"kin": _zsq(Fraction(5, 8), Z), "pot": _zsq(Fraction(-5, 4), Z)},
         node_param=_implicit_graph_param(float(Z), model),
-        reference_density=_coulomb_density(Z, 2, rate=0.5),
     )
 
 
@@ -627,7 +644,6 @@ def _build_1S_1s2_2s2(Z):
                    "pot": _zsq(Fraction(-1185, 884), Z)},
         exact_standard={"kin": _zsq(Fraction(5, 4), Z), "pot": _zsq(Fraction(-5, 2), Z)},
         node_param=_paired_radial_param(float(Z)),
-        reference_density=_coulomb_density(Z, 4, rate=0.5),
     )
 
 
@@ -643,7 +659,6 @@ def _build_1S_1s2_2p2(Z):
         exact_nda={"kin": _zsq(Fraction(1, 10), Z), "pot": _zsq(Fraction(-27, 20), Z)},
         exact_standard={"kin": _zsq(Fraction(5, 4), Z), "pot": _zsq(Fraction(-5, 2), Z)},
         node_param=_perpendicular_param_4e(float(Z), model),
-        reference_density=_coulomb_density(Z, 4, rate=0.5),
     )
 
 
@@ -657,12 +672,7 @@ def _build_2p2(Z, coupling, name):
         exact_nda={"kin": _zsq(Fraction(1, 12), Z), "pot": _zsq(Fraction(-1, 3), Z)},
         exact_standard={"kin": _zsq(Fraction(1, 4), Z), "pot": _zsq(Fraction(-1, 2), Z)},
         node_param=node,
-        reference_density=_coulomb_density(Z, 2),
     )
-
-
-def _harmonic_density(omega):
-    return ReferenceDensity(family="harmonic", n_particles=2, omega=float(omega))
 
 
 def _build_harmonic(omega, which):
@@ -678,7 +688,6 @@ def _build_harmonic(omega, which):
             exact_nda={"kin": kin, "pot": pot},
             exact_standard={"kin": 2 * omega, "pot": 2 * omega},
             node_param=_relative_plane_param(om),
-            reference_density=_harmonic_density(om),
         )
     if which == "exact":
         if abs(om - 0.25) > 1e-12:
@@ -691,7 +700,6 @@ def _build_harmonic(omega, which):
             exact_total_energy=Fraction(5, 4),
             exact_nda={"kin": ref["kin_nda"], "pot": ref["pot_nda"]},
             node_param=_relative_plane_param(om),
-            reference_density=_harmonic_density(om),
         )
     # mixed: the noninteracting state paired with the interacting Hamiltonian
     if abs(om - 0.25) > 1e-12:
@@ -704,7 +712,6 @@ def _build_harmonic(omega, which):
         exact_total_energy=None,   # not an eigenstate of the paired Hamiltonian
         exact_nda={"kin": ref["kin_nda"], "pot": ref["pot_nda"]},
         node_param=_relative_plane_param(om),
-        reference_density=_harmonic_density(om),
     )
 
 
@@ -764,8 +771,6 @@ def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
         exact_standard={"kin": Fraction(k, 2 * (l + 1) ** 2) * Fraction(Z) ** 2,
                         "pot": Fraction(-k, (l + 1) ** 2) * Fraction(Z) ** 2},
         node_param=node,
-        reference_density=_coulomb_density(Z, max(k, 1), rate=1.5 / (l + 1))
-        if model is not None else None,
     )
 
 

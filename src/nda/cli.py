@@ -395,16 +395,7 @@ def cmd_equiv(args) -> int:
     state_a = _evaluable(get_state(args.a))
     state_b = _evaluable(get_state(args.b))
     n = state_a.model.n_particles
-    if args.flip and args.transform:
-        print("error: give either --flip or --transform, not both", file=sys.stderr)
-        return 2
-    if args.flip:
-        t = _parse_flip(args.flip, n)
-    else:
-        if args.transform not in (None, "identity"):
-            print(f"error: unknown transform {args.transform!r}", file=sys.stderr)
-            return 2
-        t = TransformSpec.identity(n)
+    t = _parse_flip(args.flip, n) if args.flip else TransformSpec.identity(n)
     result = test_node_equivalence(state_a, state_b, t,
                                    n_points=args.points, seed=args.seed)
     if args.format == "json":
@@ -500,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="test node equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--flip", default=None, help="axis:particle, e.g. x:2")
-    p.add_argument("--transform", default=None, help="'identity'")
+    p.add_argument("--flip", default=None,
+                   help="axis:particle, e.g. x:2 (default: the identity)")
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20260801)
     _add_output_flags(p)

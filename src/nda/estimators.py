@@ -183,12 +183,6 @@ def _model(state: StateSpec):
     return state.model
 
 
-def _density(state: StateSpec):
-    if state.reference_density is None:
-        raise ValueError(f"state {state.name!r} has no reference density")
-    return state.reference_density
-
-
 class _Blocks:
     """Per-(chain, block) sums of n_values integrands, with their counts.
 
@@ -311,7 +305,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     by the number of walks, so the buffer holds no more rows than one
     walk's.
     """
-    density = _density(state)
+    density = state.reference_density
     dim = 3 * model.n_particles
     W, C, steps = len(walks), cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
@@ -563,9 +557,7 @@ def estimate_abs_norm(state: StateSpec,
                       cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
     """Integral of |Psi| by importance ratio against the reference density g."""
     cfg = cfg or SamplerConfig()
-    model, g = _model(state), _density(state)
-    if g.n_particles != model.n_particles:
-        raise ValueError("reference density particle count does not match the model")
+    model, g = _model(state), state.reference_density
 
     def weight(x):
         return (np.abs(model.values(x)) / g.pdf(x),)
@@ -630,7 +622,7 @@ def estimate_kin_nda_shell(state: StateSpec,
     quantile of its d.  Its rows then enter the averages like any other.
     """
     cfg = cfg or SamplerConfig()
-    model, g = _model(state), _density(state)
+    model, g = _model(state), state.reference_density
     if cfg.n_chains < 2:
         raise ValueError("delta-shell stderr needs at least 2 chains")
 

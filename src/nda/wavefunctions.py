@@ -247,6 +247,13 @@ class Orbital:
             return (*_make_axis_poly(which), 1)
         return (*_SH2[which], 2)
 
+    def radial_scale(self) -> float:
+        """n / Z: the orbital's decay length, exp(-Z r / n) = exp(-r / scale)."""
+        if self.kind.startswith("gaussian"):
+            raise ValueError("a gaussian orbital has no hydrogenic decay length")
+        n = self.n if self.kind == "hydrogenic_general" else int(self.kind[-2])
+        return n / self.scale
+
     def value(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
         poly, _, _ = self._poly()

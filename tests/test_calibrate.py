@@ -20,7 +20,7 @@ def _calibrate_module():
 
 def test_calibrate_scores_every_estimator(capsys):
     tool = _calibrate_module()
-    code = tool.main(["--estimators", "pot,std,surface,shell", "--seeds", "1-2",
+    code = tool.main(["--estimators", "pot,std,surface,shell,abs", "--seeds", "1-2",
                       "--states", "2P_2p,harmonic_exact", "--chains", "4",
                       "--steps", "600"])
     out = capsys.readouterr().out.splitlines()
@@ -31,10 +31,10 @@ def test_calibrate_scores_every_estimator(capsys):
     assert cells == {(e, s, c) for s in ("2P_2p", "harmonic_exact")
                      for e, c in (("pot", "pot_nda"), ("std", "kin_std"),
                                   ("std", "pot_std"), ("surface", "kin_nda"),
-                                  ("shell", "kin_nda"))
+                                  ("shell", "kin_nda"), ("abs", "abs_norm"))
                      if not (e == "std" and s == "harmonic_exact")}
     pooled = [line.split()[0] for line in out if line.startswith("  ")]
-    assert pooled == ["pot", "std", "surface", "shell"]
+    assert pooled == ["pot", "std", "surface", "shell", "abs"]
 
 
 def test_calibrate_z_scores_are_the_estimates_deviations():

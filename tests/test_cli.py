@@ -308,9 +308,11 @@ def test_equiv_command_flip(capsys):
 
 
 def test_equiv_flip_and_transform_conflict(capsys):
+    # --transform is no option of equiv: omitting --flip is the identity
     code, _, err = run(["equiv", "--a", "1D_2p2", "--b", "3P_2p2",
                         "--flip", "x:2", "--transform", "identity"], capsys)
     assert code == 2
+    assert "unrecognized arguments: --transform" in err
 
 
 def test_equiv_bad_flip_syntax(capsys):

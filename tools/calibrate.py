@@ -1,10 +1,11 @@
 """Stderr calibration: z-scores of the estimators against the exact values.
 
 Runs the named estimators over a seed range and a set of catalog states at
-one config, and scores each estimate against the catalog's exact value,
-z = (mean - exact) / stderr.  If the quoted stderr is honest, the z-scores
-of an estimator at n_chains chains follow Student's t with n_chains - 1
-degrees of freedom.  It prints:
+one config, and scores each estimate against the catalog's exact value
+(abs: the quadrature oracle's integral of |Psi|), z = (mean - exact) /
+stderr.  If the quoted stderr is honest, the z-scores of an estimator at
+n_chains chains follow Student's t with n_chains - 1 degrees of freedom.
+It prints:
 
 * per (state, component, estimator) cell, the z mean, s.d. and largest
   |z| over seeds;
@@ -25,9 +26,11 @@ import numpy as np
 
 from nda import estimators as est
 from nda.catalog import StateSpec, catalog_list, get_state
+from nda.quadrature import NotReducibleError, quadrature_oracle
 
 # name -> (applies to the state, run, [(component, result key)])
 ESTIMATORS = {
+    "abs": (lambda st: True, est.estimate_abs_norm, [("abs_norm", None)]),
     "pot": (lambda st: True, est.estimate_pot_nda, [("pot_nda", None)]),
     "std": (lambda st: True, est.estimate_standard_expectations,
             [("kin_std", "kin"), ("pot_std", "pot")]),
@@ -38,7 +41,13 @@ ESTIMATORS = {
 
 
 def exact_value(state: StateSpec, component: str) -> Optional[float]:
-    """The catalog's exact kin_nda, pot_nda, kin_std or pot_std, if any."""
+    """The catalog's exact kin_nda, pot_nda, kin_std or pot_std, or the
+    quadrature oracle's abs_norm (the integral of |Psi|), if any."""
+    if component == "abs_norm":
+        try:
+            return float(quadrature_oracle(state, "abs_norm"))
+        except NotReducibleError:
+            return None
     kind, table = component.split("_")
     refs = state.exact_nda if table == "nda" else state.exact_standard
     value = (refs or {}).get(kind)
