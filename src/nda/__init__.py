@@ -27,7 +27,7 @@ from .reference import (SubshellParams, harmonic_reference, quasiclassical_gap,
 from .topology import (DomainReport, TransformSpec, count_nodal_domains,
                        find_block_transform, test_node_equivalence)
 from .wavefunctions import (HarmonicPair, Orbital, Scaled, SlaterProduct,
-                            WaveFunction, evaluate, gradient, laplacian)
+                            WaveFunction)
 
 __all__ = [
     "__version__",
@@ -45,6 +45,5 @@ __all__ = [
     "subshell_kin_nda", "subshell_pot_nda", "subshell_total",
     "DomainReport", "TransformSpec", "count_nodal_domains",
     "find_block_transform", "test_node_equivalence",
-    "HarmonicPair", "Orbital", "Scaled", "SlaterProduct",
-    "WaveFunction", "evaluate", "gradient", "laplacian",
+    "HarmonicPair", "Orbital", "Scaled", "SlaterProduct", "WaveFunction",
 ]

@@ -578,7 +578,7 @@ def _product_state(Z, n, terms):
     return wf.SlaterProduct(
         [wf.Term(coeff=1.0, blocks=tuple(wf.DetBlock(orbitals=o, electrons=e)
                                          for o, e in t)) for t in terms],
-        n_particles=n, family="coulomb", parameters={"Z": float(Z)})
+        n_particles=n, parameters={"Z": float(Z)})
 
 
 def _det_state(Z, orbitals, electrons):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -144,9 +145,16 @@ def _emit(record: RunRecord, fmt: str, out: Optional[str]) -> None:
 
 def _get_state_from_args(args) -> "StateSpec":
     """The state named by --state, built at --Z or --omega where given; a
-    ValueError when the flag names a parameter the state does not have."""
+    ValueError when a flag's value has no finite float or the flag names a
+    parameter the state does not have."""
     kwargs = {key: Fraction(getattr(args, key)) for key in ("Z", "omega")
               if getattr(args, key) is not None}
+    for key, value in kwargs.items():
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"--{key} {getattr(args, key)} is not a finite "
+                             "float") from None
     state = get_state(args.state, **kwargs)
     for key in kwargs:
         if key not in state.parameters:
@@ -175,7 +183,6 @@ def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerCon
         n_chains=chains,
         steps_per_chain=steps,
         burn_in=args.burn_in,
-        proposal_step=args.step,
         seed=args.seed,
     )
 
@@ -439,9 +446,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=str, default=None,
                    help="total sample budget, e.g. 1e6 (overrides --steps)")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--step", type=float, default=None,
-                   help="starting half-width, adapted during burn-in unless "
-                        "--burn-in 0")
     p.add_argument("--seed", type=int, default=20260801)
 
 
@@ -457,8 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nodal-surface and domain averages for few-electron "
                     "wave functions")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # no abbreviated flags: a deleted flag such as --step must be an error,
+    # not a silent --steps
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("compute", help="estimate components for one state")
+    p = add_parser("compute", help="estimate components for one state")
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
@@ -470,14 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("verify-tables",
-                       help="check catalog states against exact references")
+    p = add_parser("verify-tables",
+                   help="check catalog states against exact references")
     p.add_argument("--only", default=None)
     p.add_argument("--method", choices=("mc", "quadrature"), default="mc")
     _add_sampler_flags(p)
     p.set_defaults(fn=cmd_verify_tables)
 
-    p = sub.add_parser("domains", help="count nodal domains")
+    p = add_parser("domains", help="count nodal domains")
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
@@ -488,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(fn=cmd_domains)
 
-    p = sub.add_parser("equiv", help="test node equivalence")
+    p = add_parser("equiv", help="test node equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--flip", default=None,
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(fn=cmd_equiv)
 
-    p = sub.add_parser("catalog", help="list built-in states")
+    p = add_parser("catalog", help="list built-in states")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_catalog)
 

@@ -17,9 +17,8 @@ Shared conventions:
   per step for all of them, and each walk keeps its own stream, proposal
   width, acceptance density, acceptance count and thinning.  A walk sets
   its own proposal width during burn-in, updating it every _ADAPT steps
-  toward acceptance 0.5 from its start at SamplerConfig.proposal_step or
-  half the RMS coordinate of its starting points; the kept steps use the
-  width burn-in ends with.  Kept
+  toward acceptance 0.5 from its start at half the RMS coordinate of its
+  starting points; the kept steps use the width burn-in ends with.  Kept
   Metropolis steps reach the estimators in blocks of
   k = max(1, _ROWS // n_chains) steps per walk, collect(js, xs, vs), so
   the potential and vgl of about _ROWS rows (at least one row per chain)
@@ -37,7 +36,7 @@ Shared conventions:
   NdaEstimates;
 * the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
-  the default ladder and then count like the others;
+  the ladder and then count like the others;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise (Flyvbjerg & Petersen 1989).
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -74,7 +73,7 @@ _CHUNK = 2048   # i.i.d. draws per block; Metropolis steps per slab at most
 _ROWS = 2048    # kept Metropolis rows per model call, but at least one step
 _SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
-_STD_THIN = 4  # default thinning of the Psi^2 integrand
+_STD_THIN = 4  # thinning of the Psi^2 integrand
 _ADAPT = 16    # burn-in steps per Metropolis proposal-width update
 _MASK64 = (1 << 64) - 1
 
@@ -91,23 +90,16 @@ _TAG_TOPOLOGY = 16
 class SamplerConfig:
     """Monte Carlo budget and reproducibility knobs.
 
-    burn_in defaults to 10% of steps_per_chain.  proposal_step is the
-    starting half-width of every Metropolis walk; by default a walk starts
-    at half the RMS coordinate of its starting points.  During burn-in each
-    walk adapts its width toward acceptance 0.5 every 16 steps, and keeps
-    the width it ends burn-in with; burn_in=0 keeps the starting width.
-    epsilon_ladder applies to the delta-shell estimator only, in units of
-    the node-distance proxy |Psi| / |grad Psi| (a length); when omitted, the
-    1 % quantile of that proxy over the call's first
-    n_chains * min(_CHUNK, steps_per_chain) draws sets its widest rung.
+    burn_in defaults to 10% of steps_per_chain.  Every Metropolis walk
+    starts at half-width half the RMS coordinate of its starting points,
+    adapts it toward acceptance 0.5 every 16 burn-in steps and keeps the
+    width it ends burn-in with; burn_in=0 keeps the starting width.
     """
 
     n_chains: int = 8
     steps_per_chain: int = 200_000
     burn_in: Optional[int] = None
-    proposal_step: Optional[float] = None
     seed: int = 20260801
-    epsilon_ladder: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -117,16 +109,6 @@ class SamplerConfig:
         if self.burn_in is not None and not (
                 0 <= self.burn_in < self.steps_per_chain):
             raise ValueError("burn_in must satisfy 0 <= burn_in < steps_per_chain")
-        if self.proposal_step is not None and not self.proposal_step > 0.0:
-            raise ValueError("proposal_step must be positive")
-        if self.epsilon_ladder is not None:
-            ladder = tuple(float(e) for e in self.epsilon_ladder)
-            if len(ladder) < 2:
-                raise ValueError("epsilon_ladder needs >= 2 entries for extrapolation")
-            if any(e <= 0.0 for e in ladder) or any(
-                    b >= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError("epsilon_ladder must be positive and strictly decreasing")
-            object.__setattr__(self, "epsilon_ladder", ladder)
 
     def resolved_burn_in(self) -> int:
         if self.burn_in is not None:
@@ -287,10 +269,10 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     walk's acceptance rate over its kept steps.
 
     A walk proposes uniform(-w, w) moves in every coordinate.  Its
-    half-width w starts at cfg.proposal_step, or else at half the RMS
-    coordinate of its starting points, and after every _ADAPT-th burn-in
-    step j it becomes w exp(3 (rate - 0.5) / sqrt(j / _ADAPT)), rate being
-    the walk's acceptance over those _ADAPT steps and all its chains
+    half-width w starts at half the RMS coordinate of its starting points,
+    and after every _ADAPT-th burn-in step j it becomes
+    w exp(3 (rate - 0.5) / sqrt(j / _ADAPT)), rate being the walk's
+    acceptance over those _ADAPT steps and all its chains
     (a Robbins-Monro step toward acceptance 0.5; Andrieu & Thoms 2008).
     The kept steps share the width burn-in ends with, so the kept chain is
     a Metropolis chain with a fixed kernel.
@@ -314,8 +296,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
 
     rngs = [_stream(cfg.seed, tag) for _, tag, _, _ in walks]
     x = np.concatenate([density.sample(rng, C) for rng in rngs])
-    widths = [cfg.proposal_step if cfg.proposal_step is not None
-              else 0.5 * float(np.sqrt(np.mean(x[sl] * x[sl]))) for sl in rows]
+    widths = [0.5 * float(np.sqrt(np.mean(x[sl] * x[sl]))) for sl in rows]
     log_widths = [math.log(width) for width in widths]
     v = model.values(x)
     # acceptance densities: |v|, squared in place on the rows of the
@@ -417,14 +398,12 @@ def _acceptance_status(rate: float) -> str:
     return f"warning: acceptance rate {rate:.3f} outside [0.1, 0.9]"
 
 
-def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
-                       power: int = 1) -> np.ndarray:
-    """Thinned |Psi|^power-distributed configurations, stacked over chains.
+def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
+                       thin: int = 1) -> np.ndarray:
+    """Thinned |Psi|-distributed configurations, stacked over chains.
 
     Returns an (n_kept_total, 3N) array; used by the topology module.
     """
-    if power not in (1, 2):
-        raise ValueError("power must be 1 (|Psi|) or 2 (Psi^2)")
     if thin < 1:
         raise ValueError("thin must be a positive integer")
     model = _model(state)
@@ -435,7 +414,7 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig, thin: int = 1,
     def collect(js, xs, vs):
         out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, state, cfg, [(power, _TAG_TOPOLOGY, collect, thin)])
+    _metropolis(model, state, cfg, [(1, _TAG_TOPOLOGY, collect, thin)])
     return out.reshape(-1, out.shape[-1])
 
 
@@ -453,10 +432,8 @@ def _pot_walk(h: HamiltonianSpec) -> tuple:
     return 1, _TAG_POT, "metropolis_abs_psi", integrand, 1, 1
 
 
-def _std_walk(model, h: HamiltonianSpec, thin: int) -> tuple:
+def _std_walk(model, h: HamiltonianSpec) -> tuple:
     """The Psi^2 walk of <T> and <V>, as a _metropolis_average walk."""
-    if thin < 1:
-        raise ValueError("thin must be a positive integer")
 
     def integrand(x, v):
         V = potential_batch(h, x)
@@ -465,7 +442,7 @@ def _std_walk(model, h: HamiltonianSpec, thin: int) -> tuple:
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
         return ok, (-0.5 * laps / np.where(ok, v, 1.0), V)
 
-    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, thin
+    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, _STD_THIN
 
 
 def estimate_pot_nda(state: StateSpec,
@@ -484,8 +461,7 @@ def estimate_pot_nda(state: StateSpec,
 
 
 def estimate_standard_expectations(state: StateSpec,
-                                   cfg: Optional[SamplerConfig] = None,
-                                   thin: int = _STD_THIN) -> dict:
+                                   cfg: Optional[SamplerConfig] = None) -> dict:
     """Standard quantum expectations <T> and <V> over the density Psi^2.
 
     The kinetic part uses the local kinetic energy -lap(Psi)/(2 Psi).
@@ -496,15 +472,15 @@ def estimate_standard_expectations(state: StateSpec,
 
     The integrand (a Laplacian plus a gradient per configuration) costs far
     more than a Metropolis step, while successive configurations are
-    strongly correlated; evaluating it only every `thin`-th kept step cuts
-    the dominant cost with a negligible loss of statistical power as long
-    as `thin` stays below the chain's autocorrelation time (tens of steps
+    strongly correlated; evaluating it only every _STD_THIN-th kept step
+    cuts the dominant cost with a negligible loss of statistical power, as
+    _STD_THIN stays below the chain's autocorrelation time (tens of steps
     for every catalog state).
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)
     (kin, pot), = _metropolis_average(
-        model, state, cfg, [_std_walk(model, state.hamiltonian(), thin)])
+        model, state, cfg, [_std_walk(model, state.hamiltonian())])
     return {"kin": kin, "pot": pot}
 
 
@@ -513,16 +489,15 @@ def estimate_pot_and_standard(state: StateSpec,
     """estimate_pot_nda and estimate_standard_expectations in one pass.
 
     The |Psi| walk and the Psi^2 walk move in lock-step, one model call
-    per step for both.  Each is bit for bit the walk of its own estimator
-    (state's Hamiltonian, default thinning), so the results equal the two
-    separate calls.  Returns a dict with keys "pot_nda", "kin_std" and
-    "pot_std".
+    per step for both.  Each is bit for bit the walk of its own estimator,
+    so the results equal the two separate calls.  Returns a dict with keys
+    "pot_nda", "kin_std" and "pot_std".
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)
     h = state.hamiltonian()
     (pot,), (kin_std, pot_std) = _metropolis_average(
-        model, state, cfg, [_pot_walk(h), _std_walk(model, h, _STD_THIN)])
+        model, state, cfg, [_pot_walk(h), _std_walk(model, h)])
     return {"pot_nda": pot, "kin_std": kin_std, "pot_std": pot_std}
 
 
@@ -618,8 +593,8 @@ def estimate_kin_nda_shell(state: StateSpec,
     by the chain's g-average of |Psi| / g.  Fewer than 100 hits in the
     narrowest rung mark the estimate "unconverged".  The pilot, the
     stream's first n_chains * min(_CHUNK, steps_per_chain) draws, is
-    evaluated first; without an epsilon_ladder it sets eps_0 to the 1 %
-    quantile of its d.  Its rows then enter the averages like any other.
+    evaluated first and sets the ladder eps_0 2^-k, k = 0..3, eps_0 the
+    1 % quantile of its d.  Its rows then enter the averages like any other.
     """
     cfg = cfg or SamplerConfig()
     model, g = _model(state), state.reference_density
@@ -635,14 +610,11 @@ def estimate_kin_nda_shell(state: StateSpec,
     stream = ((chains, draws, evaluate(x))
               for chains, draws, x in _iid_stream(cfg, _TAG_SHELL, g.sample))
     pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
-    if cfg.epsilon_ladder is not None:
-        ladder = np.asarray(cfg.epsilon_ladder)
-    else:
-        eps0 = float(np.quantile(np.concatenate([p[2][0] for p in pilot]), 0.01))
-        if eps0 <= 0.0:
-            raise RuntimeError("could not scale the epsilon ladder: node "
-                               "distance quantile vanished")
-        ladder = eps0 * 0.5 ** np.arange(4)
+    eps0 = float(np.quantile(np.concatenate([p[2][0] for p in pilot]), 0.01))
+    if eps0 <= 0.0:
+        raise RuntimeError("could not scale the epsilon ladder: node "
+                           "distance quantile vanished")
+    ladder = eps0 * 0.5 ** np.arange(4)
     K = ladder.size
     # every draw adds |Psi| / g; the K rungs and the narrowest rung's hits
     # are zero outside the widest rung, so only its rows are added there

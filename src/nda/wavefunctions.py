@@ -2,13 +2,12 @@
 
 Two models cover the catalog.  :class:`SlaterProduct` holds every Coulomb
 state, the 2p^2 couplings included, as a sum of products of per-channel
-determinants of hydrogenic orbitals; :class:`HarmonicPair` is the trap pair.
-Each evaluates through one ``_evaluate(x, want_grad, want_lap)``, which
-computes the shared parts once per call.  All models expose a batched API
-(``values``, ``gradients``, ``laplacians`` and the fused ``vgl``, which
-returns all three for the same points) over arrays of shape ``(m, 3N)``
-plus the scalar convenience operations :func:`evaluate`, :func:`gradient`,
-:func:`laplacian` acting on a single flat length-3N coordinate vector.
+determinants of hydrogenic orbitals, each determinant of one or two
+electrons; :class:`HarmonicPair` is the trap pair.  Each evaluates through
+one ``_evaluate(x, want_grad, want_lap)``, which computes the shared parts
+once per call.  All models expose a batched API (``values``,
+``gradients``, ``laplacians`` and the fused ``vgl``, which returns all
+three for the same points) over arrays of shape ``(m, 3N)``.
 
 Radial factors are kept unnormalized (e.g. the 2p radial part is
 ``exp(-Z r / 2)``): every quantity computed downstream is a ratio of
@@ -31,9 +30,6 @@ __all__ = [
     "SlaterProduct",
     "HarmonicPair",
     "Scaled",
-    "evaluate",
-    "gradient",
-    "laplacian",
 ]
 
 
@@ -160,14 +156,12 @@ _ORBITAL_KINDS = (
     "hydrogenic_2s",
     "hydrogenic_2p",
     "hydrogenic_general",
-    "gaussian_s",
-    "gaussian_p",
 )
 
 
 @dataclass(frozen=True)
 class Orbital:
-    """One-particle orbital; ``scale`` is Z for hydrogenic kinds, omega for gaussian."""
+    """One-particle hydrogenic orbital; ``scale`` is the nuclear charge Z."""
 
     kind: str
     scale: float
@@ -181,7 +175,7 @@ class Orbital:
             raise ValueError(f"unknown orbital kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("orbital scale must be positive")
-        if self.kind in ("hydrogenic_2p", "gaussian_p") and self.axis not in _AXES:
+        if self.kind == "hydrogenic_2p" and self.axis not in _AXES:
             raise ValueError("p orbital needs axis 'x', 'y' or 'z'")
         if self.kind == "hydrogenic_general":
             if self.n is None or self.l is None or self.m is None:
@@ -210,30 +204,20 @@ class Orbital:
             fp = -s * (1.0 - 0.25 * s * r) * e
             fpp = s * s * (0.75 - 0.125 * s * r) * e
             return f, fp, fpp
-        if self.kind in ("hydrogenic_2p",):
+        if self.kind == "hydrogenic_2p":
             f = np.exp(-0.5 * s * r)
             return (f, -0.5 * s * f, 0.25 * s * s * f) if derivs else (f,)
-        if self.kind == "hydrogenic_general":
-            a = s / self.n
-            f = np.exp(-a * r)
-            return (f, -a * f, a * a * f) if derivs else (f,)
-        if self.kind in ("gaussian_s", "gaussian_p"):
-            f = np.exp(-0.5 * s * r * r)
-            if not derivs:
-                return (f,)
-            fp = -s * r * f
-            fpp = (s * s * r * r - s) * f
-            return f, fp, fpp
-        raise AssertionError(self.kind)
+        a = s / self.n  # hydrogenic_general
+        f = np.exp(-a * r)
+        return (f, -a * f, a * a * f) if derivs else (f,)
 
     def _radial_key(self):
         # orbitals with equal keys share one radial factor f(r)
-        kind = "gaussian" if self.kind.startswith("gaussian") else self.kind
-        return kind, self.scale, self.n
+        return self.kind, self.scale, self.n
 
     def _angular(self):
         """(l, which): the harmonic's degree, and its axis (l = 1) or m (l = 2)."""
-        if self.kind in ("hydrogenic_2p", "gaussian_p"):
+        if self.kind == "hydrogenic_2p":
             return 1, _AXES[self.axis]
         if self.kind == "hydrogenic_general" and self.l > 0:
             return self.l, {-1: 1, 0: 2, 1: 0}[self.m] if self.l == 1 else self.m
@@ -249,8 +233,6 @@ class Orbital:
 
     def radial_scale(self) -> float:
         """n / Z: the orbital's decay length, exp(-Z r / n) = exp(-r / scale)."""
-        if self.kind.startswith("gaussian"):
-            raise ValueError("a gaussian orbital has no hydrogenic decay length")
         n = self.n if self.kind == "hydrogenic_general" else int(self.kind[-2])
         return n / self.scale
 
@@ -306,28 +288,14 @@ class WaveFunction:
         raise NotImplementedError
 
 
-def evaluate(model: WaveFunction, R) -> float:
-    """Amplitude of the model at one configuration (zero is legal: point on node)."""
-    return float(model.values(_as_batch(model, R))[0])
-
-
-def gradient(model: WaveFunction, R) -> np.ndarray:
-    """Analytic gradient, flat length-3N vector."""
-    return model.gradients(_as_batch(model, R))[0]
-
-
-def laplacian(model: WaveFunction, R) -> float:
-    """Analytic Laplacian (sum of all 3N second partials)."""
-    return float(model.laplacians(_as_batch(model, R))[0])
-
-
 # --------------------------------------------------------------------------
 # determinant-assembled models
 
 
 @dataclass(frozen=True)
 class DetBlock:
-    """One spin channel: orbitals occupied by the listed electron indices."""
+    """One spin channel: orbitals occupied by the listed electron indices
+    (one or two electrons in a SlaterProduct)."""
 
     orbitals: Tuple[Orbital, ...]
     electrons: Tuple[int, ...]
@@ -343,33 +311,20 @@ class Term:
     blocks: Tuple[DetBlock, ...]
 
 
-def _stack(A) -> np.ndarray:
-    """(m, n, n) matrices from rows of columns A[i][j], each of shape (m,)."""
-    return np.stack([np.stack(row, axis=1) for row in A], axis=1)
-
-
 def _det(A) -> np.ndarray:
-    """Determinant of a square block given as rows of columns, A[i][j] (m,)."""
-    n = len(A)
-    if n == 1:
+    """Determinant of a 1x1 or 2x2 block given as rows of columns, A[i][j] (m,)."""
+    if len(A) == 1:
         return A[0][0]
-    if n == 2:
-        # explicit form keeps row swaps exact sign flips in floating point
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    return np.linalg.det(_stack(A))
+    # explicit form keeps row swaps exact sign flips in floating point
+    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
 def _cofactors(A) -> list:
-    """C[i][j] = d det / d A[i][j]; stable at the node (no matrix inverse)."""
-    n = len(A)
-    if n == 1:
+    """C[i][j] = d det / d A[i][j] of a 1x1 or 2x2 block; stable at the node
+    (no matrix inverse)."""
+    if len(A) == 1:
         return [[np.ones(A[0][0].shape[0])]]
-    if n == 2:
-        return [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
-    M = _stack(A)
-    rows = np.arange(n)
-    return [[(-1.0) ** (i + j) * np.linalg.det(M[:, rows != i][:, :, rows != j])
-             for j in range(n)] for i in range(n)]
+    return [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
 
 
 def _key(idx):
@@ -402,7 +357,9 @@ class SlaterProduct(WaveFunction):
     """Sum of products of per-channel determinants over disjoint electron sets.
 
     Covers everything from a single orbital (1x1 determinant) through
-    det-up x det-down products and their symmetry-coupled sums.
+    det-up x det-down products and their symmetry-coupled sums.  A block
+    holds one or two electrons, the most any catalog state puts in one
+    spin channel; a larger block is a ValueError.
 
     The plan, fixed at construction, holds the model as index arrays, and a
     call makes a few whole-array passes over the points, laid out (N, 3, m):
@@ -416,8 +373,8 @@ class SlaterProduct(WaveFunction):
     * the distinct blocks grouped by size: a gather (a slice where the rows
       step evenly) per size for the matrices and per matrix position for
       the gradients and Laplacians, then determinants, cofactors, gradient
-      rows and Laplacians of all blocks of the size at once; a 1x1 block is
-      its table row;
+      rows and Laplacians of all 2x2 blocks at once; a 1x1 block is its
+      table row;
     * the terms as a (terms, blocks) index array, padded with a row of ones
       where block counts differ: the products, the products over the other
       blocks, and each electron's gradient contributions in term order,
@@ -429,9 +386,13 @@ class SlaterProduct(WaveFunction):
     ordered sum plus 0.0 (the start only turns -0.0 into +0.0).
     """
 
-    def __init__(self, terms: Sequence[Term], n_particles: int, family: str,
+    family = "coulomb"
+
+    def __init__(self, terms: Sequence[Term], n_particles: int,
                  parameters: Optional[dict] = None):
         for t in terms:
+            if any(len(b.electrons) > 2 for b in t.blocks):
+                raise ValueError("a determinant block holds at most two electrons")
             seen = [e for b in t.blocks for e in b.electrons]
             if len(set(seen)) != len(seen):
                 raise ValueError("blocks within a term must use disjoint electrons")
@@ -439,7 +400,6 @@ class SlaterProduct(WaveFunction):
                 raise ValueError("electron index out of range")
         self.terms = tuple(terms)
         self.n_particles = n_particles
-        self.family = family
         self.parameters = dict(parameters or {})
 
         # radial kinds, each with the electrons and harmonics that use it

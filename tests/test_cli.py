@@ -87,6 +87,11 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(["compute", "--state", "2P_2p",
                               "--components", "pot"] + flags, capsys)
         assert code == 2 and out == "" and "error:" in err, flags
+    # --step is no option (a walk sets its own width), and is not taken as
+    # an abbreviation of --steps
+    code, out, err = run(["compute", "--state", "2P_2p", "--step", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --step" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -120,6 +125,10 @@ def test_usage_errors_exit_2(capsys):
     ["compute", "--state", "2P_2p", "--omega", "3", "--components", "pot"],
     ["domains", "--state", "harmonic_exact", "--Z", "2"],
     ["compute", "--state", "2P_2p", "--components", ","],
+    # a value whose float is not finite is rejected before the state is built
+    ["compute", "--state", "2P_2p", "--Z", "1e400"],
+    ["domains", "--state", "2P_2p", "--Z", "1e400"],
+    ["compute", "--state", "harmonic_exact", "--omega=-1e400"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
@@ -127,7 +136,8 @@ def test_usage_errors_exit_2(capsys):
         "compute-surface-no-param", "compute-quadrature-irreducible",
         "verify-shell-1-chain", "compute-g0", "domains-g0",
         "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
-        "compute-no-components"])
+        "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
+        "compute-omega-overflow"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators
@@ -143,18 +153,17 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
 
 
 def test_sum_status_comes_from_its_parts(capsys):
-    # a 60-Bohr proposal step, kept fixed without burn-in, is almost never
-    # accepted: pot warns, and the sum of kin and pot carries that warning
-    # rather than "ok"
+    # 1000 shell draws leave the narrowest rung starved: kin is unconverged,
+    # and the sum of kin and pot carries that status rather than "ok"
     code, out, _ = run(["compute", "--state", "3S_1s2s", "--components",
-                        "kin,pot", "--chains", "4", "--steps", "3000",
-                        "--step", "60", "--burn-in", "0", "--format", "json"],
+                        "kin,pot", "--method", "shell", "--chains", "2",
+                        "--steps", "500", "--seed", "1", "--format", "json"],
                        capsys)
-    assert code == 0
+    assert code == 3
     est = RunRecord.from_json(out).estimates
-    assert est["kin"]["status"] == "ok"
-    assert est["pot"]["status"].startswith("warning: acceptance rate")
-    assert est["sum"]["status"] == est["pot"]["status"]
+    assert est["pot"]["status"] == "ok"
+    assert est["kin"]["status"] == "unconverged"
+    assert est["sum"]["status"] == "unconverged"
 
 
 def test_sum_of_quadrature_parts_claims_no_sampling(capsys):

@@ -35,14 +35,6 @@ def test_sampler_config_validation():
         SamplerConfig(steps_per_chain=1)
     with pytest.raises(ValueError):
         SamplerConfig(burn_in=20_000, steps_per_chain=20_000)
-    with pytest.raises(ValueError):
-        SamplerConfig(proposal_step=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon_ladder=(1e-3,))
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon_ladder=(1e-4, 1e-3))  # must decrease
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon_ladder=(1e-3, -1e-4))
 
 
 def test_burn_in_default_is_ten_percent():
@@ -173,31 +165,16 @@ def test_shell_flags_starved_ladder_as_unconverged():
     assert est.status == "unconverged"
 
 
-def test_explicit_epsilon_ladder_is_respected():
-    st = get_state("2P_2p")
-    cfg = dataclasses.replace(FAST, epsilon_ladder=(2e-2, 1e-2, 5e-3, 2.5e-3))
-    est = estimate_kin_nda_shell(st, cfg=cfg)
-    assert est.status in ("ok", "unconverged")
-    assert abs(est.mean - 1.0 / 24.0) < 4 * est.stderr
-
-
-def test_absurd_proposal_step_is_flagged():
-    """Without burn-in the width is never adapted, so a fixed absurd width
-    shows in the acceptance status."""
-    st = get_state("2P_2p")
-    cfg = dataclasses.replace(FAST, proposal_step=200.0, burn_in=0)
-    est = estimate_pot_nda(st, cfg=cfg)
-    assert est.status.startswith("warning: acceptance rate")
-
-
-def test_burn_in_adapts_an_absurd_start():
-    """The default burn-in brings a width 100 times too wide to acceptance
-    near 0.5, measured over the kept steps."""
-    st = get_state("2P_2p")
-    cfg = dataclasses.replace(FAST, proposal_step=200.0)
-    est = estimate_pot_nda(st, cfg=cfg)
-    assert 0.4 <= est.acceptance_rate <= 0.6
-    assert est.status == "ok"
+def test_acceptance_status_flags_rates_outside_the_band():
+    """A Metropolis estimate whose acceptance rate leaves [0.1, 0.9] says so
+    in its status; the burn-in adaptation that keeps the walks near 0.5 is
+    checked by test_adapted_walks_accept_half_and_hit_exact_values."""
+    for rate in (0.1, 0.5, 0.9):
+        assert estimators._acceptance_status(rate) == "ok"
+    assert (estimators._acceptance_status(0.05)
+            == "warning: acceptance rate 0.050 outside [0.1, 0.9]")
+    assert (estimators._acceptance_status(0.95)
+            == "warning: acceptance rate 0.950 outside [0.1, 0.9]")
 
 
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
@@ -239,18 +216,17 @@ def _reference_walk(state, cfg, thin, power, tag):
     """The Metropolis walk drawn one step at a time: the stream gives the
     chains' starting points, then per step one (chains, 3N + 1) array of
     uniforms, the proposal noise and then the acceptance uniform of every
-    chain.  The half-width starts at cfg.proposal_step or half the RMS
-    starting coordinate; after burn-in step j, j a multiple of 16, its log
-    moves by 3 (rate - 0.5) / sqrt(j / 16), rate being the acceptance of
-    the last 16 steps.  Yields (kept-step index, x, raw values) for every
+    chain.  The half-width starts at half the RMS starting coordinate;
+    after burn-in step j, j a multiple of 16, its log moves by
+    3 (rate - 0.5) / sqrt(j / 16), rate being the acceptance of the last
+    16 steps.  Yields (kept-step index, x, raw values) for every
     thin-th kept step."""
     model = state.model
     dim = 3 * model.n_particles
     steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
     rng = _stream(cfg.seed, tag)
     x = state.reference_density.sample(rng, cfg.n_chains)
-    step = (cfg.proposal_step if cfg.proposal_step is not None
-            else 0.5 * float(np.sqrt(np.mean(x * x))))
+    step = 0.5 * float(np.sqrt(np.mean(x * x)))
     log_step, n_accepted = math.log(step), 0
     v = model.values(x)
     t = np.abs(v) if power == 1 else v * v
@@ -272,8 +248,8 @@ def _reference_walk(state, cfg, thin, power, tag):
             yield j - burn, x, v
 
 
-def _reference_metropolis_samples(state, cfg, thin, power, tag):
-    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, power, tag)]
+def _reference_metropolis_samples(state, cfg, thin, tag):
+    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, 1, tag)]
     return np.stack(kept, axis=1).reshape(-1, kept[0].shape[1])
 
 
@@ -302,10 +278,10 @@ def _reference_pot(state, cfg):
     return _reference_reduce(bsum, bcnt, rejected)
 
 
-def _reference_std(state, cfg, thin):
+def _reference_std(state, cfg):
     """estimate_standard_expectations with one potential_batch and one vgl
-    call per thin-th kept step."""
-    h, model = state.hamiltonian(), state.model
+    call per _STD_THIN-th kept step."""
+    h, model, thin = state.hamiltonian(), state.model, estimators._STD_THIN
     C, B = cfg.n_chains, estimators._BLOCKS
     n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
     bsum, bcnt = np.zeros((2, C, B)), np.zeros((C, B), dtype=np.int64)
@@ -331,15 +307,13 @@ def _fields(est):
 @pytest.mark.parametrize("n_chains", [1, 3, 8])
 def test_kept_step_blocks_match_per_step_collectors(n_chains):
     """Blocks of kept steps (a partial last one here: 1875 kept steps) give
-    the per-step reduction bit for bit, for every thinning."""
+    the per-step reduction bit for bit, unthinned and thinned."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=n_chains,
                         steps_per_chain=estimators._CHUNK + 37, seed=5)
     assert _fields(estimate_pot_nda(st, cfg=cfg)) == _reference_pot(st, cfg)
-    for thin in (4, 7):
-        got = estimate_standard_expectations(st, cfg=cfg, thin=thin)
-        ref = _reference_std(st, cfg, thin)
-        assert {k: _fields(e) for k, e in got.items()} == ref
+    got = estimate_standard_expectations(st, cfg=cfg)
+    assert {k: _fields(e) for k, e in got.items()} == _reference_std(st, cfg)
 
 
 @pytest.mark.parametrize("n_chains", [3, 8])
@@ -371,17 +345,24 @@ def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
     of uniforms per step does, whatever the slab size: at 3 chains the
     default _SLAB draws 2048-step slabs (a short 37-step one last), 3 * 37
     rows draw 37-step slabs (a 13-step one last), and a _SLAB below the chain count draws one
-    step per slab; 300 chains cut the default _SLAB into 873-step slabs."""
+    step per slab; 300 chains cut the default _SLAB into 873-step slabs.
+    The |Psi| walk (power 1) is compared through metropolis_samples, the
+    Psi^2 walk (power 2) through estimate_standard_expectations."""
     st = get_state(name)
     default = estimators._SLAB
     for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
         monkeypatch.setattr(estimators, "_SLAB", slab)
         cfg = SamplerConfig(n_chains=n_chains,
                             steps_per_chain=estimators._CHUNK + 37, seed=5)
-        got = metropolis_samples(st, cfg, thin=7, power=power)
-        ref = _reference_metropolis_samples(st, cfg, thin=7, power=power,
-                                            tag=estimators._TAG_TOPOLOGY)
-        assert got.tobytes() == ref.tobytes(), (n_chains, slab)
+        if power == 1:
+            got = metropolis_samples(st, cfg, thin=7)
+            ref = _reference_metropolis_samples(st, cfg, thin=7,
+                                                tag=estimators._TAG_TOPOLOGY)
+            assert got.tobytes() == ref.tobytes(), (n_chains, slab)
+        else:
+            got = estimate_standard_expectations(st, cfg=cfg)
+            assert ({k: _fields(e) for k, e in got.items()}
+                    == _reference_std(st, cfg)), (n_chains, slab)
 
 
 def test_metropolis_memory_is_bounded_by_the_slab():
@@ -406,7 +387,7 @@ JOINT_CONFIGS = [SamplerConfig(n_chains=8, steps_per_chain=2000, seed=11),
                  SamplerConfig(n_chains=3, steps_per_chain=3000, seed=5),
                  SamplerConfig(n_chains=1024, steps_per_chain=60, seed=9),
                  SamplerConfig(n_chains=5, steps_per_chain=2100, burn_in=777,
-                               proposal_step=0.7, seed=2)]
+                               seed=2)]
 
 
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
@@ -421,16 +402,6 @@ def test_joint_pass_equals_the_separate_estimators(name):
                "kin_std": std["kin"], "pot_std": std["pot"]}
         assert {k: repr(e) for k, e in got.items()} == \
             {k: repr(e) for k, e in ref.items()}, cfg
-
-
-def test_thin_is_checked_before_sampling(monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampling started")
-    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
-    for thin in (0, -2):
-        with pytest.raises(ValueError):
-            estimate_standard_expectations(get_state("2P_2p"), cfg=FAST,
-                                           thin=thin)
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",
@@ -486,9 +457,9 @@ def test_singular_point_is_rejected_and_counted(monkeypatch):
     assert pot.n_rejected == 1 and pot.n_samples == cfg.n_chains * kept - 1
     assert np.isfinite(pot.mean) and np.isfinite(pot.stderr)
 
-    thin = 4
+    thin = estimators._STD_THIN
     seen = [0]
-    std = estimate_standard_expectations(st, cfg=cfg, thin=thin)
+    std = estimate_standard_expectations(st, cfg=cfg)
     n_thinned = (kept + thin - 1) // thin
     for est in std.values():
         assert est.n_rejected == 1 and est.n_samples == cfg.n_chains * n_thinned - 1
@@ -499,7 +470,7 @@ def _reference_shell(state, cfg):
     """The proxy delta-shell estimator as a retained-array reduction: the
     call's stream drawn in _CHUNK-row blocks and kept whole as (chains,
     draws) arrays of d = |Psi| / |grad Psi|, |grad Psi| / g and |Psi| / g;
-    the default ladder from the 1 % quantile of d over the stream's first
+    the ladder from the 1 % quantile of d over the stream's first
     n_chains * min(_CHUNK, n) draws; one line per chain."""
     model, g = state.model, state.reference_density
     C, n, chunk = cfg.n_chains, cfg.steps_per_chain, estimators._CHUNK
@@ -509,10 +480,7 @@ def _reference_shell(state, cfg):
     dens, av = g.pdf(x), np.abs(model.values(x))
     gn = np.linalg.norm(model.gradients(x), axis=1)
     d = av / gn
-    if cfg.epsilon_ladder is not None:
-        ladder = np.asarray(cfg.epsilon_ladder)
-    else:
-        ladder = np.quantile(d[:C * min(chunk, n)], 0.01) * 0.5 ** np.arange(4)
+    ladder = np.quantile(d[:C * min(chunk, n)], 0.01) * 0.5 ** np.arange(4)
     d, shell_w, ratio_w = (a.reshape(C, n) for a in (d, gn / dens, av / dens))
     xs = ladder ** 2
     kin = np.empty(C)
@@ -528,18 +496,13 @@ def _reference_shell(state, cfg):
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "1S_1s2_2p2"])
-@pytest.mark.parametrize("steps,ladder", [
-    (estimators._CHUNK, None),
-    (estimators._CHUNK + 37, (2e-2, 1e-2, 5e-3, 2.5e-3)),
-    (estimators._CHUNK + 37, None)])
-def test_shell_matches_retained_array_reduction(name, steps, ladder):
+@pytest.mark.parametrize("steps", [estimators._CHUNK, estimators._CHUNK + 37])
+def test_shell_matches_retained_array_reduction(name, steps):
     """The pilot is the stream's first n_chains * min(_CHUNK, n) draws: up
-    to one chunk per chain that is every draw, past it a prefix; an
-    explicit ladder fixes the rungs.  Either way the block sums give the
-    retained-array fit to rounding."""
+    to one chunk per chain that is every draw, past it a prefix.  Either
+    way the block sums give the retained-array fit to rounding."""
     st = get_state(name)
-    cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, seed=5,
-                        epsilon_ladder=ladder)
+    cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, seed=5)
     est = estimate_kin_nda_shell(st, cfg)
     mean, stderr, status = _reference_shell(st, cfg)
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
@@ -612,10 +575,12 @@ def test_shell_evaluates_every_draw_once(steps, monkeypatch):
 
 
 def test_shell_with_an_empty_ladder_stays_finite():
-    """No draw lies within 1e-300 of the node, so every rung is empty."""
+    """Of the 200 draws, the 2 below the ladder's widest rung (their 1 %
+    quantile) both fall in chain 1 at this seed, and neither below its
+    narrowest: every rung of chain 0 is empty, and the narrowest rung of
+    both chains."""
     st = get_state("2P_2p")
-    cfg = SamplerConfig(n_chains=2, steps_per_chain=3000, seed=3,
-                        epsilon_ladder=(1e-300, 1e-301))
+    cfg = SamplerConfig(n_chains=2, steps_per_chain=100, seed=1)
     est = estimate_kin_nda_shell(st, cfg)
     assert np.isfinite(est.mean) and np.isfinite(est.stderr)
     assert est.status == "unconverged"
@@ -634,8 +599,7 @@ def test_metropolis_samples_shape_and_support():
     assert np.all(v > 0.0)  # Metropolis on |psi| never lands exactly on the node
 
 
-@pytest.mark.parametrize("bad", [{"power": 3}, {"power": 0}, {"thin": 0},
-                                 {"thin": -3}])
+@pytest.mark.parametrize("bad", [{"thin": 0}, {"thin": -3}])
 def test_metropolis_samples_rejects_bad_input(bad, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")

@@ -206,26 +206,22 @@ _SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
 
 
 def _slater_model(name, Z):
-    if name == "det3":
-        # a 3x3 block with gaussian and l = 2 orbitals: the stacked-matrix path
-        orbs = (wf.Orbital("gaussian_s", Z), wf.Orbital("gaussian_p", Z, axis="y"),
-                wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=0))
-        term = wf.Term(coeff=1.0, blocks=(wf.DetBlock(orbs, (0, 1, 2)),))
-        return wf.SlaterProduct([term], n_particles=3, family="coulomb")
     if name == "mixed":
-        # every branch of the plan: 1x1, 2x2 and 3x3 blocks over 6 electrons
-        # in one term; a second term with coefficient -0.5 and two blocks
-        # (terms padded with ones), which leaves electrons 1, 2 and 4 in one
-        # term only (gradient contributions padded with zeros)
+        # every branch of the plan: 1x1 and 2x2 blocks over 5 electrons in
+        # one term, 1s on the unevenly spaced electrons 0, 3 and 4 (a
+        # gather), l = 2 orbitals; a second term with coefficient -0.5 and
+        # two blocks (terms padded with ones), which leaves electrons 1 and
+        # 2 in one term only (gradient contributions padded with zeros)
         s1 = (wf.Orbital("hydrogenic_1s", Z),)
         sp = (wf.Orbital("hydrogenic_2s", Z), wf.Orbital("hydrogenic_2p", Z, axis="x"))
-        dps = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=-2),
-               wf.Orbital("hydrogenic_2p", Z, axis="z"), wf.Orbital("hydrogenic_1s", Z))
+        ds = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=-2),
+              wf.Orbital("hydrogenic_1s", Z))
         ps = (wf.Orbital("hydrogenic_2p", Z, axis="y"), wf.Orbital("hydrogenic_2s", Z))
+        d0 = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=0),)
         terms = [wf.Term(coeff=1.0, blocks=(wf.DetBlock(s1, (0,)), wf.DetBlock(sp, (1, 2)),
-                                            wf.DetBlock(dps, (3, 4, 5)))),
-                 wf.Term(coeff=-0.5, blocks=(wf.DetBlock(ps, (0, 3)), wf.DetBlock(s1, (5,))))]
-        return wf.SlaterProduct(terms, n_particles=6, family="coulomb")
+                                            wf.DetBlock(ds, (3, 4)))),
+                 wf.Term(coeff=-0.5, blocks=(wf.DetBlock(ps, (0, 3)), wf.DetBlock(d0, (4,))))]
+        return wf.SlaterProduct(terms, n_particles=5)
     if name.startswith("subshell"):
         return subshell_family(1, int(name[-1]), Z).model
     return get_state(name, Z=Z).model
@@ -245,8 +241,7 @@ def _draw_points(data, n_particles):
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "det3",
-                                              "mixed")),
+@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "mixed")),
        Z=st.floats(0.3, 4.0), data=st.data())
 def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     model = _slater_model(name, Z)
@@ -262,6 +257,14 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     separate = (model.values(x), model.gradients(x), model.laplacians(x))
     for r, f, s in zip(ref, fused, separate):
         assert r.tobytes() == f.tobytes() == s.tobytes()
+
+
+def test_a_block_of_three_electrons_is_rejected():
+    orbs = (wf.Orbital("hydrogenic_1s", 1.0), wf.Orbital("hydrogenic_2s", 1.0),
+            wf.Orbital("hydrogenic_2p", 1.0, axis="x"))
+    term = wf.Term(coeff=1.0, blocks=(wf.DetBlock(orbs, (0, 1, 2)),))
+    with pytest.raises(ValueError, match="at most two electrons"):
+        wf.SlaterProduct([term], n_particles=3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,8 @@ outputs: no difference means every listed output is bitwise unchanged.
 
     PYTHONPATH=src python tools/seeded_digest.py > digest.txt
 
-For each catalog state with a model, the outputs are:
+For each of the 13 model states (the catalog states with a model, and
+``subshell_k1_l1`` and ``subshell_k1_l2``), the outputs are:
 
 * ``vgl`` (and ``values``, ``gradients``, ``laplacians``) at fixed points,
   1, 37 and 2048 rows, some with signed-zero coordinates or an electron at
@@ -30,11 +31,12 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from nda import estimators as est
-from nda.catalog import catalog_list
+from nda.catalog import catalog_list, get_state
 from nda.hamiltonians import coulomb_atom, potential_batch
 
 CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
 ROWS = (1, 37, 2048)
+SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
 
 
 def _sha(obj) -> str:
@@ -71,8 +73,10 @@ def _points(n_particles: int, m: int, seed: int) -> np.ndarray:
 def digest(states: Optional[Sequence] = None,
            configs: Sequence[Tuple[int, int]] = CONFIGS,
            rows: Sequence[int] = ROWS) -> Iterator[str]:
-    """Yield the ``label sha1`` lines for the given catalog states."""
-    states = [s for s in (states or catalog_list()) if s.model is not None]
+    """Yield the ``label sha1`` lines for the given states, by default the
+    13 model states."""
+    states = states or catalog_list() + [get_state(n) for n in SUBSHELL_STATES]
+    states = [s for s in states if s.model is not None]
     for st in states:
         model, g, n = st.model, st.reference_density, st.model.n_particles
         hams = [("h", st.hamiltonian())]
