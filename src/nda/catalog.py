@@ -78,6 +78,16 @@ __all__ = [
 # reference densities (exactly normalized; used by ratio and shell estimators)
 
 
+def _check_normalization(form: str, base: float, power: float,
+                         factor: float = 1.0) -> None:
+    """ValueError unless factor * base ** power is a finite positive float."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(factor * np.float64(base) ** power)
+    if not 0.0 < norm < float("inf"):
+        raise ValueError(f"reference density normalization {form} is {norm!r}, "
+                         "not a finite positive float")
+
+
 @dataclass(frozen=True)
 class ReferenceDensity:
     """Normalized product density g of a model (:meth:`of`).
@@ -107,13 +117,23 @@ class ReferenceDensity:
 
     @classmethod
     def of(cls, model: wf.WaveFunction) -> "ReferenceDensity":
-        """g of a model (a Scaled model has its base's); scales in order."""
+        """g of a model (a Scaled model has its base's); scales in order.
+
+        A ValueError when a normalization, 8 pi s^3 of a decay length s or
+        (omega / 2 pi)^(3N/2), is not a finite positive float: an extreme Z
+        or omega would otherwise overflow or underflow mid-run.
+        """
         if isinstance(model, wf.Scaled):
             return cls.of(model.base)
         if isinstance(model, wf.HarmonicPair):
+            _check_normalization(
+                f"(omega / 2 pi)^(3N/2) at omega = {model.omega!r}",
+                model.omega / (2.0 * pi), 1.5 * model.n_particles)
             return cls("harmonic", model.n_particles, omega=model.omega)
         scales = dict.fromkeys(o.radial_scale() for t in model.terms
                                for b in t.blocks for o in b.orbitals)
+        for s in scales:
+            _check_normalization(f"8 pi s^3 at s = {s!r}", s, 3.0, 8.0 * pi)
         return cls("coulomb", model.n_particles, scales=tuple(scales))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

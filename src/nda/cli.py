@@ -163,9 +163,11 @@ def _get_state_from_args(args) -> "StateSpec":
 
 
 def _evaluable(state):
-    """state, or a ValueError when it has no model to sample."""
+    """state, or a ValueError when it has no model to sample or its
+    reference density cannot be normalized (ReferenceDensity.of)."""
     if state.model is None:
         raise ValueError(f"state {state.name!r} has no evaluable model")
+    state.reference_density
     return state
 
 
@@ -374,7 +376,7 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_domains(args) -> int:
-    state = _get_state_from_args(args)
+    state = _evaluable(_get_state_from_args(args))
     report = count_nodal_domains(
         state, n_points=args.points, k_neighbors=args.k,
         segment_checks=args.checks, seed=args.seed)

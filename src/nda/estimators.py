@@ -39,7 +39,17 @@ Shared conventions:
   the ladder and then count like the others;
 * chains are combined by a plain mean; the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
-  otherwise (Flyvbjerg & Petersen 1989).
+  otherwise (Flyvbjerg & Petersen 1989);
+* the Psi^2 walk of the standard expectations carries two zero-variance
+  control columns (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi &
+  Imparato 2013), c_rad and c_lin of _control_columns: for a field F,
+  div F + 2 F . grad ln|Psi| has mean 0 under Psi^2 because the integral
+  of div(Psi^2 F) is 0.  _Blocks subtracts their leave-one-chain-out
+  regression from each integrand before the chain means and the stderr,
+  and floors the controlled stderr at the float rounding of the sums
+  (estimate_standard_expectations).  The |Psi| walk of pot_nda has no
+  such column: under |Psi| the variance of div F + F . grad ln|Psi| holds
+  |grad Psi|^2 / |Psi|, whose integral diverges at the node.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import wavefunctions as wf
 from .catalog import StateSpec
 from .hamiltonians import HamiltonianSpec, potential_batch
 from .quadrature import quadrature_oracle
@@ -76,6 +87,7 @@ _BLOCKS = 50
 _STD_THIN = 4  # thinning of the Psi^2 integrand
 _ADAPT = 16    # burn-in steps per Metropolis proposal-width update
 _MASK64 = (1 << 64) - 1
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # stream tags keep the estimators' random streams disjoint for a given seed
 _TAG_POT = 11
@@ -124,6 +136,8 @@ class NdaEstimate:
     potential, or within float noise of the node); they are not in n_samples.
     acceptance_rate is the Metropolis estimators' fraction of accepted
     moves over all chains and the kept (post-burn-in) steps; None for the
+    other methods.  stderr_uncontrolled is the stderr of the Psi^2
+    estimators before their control variates were subtracted; None for the
     other methods.
     """
 
@@ -136,6 +150,7 @@ class NdaEstimate:
     status: str = "ok"
     n_rejected: int = 0
     acceptance_rate: Optional[float] = None
+    stderr_uncontrolled: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
@@ -172,13 +187,23 @@ class _Blocks:
     blocks; step s of chain c lands in block s * _BLOCKS // n_per_chain.
     np.add.at adds in index order, so every block sums its rows in the
     order they are added, and the engines add them in step order.
+
+    With n_controls = 2 the last two of the added arrays are control
+    columns of known mean 0 (_std_walk's c_rad and c_lin); estimates then
+    gives one controlled estimate per integrand (_controlled), and add also
+    sums each chain's |term| of every array, in row order, for the rounding
+    floor.
     """
 
-    def __init__(self, n_chains: int, n_per_chain: int, n_values: int = 1):
+    def __init__(self, n_chains: int, n_per_chain: int, n_values: int = 1,
+                 n_controls: int = 0):
         self.n_per_chain = n_per_chain
-        self.sums = np.zeros((n_values, n_chains, _BLOCKS))
+        self.n_controls = n_controls
+        self.sums = np.zeros((n_values + n_controls, n_chains, _BLOCKS))
         self.counts = np.zeros((n_chains, _BLOCKS), dtype=np.int64)
         self.rejected = 0
+        if n_controls:
+            self.magnitudes = np.zeros((n_values + n_controls, n_chains))
 
     def add(self, chains: np.ndarray, steps: np.ndarray, values: tuple,
             ok: Optional[np.ndarray] = None) -> None:
@@ -193,6 +218,10 @@ class _Blocks:
             values = [np.where(ok, w, 0.0) for w in values]
         for bsum, w in zip(self.sums, values):
             np.add.at(bsum.reshape(-1), flat, w)
+        if self.n_controls:
+            rows = flat // _BLOCKS
+            for mag, w in zip(self.magnitudes, values):
+                np.add.at(mag, rows, np.abs(w))
 
     def chain_means(self) -> np.ndarray:
         """(n_values, n_chains) mean of every integrand over each chain."""
@@ -201,12 +230,43 @@ class _Blocks:
             raise RuntimeError("a chain collected no valid samples")
         return self.sums.sum(axis=2) / counts
 
+    def _controlled(self) -> tuple:
+        """(block sums, floors) of the integrands less their control terms.
+
+        Chain c's coefficients beta_c are the weighted least-squares slopes
+        (with an intercept) of the integrand's count-weighted (chain, block)
+        means on the two columns' means over the other chains' blocks, so
+        that no chain's own noise enters its coefficients; beta = 0 with one
+        chain.  Each integrand's block sums become sums - beta_c . (the
+        columns' block sums).  Its floor bounds the float rounding of those
+        sums: a chain's mean of n terms t is a recursive sum, off by at most
+        (n - 1) u sum |t| / n < u sum |t| (u the unit roundoff), and the
+        floor is that bound averaged over the chains, with
+        sum |t| <= sum |integrand| + |beta_c| . sum |column|.
+        """
+        k = self.n_controls
+        ys, cs = self.sums[:-k], self.sums[-k:]
+        beta = _loo_betas(ys, cs, self.counts)          # (n_values, C, 2)
+        controlled = ys - beta[..., 0, None] * cs[0] - beta[..., 1, None] * cs[1]
+        mags = (self.magnitudes[:-k] + np.abs(beta[..., 0]) * self.magnitudes[-2]
+                + np.abs(beta[..., 1]) * self.magnitudes[-1])
+        return controlled, _UNIT_ROUNDOFF * mags.mean(axis=1)
+
     def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
                   acceptance_rate: Optional[float] = None) -> list:
-        """One NdaEstimate per integrand: the mean of the chain means."""
+        """One NdaEstimate per integrand: the mean of the chain means,
+        controlled when the blocks hold control columns."""
+        means = self.chain_means()
+        n_values = len(means) - self.n_controls
+        sums, floors, raw = self.sums[:n_values], [0.0] * n_values, [None] * n_values
+        if self.n_controls:
+            raw = [_stderr_from_chains(m, b, self.counts)
+                   for m, b in zip(means, sums)]
+            sums, floors = self._controlled()
+            means = sums.sum(axis=2) / self.counts.sum(axis=1)
         return [NdaEstimate(
-            mean=float(means.mean()),
-            stderr=_stderr_from_chains(means, bsum, self.counts),
+            mean=float(m.mean()),
+            stderr=max(_stderr_from_chains(m, bsum, self.counts), floor),
             n_samples=int(self.counts.sum()),
             n_chains=cfg.n_chains,
             seed=cfg.seed,
@@ -214,7 +274,44 @@ class _Blocks:
             status=status,
             n_rejected=self.rejected,
             acceptance_rate=acceptance_rate,
-        ) for means, bsum in zip(self.chain_means(), self.sums)]
+            stderr_uncontrolled=raw_stderr,
+        ) for m, bsum, floor, raw_stderr in zip(means, sums, floors, raw)]
+
+
+def _loo_betas(ys: np.ndarray, cs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(n_values, C, 2) leave-one-chain-out control coefficients.
+
+    ys (n_values, C, B) and cs (2, C, B) are block sums and counts (C, B)
+    their row counts.  Per chain, the weighted moments of the block means
+    (weights the counts) are the sums over blocks of n, S_j and S_i S_j / n;
+    chain c's fit takes the totals over the chains less its own, centres
+    them and solves the 2 x 2 normal equations by Cramer's rule.  A chain
+    whose fit is degenerate (one chain, or columns without spread) gets
+    beta = 0.
+    """
+    C = counts.shape[0]
+    beta = np.zeros(ys.shape[:2] + (2,))
+    if C < 2:
+        return beta
+    w = np.maximum(counts, 1)
+    c0, c1 = cs
+
+    def moments(*rows):
+        """each row summed over blocks, every chain's total less its own"""
+        m = np.stack(rows).sum(axis=2)
+        return m.sum(axis=1, keepdims=True) - m
+
+    n, s0, s1, q00, q01, q11 = moments(counts.astype(float), c0, c1,
+                                       c0 * c0 / w, c0 * c1 / w, c1 * c1 / w)
+    a, b, d = q00 - s0 * s0 / n, q01 - s0 * s1 / n, q11 - s1 * s1 / n
+    det = a * d - b * b
+    good = np.isfinite(det) & (det > 0.0)
+    for v, y in enumerate(ys):
+        sy, e, f = moments(y, c0 * y / w, c1 * y / w)
+        e, f = e - s0 * sy / n, f - s1 * sy / n
+        beta[v, good, 0] = ((d * e - b * f) / det)[good]
+        beta[v, good, 1] = ((a * f - b * e) / det)[good]
+    return beta
 
 
 # --------------------------------------------------------------------------
@@ -369,18 +466,19 @@ def _metropolis_average(model, state: StateSpec, cfg: SamplerConfig,
                         walks) -> list:
     """Block averages of integrands over the kept steps of _metropolis.
 
-    walks is a sequence of (power, tag, method, integrand, n_values, thin),
-    moved in lock-step.  integrand(x, v) gets the (rows, 3N)
-    configurations of a block of kept steps, step-major, and their raw
-    values (rows,), and returns (ok, values): the mask of rows it keeps
-    (None keeps all) and n_values per-row arrays.  Returns, per walk, one
-    NdaEstimate per array.
+    walks is a sequence of (power, tag, method, integrand, n_values,
+    n_controls, thin), moved in lock-step.  integrand(x, v) gets the
+    (rows, 3N) configurations of a block of kept steps, step-major, and
+    their raw values (rows,), and returns (ok, values): the mask of rows it
+    keeps (None keeps all) and n_values + n_controls per-row arrays, the
+    last n_controls of them control columns of mean 0 (see _Blocks).
+    Returns, per walk, one NdaEstimate per integrand.
     """
     n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
     chains = np.arange(cfg.n_chains)
     accs, engine = [], []
-    for power, tag, method, integrand, n_values, thin in walks:
-        acc = _Blocks(cfg.n_chains, n_keep, n_values)
+    for power, tag, method, integrand, n_values, n_controls, thin in walks:
+        acc = _Blocks(cfg.n_chains, n_keep, n_values, n_controls)
 
         def collect(js, xs, vs, acc=acc, integrand=integrand):
             ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
@@ -429,20 +527,42 @@ def _pot_walk(h: HamiltonianSpec) -> tuple:
         V = potential_batch(h, x)
         return np.isfinite(V), (V,)
 
-    return 1, _TAG_POT, "metropolis_abs_psi", integrand, 1, 1
+    return 1, _TAG_POT, "metropolis_abs_psi", integrand, 1, 0, 1
+
+
+def _control_columns(x: np.ndarray, v: np.ndarray,
+                     grads: np.ndarray) -> tuple:
+    """c_rad and c_lin at rows x of values v and gradients grads.
+
+    c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi) / r_i and
+    c_lin = 3N + 2 x . grad Psi / Psi, the divergence of F plus
+    2 F . grad ln|Psi| for F = sum_i x_i / r_i and F = x; both have mean 0
+    under Psi^2 (estimate_standard_expectations).  c_rad is not finite
+    where an r_i is 0.
+    """
+    n_particles = x.shape[1] // 3
+    xg = wf._row_sums((x * grads).reshape(-1, n_particles, 3)) / v[:, None]
+    r = wf._norms(x.reshape(-1, n_particles, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_rad = wf._row_sums((2.0 + 2.0 * xg) / r)
+    return c_rad, 3.0 * n_particles + 2.0 * wf._row_sums(xg)
 
 
 def _std_walk(model, h: HamiltonianSpec) -> tuple:
-    """The Psi^2 walk of <T> and <V>, as a _metropolis_average walk."""
+    """The Psi^2 walk of <T> and <V>, as a _metropolis_average walk, with
+    the control columns c_rad and c_lin."""
 
     def integrand(x, v):
         V = potential_batch(h, x)
         _, grads, laps = model.vgl(x)
         gnorm = np.linalg.norm(grads, axis=1)
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
-        return ok, (-0.5 * laps / np.where(ok, v, 1.0), V)
+        vs = np.where(ok, v, 1.0)
+        c_rad, c_lin = _control_columns(x, vs, grads)
+        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
+        return ok, (-0.5 * laps / vs, V, c_rad, c_lin)
 
-    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, _STD_THIN
+    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, 2, _STD_THIN
 
 
 def estimate_pot_nda(state: StateSpec,
@@ -476,6 +596,28 @@ def estimate_standard_expectations(state: StateSpec,
     cuts the dominant cost with a negligible loss of statistical power, as
     _STD_THIN stays below the chain's autocorrelation time (tens of steps
     for every catalog state).
+
+    Control variates.  For a vector field F with Psi^2 F decaying at
+    infinity, the divergence theorem gives integral div(Psi^2 F) = 0, so
+    div F + 2 F . grad Psi / Psi averages to exactly 0 under Psi^2.  The
+    gradients the Laplacian already needs give two such columns per row:
+    c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi) / r_i (F = x_i / r_i for
+    every electron; a row with an r_i = 0 is rejected and counted like a
+    singular potential) and c_lin = 3N + 2 x . grad Psi / Psi (F = x).  For
+    a hydrogenic orbital r^l exp(-a r) both -lap(Psi)/(2 Psi) and the
+    nuclear potential are linear in 1 / r, and so in c_rad.  Each chain c
+    subtracts beta_c . (c_rad, c_lin) from both integrands, beta_c being
+    the count-weighted least-squares slopes of the integrand's (chain,
+    block) means on the columns' means over the other chains' blocks:
+    chain c's noise does not enter its own coefficients, which keeps the
+    fit's bias out of the across-chain stderr; with one chain beta = 0 and
+    the estimate is the uncontrolled one.  stderr_uncontrolled keeps the
+    stderr without the columns.  On seven model states (2P_2p, the 2p^2
+    trio, harmonic_noninteracting, subshell_k1_l1 and subshell_k1_l2) the
+    controlled integrand is constant and its scatter is rounding, so each
+    controlled stderr is floored at a bound on the float rounding of its
+    sums (_Blocks._controlled), built from the magnitudes of the summed
+    terms.
     """
     cfg = cfg or SamplerConfig()
     model = _model(state)

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "calibrate.py"
 
@@ -44,6 +45,42 @@ def test_calibrate_z_scores_are_the_estimates_deviations():
     st = get_state("2P_2p")
     rows = list(tool.z_scores(["pot"], [3], [st], 4, 600))
     e = estimate_pot_nda(st, SamplerConfig(n_chains=4, steps_per_chain=600, seed=3))
-    assert rows == [("pot", "2P_2p", "pot_nda", 3, (e.mean + 1 / 6) / e.stderr)]
+    assert rows == [("pot", "2P_2p", "pot_nda", 3, (e.mean + 1 / 6) / e.stderr,
+                     e.mean + 1 / 6)]
     assert np.isfinite(rows[0][4])
     assert tool._seeds("201-203,7") == [201, 202, 203, 7]
+
+
+def test_calibrate_bias_is_the_mean_deviation_in_standard_errors():
+    """The bias column divides the mean of (mean - exact) over seeds by its
+    across-seed standard error, whatever the z-scores: two cells with the
+    same z-scores and deviations of opposite skew read +3.0 and 0.0."""
+    tool = _calibrate_module()
+    devs = [1.0, 2.0, 3.0, 4.0]          # mean 2.5, standard error 0.645
+    assert tool.bias(devs) == pytest.approx(2.5 / (np.std(devs, ddof=1) / 2))
+    assert tool.bias([-1.0, 1.0]) == 0.0
+    assert tool.bias([0.0, 0.0]) == 0.0 and tool.bias([2.0, 2.0]) == np.inf
+    rows = [("std", "s", "kin_std", seed, z, dev) for seed, (z, dev) in
+            enumerate([(0.5, 1.0), (0.5, 1.0), (0.5, 2.0), (0.5, 2.0)])]
+    rows += [("std", "t", "kin_std", seed, z, dev) for seed, (z, dev) in
+             enumerate([(0.5, -1.0), (0.5, 1.0), (0.5, -1.0), (0.5, 1.0)])]
+    lines = tool.report(rows, 8)
+    assert lines[0].split()[-1] == "bias/se"
+    cells = {line.split()[1]: line.split() for line in lines[1:3]}
+    assert cells["s"][-1] == f"{1.5 / (np.std([1, 1, 2, 2], ddof=1) / 2):+.2f}"
+    assert cells["t"][-1] == "+0.00"
+    assert cells["s"][4:7] == cells["t"][4:7] == ["+0.50", "0.00", "0.50"]
+
+
+def test_calibrate_defaults_to_the_13_model_states(monkeypatch):
+    tool = _calibrate_module()
+    seen = []
+
+    def record(names, seeds, states, n_chains, steps):
+        seen.extend(st.name for st in states)
+        return iter([])
+    monkeypatch.setattr(tool, "z_scores", record)
+    monkeypatch.setattr(tool, "report", lambda rows, n_chains: [])
+    assert tool.main(["--estimators", "std"]) == 0
+    assert len(seen) == len(set(seen)) == 13
+    assert {"subshell_k1_l1", "subshell_k1_l2", "2P_2p"} <= set(seen)

@@ -156,6 +156,23 @@ def test_reference_density_scales_are_the_orbitals():
     assert g3.scales == (1.0 / 3.0, 2.0 / 3.0)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("2P_2p", dict(Z=Fraction(1, 10 ** 300))), ("2P_2p", dict(Z=10 ** 300)),
+    ("3P_1s2p", dict(Z=10 ** 300)),
+    ("harmonic_noninteracting", dict(omega=10 ** 300)),
+    ("harmonic_noninteracting", dict(omega=Fraction(1, 10 ** 300)))])
+def test_reference_density_refuses_an_unnormalizable_state(name, params):
+    """A decay length s whose 8 pi s^3, or an omega whose
+    (omega / 2 pi)^(3N/2), overflows or underflows raises ValueError when g
+    is built, before any draw; moderate values build."""
+    st = get_state(name, **params)
+    with pytest.raises(ValueError, match="normalization"):
+        st.reference_density
+    key = next(iter(params))
+    g = get_state(name, **{key: 3}).reference_density
+    assert g.pdf(g.sample(np.random.default_rng(1), 4)).min() > 0.0
+
+
 @pytest.mark.parametrize("name", [s.name for s in MODEL_STATES])
 def test_reference_radii_follow_the_mixture_law(name):
     """Every electron's sampled radius, against the equal-weight mixture of

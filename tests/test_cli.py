@@ -129,6 +129,11 @@ def test_usage_errors_exit_2(capsys):
     ["compute", "--state", "2P_2p", "--Z", "1e400"],
     ["domains", "--state", "2P_2p", "--Z", "1e400"],
     ["compute", "--state", "harmonic_exact", "--omega=-1e400"],
+    # a finite value whose reference density cannot be normalized is
+    # rejected before sampling, whichever estimator runs first
+    ["compute", "--state", "2P_2p", "--Z", "1e-300", "--components", "kin"],
+    ["compute", "--state", "2P_2p", "--Z", "1e300", "--components", "kin_std"],
+    ["domains", "--state", "2P_2p", "--Z", "1e-300"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
@@ -137,7 +142,8 @@ def test_usage_errors_exit_2(capsys):
         "verify-shell-1-chain", "compute-g0", "domains-g0",
         "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
         "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
-        "compute-omega-overflow"])
+        "compute-omega-overflow", "compute-kin-Z-tiny", "compute-std-Z-huge",
+        "domains-Z-tiny"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators
@@ -150,6 +156,21 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "estimate_pot_and_standard", no_sampling)
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("state,flag,value", [
+    ("2P_2p", "--Z", "1e-300"), ("2P_2p", "--Z", "1e300"),
+    ("harmonic_noninteracting", "--omega", "1e300")])
+def test_extreme_parameter_exits_2_with_the_normalization(state, flag, value,
+                                                          capsys):
+    """An extreme but finite --Z or --omega leaves the reference density
+    without a finite positive normalization: a clear error and exit 2, not
+    an OverflowError traceback or a bare math domain error mid-run."""
+    code, out, err = run(["compute", "--state", state, flag, value,
+                          "--steps", "2000", "--chains", "4"], capsys)
+    assert code == 2 and out == ""
+    assert "error: reference density normalization" in err
+    assert "not a finite positive float" in err
 
 
 def test_sum_status_comes_from_its_parts(capsys):
@@ -213,6 +234,23 @@ def test_compute_runs_pot_and_std_in_one_pass(capsys, monkeypatch):
             "kin_std": cli._estimate_entry(std["kin"], st.exact_standard["kin"]),
             "pot_std": cli._estimate_entry(std["pot"], st.exact_standard["pot"])}
     assert {k: got[k] for k in want} == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("state", ["2P_2p", "3P_2p2", "1S_2p2", "1D_2p2",
+                                   "harmonic_noninteracting", "subshell_k1_l1",
+                                   "subshell_k1_l2"])
+def test_zero_variance_std_reports_a_finite_deviation(state, capsys):
+    """Where the controlled std integrands are constant, the floored stderr
+    keeps sigma_deviation finite and at most 1, and the record shows the
+    uncontrolled stderr beside it."""
+    code, out, _ = run(["compute", "--state", state, "--components",
+                        "kin_std,pot_std", "--chains", "8", "--steps", "2000",
+                        "--format", "json"], capsys)
+    assert code == 0
+    for comp, entry in RunRecord.from_json(out).estimates.items():
+        assert np.isfinite(entry["sigma_deviation"]), comp
+        assert entry["sigma_deviation"] <= 1.0, comp
+        assert 0.0 < entry["stderr"] < entry["stderr_uncontrolled"], comp
 
 
 def test_verify_tables_agrees_with_compute(capsys):

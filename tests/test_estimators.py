@@ -258,7 +258,7 @@ def _reference_reduce(bsum, bcnt, rejected):
     chain_means = bsum.sum(axis=1) / counts
     return (float(chain_means.mean()),
             estimators._stderr_from_chains(chain_means, bsum, bcnt),
-            int(counts.sum()), int(rejected.sum()))
+            int(counts.sum()), int(rejected.sum()), None)
 
 
 def _reference_pot(state, cfg):
@@ -278,42 +278,103 @@ def _reference_pot(state, cfg):
     return _reference_reduce(bsum, bcnt, rejected)
 
 
+def _reference_controlled(y, mag_y, cols, mags, bcnt, rejected):
+    """The std reduction of one integrand's block sums y (C, B): chain c's
+    coefficients fitted, one chain at a time, by weighted least squares of
+    the block means of y on those of the two columns cols (2, C, B) over
+    the other chains' blocks (each chain's moments summed over its blocks;
+    the other chains' moments the total less chain c's); y less
+    beta_c . cols reduced as before, the stderr floored at the unit
+    roundoff times the chains' mean of sum |y| + |beta_c| . sum |column|
+    (mag_y (C,) and mags (2, C))."""
+    C = bcnt.shape[0]
+    w = np.maximum(bcnt, 1)
+    own = np.empty((9, C))
+    for c in range(C):
+        c0, c1, yc = cols[0, c], cols[1, c], y[c]
+        own[:, c] = [bcnt[c].astype(float).sum(), c0.sum(), c1.sum(),
+                     (c0 * c0 / w[c]).sum(), (c0 * c1 / w[c]).sum(),
+                     (c1 * c1 / w[c]).sum(), yc.sum(), (c0 * yc / w[c]).sum(),
+                     (c1 * yc / w[c]).sum()]
+    total = own.sum(axis=1)
+    controlled, floors = np.empty_like(y), np.empty(C)
+    for c in range(C):
+        beta = np.zeros(2)
+        if C > 1:
+            n, s0, s1, q00, q01, q11, sy, e, f = total - own[:, c]
+            a, b, d = q00 - s0 * s0 / n, q01 - s0 * s1 / n, q11 - s1 * s1 / n
+            e, f = e - s0 * sy / n, f - s1 * sy / n
+            det = a * d - b * b
+            if np.isfinite(det) and det > 0.0:
+                beta = np.array([(d * e - b * f) / det, (a * f - b * e) / det])
+        controlled[c] = y[c] - beta[0] * cols[0, c] - beta[1] * cols[1, c]
+        floors[c] = (mag_y[c] + abs(beta[0]) * mags[0, c]
+                     + abs(beta[1]) * mags[1, c])
+    mean, stderr, n_samples, n_rejected, _ = _reference_reduce(
+        controlled, bcnt, rejected)
+    raw = _reference_reduce(y, bcnt, rejected)[1]
+    stderr = max(stderr, float(np.finfo(float).eps / 2 * floors.mean()))
+    return mean, stderr, n_samples, n_rejected, raw
+
+
 def _reference_std(state, cfg):
     """estimate_standard_expectations with one potential_batch and one vgl
-    call per _STD_THIN-th kept step."""
+    call per _STD_THIN-th kept step: the local kinetic energy and the
+    potential, controlled by c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi)
+    / r_i and c_lin = 3N + 2 x . grad Psi / Psi."""
     h, model, thin = state.hamiltonian(), state.model, estimators._STD_THIN
+    N = model.n_particles
     C, B = cfg.n_chains, estimators._BLOCKS
     n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum, bcnt = np.zeros((2, C, B)), np.zeros((C, B), dtype=np.int64)
+    bsum, bcnt = np.zeros((4, C, B)), np.zeros((C, B), dtype=np.int64)
+    mags = np.zeros((4, C))
     rejected = np.zeros(C, dtype=np.int64)
     for j, x, v in _reference_walk(state, cfg, thin, 2, estimators._TAG_STD):
         V = estimators.potential_batch(h, x)
         _, grads, laps = model.vgl(x)
         ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * np.linalg.norm(grads, axis=1))
-        tloc = -0.5 * laps / np.where(ok, v, 1.0)
+        vs = np.where(ok, v, 1.0)
+        xg = [(x[:, 3 * i] * grads[:, 3 * i] + x[:, 3 * i + 1] * grads[:, 3 * i + 1]
+               + x[:, 3 * i + 2] * grads[:, 3 * i + 2]) / vs for i in range(N)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rad = [(2.0 + 2.0 * xg[i]) / np.linalg.norm(x[:, 3 * i:3 * i + 3], axis=1)
+                   for i in range(N)]
+        c_rad, c_lin = rad[0], xg[0]
+        for i in range(1, N):
+            c_rad, c_lin = c_rad + rad[i], c_lin + xg[i]
+        c_lin = 3.0 * N + 2.0 * c_lin
+        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
         b = j * B // n_keep
-        bsum[0, :, b] += np.where(ok, tloc, 0.0)
-        bsum[1, :, b] += np.where(ok, V, 0.0)
+        for k, w in enumerate((-0.5 * laps / vs, V, c_rad, c_lin)):
+            w = np.where(ok, w, 0.0)
+            bsum[k, :, b] += w
+            mags[k] += np.abs(w)
         bcnt[:, b] += ok
         rejected += ~ok
-    return {"kin": _reference_reduce(bsum[0], bcnt, rejected),
-            "pot": _reference_reduce(bsum[1], bcnt, rejected)}
+    return {key: _reference_controlled(bsum[k], mags[k], bsum[2:], mags[2:],
+                                       bcnt, rejected)
+            for k, key in enumerate(("kin", "pot"))}
 
 
 def _fields(est):
-    return est.mean, est.stderr, est.n_samples, est.n_rejected
+    return (est.mean, est.stderr, est.n_samples, est.n_rejected,
+            est.stderr_uncontrolled)
 
 
 @pytest.mark.parametrize("n_chains", [1, 3, 8])
 def test_kept_step_blocks_match_per_step_collectors(n_chains):
     """Blocks of kept steps (a partial last one here: 1875 kept steps) give
-    the per-step reduction bit for bit, unthinned and thinned."""
-    st = get_state("3S_1s2s")
+    the per-step reduction bit for bit, unthinned and thinned; on 2P_2p the
+    controlled std integrands are constant and, past one chain, their
+    stderr is the rounding floor."""
     cfg = SamplerConfig(n_chains=n_chains,
                         steps_per_chain=estimators._CHUNK + 37, seed=5)
-    assert _fields(estimate_pot_nda(st, cfg=cfg)) == _reference_pot(st, cfg)
-    got = estimate_standard_expectations(st, cfg=cfg)
-    assert {k: _fields(e) for k, e in got.items()} == _reference_std(st, cfg)
+    for name in ("3S_1s2s", "2P_2p"):
+        st = get_state(name)
+        assert _fields(estimate_pot_nda(st, cfg=cfg)) == _reference_pot(st, cfg)
+        got = estimate_standard_expectations(st, cfg=cfg)
+        assert ({k: _fields(e) for k, e in got.items()}
+                == _reference_std(st, cfg)), name
 
 
 @pytest.mark.parametrize("n_chains", [3, 8])
@@ -402,6 +463,74 @@ def test_joint_pass_equals_the_separate_estimators(name):
                "kin_std": std["kin"], "pot_std": std["pot"]}
         assert {k: repr(e) for k, e in got.items()} == \
             {k: repr(e) for k, e in ref.items()}, cfg
+
+
+# ----------------------------------------------------- control variates
+
+MODEL_STATES = ([s.name for s in catalog_list() if s.model]
+                + ["subshell_k1_l1", "subshell_k1_l2"])
+# the states whose local kinetic energy and potential are both linear in
+# c_rad and c_lin, so that the controlled std integrands are constant
+ZERO_VARIANCE = ["2P_2p", "3P_2p2", "1S_2p2", "1D_2p2",
+                 "harmonic_noninteracting", "subshell_k1_l1", "subshell_k1_l2"]
+
+
+@pytest.mark.parametrize("name", MODEL_STATES)
+def test_control_columns_have_mean_zero_under_psi_squared(name):
+    """100 000 i.i.d. draws from g, weighted by Psi^2 / g: the
+    self-normalized means of c_rad and c_lin lie within 4 stderr of 0, off
+    the walk that uses them (a wrong divergence term, say 1 / r_i for
+    2 / r_i, moves them by tenths)."""
+    st = get_state(name)
+    g = st.reference_density
+    x = g.sample(np.random.default_rng(3), 100_000)
+    v, grads, _ = st.model._evaluate(x, True, False)
+    w = v * v / g.pdf(x)
+    for col in estimators._control_columns(x, v, grads):
+        mean = np.sum(w * col) / np.sum(w)
+        stderr = np.sqrt(np.sum(w * w * (col - mean) ** 2)) / np.sum(w)
+        assert abs(mean) < 4.0 * stderr, (mean, stderr)
+
+
+@pytest.mark.parametrize("name", ZERO_VARIANCE)
+def test_zero_variance_states_hit_the_exact_values(name):
+    """At 8 x 2000 the controlled kin_std and pot_std equal the exact
+    values within 1e-12 relative; the stderr, floored at the rounding of
+    the sums, is positive and covers the deviation."""
+    st = get_state(name)
+    got = estimate_standard_expectations(
+        st, SamplerConfig(n_chains=8, steps_per_chain=2000, seed=5))
+    for key, est in got.items():
+        exact = float(st.exact_standard[key])
+        assert est.mean == pytest.approx(exact, rel=1e-12, abs=0.0), key
+        assert 0.0 < est.stderr < 1e-9 * est.stderr_uncontrolled, key
+        assert abs(est.mean - exact) <= est.stderr, key
+
+
+def test_one_chain_is_not_controlled(monkeypatch):
+    """With one chain there are no other chains to fit beta on: the
+    estimate is the uncontrolled one, field for field the estimate with
+    both columns zeroed."""
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=1, steps_per_chain=3000, seed=5)
+    got = estimate_standard_expectations(st, cfg)
+    assert all(e.stderr == e.stderr_uncontrolled for e in got.values())
+    columns = estimators._control_columns
+    monkeypatch.setattr(estimators, "_control_columns",
+                        lambda x, v, grads: [0.0 * c for c in columns(x, v, grads)])
+    assert got == estimate_standard_expectations(st, cfg)
+
+
+def test_controlled_stderr_is_smaller_and_recorded():
+    """The control variates cut the std stderr (by 4x or more at this
+    config on 3S_1s2s) and the estimate records the uncontrolled one; the
+    other estimators record none."""
+    st = get_state("3S_1s2s")
+    got = estimate_pot_and_standard(
+        st, SamplerConfig(n_chains=8, steps_per_chain=3000, seed=5))
+    assert got["pot_nda"].stderr_uncontrolled is None
+    for key in ("kin_std", "pot_std"):
+        assert 0.0 < 4.0 * got[key].stderr < got[key].stderr_uncontrolled, key
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",

@@ -8,10 +8,16 @@ n_chains chains follow Student's t with n_chains - 1 degrees of freedom.
 It prints:
 
 * per (state, component, estimator) cell, the z mean, s.d. and largest
-  |z| over seeds;
+  |z| over seeds, and the bias: the mean over seeds of (mean - exact)
+  divided by its across-seed standard error.  Unlike the z mean, the bias
+  does not move when (mean - exact) and the quoted stderr are correlated
+  (a skewed estimator), so it separates a real bias from skew;
 * pooled per estimator, the fraction of |z| beyond the two-sided 95 % and
   99 % t quantiles (5 % and 1 % expected) and the KS p-value of all its
   z-scores against that t law.
+
+By default it runs the 13 model states: the catalog states with a model
+and ``subshell_k1_l1`` and ``subshell_k1_l2``.
 
     PYTHONPATH=src python tools/calibrate.py --estimators shell \\
         --seeds 201-210 --chains 16 --steps 50000
@@ -27,6 +33,8 @@ import numpy as np
 from nda import estimators as est
 from nda.catalog import StateSpec, catalog_list, get_state
 from nda.quadrature import NotReducibleError, quadrature_oracle
+
+SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
 
 # name -> (applies to the state, run, [(component, result key)])
 ESTIMATORS = {
@@ -56,9 +64,9 @@ def exact_value(state: StateSpec, component: str) -> Optional[float]:
 
 def z_scores(names: Sequence[str], seeds: Sequence[int],
              states: Sequence[StateSpec], n_chains: int,
-             steps: int) -> Iterator[Tuple[str, str, str, int, float]]:
-    """Yield (estimator, state, component, seed, z) for every cell with an
-    exact value."""
+             steps: int) -> Iterator[Tuple[str, str, str, int, float, float]]:
+    """Yield (estimator, state, component, seed, z, mean - exact) for every
+    cell with an exact value."""
     for name in names:
         applies, run, parts = ESTIMATORS[name]
         for st in states:
@@ -73,25 +81,37 @@ def z_scores(names: Sequence[str], seeds: Sequence[int],
                 for comp, key, exact in cells:
                     e = res if key is None else res[key]
                     z = (e.mean - exact) / e.stderr if e.stderr > 0 else np.inf
-                    yield name, st.name, comp, seed, float(z)
+                    yield name, st.name, comp, seed, float(z), e.mean - exact
 
 
-def report(rows: Sequence[Tuple[str, str, str, int, float]],
+def bias(deviations: Sequence[float]) -> float:
+    """The mean of the deviations over its across-seed standard error (0
+    for deviations all 0, infinite for equal nonzero ones)."""
+    d = np.asarray(deviations)
+    se = float(np.std(d, ddof=1) / np.sqrt(d.size)) if d.size > 1 else 0.0
+    if se > 0.0:
+        return float(d.mean() / se)
+    return float(np.sign(d.mean()) * np.inf) if d.mean() else 0.0
+
+
+def report(rows: Sequence[Tuple[str, str, str, int, float, float]],
            n_chains: int) -> List[str]:
     """The per-cell and pooled lines for the rows of z_scores."""
     from scipy import stats
     df = n_chains - 1
     q95, q99 = (float(stats.t.ppf(1.0 - p / 2.0, df)) for p in (0.05, 0.01))
     lines = [f"{'estimator':9s} {'state':24s} {'component':9s} "
-             f"{'n':>4s} {'z mean':>7s} {'z s.d.':>7s} {'max |z|':>7s}"]
+             f"{'n':>4s} {'z mean':>7s} {'z s.d.':>7s} {'max |z|':>7s} "
+             f"{'bias/se':>7s}"]
     cells = {}
-    for name, state, comp, _, z in rows:
-        cells.setdefault((name, state, comp), []).append(z)
-    for (name, state, comp), zs in cells.items():
-        z = np.asarray(zs)
+    for name, state, comp, _, z, dev in rows:
+        cells.setdefault((name, state, comp), []).append((z, dev))
+    for (name, state, comp), zd in cells.items():
+        z = np.asarray([pair[0] for pair in zd])
         sd = float(np.std(z, ddof=1)) if z.size > 1 else float("nan")
         lines.append(f"{name:9s} {state:24s} {comp:9s} {z.size:4d} "
-                     f"{z.mean():+7.2f} {sd:7.2f} {np.abs(z).max():7.2f}")
+                     f"{z.mean():+7.2f} {sd:7.2f} {np.abs(z).max():7.2f} "
+                     f"{bias([pair[1] for pair in zd]):+7.2f}")
     t_sd = np.sqrt(df / (df - 2.0)) if df > 2 else float("inf")
     lines.append(f"pooled, against t_{df} (s.d. {t_sd:.2f}; 5 % beyond {q95:.2f}, "
                  f"1 % beyond {q99:.2f}):")
@@ -120,7 +140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help=f"comma list of {', '.join(ESTIMATORS)}")
     ap.add_argument("--seeds", default="201-210", help="e.g. 201-230 or 7,8")
     ap.add_argument("--states", default=None,
-                    help="comma list of catalog states (default: all)")
+                    help="comma list of states (default: the 13 model "
+                         "states)")
     ap.add_argument("--chains", type=int, default=16)
     ap.add_argument("--steps", type=int, default=50_000)
     args = ap.parse_args(argv)
@@ -131,7 +152,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.chains < 2:
         ap.error("--chains must be at least 2")
     states = ([get_state(s) for s in args.states.split(",")] if args.states
-              else catalog_list())
+              else catalog_list() + [get_state(s) for s in SUBSHELL_STATES])
     rows = list(z_scores(names, _seeds(args.seeds), states, args.chains,
                          args.steps))
     for line in report(rows, args.chains):

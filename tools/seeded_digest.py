@@ -25,7 +25,7 @@ For each of the 13 model states (the catalog states with a model, and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import fields
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,10 +48,14 @@ def _sha(obj) -> str:
 
 
 def _fields(value):
-    """An estimate, or a dict of them, as a tuple of its exact fields."""
+    """An estimate, or a dict of them, as a tuple of its exact fields: the
+    (name, value) pairs of the fields that differ from their defaults, so
+    that a field added with a default moves only the lines of the
+    estimates that set it."""
     if isinstance(value, dict):
         return tuple((k, _fields(v)) for k, v in sorted(value.items()))
-    return astuple(value)
+    return tuple((f.name, getattr(value, f.name)) for f in fields(value)
+                 if getattr(value, f.name) != f.default)
 
 
 def _points(n_particles: int, m: int, seed: int) -> np.ndarray:
