@@ -26,8 +26,7 @@ from .reference import (SubshellParams, harmonic_reference, quasiclassical_gap,
                         subshell_kin_nda, subshell_pot_nda, subshell_total)
 from .topology import (DomainReport, TransformSpec, count_nodal_domains,
                        find_block_transform, test_node_equivalence)
-from .wavefunctions import (HarmonicPair, Orbital, Scaled, SlaterProduct,
-                            WaveFunction)
+from .wavefunctions import HarmonicPair, Orbital, SlaterProduct, WaveFunction
 
 __all__ = [
     "__version__",
@@ -45,5 +44,5 @@ __all__ = [
     "subshell_kin_nda", "subshell_pot_nda", "subshell_total",
     "DomainReport", "TransformSpec", "count_nodal_domains",
     "find_block_transform", "test_node_equivalence",
-    "HarmonicPair", "Orbital", "Scaled", "SlaterProduct", "WaveFunction",
+    "HarmonicPair", "Orbital", "SlaterProduct", "WaveFunction",
 ]

@@ -79,10 +79,10 @@ __all__ = [
 
 
 def _check_normalization(form: str, base: float, power: float,
-                         factor: float = 1.0) -> None:
-    """ValueError unless factor * base ** power is a finite positive float."""
+                         factor: float = 1.0, n: int = 1) -> None:
+    """ValueError unless (factor * base ** power) ** n is a finite positive float."""
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(factor * np.float64(base) ** power)
+        norm = float((factor * np.float64(base) ** power) ** n)
     if not 0.0 < norm < float("inf"):
         raise ValueError(f"reference density normalization {form} is {norm!r}, "
                          "not a finite positive float")
@@ -117,24 +117,24 @@ class ReferenceDensity:
 
     @classmethod
     def of(cls, model: wf.WaveFunction) -> "ReferenceDensity":
-        """g of a model (a Scaled model has its base's); scales in order.
+        """g of a model; scales in order.
 
-        A ValueError when a normalization, 8 pi s^3 of a decay length s or
-        (omega / 2 pi)^(3N/2), is not a finite positive float: an extreme Z
-        or omega would otherwise overflow or underflow mid-run.
+        A ValueError when an N-electron normalization, (8 pi s^3)^N of a
+        decay length s or (omega / 2 pi)^(3N/2), is not a finite positive
+        float: an extreme Z or omega would otherwise overflow or underflow
+        mid-run, in g's pdf, the product of the N electrons' factors.
         """
-        if isinstance(model, wf.Scaled):
-            return cls.of(model.base)
+        N = model.n_particles
         if isinstance(model, wf.HarmonicPair):
-            _check_normalization(
-                f"(omega / 2 pi)^(3N/2) at omega = {model.omega!r}",
-                model.omega / (2.0 * pi), 1.5 * model.n_particles)
-            return cls("harmonic", model.n_particles, omega=model.omega)
+            _check_normalization(f"(omega / 2 pi)^(3N/2) at omega = {model.omega!r}",
+                                 model.omega / (2.0 * pi), 1.5 * N)
+            return cls("harmonic", N, omega=model.omega)
         scales = dict.fromkeys(o.radial_scale() for t in model.terms
                                for b in t.blocks for o in b.orbitals)
         for s in scales:
-            _check_normalization(f"8 pi s^3 at s = {s!r}", s, 3.0, 8.0 * pi)
-        return cls("coulomb", model.n_particles, scales=tuple(scales))
+            _check_normalization(f"(8 pi s^3)^N at s = {s!r}, N = {N}",
+                                 s, 3.0, 8.0 * pi, N)
+        return cls("coulomb", N, scales=tuple(scales))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         N = self.n_particles
@@ -780,7 +780,7 @@ def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
     model = None
     node = None
     if k == 1 and l <= 2:
-        model = _det_state(Z, (_orb("hydrogenic_general", Z, n=l + 1, l=l, m=l),), (0,))
+        model = _det_state(Z, (_orb("hydrogenic_general", Z, n=l + 1),), (0,))
     elif k == 2 and l == 1:
         model = _2p2_model(Z, "cross")
         node = _azimuth_lock_param(float(Z), "cross")

@@ -556,7 +556,7 @@ def _std_walk(model, h: HamiltonianSpec) -> tuple:
         V = potential_batch(h, x)
         _, grads, laps = model.vgl(x)
         gnorm = np.linalg.norm(grads, axis=1)
-        ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * gnorm)
+        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1) * gnorm)
         vs = np.where(ok, v, 1.0)
         c_rad, c_lin = _control_columns(x, vs, grads)
         ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
@@ -585,10 +585,10 @@ def estimate_standard_expectations(state: StateSpec,
     """Standard quantum expectations <T> and <V> over the density Psi^2.
 
     The kinetic part uses the local kinetic energy -lap(Psi)/(2 Psi).
-    Node-proximal points (|Psi| < 1e-14 |grad Psi|) and non-finite
-    potentials are rejected and counted; both components use the same
-    retained sample set.  Extends the method enumeration with
-    "metropolis_psi_squared".
+    Node-proximal points (|Psi| <= 1e-14 |x| |grad Psi|, a test free of
+    the length scale 1/Z) and non-finite potentials are rejected and
+    counted; both components use the same retained sample set.  Extends the
+    method enumeration with "metropolis_psi_squared".
 
     The integrand (a Laplacian plus a gradient per configuration) costs far
     more than a Metropolis step, while successive configurations are

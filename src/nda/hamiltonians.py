@@ -123,12 +123,14 @@ def potential(h: HamiltonianSpec, R) -> float:
 
 
 def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
-    """(H psi)/psi = -lap(psi)/(2 psi) + V, guarded against node contamination."""
+    """(H psi)/psi = -lap(psi)/(2 psi) + V, guarded against node contamination:
+    NodeProximityError unless |psi| > 1e-14 |x| |grad psi|, a test free of
+    the length scale (it holds at any Z) that rejects the origin."""
     x = _as_batch(model, R)
     v, g, lap = model.vgl(x)
     psi = float(v[0])
     gnorm = float(np.linalg.norm(g[0]))
-    if abs(psi) < 1e-14 * gnorm:
+    if not abs(psi) > 1e-14 * float(np.linalg.norm(x[0])) * gnorm:
         raise NodeProximityError(
             "configuration is within float noise of the nodal set "
             f"(|psi| = {abs(psi):.3e}, |grad psi| = {gnorm:.3e})"

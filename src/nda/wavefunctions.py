@@ -1,9 +1,11 @@
 """Wave-function models: orbitals, Slater-determinant products, the harmonic pair.
 
 Two models cover the catalog.  :class:`SlaterProduct` holds every Coulomb
-state, the 2p^2 couplings included, as a sum of products of per-channel
-determinants of hydrogenic orbitals, each determinant of one or two
-electrons; :class:`HarmonicPair` is the trap pair.  Each evaluates through
+state, the 2p^2 couplings included, as a sum of products of spin-channel
+determinants, each of one or two electrons.  Every term splits the
+electrons into the same channels, and the orbitals are hydrogenic 1s, 2s,
+2p along an axis, or circular (l = n - 1, m = l) through n = 3.
+:class:`HarmonicPair` is the trap pair.  Each evaluates through
 one ``_evaluate(x, want_grad, want_lap)``, which computes the shared parts
 once per call.  All models expose a batched API (``values``,
 ``gradients``, ``laplacians`` and the fused ``vgl``, which returns all
@@ -29,7 +31,6 @@ __all__ = [
     "Term",
     "SlaterProduct",
     "HarmonicPair",
-    "Scaled",
 ]
 
 
@@ -75,9 +76,10 @@ def _as_batch(model: "WaveFunction", R) -> np.ndarray:
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
-# real solid harmonics through l=2, as (poly, grad) closures over points in
-# component-major layout: p is (3, m), p[0] the x coordinates, and the
-# gradient is (3, m) too, so every operation runs along the m points
+# real solid harmonics of the circular orbitals (m = l), as (poly, grad)
+# closures over points in component-major layout: p is (3, m), p[0] the x
+# coordinates, and the gradient is (3, m) too, so every operation runs
+# along the m points
 def _sh_1(p):
     return np.ones(p.shape[1])
 
@@ -98,58 +100,17 @@ def _make_axis_poly(axis: int):
     return poly, grad
 
 
-def _sh2_table():
-    # m -> (polynomial, gradient), all harmonic, unnormalized
-    def xy(p):
-        return p[0] * p[1]
-
-    def xy_g(p):
-        g = np.zeros_like(p)
-        g[0] = p[1]
-        g[1] = p[0]
-        return g
-
-    def yz(p):
-        return p[1] * p[2]
-
-    def yz_g(p):
-        g = np.zeros_like(p)
-        g[1] = p[2]
-        g[2] = p[1]
-        return g
-
-    def zsq(p):
-        return 2.0 * p[2] ** 2 - p[0] ** 2 - p[1] ** 2
-
-    def zsq_g(p):
-        g = np.empty_like(p)
-        g[0] = -2.0 * p[0]
-        g[1] = -2.0 * p[1]
-        g[2] = 4.0 * p[2]
-        return g
-
-    def zx(p):
-        return p[2] * p[0]
-
-    def zx_g(p):
-        g = np.zeros_like(p)
-        g[0] = p[2]
-        g[2] = p[0]
-        return g
-
-    def xxyy(p):
-        return p[0] ** 2 - p[1] ** 2
-
-    def xxyy_g(p):
-        g = np.zeros_like(p)
-        g[0] = 2.0 * p[0]
-        g[1] = -2.0 * p[1]
-        return g
-
-    return {-2: (xy, xy_g), -1: (yz, yz_g), 0: (zsq, zsq_g), 1: (zx, zx_g), 2: (xxyy, xxyy_g)}
+def _xxyy(p):
+    # l = 2, m = 2: x^2 - y^2, unnormalized
+    return p[0] ** 2 - p[1] ** 2
 
 
-_SH2 = _sh2_table()
+def _xxyy_grad(p):
+    g = np.zeros_like(p)
+    g[0] = 2.0 * p[0]
+    g[1] = -2.0 * p[1]
+    return g
+
 
 _ORBITAL_KINDS = (
     "hydrogenic_1s",
@@ -161,14 +122,16 @@ _ORBITAL_KINDS = (
 
 @dataclass(frozen=True)
 class Orbital:
-    """One-particle hydrogenic orbital; ``scale`` is the nuclear charge Z."""
+    """One-particle hydrogenic orbital; ``scale`` is the nuclear charge Z.
+
+    ``hydrogenic_general`` is the circular orbital of principal number n:
+    l = n - 1 and m = l, so r^l exp(-Z r / n) times 1, x or x^2 - y^2.
+    """
 
     kind: str
     scale: float
     axis: Optional[str] = None
     n: Optional[int] = None
-    l: Optional[int] = None
-    m: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in _ORBITAL_KINDS:
@@ -178,13 +141,9 @@ class Orbital:
         if self.kind == "hydrogenic_2p" and self.axis not in _AXES:
             raise ValueError("p orbital needs axis 'x', 'y' or 'z'")
         if self.kind == "hydrogenic_general":
-            if self.n is None or self.l is None or self.m is None:
-                raise ValueError("hydrogenic_general needs (n, l, m)")
-            if self.l != self.n - 1:
-                raise ValueError("hydrogenic_general is restricted to l = n - 1")
-            if abs(self.m) > self.l:
-                raise ValueError("|m| must not exceed l")
-            if self.l > 2:
+            if self.n is None or self.n < 1:
+                raise ValueError("hydrogenic_general needs n >= 1")
+            if self.n > 3:
                 raise ValueError(
                     "evaluable orbitals stop at l = 2; higher subshells are "
                     "reference-only (see reference.subshell_kin_nda)"
@@ -216,20 +175,19 @@ class Orbital:
         return self.kind, self.scale, self.n
 
     def _angular(self):
-        """(l, which): the harmonic's degree, and its axis (l = 1) or m (l = 2)."""
+        """(l, axis): the harmonic's degree, and its axis when l = 1."""
         if self.kind == "hydrogenic_2p":
             return 1, _AXES[self.axis]
-        if self.kind == "hydrogenic_general" and self.l > 0:
-            return self.l, {-1: 1, 0: 2, 1: 0}[self.m] if self.l == 1 else self.m
-        return 0, None
+        l = self.n - 1 if self.kind == "hydrogenic_general" else 0
+        return l, 0 if l == 1 else None
 
     def _poly(self):
-        l, which = self._angular()
+        l, axis = self._angular()
         if l == 0:
             return _sh_1, _sh_1_grad, 0
         if l == 1:
-            return (*_make_axis_poly(which), 1)
-        return (*_SH2[which], 2)
+            return (*_make_axis_poly(axis), 1)
+        return _xxyy, _xxyy_grad, 2
 
     def radial_scale(self) -> float:
         """n / Z: the orbital's decay length, exp(-Z r / n) = exp(-r / scale)."""
@@ -354,12 +312,15 @@ def _cat(parts: list) -> np.ndarray:
 
 
 class SlaterProduct(WaveFunction):
-    """Sum of products of per-channel determinants over disjoint electron sets.
+    """Sum of products of spin-channel determinants.
 
     Covers everything from a single orbital (1x1 determinant) through
-    det-up x det-down products and their symmetry-coupled sums.  A block
-    holds one or two electrons, the most any catalog state puts in one
-    spin channel; a larger block is a ValueError.
+    det-up x det-down products and their symmetry-coupled sums.  The blocks
+    are the spin channels: every term splits the electrons 0..N-1 into the
+    same blocks, in the same order, and a block holds one or two electrons,
+    the most any catalog state puts in one channel.  Anything else is a
+    ValueError.  The orbitals are hydrogenic 1s, 2s, 2p along an axis, or
+    circular (``Orbital``).
 
     The plan, fixed at construction, holds the model as index arrays, and a
     call makes a few whole-array passes over the points, laid out (N, 3, m):
@@ -367,18 +328,17 @@ class SlaterProduct(WaveFunction):
     * |r| of all electrons at once, each radial kind once over the stacked
       electrons that use it;
     * a table with a row per (electron, harmonic) of each radial kind (the
-      l = 0 row, the l = 1 rows over the span of axes in use, a row per
-      l = 2 harmonic) of values, gradients and Laplacians, one operation
+      l = 0 row, the l = 1 rows over the span of axes in use, the l = 2
+      row of x^2 - y^2) of values, gradients and Laplacians, one operation
       per degree;
     * the distinct blocks grouped by size: a gather (a slice where the rows
       step evenly) per size for the matrices and per matrix position for
       the gradients and Laplacians, then determinants, cofactors, gradient
       rows and Laplacians of all 2x2 blocks at once; a 1x1 block is its
       table row;
-    * the terms as a (terms, blocks) index array, padded with a row of ones
-      where block counts differ: the products, the products over the other
-      blocks, and each electron's gradient contributions in term order,
-      padded with zeros where electrons sit in unequal numbers of terms.
+    * the terms as a (terms, blocks) index array: the products, the
+      products over the other blocks, and each electron's gradient
+      contribution, one per term, in term order.
 
     Each output element has the bits of the orbital-by-orbital form
     (``_reference_vgl`` in tests/test_wavefunctions.py): every product and
@@ -390,14 +350,13 @@ class SlaterProduct(WaveFunction):
 
     def __init__(self, terms: Sequence[Term], n_particles: int,
                  parameters: Optional[dict] = None):
-        for t in terms:
-            if any(len(b.electrons) > 2 for b in t.blocks):
-                raise ValueError("a determinant block holds at most two electrons")
-            seen = [e for b in t.blocks for e in b.electrons]
-            if len(set(seen)) != len(seen):
-                raise ValueError("blocks within a term must use disjoint electrons")
-            if any(e < 0 or e >= n_particles for e in seen):
-                raise ValueError("electron index out of range")
+        partition = tuple(b.electrons for b in terms[0].blocks)
+        if any(len(e) > 2 for e in partition):
+            raise ValueError("a determinant block holds at most two electrons")
+        if sorted(e for block in partition for e in block) != list(range(n_particles)):
+            raise ValueError(f"the blocks must split the electrons 0..{n_particles - 1}")
+        if any(tuple(b.electrons for b in t.blocks) != partition for t in terms):
+            raise ValueError("every term must split the electrons into the same blocks")
         self.terms = tuple(terms)
         self.n_particles = n_particles
         self.parameters = dict(parameters or {})
@@ -411,12 +370,12 @@ class SlaterProduct(WaveFunction):
                     kind[1].update(b.electrons)
                     kind[2].add(orb._angular())
         row = {}  # (electron, radial key, harmonic) -> table row
-        self._kinds = []  # (orbital, electrons, l = 0 row, axes, l = 1 row, l = 2 rows)
+        self._kinds = []  # (orbital, electrons, l = 0 row, axes, l = 1 row, l = 2 row)
         n_rows = 0
         for key, (orb, electrons, harmonics) in kinds.items():
             electrons = sorted(electrons)
             E = len(electrons)
-            row0 = row1 = axes = None
+            row0 = row1 = row2 = axes = None
             if (0, None) in harmonics:
                 row0 = n_rows
                 for i, e in enumerate(electrons):
@@ -429,13 +388,12 @@ class SlaterProduct(WaveFunction):
                     for a in on:
                         row[e, key, (1, a)] = n_rows + i * A + a - on[0]
                 n_rows += E * A
-            polys = []
-            for w in sorted(w for l, w in harmonics if l == 2):
+            if (2, None) in harmonics:
+                row2 = n_rows
                 for i, e in enumerate(electrons):
-                    row[e, key, (2, w)] = n_rows + i
-                polys.append((n_rows, *_SH2[w]))
+                    row[e, key, (2, None)] = n_rows + i
                 n_rows += E
-            self._kinds.append((orb, _key(electrons), row0, axes, row1, tuple(polys)))
+            self._kinds.append((orb, _key(electrons), row0, axes, row1, row2))
         self._n_rows = n_rows
 
         # distinct blocks as table-row matrices, grouped by size; a size's
@@ -460,32 +418,23 @@ class SlaterProduct(WaveFunction):
             self._sizes.append((n, len(group), _key(mats.transpose(1, 2, 0)),
                                 [[_key(mats[:, i, j]) for j in range(n)] for i in range(n)]))
 
-        # terms, and their factors (term, block position) in term order
-        K = max(len(t.blocks) for t in self.terms)
-        pad = len(ids)  # the row of ones
+        # the terms' blocks (term, block position), whose factor t * K + k
+        # is the row of B.ravel(), and each electron's gradient contribution
+        # (factor, block row) in every term
+        K = len(partition)
         B = np.array([[ids[b.electrons, b.orbitals] for b in t.blocks]
-                      + [pad] * (K - len(t.blocks)) for t in self.terms],
-                     dtype=np.intp).reshape(len(self.terms), K)
-        self._padded = any(len(t.blocks) < K for t in self.terms)
+                      for t in self.terms], dtype=np.intp)
         self._terms = tuple(_key(B[:, k]) for k in range(K))
         coeff = np.array([[t.coeff] for t in self.terms])
         self._coeff = None if np.all(coeff == 1.0) else coeff
-        factors = [(t * K + k, B[t, k]) for t, term in enumerate(self.terms)
-                   for k in range(len(term.blocks))]
-        self._factors = (_key([f for f, _ in factors]), _key([b for _, b in factors]))
-        # each electron's gradient contributions (factor, block row)
-        contrib = [[] for _ in range(n_particles)]
+        self._factors = _key(B.ravel())
+        grid = np.empty((len(self.terms), n_particles, 2), dtype=np.intp)
         for t, term in enumerate(self.terms):
             for k, b in enumerate(term.blocks):
                 first, stride = first_row[b.electrons, b.orbitals]
                 for i, e in enumerate(b.electrons):
-                    contrib[e].append((t * K + k, first + i * stride))
-        width = max(len(c) for c in contrib)
-        self._zero_pad = any(len(c) < width for c in contrib)
-        zero = (len(self.terms) * K, base)  # the zero factor and block row
-        grid = np.array([c + [zero] * (width - len(c)) for c in contrib],
-                        dtype=np.intp).reshape(n_particles, width, 2).transpose(1, 0, 2)
-        self._contrib = (width, _key(grid[..., 0]), _key(grid[..., 1]))
+                    grid[t, e] = t * K + k, first + i * stride
+        self._contrib = (_key(grid[..., 0]), _key(grid[..., 1]))
 
     def _table(self, x: np.ndarray, want_grad: bool, want_lap: bool):
         """Table values (rows, m) and, as asked, gradients (rows, 3, m) and
@@ -511,7 +460,7 @@ class SlaterProduct(WaveFunction):
         T = np.empty((self._n_rows, m))
         G = np.empty((self._n_rows, 3, m)) if want_grad else None
         L = np.empty((self._n_rows, m)) if want_lap else None
-        for orb, es, row0, axes, row1, polys in self._kinds:
+        for orb, es, row0, axes, row1, row2 in self._kinds:
             rad = orb._radial(r[es], derivs)
             f = rad[0]
             E = len(f)
@@ -538,17 +487,16 @@ class SlaterProduct(WaveFunction):
                         g[:, k, axes.start + k] += f
                 if want_lap:
                     np.multiply(P, (fpp + 4.0 * fp * ri)[:, None], out=L[s].reshape(E, A, m))
-            if polys:
+            if row2 is not None:
                 p = pos[es].transpose(1, 0, 2)
-                for row2, poly, polyg in polys:
-                    s = slice(row2, row2 + E)
-                    P = poly(p)
-                    T[s] = P * f
-                    if want_grad:
-                        g = f * polyg(p) + (P * fp) * rh.transpose(1, 0, 2)
-                        G[s] = g.transpose(1, 0, 2)
-                    if want_lap:
-                        L[s] = P * (fpp + 6.0 * fp * ri)
+                s = slice(row2, row2 + E)
+                P = _xxyy(p)
+                T[s] = P * f
+                if want_grad:
+                    g = f * _xxyy_grad(p) + (P * fp) * rh.transpose(1, 0, 2)
+                    G[s] = g.transpose(1, 0, 2)
+                if want_lap:
+                    L[s] = P * (fpp + 6.0 * fp * ri)
         return T, G, L
 
     def _blocks(self, x: np.ndarray, want_grad: bool, want_lap: bool):
@@ -590,8 +538,6 @@ class SlaterProduct(WaveFunction):
         m = x.shape[0]
         derivs = want_grad or want_lap
         D, R, LB = self._blocks(x, want_grad, want_lap)
-        if self._padded:
-            D = np.concatenate([D, np.ones((1, m))])
         coeff = self._coeff
         prod = D[self._terms[0]] if coeff is None else coeff * D[self._terms[0]]
         for k in self._terms[1:]:
@@ -617,21 +563,16 @@ class SlaterProduct(WaveFunction):
             other = np.stack(parts, axis=1).reshape(len(self.terms) * K, m)
         lap = g = None
         if want_lap:
-            fo, fb = self._factors
-            c = LB[fb]
-            lap = _ordered_sum(c if other is None else other[fo] * c) + 0.0
+            c = LB[self._factors]
+            lap = _ordered_sum(c if other is None else other * c) + 0.0
         if want_grad:
             n = self.n_particles
-            width, cf, cr = self._contrib
-            if self._zero_pad:
-                R = np.concatenate([R, np.zeros((1, 3, m))])
-                if other is not None:
-                    other = np.concatenate([other, np.zeros((1, m))])
+            cf, cr = self._contrib
             c = R[cr]
             if other is not None:  # in place unless c is a view of R
                 c = np.multiply(other[cf][:, None], c,
                                 out=None if isinstance(cr, slice) else c)
-            gt = _ordered_sum(c.reshape(width, n, 3, m))
+            gt = _ordered_sum(c.reshape(len(self.terms), n, 3, m))
             # row-major (m, 3N): numpy's sum over a row (np.linalg.norm)
             # adds in a layout-dependent order
             g = np.add(gt.reshape(3 * n, m).T, 0.0, out=np.empty((m, 3 * n)))
@@ -711,33 +652,3 @@ class HarmonicPair(WaveFunction):
 
     def vgl(self, x: np.ndarray):
         return self._evaluate(x, True, True)
-
-
-class Scaled(WaveFunction):
-    """Constant multiple of a base model (nda quantities are ratios)."""
-
-    def __init__(self, c: float, base: WaveFunction):
-        if c == 0:
-            raise ValueError("scale must be nonzero")
-        self.c = float(c)
-        self.base = base
-        self.n_particles = base.n_particles
-        self.family = base.family
-        self.parameters = dict(base.parameters)
-
-    def values(self, x):
-        return self.c * self.base.values(x)
-
-    def gradients(self, x):
-        return self.c * self.base.gradients(x)
-
-    def laplacians(self, x):
-        return self.c * self.base.laplacians(x)
-
-    def vgl(self, x):
-        v, g, lap = self.base.vgl(x)
-        return self.c * v, self.c * g, self.c * lap
-
-    def _evaluate(self, x, want_grad, want_lap):
-        return tuple(None if a is None else self.c * a
-                     for a in self.base._evaluate(x, want_grad, want_lap))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from scipy import stats
 from scipy.integrate import dblquad, quad
 from scipy.special import gamma as gamma_fn, gammaln
 
-from nda import wavefunctions as wf
 from nda.catalog import (Branch, Gamma, Normal, Sphere, Uniform, catalog_list,
                          catalog_to_json, get_state, node_parametrization,
                          subshell_family)
@@ -200,12 +198,6 @@ def test_reference_density_matches_the_model(name):
     x = g.sample(np.random.default_rng(5), 2 ** 15)
     w = np.abs(st.model.values(x)) / g.pdf(x)
     assert w.sum() ** 2 / (w.size * np.sum(w * w)) >= 0.15
-
-
-def test_scaled_model_keeps_its_base_density():
-    st = get_state("3S_1s2s")
-    sc = dataclasses.replace(st, model=wf.Scaled(-4.0, st.model))
-    assert sc.reference_density == st.reference_density
 
 
 # ------------------------------------- stacked reference draws stay bitwise

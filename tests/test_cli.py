@@ -160,17 +160,39 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("state,flag,value", [
     ("2P_2p", "--Z", "1e-300"), ("2P_2p", "--Z", "1e300"),
-    ("harmonic_noninteracting", "--omega", "1e300")])
+    ("harmonic_noninteracting", "--omega", "1e300"),
+    ("1S_1s2_2p2", "--Z", "1e30"), ("1S_1s2_2p2", "--Z", "1e-30")])
 def test_extreme_parameter_exits_2_with_the_normalization(state, flag, value,
-                                                          capsys):
+                                                          capsys, monkeypatch):
     """An extreme but finite --Z or --omega leaves the reference density
-    without a finite positive normalization: a clear error and exit 2, not
-    an OverflowError traceback or a bare math domain error mid-run."""
+    without a finite positive normalization: a clear error and exit 2 before
+    any sampling, not an OverflowError traceback or a bare math domain error
+    mid-run.  At Z = 1e30 or 1e-30 each 8 pi s^3 of 1S_1s2_2p2 is finite,
+    but its four-electron power is not."""
+    import nda.estimators as estimators
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(estimators, "_iid_stream", no_sampling)
     code, out, err = run(["compute", "--state", state, flag, value,
                           "--steps", "2000", "--chains", "4"], capsys)
     assert code == 2 and out == ""
     assert "error: reference density normalization" in err
     assert "not a finite positive float" in err
+
+
+@pytest.mark.parametrize("state", ["2P_2p", "3S_1s2s"])
+def test_std_at_an_extreme_z_is_scale_free(state, capsys):
+    """The std walk's node test |Psi| > 1e-14 |x| |grad Psi| holds at any
+    Z: at Z = 1e30 the Psi^2 walk keeps its rows and hits the exact
+    values, which scale as Z^2."""
+    code, out, _ = run(["compute", "--state", state, "--Z", "1e30", "--components",
+                        "kin_std,pot_std", "--steps", "2000", "--chains", "4",
+                        "--format", "json"], capsys)
+    assert code == 0
+    for comp, entry in RunRecord.from_json(out).estimates.items():
+        assert entry["sigma_deviation"] <= 4.0, comp
 
 
 def test_sum_status_comes_from_its_parts(capsys):

@@ -88,11 +88,19 @@ def test_different_seeds_differ():
     assert a.mean != b.mean
 
 
+def _rescaled(st, c):
+    """The state with its model times c: every term coefficient times c."""
+    m = st.model
+    terms = [wf.Term(coeff=c * t.coeff, blocks=t.blocks) for t in m.terms]
+    return dataclasses.replace(
+        st, model=wf.SlaterProduct(terms, m.n_particles, m.parameters))
+
+
 def test_constant_rescaling_is_exact():
     """nda components are scale-free; abs_norm scales by |c| to the bit."""
     st = get_state("3S_1s2s")
     for c in (4.0, -4.0):  # powers of two keep float arithmetic exact
-        sc = dataclasses.replace(st, model=wf.Scaled(c, st.model))
+        sc = _rescaled(st, c)
         assert estimate_pot_nda(st, cfg=FAST).mean == estimate_pot_nda(sc, cfg=FAST).mean
         assert (estimate_kin_nda_surface(st, cfg=FAST).mean
                 == estimate_kin_nda_surface(sc, cfg=FAST).mean)
@@ -555,7 +563,7 @@ def test_surface_gradient_belongs_to_the_state_model():
     rescaled state model gets its own gradient, so the ratio stays exact."""
     st = get_state("3P_1s2p")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=1000, seed=3)
-    sc = dataclasses.replace(st, model=wf.Scaled(4.0, st.model))
+    sc = _rescaled(st, 4.0)
     assert (estimate_kin_nda_surface(st, cfg).mean
             == estimate_kin_nda_surface(sc, cfg).mean)
 

@@ -133,6 +133,15 @@ class TestLocalEnergy(unittest.TestCase):
         with self.assertRaises(NodeProximityError):
             local_energy(h, s.model, on_node)
 
+    def test_node_guard_is_scale_free(self):
+        # at Z = 1e30, |psi| / |grad psi| ~ 1/Z lies far below 1e-14, yet
+        # the point is off the node; 2p_z is an eigenstate with E = -Z^2/8
+        Z = 1e30
+        s = get_state("2P_2p", Z=Z)
+        x = np.array([0.3, -0.4, 1.2]) / Z
+        self.assertAlmostEqual(local_energy(s.hamiltonian(), s.model, x) / (-Z * Z / 8),
+                               1.0, places=12)
+
     def test_mixed_state_is_not_flat(self):
         # the noninteracting state under the interacting hamiltonian
         s = get_state("harmonic_mixed")

@@ -109,23 +109,6 @@ def test_values_vectorized_consistent_with_rowwise(name, method):
             assert np.array_equal(a[0], b[i]) and np.array_equal(a[0], c[at[i]])
 
 
-def test_scaled_wrapper():
-    base = get_state("2P_2p").model
-    x = _test_points(1, seed=2)
-    doubled = wf.Scaled(2.0, base)
-    assert np.array_equal(doubled.values(x), 2.0 * base.values(x))
-    assert np.array_equal(doubled.gradients(x), 2.0 * base.gradients(x))
-    assert np.array_equal(doubled.laplacians(x), 2.0 * base.laplacians(x))
-    flipped = wf.Scaled(-1.0, base)
-    assert np.array_equal(flipped.values(x), -base.values(x))
-    v, g, lap = doubled.vgl(x)
-    assert np.array_equal(v, 2.0 * base.values(x))
-    assert np.array_equal(g, 2.0 * base.gradients(x))
-    assert np.array_equal(lap, 2.0 * base.laplacians(x))
-    with pytest.raises(ValueError):
-        wf.Scaled(0.0, base)
-
-
 def test_origin_is_finite():
     # orbital cusps must not produce nan/inf when an electron sits at r = 0
     for name in ["2P_2p", "3S_1s2s", "1S_1s2_2p2"]:
@@ -207,20 +190,19 @@ _SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
 
 def _slater_model(name, Z):
     if name == "mixed":
-        # every branch of the plan: 1x1 and 2x2 blocks over 5 electrons in
-        # one term, 1s on the unevenly spaced electrons 0, 3 and 4 (a
-        # gather), l = 2 orbitals; a second term with coefficient -0.5 and
-        # two blocks (terms padded with ones), which leaves electrons 1 and
-        # 2 in one term only (gradient contributions padded with zeros)
-        s1 = (wf.Orbital("hydrogenic_1s", Z),)
-        sp = (wf.Orbital("hydrogenic_2s", Z), wf.Orbital("hydrogenic_2p", Z, axis="x"))
-        ds = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=-2),
-              wf.Orbital("hydrogenic_1s", Z))
-        ps = (wf.Orbital("hydrogenic_2p", Z, axis="y"), wf.Orbital("hydrogenic_2s", Z))
-        d0 = (wf.Orbital("hydrogenic_general", Z, n=3, l=2, m=0),)
-        terms = [wf.Term(coeff=1.0, blocks=(wf.DetBlock(s1, (0,)), wf.DetBlock(sp, (1, 2)),
-                                            wf.DetBlock(ds, (3, 4)))),
-                 wf.Term(coeff=-0.5, blocks=(wf.DetBlock(ps, (0, 3)), wf.DetBlock(d0, (4,))))]
+        # every branch of the plan: 1x1 and 2x2 blocks over 5 electrons,
+        # split (0,), (1, 2), (3, 4) in both terms; 1s on the unevenly
+        # spaced electrons 0, 3 and 4 (a gather), the l = 2 row on 3 and 4;
+        # a second term with coefficient -0.5 and other orbitals
+        def term(coeff, *orbitals):
+            return wf.Term(coeff=coeff, blocks=tuple(
+                wf.DetBlock(o, e) for o, e in zip(orbitals, ((0,), (1, 2), (3, 4)))))
+
+        s1, s2, d = (wf.Orbital("hydrogenic_1s", Z), wf.Orbital("hydrogenic_2s", Z),
+                     wf.Orbital("hydrogenic_general", Z, n=3))
+        px, py = (wf.Orbital("hydrogenic_2p", Z, axis=a) for a in "xy")
+        terms = [term(1.0, (s1,), (s2, px), (d, s1)),
+                 term(-0.5, (py,), (px, s2), (s2, d))]
         return wf.SlaterProduct(terms, n_particles=5)
     if name.startswith("subshell"):
         return subshell_family(1, int(name[-1]), Z).model
@@ -257,6 +239,27 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     separate = (model.values(x), model.gradients(x), model.laplacians(x))
     for r, f, s in zip(ref, fused, separate):
         assert r.tobytes() == f.tobytes() == s.tobytes()
+
+
+def test_terms_must_share_one_partition():
+    """The blocks are spin channels: every term splits electrons 0..N-1
+    into the same blocks, or the model is a ValueError."""
+    s1, s2 = wf.Orbital("hydrogenic_1s", 1.0), wf.Orbital("hydrogenic_2s", 1.0)
+    pair = wf.Term(coeff=1.0, blocks=(wf.DetBlock((s1, s2), (0, 1)),))
+    split = wf.Term(coeff=1.0, blocks=(wf.DetBlock((s1,), (0,)), wf.DetBlock((s2,), (1,))))
+    with pytest.raises(ValueError, match="same blocks"):
+        wf.SlaterProduct([pair, split], n_particles=2)
+    with pytest.raises(ValueError, match="split the electrons"):
+        wf.SlaterProduct([pair], n_particles=3)
+    assert wf.SlaterProduct([split, split], n_particles=2).n_particles == 2
+
+
+def test_circular_orbitals_stop_at_l_2():
+    d = wf.Orbital("hydrogenic_general", 1.0, n=3)
+    x = np.array([[1.0, 0.5, 0.25]])
+    assert d.value(x)[0] == pytest.approx(0.75 * np.exp(-np.linalg.norm(x) / 3.0), rel=1e-15)
+    with pytest.raises(ValueError, match="stop at l = 2"):
+        wf.Orbital("hydrogenic_general", 1.0, n=4)
 
 
 def test_a_block_of_three_electrons_is_rejected():
