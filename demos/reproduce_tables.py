@@ -11,7 +11,7 @@ import sys
 
 from nda.catalog import get_state
 from nda.estimators import (SamplerConfig, estimate_kin_nda_surface,
-                            estimate_pot_and_standard)
+                            estimate_pot_nda, estimate_standard_expectations)
 
 STATES = ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
           "3P_2p2", "1S_2p2", "1D_2p2"]
@@ -19,12 +19,12 @@ STATES = ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
 
 def run(name, cfg):
     st = get_state(name)
-    mc = estimate_pot_and_standard(st, cfg=cfg)
+    std = estimate_standard_expectations(st, cfg=cfg)
     kin = estimate_kin_nda_surface(st, cfg=cfg)
-    cells = [("kin", mc["kin_std"], st.exact_standard["kin"]),
-             ("pot", mc["pot_std"], st.exact_standard["pot"]),
+    cells = [("kin", std["kin"], st.exact_standard["kin"]),
+             ("pot", std["pot"], st.exact_standard["pot"]),
              ("kin_nda", kin, st.exact_nda["kin"]),
-             ("pot_nda", mc["pot_nda"], st.exact_nda["pot"])]
+             ("pot_nda", estimate_pot_nda(st, cfg=cfg), st.exact_nda["pot"])]
     print(f"{name}  (E = {float(st.exact_total_energy):+.4f})")
     for label, est, exact in cells:
         ex = float(exact)

@@ -14,7 +14,7 @@ import numpy as np
 
 from nda.catalog import get_state
 from nda.estimators import (SamplerConfig, estimate_kin_nda_surface,
-                            estimate_pot_and_standard)
+                            estimate_pot_nda, estimate_standard_expectations)
 from nda.quadrature import quadrature_oracle
 
 state = get_state("2P_2p")
@@ -39,12 +39,12 @@ print()
 
 cfg = SamplerConfig(n_chains=8, steps_per_chain=40_000, seed=7)
 print(f"Monte Carlo ({cfg.n_chains} chains x {cfg.steps_per_chain} steps)")
-mc = estimate_pot_and_standard(state, cfg=cfg)
-pot = mc["pot_nda"]
+std = estimate_standard_expectations(state, cfg=cfg)
+pot = estimate_pot_nda(state, cfg=cfg)
 kin = estimate_kin_nda_surface(state, cfg=cfg)
 rows = [
-    ("kin (|grad psi|^2 / 2, |psi|^2 weight)", mc["kin_std"], 1 / 8),
-    ("pot (V, |psi|^2 weight)", mc["pot_std"], -1 / 4),
+    ("kin (|grad psi|^2 / 2, |psi|^2 weight)", std["kin"], 1 / 8),
+    ("pot (V, |psi|^2 weight)", std["pot"], -1 / 4),
     ("kin (node integral of |grad psi|)", kin, 1 / 24),
     ("pot (V, |psi| weight)", pot, -1 / 6),
 ]

@@ -3,10 +3,11 @@
 The package computes the decomposition E = E_kin^nda + E_pot^nda, where the
 kinetic part is a surface integral of |grad Psi| over the nodal set divided
 by the integral of |Psi|, and the potential part is the |Psi|-weighted
-average of V.  Estimates come from Metropolis Monte Carlo, direct sampling
-of parametrized node surfaces, thin-shell extrapolation, and deterministic
-quadrature; a catalog of few-electron states with exact rational reference
-values makes every estimator verifiable.
+average of V.  Estimates come from importance sampling of a reference
+density, Metropolis Monte Carlo, direct sampling of parametrized node
+surfaces, thin-shell extrapolation, and deterministic quadrature; a
+catalog of few-electron states with exact rational reference values makes
+every estimator verifiable.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +17,8 @@ from .catalog import (StateSpec, NodeParametrization, ReferenceDensity,
                       node_parametrization, subshell_family)
 from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          estimate_kin_nda_shell, estimate_kin_nda_surface,
-                         estimate_pot_and_standard, estimate_pot_nda,
-                         estimate_standard_expectations, quadrature_estimate)
+                         estimate_pot_nda, estimate_standard_expectations,
+                         quadrature_estimate)
 from .hamiltonians import (HamiltonianSpec, NodeProximityError,
                            SingularPointError, coulomb_atom, harmonic_pair,
                            local_energy, potential)
@@ -35,8 +36,8 @@ __all__ = [
     "subshell_family",
     "NdaEstimate", "SamplerConfig",
     "estimate_abs_norm", "estimate_kin_nda_shell", "estimate_kin_nda_surface",
-    "estimate_pot_and_standard", "estimate_pot_nda",
-    "estimate_standard_expectations", "quadrature_estimate",
+    "estimate_pot_nda", "estimate_standard_expectations",
+    "quadrature_estimate",
     "HamiltonianSpec", "NodeProximityError", "SingularPointError",
     "coulomb_atom", "harmonic_pair", "local_energy", "potential",
     "NotReducibleError", "quadrature_oracle",

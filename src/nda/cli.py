@@ -30,8 +30,8 @@ from . import __version__
 from .catalog import catalog_list, catalog_to_json, get_state
 from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          estimate_kin_nda_shell, estimate_kin_nda_surface,
-                         estimate_pot_and_standard, estimate_pot_nda,
-                         estimate_standard_expectations, quadrature_estimate)
+                         estimate_pot_nda, estimate_standard_expectations,
+                         quadrature_estimate)
 from .quadrature import NotReducibleError
 from .topology import TransformSpec, count_nodal_domains, test_node_equivalence
 
@@ -226,8 +226,7 @@ def _plan(state, cfg: SamplerConfig, components: list,
     "quadrature" (every component with a quadrature target; kin_std and
     pot_std are sampled).  The call returns {component: NdaEstimate} in the order
     given.  It runs the quadrature components first, so that a missing
-    reduction raises before any sampling, and samples pot with kin_std or
-    pot_std in one lock-step pass.
+    reduction raises before any sampling.
     """
     if not components:
         raise ValueError("no components given")
@@ -248,18 +247,13 @@ def _plan(state, cfg: SamplerConfig, components: list,
                 "use the delta-shell estimator")
         if method == "shell" and cfg.n_chains < 2:
             raise ValueError("delta-shell stderr needs at least 2 chains")
-    std = bool(sampled & {"kin_std", "pot_std"})
 
     def run() -> dict:
         out = {c: quadrature_estimate(state, _COMPONENTS[c].target)
                for c in quad}
-        if "pot" in sampled and std:
-            mc = estimate_pot_and_standard(state, cfg)
-            out.update(pot=mc["pot_nda"], kin_std=mc["kin_std"],
-                       pot_std=mc["pot_std"])
-        elif "pot" in sampled:
+        if "pot" in sampled:
             out["pot"] = estimate_pot_nda(state, cfg=cfg)
-        elif std:
+        if sampled & {"kin_std", "pot_std"}:
             mc = estimate_standard_expectations(state, cfg=cfg)
             out.update(kin_std=mc["kin"], pot_std=mc["pot"])
         if "abs_norm" in sampled:

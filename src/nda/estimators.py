@@ -10,36 +10,37 @@ Shared conventions:
   call draws _CHUNK rows at a time, and row r of its stream is draw r % n
   of chain r // n, so its chains are disjoint runs of one stream.  Memory
   is bounded by _SLAB and _CHUNK, not by the sample budget;
-* chains are batched: a Metropolis step moves every chain with one model
-  call, and several walks move in lock-step (the |Psi| walk of pot_nda
-  and the Psi^2 walk of the standard expectations, in
-  estimate_pot_and_standard): the rows are walks x chains, one model call
-  per step for all of them, and each walk keeps its own stream, proposal
-  width, acceptance density, acceptance count and thinning.  A walk sets
-  its own proposal width during burn-in, updating it every _ADAPT steps
-  toward acceptance 0.5 from its start at half the RMS coordinate of its
-  starting points; the kept steps use the width burn-in ends with.  Kept
-  Metropolis steps reach the estimators in blocks of
-  k = max(1, _ROWS // n_chains) steps per walk, collect(js, xs, vs), so
-  the potential and vgl of about _ROWS rows (at least one row per chain)
-  share one call.  Every array operation treats rows independently and
-  every per-chain sum keeps its order, so neither the batching nor the
-  other walks enter the arithmetic;
+* two Metropolis walks remain: the Psi^2 walk of the standard
+  expectations and the |Psi| walk of metropolis_samples (the topology
+  module's points).  A step moves every chain with one model call.  A
+  walk sets its proposal width during burn-in, updating it every _ADAPT
+  steps toward acceptance 0.5 from its start at half the RMS coordinate
+  of its starting points; the kept steps use the width burn-in ends
+  with.  Kept Metropolis steps reach the estimators in blocks of
+  k = max(1, _ROWS // n_chains) steps, collect(js, xs, vs), so the
+  potential and vgl of about _ROWS rows (at least one row per chain)
+  share one call.  Every array operation treats
+  rows independently and every per-chain sum keeps its order, so the
+  batching does not enter the arithmetic;
+* pot_nda, the ratio of the integrals of V |Psi| and |Psi|, and the
+  integral of |Psi| are importance ratios on i.i.d. draws from the
+  state's reference density g, whose weights |Psi| / g have every moment
+  finite; the node surface draws its own parameters;
 * every estimator is an integrand handed to one engine reducer:
   _metropolis_average calls integrand(x, v) on the rows x of a block of
-  kept steps and their raw values v and gets back (ok, values), a mask of
-  the rows it keeps (None keeps all) and a tuple of per-row arrays, one per
-  estimate; _iid_average calls integrand(x) on a block of draws and gets
-  back a sequence of per-row arrays.  Both add the rows into one _Blocks
-  accumulator, which splits each chain's kept steps or draws into 50
-  blocks, counts the rejected rows and gives the per-chain means and the
-  NdaEstimates;
+  kept steps and their raw values v, _iid_average calls integrand(x) on a
+  block of draws, and both get back (ok, values), a mask of the rows it
+  keeps (None keeps all) and a tuple of per-row arrays, one per
+  estimate.  Both add the rows into one _Blocks accumulator, which splits
+  each chain's kept steps or draws into 50 blocks, counts the rejected
+  rows and gives the per-chain means and the NdaEstimates;
 * the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
   the ladder and then count like the others;
-* chains are combined by a plain mean; the quoted stderr comes from
-  across-chain scatter when n_chains >= 8 and from 50-block blocking
-  otherwise (Flyvbjerg & Petersen 1989);
+* chains are combined by a plain mean (pot_nda: the ratio of the pooled
+  means); the quoted stderr comes from across-chain scatter when
+  n_chains >= 8 and from 50-block blocking otherwise (Flyvbjerg &
+  Petersen 1989);
 * the Psi^2 walk of the standard expectations carries two zero-variance
   control columns (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi &
   Imparato 2013), c_rad and c_lin of _control_columns: for a field F,
@@ -47,9 +48,7 @@ Shared conventions:
   of div(Psi^2 F) is 0.  _Blocks subtracts their leave-one-chain-out
   regression from each integrand before the chain means and the stderr,
   and floors the controlled stderr at the float rounding of the sums
-  (estimate_standard_expectations).  The |Psi| walk of pot_nda has no
-  such column: under |Psi| the variance of div F + F . grad ln|Psi| holds
-  |grad Psi|^2 / |Psi|, whose integral diverges at the node.
+  (estimate_standard_expectations).
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import wavefunctions as wf
 from .catalog import StateSpec
-from .hamiltonians import HamiltonianSpec, potential_batch
+from .hamiltonians import potential_batch
 from .quadrature import quadrature_oracle
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "estimate_kin_nda_shell",
     "estimate_abs_norm",
     "estimate_standard_expectations",
-    "estimate_pot_and_standard",
     "quadrature_estimate",
     "quadrature_oracle",
     "metropolis_samples",
@@ -132,8 +130,8 @@ class SamplerConfig:
 class NdaEstimate:
     """One scalar estimate.  status is "ok", "warning: ...", or "unconverged".
 
-    n_rejected counts the samples a Metropolis estimator dropped (singular
-    potential, or within float noise of the node); they are not in n_samples.
+    n_rejected counts the samples an estimator dropped (singular potential,
+    or within float noise of the node); they are not in n_samples.
     acceptance_rate is the Metropolis estimators' fraction of accepted
     moves over all chains and the kept (post-burn-in) steps; None for the
     other methods.  stderr_uncontrolled is the stderr of the Psi^2
@@ -163,15 +161,24 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 def _stderr_from_chains(chain_means: np.ndarray, block_sums: np.ndarray,
                         block_counts: np.ndarray) -> float:
-    """Across-chain scatter for >= 8 chains, else pooled 50-block blocking."""
-    C = chain_means.size
-    if C >= 8:
-        return float(np.std(chain_means, ddof=1) / np.sqrt(C))
-    ok = block_counts > 0
-    bm = block_sums[ok] / block_counts[ok]
-    if bm.size < 2:
-        return 0.0
-    return float(np.std(bm, ddof=1) / np.sqrt(bm.size))
+    """Across-chain scatter for >= 8 chains, else pooled 50-block blocking.
+
+    The means are divided by the power of two at their largest magnitude
+    before np.std and the result multiplied back: the squared deviations
+    then neither overflow nor underflow at any scale of the state (an
+    extreme Z), and the scaling is exact, so every other stderr keeps its
+    bits.
+    """
+    if chain_means.size >= 8:
+        means = chain_means
+    else:
+        ok = block_counts > 0
+        means = block_sums[ok] / block_counts[ok]
+        if means.size < 2:
+            return 0.0
+    exponent = np.frexp(np.max(np.abs(means)))[1]
+    scaled = np.ldexp(means, -exponent)
+    return float(np.ldexp(np.std(scaled, ddof=1) / np.sqrt(means.size), exponent))
 
 
 def _model(state: StateSpec):
@@ -189,7 +196,7 @@ class _Blocks:
     order they are added, and the engines add them in step order.
 
     With n_controls = 2 the last two of the added arrays are control
-    columns of known mean 0 (_std_walk's c_rad and c_lin); estimates then
+    columns of known mean 0 (the std walk's c_rad and c_lin); estimates then
     gives one controlled estimate per integrand (_controlled), and add also
     sums each chain's |term| of every array, in row order, for the rounding
     floor.
@@ -318,176 +325,123 @@ def _loo_betas(ys: np.ndarray, cs: np.ndarray, counts: np.ndarray) -> np.ndarray
 # Metropolis engine
 
 
-class _Kept:
-    """One walk's block of kept steps, handed to collect when full.
+def _metropolis(model, state: StateSpec, cfg: SamplerConfig, power: int,
+                tag: int, collect: Callable, thin: int) -> float:
+    """A Metropolis walk of n_chains chains, one model call per step.
 
-    x and v are views of the walk's rows of the engine's state, which the
-    engine updates in place; keep copies them into the block.
-    """
+    The walk's stationary density is |Psi|^power, on the stream of tag.
+    Every thin-th post-burn-in step is kept: its configurations and raw
+    values are copied into a block of k = max(1, _ROWS // n_chains) kept
+    steps, and collect(js, xs, vs) is invoked with the kept-step indices
+    js (n,), the configurations xs (n, n_chains, 3N) and the raw values vs
+    (n, n_chains), n = k for every full block and n <= k for the last one.
+    A block thus holds at most max(_ROWS, n_chains) rows, which collect
+    evaluates in one model call; the block is reused, so collect copies
+    what it keeps.  Returns the acceptance rate over the kept steps.
 
-    def __init__(self, collect: Callable, thin: int, x: np.ndarray,
-                 v: np.ndarray, k: int):
-        self.collect, self.thin, self.x, self.v = collect, thin, x, v
-        self.js = np.empty(k, dtype=np.int64)
-        self.xs = np.empty((k,) + x.shape)
-        self.vs = np.empty((k,) + v.shape)
-        self.n = 0
-
-    def keep(self, g: int) -> None:
-        n = self.n
-        self.js[n], self.xs[n], self.vs[n] = g, self.x, self.v
-        self.n = n + 1
-        if self.n == self.js.size:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.n:
-            self.collect(self.js[:self.n], self.xs[:self.n], self.vs[:self.n])
-            self.n = 0
-
-
-def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
-                walks) -> list:
-    """Metropolis walks moved in lock-step, one model call per step.
-
-    walks is a sequence of (power, tag, collect, thin), each a walk of
-    n_chains chains with stationary density |Psi|^power on the stream of
-    tag.  Walk w owns rows w * n_chains .. (w + 1) * n_chains - 1 of one
-    batch, and every step moves all the rows with one model.values call;
-    each walk keeps its own proposal width, acceptance density and count.
-    Every thin-th post-burn-in step of a walk is kept: its configurations
-    and raw values are copied into the walk's block of
-    k = max(1, _ROWS // n_chains) kept steps, and collect(js, xs, vs) is
-    invoked with the kept-step indices js (n,), the configurations xs
-    (n, n_chains, 3N) and the raw values vs (n, n_chains), n = k for every
-    full block and n <= k for the last one.  A block thus holds at most
-    max(_ROWS, n_chains) rows, which collect evaluates in one model call;
-    the block is reused, so collect copies what it keeps.  Returns each
-    walk's acceptance rate over its kept steps.
-
-    A walk proposes uniform(-w, w) moves in every coordinate.  Its
+    The walk proposes uniform(-w, w) moves in every coordinate.  Its
     half-width w starts at half the RMS coordinate of its starting points,
     and after every _ADAPT-th burn-in step j it becomes
-    w exp(3 (rate - 0.5) / sqrt(j / _ADAPT)), rate being the walk's
-    acceptance over those _ADAPT steps and all its chains
-    (a Robbins-Monro step toward acceptance 0.5; Andrieu & Thoms 2008).
-    The kept steps share the width burn-in ends with, so the kept chain is
-    a Metropolis chain with a fixed kernel.
+    w exp(3 (rate - 0.5) / sqrt(j / _ADAPT)), rate being the acceptance
+    over those _ADAPT steps and all the chains (a Robbins-Monro step toward
+    acceptance 0.5; Andrieu & Thoms 2008).  The kept steps share the width
+    burn-in ends with, so the kept chain is a Metropolis chain with a fixed
+    kernel.
 
-    A walk's stream gives its n_chains starting points (one density.sample
+    The stream gives the n_chains starting points (one density.sample
     call) and then, step by step and chain by chain, 3N proposal uniforms
     and one acceptance uniform, filled s steps at a time (during burn-in
     at most up to the next width update).  The width updates fall on fixed
-    step indices, so the walk is the same for every slab size, bit for
-    bit; and since model.values treats rows independently, each walk is
-    the walk it would be on its own.  The slab of one walk's s steps is cut
-    by the number of walks, so the buffer holds no more rows than one
-    walk's.
+    step indices, so the walk is the same for every slab size, bit for bit.
     """
-    density = state.reference_density
     dim = 3 * model.n_particles
-    W, C, steps = len(walks), cfg.n_chains, cfg.steps_per_chain
+    C, steps = cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
-    rows = [slice(w * C, (w + 1) * C) for w in range(W)]
-    powers = [walk[0] for walk in walks]
-
-    rngs = [_stream(cfg.seed, tag) for _, tag, _, _ in walks]
-    x = np.concatenate([density.sample(rng, C) for rng in rngs])
-    widths = [0.5 * float(np.sqrt(np.mean(x[sl] * x[sl]))) for sl in rows]
-    log_widths = [math.log(width) for width in widths]
+    rng = _stream(cfg.seed, tag)
+    x = state.reference_density.sample(rng, C)
+    width = 0.5 * float(np.sqrt(np.mean(x * x)))
+    log_width = math.log(width)
     v = model.values(x)
-    # acceptance densities: |v|, squared in place on the rows of the
-    # Psi^2 walks (|v| * |v| has the bits of v * v)
-    squared = [sl for sl, power in zip(rows, powers) if power == 2]
+    # acceptance densities, squared in place for the Psi^2 walk (|v| * |v|
+    # has the bits of v * v)
     t, tp = np.abs(v), np.empty_like(v)
-    for sl in squared:
-        np.square(t[sl], out=t[sl])
-    tp_squared = [tp[sl] for sl in squared]
-    # one slab buffer per run, and the slab's acceptance uniforms gathered
-    # row-major into ua; accs holds each step's acceptances until the
+    if power == 2:
+        np.square(t, out=t)
+    # one slab buffer per run; accs holds each step's acceptances until the
     # slab's are counted into accepted, which restarts at every width
     # update and at the end of burn-in.  Accepted rows of x move as whole
     # void items.
-    s = max(1, min(_CHUNK, steps, _SLAB // C) // W)
-    u = np.empty((W, s, C, dim + 1))
-    ua = np.empty((s, W * C))
-    accs = np.empty((s, W * C), dtype=bool)
-    accepted = np.zeros(W * C, dtype=np.int64)
+    s = max(1, min(_CHUNK, steps, _SLAB // C))
+    u = np.empty((s, C, dim + 1))
+    accs = np.empty((s, C), dtype=bool)
+    accepted = 0
     xp = np.empty_like(x)
     row = np.dtype((np.void, x.itemsize * dim))
     xv, xpv = x.view(row).reshape(-1), xp.view(row).reshape(-1)
-    x3, xp3 = x.reshape(W, C, dim), xp.reshape(W, C, dim)
     k = max(1, _ROWS // C)
-    kept = [_Kept(collect, thin, x[sl], v[sl], k)
-            for (_, _, collect, thin), sl in zip(walks, rows)]
+    js, xs, vs = np.empty(k, dtype=np.int64), np.empty((k, C, dim)), np.empty((k, C))
+    n = 0
     a = 0
     while a < steps:
         # during burn-in a slab ends at the next width update
         b = (min(s, steps - a) if a >= burn
              else min(s, _ADAPT - a % _ADAPT, burn - a))
         # uniform(-w, w) computes -w + 2 w * u: the same bits
-        for w, (rng, width) in enumerate(zip(rngs, widths)):
-            rng.random(out=u[w, :b])
-            noise = u[w, :b, :, :dim]
-            noise *= 2 * width
-            noise -= width
-        np.copyto(ua[:b].reshape(b, W, C), u[:, :b, :, dim].transpose(1, 0, 2))
+        rng.random(out=u[:b])
+        noise = u[:b, :, :dim]
+        noise *= 2 * width
+        noise -= width
         for j in range(b):
-            np.add(x3, u[:, j, :, :dim], out=xp3)
+            np.add(x, u[j, :, :dim], out=xp)
             vp = model.values(xp)
             np.abs(vp, out=tp)
-            for sq in tp_squared:
-                np.square(sq, out=sq)
-            acc = np.less(ua[j] * t, tp, out=accs[j])
+            if power == 2:
+                np.square(tp, out=tp)
+            acc = np.less(u[j, :, dim] * t, tp, out=accs[j])
             np.copyto(xv, xpv, where=acc)
             np.copyto(v, vp, where=acc)
             np.copyto(t, tp, where=acc)
             g = a + j - burn
-            if g >= 0:
-                for walk in kept:
-                    if g % walk.thin == 0:
-                        walk.keep(g)
-        accepted += accs[:b].sum(axis=0)
+            if g >= 0 and g % thin == 0:
+                js[n], xs[n], vs[n] = g, x, v
+                n += 1
+                if n == k:
+                    collect(js, xs, vs)
+                    n = 0
+        accepted += int(np.count_nonzero(accs[:b]))
         a += b
         if a <= burn and a % _ADAPT == 0:
-            for w, sl in enumerate(rows):
-                rate = int(accepted[sl].sum()) / (_ADAPT * C)
-                log_widths[w] += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
-                widths[w] = math.exp(log_widths[w])
-            accepted[:] = 0
+            rate = accepted / (_ADAPT * C)
+            log_width += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
+            width = math.exp(log_width)
+            accepted = 0
         if a == burn:
-            accepted[:] = 0
-    for walk in kept:
-        walk.flush()
-    return [int(accepted[sl].sum()) / (C * (steps - burn)) for sl in rows]
+            accepted = 0
+    if n:
+        collect(js[:n], xs[:n], vs[:n])
+    return accepted / (C * (steps - burn))
 
 
 def _metropolis_average(model, state: StateSpec, cfg: SamplerConfig,
-                        walks) -> list:
+                        power: int, tag: int, method: str, integrand: Callable,
+                        n_values: int, n_controls: int, thin: int) -> list:
     """Block averages of integrands over the kept steps of _metropolis.
 
-    walks is a sequence of (power, tag, method, integrand, n_values,
-    n_controls, thin), moved in lock-step.  integrand(x, v) gets the
-    (rows, 3N) configurations of a block of kept steps, step-major, and
-    their raw values (rows,), and returns (ok, values): the mask of rows it
-    keeps (None keeps all) and n_values + n_controls per-row arrays, the
-    last n_controls of them control columns of mean 0 (see _Blocks).
-    Returns, per walk, one NdaEstimate per integrand.
+    integrand(x, v) gets the (rows, 3N) configurations of a block of kept
+    steps, step-major, and their raw values (rows,), and returns (ok,
+    values): the mask of rows it keeps (None keeps all) and n_values +
+    n_controls per-row arrays, the last n_controls of them control columns
+    of mean 0 (see _Blocks).  Returns one NdaEstimate per integrand.
     """
-    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
+                  n_values, n_controls)
     chains = np.arange(cfg.n_chains)
-    accs, engine = [], []
-    for power, tag, method, integrand, n_values, n_controls, thin in walks:
-        acc = _Blocks(cfg.n_chains, n_keep, n_values, n_controls)
 
-        def collect(js, xs, vs, acc=acc, integrand=integrand):
-            ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
-            acc.add(chains, js[:, None], values, ok)
-        accs.append((acc, method))
-        engine.append((power, tag, collect, thin))
-    rates = _metropolis(model, state, cfg, engine)
-    return [acc.estimates(cfg, method, _acceptance_status(rate), rate)
-            for (acc, method), rate in zip(accs, rates)]
+    def collect(js, xs, vs):
+        ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
+        acc.add(chains, js[:, None], values, ok)
+    rate = _metropolis(model, state, cfg, power, tag, collect, thin)
+    return acc.estimates(cfg, method, _acceptance_status(rate), rate)
 
 
 def _acceptance_status(rate: float) -> str:
@@ -512,22 +466,12 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
     def collect(js, xs, vs):
         out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, state, cfg, [(1, _TAG_TOPOLOGY, collect, thin)])
+    _metropolis(model, state, cfg, 1, _TAG_TOPOLOGY, collect, thin)
     return out.reshape(-1, out.shape[-1])
 
 
 # --------------------------------------------------------------------------
-# potential-energy estimators
-
-
-def _pot_walk(h: HamiltonianSpec) -> tuple:
-    """The |Psi| walk of E_pot^nda, as a _metropolis_average walk."""
-
-    def integrand(x, v):
-        V = potential_batch(h, x)
-        return np.isfinite(V), (V,)
-
-    return 1, _TAG_POT, "metropolis_abs_psi", integrand, 1, 0, 1
+# standard expectations
 
 
 def _control_columns(x: np.ndarray, v: np.ndarray,
@@ -546,38 +490,6 @@ def _control_columns(x: np.ndarray, v: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         c_rad = wf._row_sums((2.0 + 2.0 * xg) / r)
     return c_rad, 3.0 * n_particles + 2.0 * wf._row_sums(xg)
-
-
-def _std_walk(model, h: HamiltonianSpec) -> tuple:
-    """The Psi^2 walk of <T> and <V>, as a _metropolis_average walk, with
-    the control columns c_rad and c_lin."""
-
-    def integrand(x, v):
-        V = potential_batch(h, x)
-        _, grads, laps = model.vgl(x)
-        gnorm = np.linalg.norm(grads, axis=1)
-        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1) * gnorm)
-        vs = np.where(ok, v, 1.0)
-        c_rad, c_lin = _control_columns(x, vs, grads)
-        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
-        return ok, (-0.5 * laps / vs, V, c_rad, c_lin)
-
-    return 2, _TAG_STD, "metropolis_psi_squared", integrand, 2, 2, _STD_THIN
-
-
-def estimate_pot_nda(state: StateSpec,
-                     cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
-    """E_pot^nda: the |Psi|-weighted average of the potential.
-
-    Non-finite potential values (coincident particles) are rejected and
-    counted; they carry zero measure and occur only at floating-point
-    coincidences.
-    """
-    cfg = cfg or SamplerConfig()
-    model = _model(state)
-    (est,), = _metropolis_average(model, state, cfg,
-                                  [_pot_walk(state.hamiltonian())])
-    return est
 
 
 def estimate_standard_expectations(state: StateSpec,
@@ -620,41 +532,37 @@ def estimate_standard_expectations(state: StateSpec,
     terms.
     """
     cfg = cfg or SamplerConfig()
-    model = _model(state)
-    (kin, pot), = _metropolis_average(
-        model, state, cfg, [_std_walk(model, state.hamiltonian())])
+    model, h = _model(state), state.hamiltonian()
+
+    def integrand(x, v):
+        V = potential_batch(h, x)
+        _, grads, laps = model.vgl(x)
+        gnorm = np.linalg.norm(grads, axis=1)
+        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1) * gnorm)
+        vs = np.where(ok, v, 1.0)
+        c_rad, c_lin = _control_columns(x, vs, grads)
+        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
+        return ok, (-0.5 * laps / vs, V, c_rad, c_lin)
+
+    kin, pot = _metropolis_average(model, state, cfg, 2, _TAG_STD,
+                                   "metropolis_psi_squared", integrand, 2, 2,
+                                   _STD_THIN)
     return {"kin": kin, "pot": pot}
-
-
-def estimate_pot_and_standard(state: StateSpec,
-                              cfg: Optional[SamplerConfig] = None) -> dict:
-    """estimate_pot_nda and estimate_standard_expectations in one pass.
-
-    The |Psi| walk and the Psi^2 walk move in lock-step, one model call
-    per step for both.  Each is bit for bit the walk of its own estimator,
-    so the results equal the two separate calls.  Returns a dict with keys
-    "pot_nda", "kin_std" and "pot_std".
-    """
-    cfg = cfg or SamplerConfig()
-    model = _model(state)
-    h = state.hamiltonian()
-    (pot,), (kin_std, pot_std) = _metropolis_average(
-        model, state, cfg, [_pot_walk(h), _std_walk(model, h)])
-    return {"pot_nda": pot, "kin_std": kin_std, "pot_std": pot_std}
 
 
 # --------------------------------------------------------------------------
 # reference-ratio (independent-sample) estimators
 
 
-def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable) -> Iterator[tuple]:
-    """The call's n_chains * steps_per_chain i.i.d. draws as one stream.
+def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
+                n: int) -> Iterator[tuple]:
+    """The call's n_chains * n i.i.d. draws as one stream.
 
     Draws draw(rng, m) in blocks of m <= _CHUNK rows from the stream of
     tag, and yields (chains, draws, x) per block: row r of the stream is
-    draw r % n of chain r // n, n = steps_per_chain.
+    draw r % n of chain r // n.
     """
-    n, total = cfg.steps_per_chain, cfg.n_chains * cfg.steps_per_chain
+    total = cfg.n_chains * n
     rng = _stream(cfg.seed, tag)
     for r0 in range(0, total, _CHUNK):
         r = np.arange(r0, min(r0 + _CHUNK, total))
@@ -662,11 +570,15 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable) -> Iterator[tuple]
 
 
 def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
-                 integrand: Callable, n_values: int = 1) -> _Blocks:
-    """Block sums of integrand(rows) -> n_values per-row arrays."""
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain, n_values)
-    for chains, draws, x in _iid_stream(cfg, tag, draw):
-        acc.add(chains, draws, integrand(x))
+                 integrand: Callable, n_values: int = 1,
+                 n: Optional[int] = None) -> _Blocks:
+    """Block sums of integrand(rows) -> (ok, n_values per-row arrays) over
+    n draws per chain (steps_per_chain if None)."""
+    n = n or cfg.steps_per_chain
+    acc = _Blocks(cfg.n_chains, n, n_values)
+    for chains, draws, x in _iid_stream(cfg, tag, draw, n):
+        ok, values = integrand(x)
+        acc.add(chains, draws, values, ok)
     return acc
 
 
@@ -677,10 +589,46 @@ def estimate_abs_norm(state: StateSpec,
     model, g = _model(state), state.reference_density
 
     def weight(x):
-        return (np.abs(model.values(x)) / g.pdf(x),)
+        return None, (np.abs(model.values(x)) / g.pdf(x),)
 
     return _iid_average(cfg, _TAG_ABS, g.sample, weight).estimates(
         cfg, "reference_ratio")[0]
+
+
+def estimate_pot_nda(state: StateSpec,
+                     cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
+    """E_pot^nda = integral V |Psi| / integral |Psi|, an importance ratio on
+    i.i.d. draws from the reference density g.
+
+    Each draw x gives the weight w = |Psi(x)| / g(x) and V(x) w; g is
+    normalized exactly and w has every moment finite.  The estimate is the
+    ratio of the pooled means, r = sum_c mean_c(V w) / sum_c mean_c(w),
+    not the mean of per-chain ratios, whose bias is O(1 / draws per
+    chain).  Its stderr is the delta-method one: that of the residual
+    y = (V w - r w) / mean_c(w), from across-chain scatter or blocking
+    (_stderr_from_chains).  Every chain draws steps_per_chain - burn_in
+    rows, as many as a Metropolis walk of the same config keeps: an i.i.d.
+    draw needs no burn-in.  Non-finite potential values (coincident
+    particles) are rejected and counted; they carry zero measure and occur
+    only at floating-point coincidences.
+    """
+    cfg = cfg or SamplerConfig()
+    model, g, h = _model(state), state.reference_density, state.hamiltonian()
+
+    def integrand(x):
+        w = np.abs(model.values(x)) / g.pdf(x)
+        V = potential_batch(h, x)
+        return np.isfinite(V), (w, V * w)
+
+    acc = _iid_average(cfg, _TAG_POT, g.sample, integrand, 2,
+                       cfg.steps_per_chain - cfg.resolved_burn_in())
+    w, vw = acc.chain_means()
+    ratio, w_mean = vw.sum() / w.sum(), w.mean()
+    stderr = _stderr_from_chains((vw - ratio * w) / w_mean,
+                                 (acc.sums[1] - ratio * acc.sums[0]) / w_mean,
+                                 acc.counts)
+    return replace(acc.estimates(cfg, "reference_ratio")[0],
+                   mean=float(ratio), stderr=stderr)
 
 
 # --------------------------------------------------------------------------
@@ -708,7 +656,7 @@ def estimate_kin_nda_surface(state: StateSpec,
         w = dS / param.proposal_pdf(params)
         if grad_norm is None or param.model is not model:
             grad_norm = np.linalg.norm(model.gradients(coords), axis=1)
-        return (w * grad_norm,)
+        return None, (w * grad_norm,)
 
     num = _iid_average(cfg, _TAG_SURFACE, param.draw_params,
                        weight).estimates(cfg, "surface_param")[0]
@@ -750,7 +698,8 @@ def estimate_kin_nda_shell(state: StateSpec,
         return av / np.maximum(gn, 1e-300), gn / dens, av / dens
 
     stream = ((chains, draws, evaluate(x))
-              for chains, draws, x in _iid_stream(cfg, _TAG_SHELL, g.sample))
+              for chains, draws, x in _iid_stream(cfg, _TAG_SHELL, g.sample,
+                                                  cfg.steps_per_chain))
     pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
     eps0 = float(np.quantile(np.concatenate([p[2][0] for p in pilot]), 0.01))
     if eps0 <= 0.0:

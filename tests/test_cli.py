@@ -31,9 +31,9 @@ def test_compute_json_roundtrip(capsys):
     assert rec.estimates["sum"]["exact"]["rational"] == "-1/8"
     # no sample sits on a singularity or the node at this budget
     assert pot["n_rejected"] == 0 and rec.estimates["sum"]["n_rejected"] == 0
-    # the Metropolis pot estimate reports its acceptance rate; the surface
-    # kin estimate and the sum have none
-    assert 0.0 < pot["acceptance_rate"] <= 1.0
+    # the i.i.d. pot and surface kin estimates have no acceptance rate, and
+    # the sum no such field
+    assert pot["method"] == "reference_ratio" and pot["acceptance_rate"] is None
     assert rec.estimates["kin"]["acceptance_rate"] is None
     assert "acceptance_rate" not in rec.estimates["sum"]
     # sigma_deviation is |mean - exact| / stderr
@@ -153,7 +153,6 @@ def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     monkeypatch.setattr(estimators, "_metropolis", no_sampling)
     monkeypatch.setattr(estimators, "_iid_stream", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
-    monkeypatch.setattr(cli, "estimate_pot_and_standard", no_sampling)
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and "error:" in err
 
@@ -195,6 +194,21 @@ def test_std_at_an_extreme_z_is_scale_free(state, capsys):
         assert entry["sigma_deviation"] <= 4.0, comp
 
 
+@pytest.mark.parametrize("state,z", [("3S_1s2s", "1e-30"), ("3S_1s2s", "1e30"),
+                                     ("1S_2p2", "1e30")])
+def test_extreme_z_gives_finite_stderrs(state, z, capsys):
+    """At Z = 1e+-30 the squared block means leave the float range (an inf
+    or 0 kin stderr, or one 1e13 times too small, before the stderr scaled
+    them): every stderr is finite and positive and every deviation within
+    5 of them."""
+    code, out, _ = run(["compute", "--state", state, "--Z", z, "--steps", "2000",
+                        "--chains", "4", "--format", "json"], capsys)
+    assert code == 0
+    for comp, entry in RunRecord.from_json(out).estimates.items():
+        assert np.isfinite(entry["stderr"]) and entry["stderr"] > 0.0, comp
+        assert abs(entry["sigma_deviation"]) <= 5.0, comp
+
+
 def test_sum_status_comes_from_its_parts(capsys):
     # 1000 shell draws leave the narrowest rung starved: kin is unconverged,
     # and the sum of kin and pot carries that status rather than "ok"
@@ -229,24 +243,31 @@ def test_sum_status_rules():
     assert _combined_status("unconverged", "ok") == "unconverged"
 
 
-def test_compute_runs_pot_and_std_in_one_pass(capsys, monkeypatch):
-    """pot, kin_std and pot_std come from one lock-step pass, with the
-    entries the separate estimators give."""
+def test_compute_calls_pot_and_std_once_each(capsys, monkeypatch):
+    """pot comes from one estimate_pot_nda call and kin_std and pot_std
+    from one estimate_standard_expectations call, with the entries the
+    separate estimators give."""
     import nda.cli as cli
     from nda.catalog import get_state
     from nda.estimators import (SamplerConfig, estimate_pot_nda,
                                 estimate_standard_expectations)
 
-    def no_separate_walk(*args, **kwargs):
-        raise AssertionError("separate walk started")
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
     argv = ["compute", "--state", "3S_1s2s", "--components",
             "kin,pot,kin_std,pot_std", "--chains", "4", "--steps", "1500",
             "--seed", "3", "--format", "json"]
     with monkeypatch.context() as m:
-        m.setattr(cli, "estimate_pot_nda", no_separate_walk)
-        m.setattr(cli, "estimate_standard_expectations", no_separate_walk)
+        for fn in (estimate_pot_nda, estimate_standard_expectations):
+            m.setattr(cli, fn.__name__, counted(fn))
         code, out, _ = run(argv, capsys)
     assert code == 0
+    assert sorted(calls) == ["estimate_pot_nda", "estimate_standard_expectations"]
     got = RunRecord.from_json(out).estimates
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=1500, seed=3)

@@ -17,8 +17,7 @@ import nda.wavefunctions as wf
 from nda.catalog import ReferenceDensity, catalog_list, get_state
 from nda.estimators import (SamplerConfig, estimate_abs_norm,
                             estimate_kin_nda_shell, estimate_kin_nda_surface,
-                            estimate_pot_and_standard, estimate_pot_nda,
-                            estimate_standard_expectations,
+                            estimate_pot_nda, estimate_standard_expectations,
                             metropolis_samples, quadrature_estimate)
 from nda.quadrature import quadrature_oracle
 
@@ -73,12 +72,9 @@ def test_chain_batching_does_not_change_results(monkeypatch):
         a = estimate_abs_norm(st, cfg)
         k = estimate_kin_nda_surface(st, cfg)
         sh = estimate_kin_nda_shell(st, cfg)
-        j = estimate_pot_and_standard(st, cfg=cfg)
         results.append([(e.mean, e.stderr)
-                        for e in (p, s["kin"], s["pot"], a, k, sh,
-                                  j["pot_nda"], j["kin_std"], j["pot_std"])])
+                        for e in (p, s["kin"], s["pot"], a, k, sh)])
     assert results[0] == results[1] == results[2]
-    assert results[0][6:] == results[0][:3]
 
 
 def test_different_seeds_differ():
@@ -188,15 +184,16 @@ def test_acceptance_status_flags_rates_outside_the_band():
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
                          + ["subshell_k1_l1", "subshell_k1_l2"])
 def test_adapted_walks_accept_half_and_hit_exact_values(name):
-    """On every model state, the subshell models included, the |Psi| and
-    Psi^2 walks started at half the RMS starting coordinate accept 0.45 to
-    0.55 of their kept moves, and pot_nda, kin_std and pot_std lie within
-    the t_15 quantile for p = 1e-4 (5.24 stderr) of their exact values."""
+    """On every model state, the subshell models included, the Psi^2 walk
+    started at half the RMS starting coordinate accepts 0.45 to 0.55 of
+    its kept moves, and pot_nda, kin_std and pot_std lie within the t_15
+    quantile for p = 1e-4 (5.24 stderr) of their exact values."""
     st = get_state(name)
-    got = estimate_pot_and_standard(
-        st, cfg=SamplerConfig(n_chains=16, steps_per_chain=20_000))
-    for key in ("pot_nda", "kin_std"):
-        assert 0.45 <= got[key].acceptance_rate <= 0.55, (key, got[key])
+    cfg = SamplerConfig(n_chains=16, steps_per_chain=20_000)
+    std = estimate_standard_expectations(st, cfg=cfg)
+    got = {"pot_nda": estimate_pot_nda(st, cfg=cfg),
+           "kin_std": std["kin"], "pot_std": std["pot"]}
+    assert 0.45 <= got["kin_std"].acceptance_rate <= 0.55, got["kin_std"]
     exact = {"pot_nda": st.exact_nda["pot"]}
     if st.exact_standard is not None:
         exact.update(kin_std=st.exact_standard["kin"],
@@ -269,21 +266,41 @@ def _reference_reduce(bsum, bcnt, rejected):
             int(counts.sum()), int(rejected.sum()), None)
 
 
+def _pot_draws(state, cfg):
+    """The pot stream's n_chains * n draws, n = steps_per_chain - burn_in,
+    drawn in _CHUNK-row blocks: (chain, draw, w, V w) of every row, row r
+    being draw r % n of chain r // n and w = |Psi| / g."""
+    g, model, h = state.reference_density, state.model, state.hamiltonian()
+    n = cfg.steps_per_chain - cfg.resolved_burn_in()
+    rng = _stream(cfg.seed, estimators._TAG_POT)
+    total = cfg.n_chains * n
+    for r0 in range(0, total, estimators._CHUNK):
+        x = g.sample(rng, min(estimators._CHUNK, total - r0))
+        w = np.abs(model.values(x)) / g.pdf(x)
+        vw = estimators.potential_batch(h, x) * w
+        for r in range(x.shape[0]):
+            yield (r0 + r) // n, (r0 + r) % n, w[r], vw[r]
+
+
 def _reference_pot(state, cfg):
-    """estimate_pot_nda with one potential_batch call per kept step."""
-    h = state.hamiltonian()
+    """estimate_pot_nda adding one draw at a time to its block: the ratio
+    of the pooled means of V w and w, and the stderr of the residual
+    (V w - ratio w) / (mean of the chain means of w)."""
     C, B = cfg.n_chains, estimators._BLOCKS
-    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum, bcnt = np.zeros((C, B)), np.zeros((C, B), dtype=np.int64)
-    rejected = np.zeros(C, dtype=np.int64)
-    for j, x, _ in _reference_walk(state, cfg, 1, 1, estimators._TAG_POT):
-        V = estimators.potential_batch(h, x)
-        ok = np.isfinite(V)
-        b = j * B // n_keep
-        bsum[:, b] += np.where(ok, V, 0.0)
-        bcnt[:, b] += ok
-        rejected += ~ok
-    return _reference_reduce(bsum, bcnt, rejected)
+    n = cfg.steps_per_chain - cfg.resolved_burn_in()
+    bsum, bcnt = np.zeros((2, C, B)), np.zeros((C, B), dtype=np.int64)
+    rejected = 0
+    for c, j, w, vw in _pot_draws(state, cfg):
+        if not np.isfinite(vw):
+            rejected += 1
+            continue
+        bsum[:, c, j * B // n] += w, vw
+        bcnt[c, j * B // n] += 1
+    w, vw = bsum.sum(axis=2) / bcnt.sum(axis=1)
+    ratio, w_mean = vw.sum() / w.sum(), w.mean()
+    stderr = estimators._stderr_from_chains(
+        (vw - ratio * w) / w_mean, (bsum[1] - ratio * bsum[0]) / w_mean, bcnt)
+    return float(ratio), stderr, int(bcnt.sum()), rejected, None
 
 
 def _reference_controlled(y, mag_y, cols, mags, bcnt, rejected):
@@ -371,10 +388,11 @@ def _fields(est):
 
 @pytest.mark.parametrize("n_chains", [1, 3, 8])
 def test_kept_step_blocks_match_per_step_collectors(n_chains):
-    """Blocks of kept steps (a partial last one here: 1875 kept steps) give
-    the per-step reduction bit for bit, unthinned and thinned; on 2P_2p the
-    controlled std integrands are constant and, past one chain, their
-    stderr is the rounding floor."""
+    """Blocks of kept steps (a partial last one here: 1877 kept steps, 470
+    thinned) give the std walk's per-step reduction bit for bit, and pot's
+    _CHUNK-row blocks its per-draw reduction; on 2P_2p the controlled std
+    integrands are constant and, past one chain, their stderr is the
+    rounding floor."""
     cfg = SamplerConfig(n_chains=n_chains,
                         steps_per_chain=estimators._CHUNK + 37, seed=5)
     for name in ("3S_1s2s", "2P_2p"):
@@ -383,6 +401,46 @@ def test_kept_step_blocks_match_per_step_collectors(n_chains):
         got = estimate_standard_expectations(st, cfg=cfg)
         assert ({k: _fields(e) for k, e in got.items()}
                 == _reference_std(st, cfg)), name
+
+
+@pytest.mark.parametrize("steps,burn_in", [(2100, None), (500, 0), (500, 499),
+                                           (estimators._CHUNK + 37, 777)])
+def test_pot_draws_the_kept_steps_of_a_walk(steps, burn_in):
+    """pot draws n_chains * (steps_per_chain - burn_in) rows, as many as a
+    walk of the same config keeps, down to one draw per chain."""
+    cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, burn_in=burn_in,
+                        seed=5)
+    est = estimate_pot_nda(get_state("3S_1s2s"), cfg)
+    assert (est.n_samples + est.n_rejected
+            == cfg.n_chains * (steps - cfg.resolved_burn_in()))
+    assert est.method == "reference_ratio" and est.acceptance_rate is None
+
+
+@pytest.mark.parametrize("n_chains", [1, 3])
+def test_pot_stderr_below_eight_chains(n_chains):
+    """Below 8 chains the pot stderr blocks the residual: one chain (nda
+    compute --chains 1) and three (the seeded digest's) give a finite,
+    positive stderr that covers the deviation from the exact value."""
+    st = get_state("3S_1s2s")
+    est = estimate_pot_nda(st, SamplerConfig(n_chains=n_chains,
+                                             steps_per_chain=5000, seed=5))
+    assert np.isfinite(est.stderr) and est.stderr > 0.0
+    assert abs(est.mean - float(st.exact_nda["pot"])) < 4.0 * est.stderr
+
+
+def test_pot_is_the_ratio_of_the_pooled_means():
+    """At 112 draws per chain (table2_wide's shape for 3S_1s2s), pot is
+    sum(V w) / sum(w) over every draw, not the mean of the chains' ratios,
+    whose bias is O(1 / 112)."""
+    st = get_state("3S_1s2s")
+    cfg = SamplerConfig(n_chains=64, steps_per_chain=124, burn_in=12, seed=3)
+    c, _, w, vw = np.array(list(_pot_draws(st, cfg))).T
+    pooled = vw.sum() / w.sum()
+    per_chain = np.mean([vw[c == k].sum() / w[c == k].sum()
+                         for k in range(cfg.n_chains)])
+    est = estimate_pot_nda(st, cfg)
+    assert est.mean == pytest.approx(pooled, rel=1e-12, abs=0.0)
+    assert est.mean != pytest.approx(per_chain, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("n_chains", [3, 8])
@@ -437,12 +495,11 @@ def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
 def test_metropolis_memory_is_bounded_by_the_slab():
     """The noise buffer holds a slab of every chain's noise, not a chunk: at
     512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB.
-    Two walks in lock-step split one walk's slab between them (34 MB if
-    each drew a full slab)."""
+    pot's i.i.d. draws hold one _CHUNK of rows."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=512, steps_per_chain=estimators._CHUNK + 37,
                         seed=5)
-    for estimate in (estimate_pot_nda, estimate_pot_and_standard):
+    for estimate in (estimate_pot_nda, estimate_standard_expectations):
         tracemalloc.start()
         try:
             estimate(st, cfg=cfg)
@@ -461,13 +518,15 @@ JOINT_CONFIGS = [SamplerConfig(n_chains=8, steps_per_chain=2000, seed=11),
 
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
 def test_joint_pass_equals_the_separate_estimators(name):
-    """The |Psi| and Psi^2 walks moved in lock-step give estimate_pot_nda
-    and estimate_standard_expectations field for field, bit for bit."""
+    """The CLI's joint plan of pot, kin_std and pot_std (nda compute's and
+    verify-tables') gives estimate_pot_nda and
+    estimate_standard_expectations field for field, bit for bit."""
+    from nda.cli import _plan
     st = get_state(name)
     for cfg in JOINT_CONFIGS:
-        got = estimate_pot_and_standard(st, cfg=cfg)
+        got = _plan(st, cfg, ["pot", "kin_std", "pot_std"], "auto")()
         std = estimate_standard_expectations(st, cfg=cfg)
-        ref = {"pot_nda": estimate_pot_nda(st, cfg=cfg),
+        ref = {"pot": estimate_pot_nda(st, cfg=cfg),
                "kin_std": std["kin"], "pot_std": std["pot"]}
         assert {k: repr(e) for k, e in got.items()} == \
             {k: repr(e) for k, e in ref.items()}, cfg
@@ -534,11 +593,10 @@ def test_controlled_stderr_is_smaller_and_recorded():
     config on 3S_1s2s) and the estimate records the uncontrolled one; the
     other estimators record none."""
     st = get_state("3S_1s2s")
-    got = estimate_pot_and_standard(
-        st, SamplerConfig(n_chains=8, steps_per_chain=3000, seed=5))
-    assert got["pot_nda"].stderr_uncontrolled is None
-    for key in ("kin_std", "pot_std"):
-        assert 0.0 < 4.0 * got[key].stderr < got[key].stderr_uncontrolled, key
+    cfg = SamplerConfig(n_chains=8, steps_per_chain=3000, seed=5)
+    assert estimate_pot_nda(st, cfg).stderr_uncontrolled is None
+    for key, est in estimate_standard_expectations(st, cfg).items():
+        assert 0.0 < 4.0 * est.stderr < est.stderr_uncontrolled, key
 
 
 @pytest.mark.parametrize("name", ["2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2",
@@ -569,33 +627,36 @@ def test_surface_gradient_belongs_to_the_state_model():
 
 
 def test_singular_point_is_rejected_and_counted(monkeypatch):
-    """An electron on the nucleus at one kept step drops that one sample
-    from the potential and standard estimators instead of aborting them."""
+    """An electron on the nucleus at one draw or kept step drops that one
+    sample from the potential and standard estimators instead of aborting
+    them."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=400, seed=7)
     potential_batch = estimators.potential_batch
-    # rows reach potential_batch step-major, however many steps share a
-    # call: row r is chain r % n_chains of the (r // n_chains)-th evaluated
-    # kept step; move electron 1 of chain 2 at evaluated step 29
-    target = 29 * cfg.n_chains + 2
+    seen = {}
 
     def one_at_nucleus(h, x):
-        r = target - seen[0]
-        seen[0] += len(x)
+        r = seen["target"] - seen["rows"]
+        seen["rows"] += len(x)
         if 0 <= r < len(x):
             x = x.copy()
             x[r, 3:6] = 0.0
         return potential_batch(h, x)
     monkeypatch.setattr(estimators, "potential_batch", one_at_nucleus)
 
+    # pot's rows reach potential_batch in stream order: row r is draw
+    # r % kept of chain r // kept; move electron 1 of chain 2 at draw 29
     kept = cfg.steps_per_chain - cfg.resolved_burn_in()
-    seen = [0]
+    seen.update(target=2 * kept + 29, rows=0)
     pot = estimate_pot_nda(st, cfg=cfg)
     assert pot.n_rejected == 1 and pot.n_samples == cfg.n_chains * kept - 1
     assert np.isfinite(pot.mean) and np.isfinite(pot.stderr)
 
+    # the walk's rows reach potential_batch step-major, however many steps
+    # share a call: row r is chain r % n_chains of the (r // n_chains)-th
+    # evaluated kept step; move electron 1 of chain 2 at evaluated step 29
     thin = estimators._STD_THIN
-    seen = [0]
+    seen.update(target=29 * cfg.n_chains + 2, rows=0)
     std = estimate_standard_expectations(st, cfg=cfg)
     n_thinned = (kept + thin - 1) // thin
     for est in std.values():
@@ -675,20 +736,23 @@ def _count_draws(monkeypatch):
 
 def test_one_stream_per_walk_and_per_iid_call(monkeypatch):
     """A Metropolis walk draws its starting points in one density.sample
-    call; an i.i.d. call draws its n_chains * n draws in _CHUNK-row blocks."""
+    call; an i.i.d. call draws its n_chains * n draws in _CHUNK-row blocks,
+    n = steps_per_chain for abs_norm and steps_per_chain - burn_in for
+    pot."""
     st = get_state("3S_1s2s")
     drawn = _count_draws(monkeypatch)
     cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
-    for run, walks in ((estimate_pot_nda, 1), (estimate_standard_expectations, 1),
-                       (estimate_pot_and_standard, 2), (metropolis_samples, 1)):
+    for run in (estimate_standard_expectations, metropolis_samples):
         drawn.clear()
         run(st, cfg)
-        assert drawn == [cfg.n_chains] * walks, run.__name__
-    drawn.clear()
-    estimate_abs_norm(st, cfg)
-    total = cfg.n_chains * cfg.steps_per_chain
-    assert len(drawn) == -(-total // estimators._CHUNK)
-    assert sum(drawn) == total and max(drawn) == estimators._CHUNK
+        assert drawn == [cfg.n_chains], run.__name__
+    for run, n in ((estimate_abs_norm, cfg.steps_per_chain),
+                   (estimate_pot_nda, cfg.steps_per_chain - cfg.resolved_burn_in())):
+        drawn.clear()
+        run(st, cfg)
+        total = cfg.n_chains * n
+        assert len(drawn) == -(-total // estimators._CHUNK), run.__name__
+        assert sum(drawn) == total and max(drawn) == estimators._CHUNK
 
 
 @pytest.mark.parametrize("steps", [1000, estimators._CHUNK + 37])

@@ -33,4 +33,4 @@ def test_seeded_digest_repeats_itself():
                      "density.sample", "density.pdf", "density.pdf.points",
                      "node.draw_params", "node.sample",
                      "potential_batch.h", "potential_batch.h_ee", "pot", "std",
-                     "joint", "abs", "surface", "shell", "metropolis_samples"}
+                     "abs", "surface", "shell", "metropolis_samples"}

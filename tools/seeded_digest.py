@@ -18,8 +18,8 @@ For each of the 13 model states (the catalog states with a model, and
   and 2048;
 * ``potential_batch`` of the state's Hamiltonian (and, for atoms, of the
   interacting atom) on those points, with coincident-particle rows;
-* at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, the
-  joint pot and std pass, abs, surface, shell and ``metropolis_samples``.
+* at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, abs,
+  surface, shell and ``metropolis_samples``.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ def digest(states: Optional[Sequence] = None,
             tag = f"{chains}x{steps}"
             runs = [("pot", lambda: est.estimate_pot_nda(st, cfg)),
                     ("std", lambda: est.estimate_standard_expectations(st, cfg)),
-                    ("joint", lambda: est.estimate_pot_and_standard(st, cfg)),
                     ("abs", lambda: est.estimate_abs_norm(st, cfg)),
                     ("surface", lambda: est.estimate_kin_nda_surface(st, cfg)),
                     ("shell", lambda: est.estimate_kin_nda_shell(st, cfg))]
