@@ -445,10 +445,9 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20260801)
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out", type=str, default=None,
-                   help="also write the JSON run record to this path")
+def _add_format_flag(p: argparse.ArgumentParser, *formats: str) -> None:
+    p.add_argument("--format", choices=("table", "json") + formats,
+                   default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "surface", "shell", "quadrature"),
                    default="auto")
     _add_sampler_flags(p)
-    _add_output_flags(p)
+    _add_format_flag(p, "csv")
+    p.add_argument("--out", type=str, default=None,
+                   help="write the JSON run record to this path instead of "
+                        "printing it")
     p.set_defaults(fn=cmd_compute)
 
     p = add_parser("verify-tables",
@@ -488,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--checks", type=int, default=16)
     p.add_argument("--seed", type=int, default=20260801)
-    _add_output_flags(p)
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_domains)
 
     p = add_parser("equiv", help="test node equivalence")
@@ -498,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis:particle, e.g. x:2 (default: the identity)")
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20260801)
-    _add_output_flags(p)
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_equiv)
 
     p = add_parser("catalog", help="list built-in states")
-    _add_output_flags(p)
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_catalog)
 
     return parser

@@ -10,30 +10,29 @@ Shared conventions:
   call draws _CHUNK rows at a time, and row r of its stream is draw r % n
   of chain r // n, so its chains are disjoint runs of one stream.  Memory
   is bounded by _SLAB and _CHUNK, not by the sample budget;
-* two Metropolis walks remain: the Psi^2 walk of the standard
-  expectations and the |Psi| walk of metropolis_samples (the topology
-  module's points).  A step moves every chain with one model call.  A
-  walk sets its proposal width during burn-in, updating it every _ADAPT
-  steps toward acceptance 0.5 from its start at half the RMS coordinate
-  of its starting points; the kept steps use the width burn-in ends
-  with.  Kept Metropolis steps reach the estimators in blocks of
+* one Metropolis law remains: _metropolis samples Psi^2, for the
+  standard expectations and for metropolis_samples (the topology module's
+  points), each on a stream of its own.  A step moves every chain with one
+  model call.  A walk sets its proposal width during burn-in, updating it
+  every _ADAPT steps toward acceptance 0.5 from its start at half the RMS
+  coordinate of its starting points; the kept steps use the width burn-in
+  ends with.  Kept Metropolis steps reach the estimators in blocks of
   k = max(1, _ROWS // n_chains) steps, collect(js, xs, vs), so the
   potential and vgl of about _ROWS rows (at least one row per chain)
-  share one call.  Every array operation treats
-  rows independently and every per-chain sum keeps its order, so the
-  batching does not enter the arithmetic;
+  share one call.  Every array operation treats rows independently and
+  every per-chain sum keeps its order, so the batching does not enter the
+  arithmetic;
 * pot_nda, the ratio of the integrals of V |Psi| and |Psi|, and the
   integral of |Psi| are importance ratios on i.i.d. draws from the
   state's reference density g, whose weights |Psi| / g have every moment
   finite; the node surface draws its own parameters;
-* every estimator is an integrand handed to one engine reducer:
-  _metropolis_average calls integrand(x, v) on the rows x of a block of
-  kept steps and their raw values v, _iid_average calls integrand(x) on a
-  block of draws, and both get back (ok, values), a mask of the rows it
-  keeps (None keeps all) and a tuple of per-row arrays, one per
-  estimate.  Both add the rows into one _Blocks accumulator, which splits
-  each chain's kept steps or draws into 50 blocks, counts the rejected
-  rows and gives the per-chain means and the NdaEstimates;
+* every estimator adds per-row arrays, one per estimate, and a mask of
+  the rows it keeps (None keeps all) into one _Blocks accumulator, which
+  splits each chain's kept steps or draws into 50 blocks, counts the
+  rejected rows and gives the per-chain means and the NdaEstimates.  The
+  standard expectations add each block of kept steps of their walk,
+  _iid_average adds integrand(x) -> (ok, values) on each block of draws,
+  and the shell adds the blocks of _iid_stream after its pilot;
 * the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
   the ladder and then count like the others;
@@ -325,11 +324,11 @@ def _loo_betas(ys: np.ndarray, cs: np.ndarray, counts: np.ndarray) -> np.ndarray
 # Metropolis engine
 
 
-def _metropolis(model, state: StateSpec, cfg: SamplerConfig, power: int,
-                tag: int, collect: Callable, thin: int) -> float:
+def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
+                collect: Callable, thin: int) -> float:
     """A Metropolis walk of n_chains chains, one model call per step.
 
-    The walk's stationary density is |Psi|^power, on the stream of tag.
+    The walk's stationary density is Psi^2, on the stream of tag.
     Every thin-th post-burn-in step is kept: its configurations and raw
     values are copied into a block of k = max(1, _ROWS // n_chains) kept
     steps, and collect(js, xs, vs) is invoked with the kept-step indices
@@ -362,11 +361,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, power: int,
     width = 0.5 * float(np.sqrt(np.mean(x * x)))
     log_width = math.log(width)
     v = model.values(x)
-    # acceptance densities, squared in place for the Psi^2 walk (|v| * |v|
-    # has the bits of v * v)
-    t, tp = np.abs(v), np.empty_like(v)
-    if power == 2:
-        np.square(t, out=t)
+    t, tp = v * v, np.empty_like(v)   # acceptance densities Psi^2
     # one slab buffer per run; accs holds each step's acceptances until the
     # slab's are counted into accepted, which restarts at every width
     # update and at the end of burn-in.  Accepted rows of x move as whole
@@ -394,9 +389,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, power: int,
         for j in range(b):
             np.add(x, u[j, :, :dim], out=xp)
             vp = model.values(xp)
-            np.abs(vp, out=tp)
-            if power == 2:
-                np.square(tp, out=tp)
+            np.multiply(vp, vp, out=tp)
             acc = np.less(u[j, :, dim] * t, tp, out=accs[j])
             np.copyto(xv, xpv, where=acc)
             np.copyto(v, vp, where=acc)
@@ -422,28 +415,6 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, power: int,
     return accepted / (C * (steps - burn))
 
 
-def _metropolis_average(model, state: StateSpec, cfg: SamplerConfig,
-                        power: int, tag: int, method: str, integrand: Callable,
-                        n_values: int, n_controls: int, thin: int) -> list:
-    """Block averages of integrands over the kept steps of _metropolis.
-
-    integrand(x, v) gets the (rows, 3N) configurations of a block of kept
-    steps, step-major, and their raw values (rows,), and returns (ok,
-    values): the mask of rows it keeps (None keeps all) and n_values +
-    n_controls per-row arrays, the last n_controls of them control columns
-    of mean 0 (see _Blocks).  Returns one NdaEstimate per integrand.
-    """
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
-                  n_values, n_controls)
-    chains = np.arange(cfg.n_chains)
-
-    def collect(js, xs, vs):
-        ok, values = integrand(xs.reshape(-1, xs.shape[-1]), vs.reshape(-1))
-        acc.add(chains, js[:, None], values, ok)
-    rate = _metropolis(model, state, cfg, power, tag, collect, thin)
-    return acc.estimates(cfg, method, _acceptance_status(rate), rate)
-
-
 def _acceptance_status(rate: float) -> str:
     if 0.1 <= rate <= 0.9:
         return "ok"
@@ -452,9 +423,10 @@ def _acceptance_status(rate: float) -> str:
 
 def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
                        thin: int = 1) -> np.ndarray:
-    """Thinned |Psi|-distributed configurations, stacked over chains.
+    """Thinned Psi^2-distributed configurations, stacked over chains.
 
-    Returns an (n_kept_total, 3N) array; used by the topology module.
+    Returns an (n_kept_total, 3N) array; used by the topology module, on a
+    stream of its own.
     """
     if thin < 1:
         raise ValueError("thin must be a positive integer")
@@ -466,7 +438,7 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
     def collect(js, xs, vs):
         out[:, js // thin] = xs.swapaxes(0, 1)
 
-    _metropolis(model, state, cfg, 1, _TAG_TOPOLOGY, collect, thin)
+    _metropolis(model, state, cfg, _TAG_TOPOLOGY, collect, thin)
     return out.reshape(-1, out.shape[-1])
 
 
@@ -497,10 +469,10 @@ def estimate_standard_expectations(state: StateSpec,
     """Standard quantum expectations <T> and <V> over the density Psi^2.
 
     The kinetic part uses the local kinetic energy -lap(Psi)/(2 Psi).
-    Node-proximal points (|Psi| <= 1e-14 |x| |grad Psi|, a test free of
-    the length scale 1/Z) and non-finite potentials are rejected and
-    counted; both components use the same retained sample set.  Extends the
-    method enumeration with "metropolis_psi_squared".
+    Node-proximal points (not wf.off_node: |Psi| <= 1e-14 |x| |grad Psi|, a
+    test free of the length scale 1/Z) and non-finite potentials are
+    rejected and counted; both components use the same retained sample set.
+    Extends the method enumeration with "metropolis_psi_squared".
 
     The integrand (a Laplacian plus a gradient per configuration) costs far
     more than a Metropolis step, while successive configurations are
@@ -533,20 +505,23 @@ def estimate_standard_expectations(state: StateSpec,
     """
     cfg = cfg or SamplerConfig()
     model, h = _model(state), state.hamiltonian()
+    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
+                  2, 2)
+    chains = np.arange(cfg.n_chains)
 
-    def integrand(x, v):
+    def collect(js, xs, vs):
+        x, v = xs.reshape(-1, xs.shape[-1]), vs.reshape(-1)
         V = potential_batch(h, x)
         _, grads, laps = model.vgl(x)
-        gnorm = np.linalg.norm(grads, axis=1)
-        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1) * gnorm)
-        vs = np.where(ok, v, 1.0)
-        c_rad, c_lin = _control_columns(x, vs, grads)
+        ok = np.isfinite(V) & wf.off_node(x, v, grads)
+        safe = np.where(ok, v, 1.0)
+        c_rad, c_lin = _control_columns(x, safe, grads)
         ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
-        return ok, (-0.5 * laps / vs, V, c_rad, c_lin)
+        acc.add(chains, js[:, None], (-0.5 * laps / safe, V, c_rad, c_lin), ok)
 
-    kin, pot = _metropolis_average(model, state, cfg, 2, _TAG_STD,
-                                   "metropolis_psi_squared", integrand, 2, 2,
-                                   _STD_THIN)
+    rate = _metropolis(model, state, cfg, _TAG_STD, collect, _STD_THIN)
+    kin, pot = acc.estimates(cfg, "metropolis_psi_squared",
+                             _acceptance_status(rate), rate)
     return {"kin": kin, "pot": pot}
 
 

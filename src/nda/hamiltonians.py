@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefunctions import WaveFunction, _as_batch, _norms, _row_sums
+from .wavefunctions import WaveFunction, _as_batch, _norms, _row_sums, off_node
 
 __all__ = [
     "HamiltonianSpec",
@@ -124,15 +124,14 @@ def potential(h: HamiltonianSpec, R) -> float:
 
 def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
     """(H psi)/psi = -lap(psi)/(2 psi) + V, guarded against node contamination:
-    NodeProximityError unless |psi| > 1e-14 |x| |grad psi|, a test free of
-    the length scale (it holds at any Z) that rejects the origin."""
+    NodeProximityError unless off_node, |psi| > 1e-14 |x| |grad psi|, a test
+    free of the length scale (it holds at any Z) that rejects the origin."""
     x = _as_batch(model, R)
     v, g, lap = model.vgl(x)
     psi = float(v[0])
-    gnorm = float(np.linalg.norm(g[0]))
-    if not abs(psi) > 1e-14 * float(np.linalg.norm(x[0])) * gnorm:
+    if not off_node(x, v, g)[0]:
         raise NodeProximityError(
             "configuration is within float noise of the nodal set "
-            f"(|psi| = {abs(psi):.3e}, |grad psi| = {gnorm:.3e})"
+            f"(|psi| = {abs(psi):.3e}, |grad psi| = {np.linalg.norm(g[0]):.3e})"
         )
     return -0.5 * float(lap[0]) / psi + potential(h, x[0])

@@ -3,7 +3,9 @@
 Both operations work on sign information only: domains are connected
 components of the same-sign sample graph, and equivalence of two nodes is
 falsified by a single robust sign disagreement under the candidate
-coordinate transformation.
+coordinate transformation.  The points are metropolis_samples, the Psi^2
+walk of the standard expectations on a stream of its own, and a sign is
+robust off the node by the same rule as there (wavefunctions.off_node).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.spatial import cKDTree
 
 from .catalog import StateSpec
 from .estimators import SamplerConfig, metropolis_samples
+from .wavefunctions import off_node
 
 __all__ = [
     "TransformSpec",
@@ -28,7 +31,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
-_NODE_PROXIMITY = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +121,7 @@ class DomainReport:
 
 def _sample_points(state: StateSpec, n_points: int, seed: int,
                    thin: int = 10, n_chains: int = 128) -> np.ndarray:
-    """n_points decorrelated |Psi|-distributed configurations."""
+    """n_points decorrelated Psi^2-distributed configurations."""
     per_chain = (n_points + n_chains - 1) // n_chains
     steps = per_chain * thin
     burn = max(steps // 10, 50)
@@ -134,7 +136,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                         seed: int = 20260801) -> DomainReport:
     """Upper bound on the number of nodal domains from sampled sign regions.
 
-    Samples follow |Psi|; an edge joins two k-nearest neighbors only when
+    Samples follow Psi^2; an edge joins two k-nearest neighbors only when
     both endpoints and all segment_checks interior points of the straight
     segment carry the same sign of Psi.  Connected components of that graph
     are counted with scipy.sparse.csgraph.connected_components.  The count
@@ -174,19 +176,23 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     same = signs[src] * signs[dst] > 0
     src, dst = src[same], dst[same]
 
-    # sign consistency along the interior of every candidate segment
-    frac = (np.arange(1, segment_checks + 1) / (segment_checks + 1.0))
-    good = np.ones(src.size, dtype=bool)
-    chunk = max(1, 2_000_000 // max(segment_checks * pts.shape[1], 1))
-    for lo in range(0, src.size, chunk):
-        hi = min(lo + chunk, src.size)
-        a = pts[src[lo:hi]][:, None, :]
-        b = pts[dst[lo:hi]][:, None, :]
-        mid = a + frac[None, :, None] * (b - a)
-        v = model.values(mid.reshape(-1, pts.shape[1]))
-        v = v.reshape(hi - lo, segment_checks)
-        good[lo:hi] = np.all(v * signs[src[lo:hi], None] > 0, axis=1)
+    frac = np.arange(1, segment_checks + 1) / (segment_checks + 1.0)
+    dim = pts.shape[1]
+    chunk = max(1, 2_000_000 // (segment_checks * dim))
 
+    def keeps_sign(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether Psi keeps the sign of point i[k] at every interior check
+        of the segment from it to point j[k], chunk segments per call."""
+        good = np.empty(i.size, dtype=bool)
+        for lo in range(0, i.size, chunk):
+            ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
+            a, b = pts[ii, None], pts[jj, None]
+            v = model.values((a + frac[:, None] * (b - a)).reshape(-1, dim))
+            good[lo:lo + chunk] = np.all(
+                v.reshape(-1, segment_checks) * signs[ii, None] > 0, axis=1)
+        return good
+
+    good = keeps_sign(src, dst)
     edges = [(src[good], dst[good])]
     n_edges = int(src.size)
 
@@ -199,13 +205,12 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                          shape=(n_points, n_points))
         return connected_components(adj, directed=False)
 
-    def segment_ok(i: int, j: int) -> bool:
-        mid = pts[i] + frac[:, None] * (pts[j] - pts[i])
-        return bool(np.all(model.values(mid) * signs[i] > 0))
-
     # rescue pass for under-connected tiny components; labels are
     # recomputed once per round, so merges within a round see the labels
-    # of the round's start
+    # of the round's start.  A component's candidate pairs are each
+    # member's first 24 same-sign outsiders among its kq neighbours, member
+    # by member; it merges along the first pair that keeps its sign, and
+    # the pairs up to that one (all of them when none does) count as tested
     small = max(32, n_points // 200)
     kq = min(n_points, 256)
     stable = False
@@ -217,27 +222,19 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
         for r, c in enumerate(np.bincount(roots)):
             if c >= small:
                 continue
-            members = np.where(roots == r)[0]
+            members = np.flatnonzero(roots == r)
             _, cand = tree.query(pts[members], k=kq)
-            merged = False
-            for p, row in zip(members, cand):
-                tried = 0
-                for q in row:
-                    q = int(q)
-                    if roots[q] == r or signs[q] != signs[p]:
-                        continue
-                    tried += 1
-                    n_edges += 1
-                    if segment_ok(int(p), q):
-                        edges.append(([p], [q]))
-                        merged = True
-                        break
-                    if tried >= 24:
-                        break
-                if merged:
-                    break
-            if merged:
+            outside = (roots[cand] != r) & (signs[cand] == signs[members, None])
+            row, col = np.nonzero(outside & (np.cumsum(outside, axis=1) <= 24))
+            p, q = members[row], cand[row, col]
+            passed = np.flatnonzero(keeps_sign(p, q))
+            if passed.size:
+                first = passed[0]
+                n_edges += int(first) + 1
+                edges.append((p[first:first + 1], q[first:first + 1]))
                 stable = False
+            else:
+                n_edges += p.size
 
     notes.append("count is an upper bound; it can only decrease under "
                  "refinement of n_points or segment_checks")
@@ -253,12 +250,11 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
 # node equivalence
 
 
-def _sign_and_node_distance(model, x: np.ndarray):
-    """sign(Psi) and the node-distance proxy |Psi| / |grad Psi| at x, from
-    one value-and-gradient evaluation."""
+def _sign_off_node(model, x: np.ndarray):
+    """sign(Psi) at x and the mask of the rows off the node (off_node),
+    from one value-and-gradient evaluation."""
     v, grads, _ = model._evaluate(x, True, False)
-    g = np.linalg.norm(grads, axis=1)
-    return np.sign(v), np.abs(v) / np.maximum(g, 1e-300)
+    return np.sign(v), off_node(x, v, grads)
 
 
 def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
@@ -266,11 +262,12 @@ def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
                           seed: int = 20260801) -> dict:
     """Sign-agreement test for node equivalence under the transformation t.
 
-    Draws |Psi_a| samples, evaluates s_i = sign(Psi_a(R_i)) *
+    Draws Psi_a^2 samples, evaluates s_i = sign(Psi_a(R_i)) *
     sign(Psi_b(t(R_i))), and declares equivalence only if every s_i agrees
-    (one global sign flip is permitted).  Samples closer than 1e-12 to
-    either node (distance proxy |Psi|/|grad Psi|) are discarded and redrawn
-    from the tail of the sample stream.
+    (one global sign flip is permitted).  Samples within float noise of
+    either node (not off_node: |Psi| <= 1e-14 |R| |grad Psi|) are discarded
+    and redrawn from the tail of the sample stream.  ValueError when no
+    sample is off both nodes.
     """
     ma, mb = state_a.model, state_b.model
     if ma is None or mb is None:
@@ -284,16 +281,18 @@ def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
 
     oversample = int(1.05 * n_points) + 64
     pts = _sample_points(state_a, oversample, seed, thin=4)
-    sa, da = _sign_and_node_distance(ma, pts)
-    sb, db = _sign_and_node_distance(mb, t.apply(pts))
-    ok = (da > _NODE_PROXIMITY) & (db > _NODE_PROXIMITY)
+    sa, oka = _sign_off_node(ma, pts)
+    sb, okb = _sign_off_node(mb, t.apply(pts))
+    ok = oka & okb
     resampled = int(np.sum(~ok[:n_points]))
-    # the first n_points that survive, or all of them in an extremely
-    # degenerate overlap
+    # the first n_points that survive, or all of them in a degenerate overlap
     s = (sa * sb)[ok][:n_points]
+    if s.size == 0:
+        raise ValueError("no sampled point is off both nodes: the signs "
+                         "cannot be compared")
     n_plus = int(np.sum(s > 0))
     n_minus = int(np.sum(s < 0))
-    total = max(s.shape[0], 1)
+    total = s.size
     agreement = max(n_plus, n_minus) / total
 
     out = {
@@ -304,7 +303,7 @@ def test_node_equivalence(state_a: StateSpec, state_b: StateSpec,
     }
     if resampled > 0.01 * n_points:
         out["warning"] = (f"degenerate sampling: {resampled} of {n_points} "
-                          "points fell within 1e-12 of a node")
+                          "points fell within float noise of a node")
     return out
 
 
@@ -338,16 +337,14 @@ def find_block_transform(state_a: StateSpec, state_b: StateSpec,
         raise ValueError("states have different particle counts")
 
     probe = _sample_points(state_a, n_probe, seed, thin=4)
-    sa, da = _sign_and_node_distance(ma, probe)
-    keep = da > _NODE_PROXIMITY
+    sa, keep = _sign_off_node(ma, probe)
     probe, sa = probe[keep], sa[keep]
 
     blocks48 = _signed_permutations()
     for perm in permutations(range(n)):
         for combo in product(range(len(blocks48)), repeat=n):
             t = TransformSpec.from_blocks([blocks48[i] for i in combo], perm)
-            sb, db = _sign_and_node_distance(mb, t.apply(probe))
-            ok = db > _NODE_PROXIMITY
+            sb, ok = _sign_off_node(mb, t.apply(probe))
             if not np.any(ok):
                 continue
             s = sa[ok] * sb[ok]

@@ -31,6 +31,7 @@ __all__ = [
     "Term",
     "SlaterProduct",
     "HarmonicPair",
+    "off_node",
 ]
 
 
@@ -60,6 +61,18 @@ def _as_batch(model: "WaveFunction", R) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("coordinates must be finite")
     return x[None, :]
+
+
+def off_node(x: np.ndarray, v: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Rows whose Psi is not rounding noise: |Psi| > 1e-14 |x| |grad Psi|.
+
+    x, v and grads are the (m, 3N) rows, their values and their gradients.
+    The test is free of the length scale (it holds at any Z) and rejects the
+    origin; the standard expectations, the local energy and the topology
+    module's sign tests share it.
+    """
+    return (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1)
+            * np.linalg.norm(grads, axis=1))
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,19 @@ def test_usage_errors_exit_2(capsys):
     assert "unrecognized arguments: --step" in err
 
 
+def test_only_compute_takes_out_and_csv(tmp_path, capsys):
+    """catalog, domains and equiv print a table or JSON; --out and csv,
+    which they would ignore, are usage errors there."""
+    target = tmp_path / "x.json"
+    for argv in (["catalog", "--out", str(target)],
+                 ["domains", "--state", "2P_2p", "--format", "csv"],
+                 ["equiv", "--a", "1D_2p2", "--b", "3P_2p2", "--flip", "x:2",
+                  "--out", str(target)]):
+        code, out, _ = run(argv, capsys)
+        assert code == 2 and out == "", argv
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["equiv", "--a", "subshell_k1_l30", "--b", "subshell_k1_l30"],
     ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points", "0"],

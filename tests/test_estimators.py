@@ -217,8 +217,8 @@ def _stream(seed, tag):
     return np.random.default_rng(np.random.SeedSequence((seed & (2 ** 64 - 1), tag)))
 
 
-def _reference_walk(state, cfg, thin, power, tag):
-    """The Metropolis walk drawn one step at a time: the stream gives the
+def _reference_walk(state, cfg, thin, tag):
+    """The Psi^2 Metropolis walk drawn one step at a time: the stream gives the
     chains' starting points, then per step one (chains, 3N + 1) array of
     uniforms, the proposal noise and then the acceptance uniform of every
     chain.  The half-width starts at half the RMS starting coordinate;
@@ -234,12 +234,12 @@ def _reference_walk(state, cfg, thin, power, tag):
     step = 0.5 * float(np.sqrt(np.mean(x * x)))
     log_step, n_accepted = math.log(step), 0
     v = model.values(x)
-    t = np.abs(v) if power == 1 else v * v
+    t = v * v
     for j in range(steps):
         u = rng.random((cfg.n_chains, dim + 1))
         xp = x + (-step + 2 * step * u[:, :dim])
         vp = model.values(xp)
-        tp = np.abs(vp) if power == 1 else vp * vp
+        tp = vp * vp
         acc = u[:, dim] * t < tp
         x = np.where(acc[:, None], xp, x)
         v = np.where(acc, vp, v)
@@ -254,7 +254,7 @@ def _reference_walk(state, cfg, thin, power, tag):
 
 
 def _reference_metropolis_samples(state, cfg, thin, tag):
-    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, 1, tag)]
+    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, tag)]
     return np.stack(kept, axis=1).reshape(-1, kept[0].shape[1])
 
 
@@ -354,10 +354,12 @@ def _reference_std(state, cfg):
     bsum, bcnt = np.zeros((4, C, B)), np.zeros((C, B), dtype=np.int64)
     mags = np.zeros((4, C))
     rejected = np.zeros(C, dtype=np.int64)
-    for j, x, v in _reference_walk(state, cfg, thin, 2, estimators._TAG_STD):
+    for j, x, v in _reference_walk(state, cfg, thin, estimators._TAG_STD):
         V = estimators.potential_batch(h, x)
         _, grads, laps = model.vgl(x)
-        ok = np.isfinite(V) & (np.abs(v) >= 1e-14 * np.linalg.norm(grads, axis=1))
+        # off the node: |Psi| > 1e-14 |x| |grad Psi|
+        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1)
+                               * np.linalg.norm(grads, axis=1))
         vs = np.where(ok, v, 1.0)
         xg = [(x[:, 3 * i] * grads[:, 3 * i] + x[:, 3 * i + 1] * grads[:, 3 * i + 1]
                + x[:, 3 * i + 2] * grads[:, 3 * i + 2]) / vs for i in range(N)]
@@ -466,22 +468,23 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
     assert _fields(estimate_abs_norm(st, cfg)) == ref
 
 
-@pytest.mark.parametrize("name,power", [("3S_1s2s", 1), ("1S_1s2_2p2", 2)])
-def test_reused_noise_buffer_matches_fresh_chunks(name, power, monkeypatch):
+@pytest.mark.parametrize("name,walk", [("3S_1s2s", "samples"),
+                                       ("1S_1s2_2p2", "std")])
+def test_reused_noise_buffer_matches_fresh_chunks(name, walk, monkeypatch):
     """The refilled slab buffer walks the chains exactly as one fresh array
     of uniforms per step does, whatever the slab size: at 3 chains the
     default _SLAB draws 2048-step slabs (a short 37-step one last), 3 * 37
     rows draw 37-step slabs (a 13-step one last), and a _SLAB below the chain count draws one
     step per slab; 300 chains cut the default _SLAB into 873-step slabs.
-    The |Psi| walk (power 1) is compared through metropolis_samples, the
-    Psi^2 walk (power 2) through estimate_standard_expectations."""
+    The walk is compared through metropolis_samples on one state and
+    through estimate_standard_expectations on the other."""
     st = get_state(name)
     default = estimators._SLAB
     for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
         monkeypatch.setattr(estimators, "_SLAB", slab)
         cfg = SamplerConfig(n_chains=n_chains,
                             steps_per_chain=estimators._CHUNK + 37, seed=5)
-        if power == 1:
+        if walk == "samples":
             got = metropolis_samples(st, cfg, thin=7)
             ref = _reference_metropolis_samples(st, cfg, thin=7,
                                                 tag=estimators._TAG_TOPOLOGY)
@@ -797,7 +800,7 @@ def test_metropolis_samples_shape_and_support():
     assert x.shape[1] == 6
     assert x.shape[0] == 4 * ((2_000 - 200) // 10)
     v = np.abs(st.model.values(x))
-    assert np.all(v > 0.0)  # Metropolis on |psi| never lands exactly on the node
+    assert np.all(v > 0.0)  # Metropolis on psi^2 never lands exactly on the node
 
 
 @pytest.mark.parametrize("bad", [{"thin": 0}, {"thin": -3}])

@@ -20,8 +20,8 @@ def test_seeded_digest_repeats_itself():
     tool = _digest_module()
 
     def run():
-        return list(tool.digest([get_state("3S_1s2s")], configs=[(3, 200)],
-                                rows=(1, 5)))
+        return list(tool.digest([get_state("3S_1s2s"), get_state("1D_2p2")],
+                                configs=[(3, 200)], rows=(1, 5)))
 
     first = run()
     assert first == run()
@@ -33,4 +33,5 @@ def test_seeded_digest_repeats_itself():
                      "density.sample", "density.pdf", "density.pdf.points",
                      "node.draw_params", "node.sample",
                      "potential_batch.h", "potential_batch.h_ee", "pot", "std",
-                     "abs", "surface", "shell", "metropolis_samples"}
+                     "abs", "surface", "shell", "metropolis_samples",
+                     "count_nodal_domains", "test_node_equivalence.3P_2p2.flip"}

@@ -1,7 +1,9 @@
 import unittest
+from unittest import mock
 
 import numpy as np
 
+from nda import topology
 from nda.catalog import get_state, subshell_family
 from nda.topology import (DomainReport, TransformSpec, count_nodal_domains,
                           find_block_transform, _sample_points)
@@ -107,20 +109,21 @@ class TestEquivalence(unittest.TestCase):
         self.assertLess(out["agreement_fraction"], 0.95)
 
     def test_one_evaluation_per_model_matches_the_three_pass_reference(self):
-        # the reference evaluates values and gradients for the proxy and
-        # values again on the kept points; the result must not move
-        def proxy(model, x):
+        # the reference evaluates values and gradients for the near-node
+        # rule and values again on the kept points; the result must not move
+        def off_node(model, x):
+            # |Psi| > 1e-14 |x| |grad Psi|
             g = np.linalg.norm(model.gradients(x), axis=1)
-            return np.abs(model.values(x)) / np.maximum(g, 1e-300)
+            return np.abs(model.values(x)) > 1e-14 * np.linalg.norm(x, axis=1) * g
 
         def reference(a, b, t, n_points, seed):
             ma, mb = a.model, b.model
             pts = _sample_points(a, int(1.05 * n_points) + 64, seed, thin=4)
-            ok = (proxy(ma, pts) > 1e-12) & (proxy(mb, t.apply(pts)) > 1e-12)
+            ok = off_node(ma, pts) & off_node(mb, t.apply(pts))
             kept = pts[ok][:n_points]
             s = np.sign(ma.values(kept)) * np.sign(mb.values(t.apply(kept)))
             most = max(int(np.sum(s > 0)), int(np.sum(s < 0)))
-            total = max(kept.shape[0], 1)
+            total = kept.shape[0]
             return {"verdict": "equivalent" if most == total else "inequivalent",
                     "agreement_fraction": most / total, "n_points": total,
                     "resampled": int(np.sum(~ok[:n_points]))}
@@ -138,6 +141,35 @@ class TestEquivalence(unittest.TestCase):
         out = node_equivalence(get_state("1D_2p2"), get_state("3P_2p2"), t,
                                     n_points=50_000)
         self.assertEqual(out["agreement_fraction"], 1.0)
+
+    def test_extreme_z_flip_keeps_every_point(self):
+        # the near-node rule is free of the length scale 1 / Z: at Z = 1e13
+        # no point is within float noise of either node
+        a, b = get_state("1D_2p2", Z=1e13), get_state("3P_2p2", Z=1e13)
+        out = node_equivalence(a, b, TransformSpec.axis_flip(2, axis=0, particle=1),
+                               n_points=5000)
+        self.assertEqual(out["verdict"], "equivalent")
+        self.assertEqual(out["agreement_fraction"], 1.0)
+        self.assertEqual(out["n_points"], 5000)
+        self.assertEqual(out["resampled"], 0)
+
+    def test_search_finds_the_map_at_extreme_z(self):
+        t = find_block_transform(get_state("1D_2p2", Z=1e13),
+                                 get_state("3P_2p2", Z=1e13), seed=2)
+        self.assertIsNotNone(t)
+
+    def test_no_point_off_the_nodes_is_an_error(self):
+        # every sampled point on the 2P_2p node z = 0: no sign to compare
+        st = get_state("2P_2p")
+
+        def on_node(state, n_points, seed, thin=10, n_chains=128):
+            pts = np.random.default_rng(seed).normal(size=(n_points, 3))
+            pts[:, 2] = 0.0
+            return pts
+
+        with mock.patch.object(topology, "_sample_points", on_node):
+            with self.assertRaisesRegex(ValueError, "off both nodes"):
+                node_equivalence(st, st, TransformSpec.identity(1), n_points=100)
 
     def test_search_honestly_fails_for_different_node_geometry(self):
         # the 1S node is a full quadric cone in the pair coordinates, the 3P

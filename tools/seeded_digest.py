@@ -19,7 +19,11 @@ For each of the 13 model states (the catalog states with a model, and
 * ``potential_batch`` of the state's Hamiltonian (and, for atoms, of the
   interacting atom) on those points, with coincident-particle rows;
 * at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, abs,
-  surface, shell and ``metropolis_samples``.
+  surface, shell and ``metropolis_samples``;
+* on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2, the
+  ``count_nodal_domains`` report at 1000 points, and on 1D_2p2 the
+  ``test_node_equivalence`` result of the x_2 flip onto 3P_2p2 at 2000
+  points.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from nda import estimators as est
+from nda import topology
 from nda.catalog import catalog_list, get_state
 from nda.hamiltonians import coulomb_atom, potential_batch
 
 CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
 ROWS = (1, 37, 2048)
 SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
+DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2")
 
 
 def _sha(obj) -> str:
@@ -121,6 +127,15 @@ def digest(states: Optional[Sequence] = None,
                 yield f"{st.name}/{name}/{tag} {_sha(_fields(run()))}"
             yield (f"{st.name}/metropolis_samples/{tag} "
                    f"{_sha(est.metropolis_samples(st, cfg))}")
+        if st.name in DOMAIN_STATES:
+            report = topology.count_nodal_domains(st, n_points=1000)
+            yield f"{st.name}/count_nodal_domains/n=1000 {_sha(_fields(report))}"
+        if st.name == "1D_2p2":
+            flip = topology.TransformSpec.axis_flip(2, axis=0, particle=1)
+            out = topology.test_node_equivalence(st, get_state("3P_2p2"), flip,
+                                                 n_points=2000)
+            yield (f"{st.name}/test_node_equivalence.3P_2p2.flip/n=2000 "
+                   f"{_sha(sorted(out.items()))}")
 
 
 if __name__ == "__main__":
