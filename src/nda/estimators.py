@@ -25,7 +25,8 @@ Shared conventions:
 * pot_nda, the ratio of the integrals of V |Psi| and |Psi|, and the
   integral of |Psi| are importance ratios on i.i.d. draws from the
   state's reference density g, whose weights |Psi| / g have every moment
-  finite; the node surface draws its own parameters;
+  finite; pot_nda is the ratio of pooled means (_Blocks with ratio).  The
+  node surface draws its own parameters;
 * every estimator adds per-row arrays, one per estimate, and a mask of
   the rows it keeps (None keeps all) into one _Blocks accumulator, which
   splits each chain's kept steps or draws into 50 blocks, counts the
@@ -37,17 +38,22 @@ Shared conventions:
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
   the ladder and then count like the others;
 * chains are combined by a plain mean (pot_nda: the ratio of the pooled
-  means); the quoted stderr comes from across-chain scatter when
-  n_chains >= 8 and from 50-block blocking otherwise (Flyvbjerg &
-  Petersen 1989);
-* the Psi^2 walk of the standard expectations carries two zero-variance
-  control columns (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi &
-  Imparato 2013), c_rad and c_lin of _control_columns: for a field F,
-  div F + 2 F . grad ln|Psi| has mean 0 under Psi^2 because the integral
-  of div(Psi^2 F) is 0.  _Blocks subtracts their leave-one-chain-out
-  regression from each integrand before the chain means and the stderr,
-  and floors the controlled stderr at the float rounding of the sums
-  (estimate_standard_expectations).
+  means, with the delta-method stderr); the quoted stderr comes from
+  across-chain scatter when n_chains >= 8 and from 50-block blocking
+  otherwise (Flyvbjerg & Petersen 1989);
+* the standard expectations and pot_nda carry two zero-variance control
+  columns each (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi & Imparato
+  2013).  For a field F, the integral of div(rho F) is 0 for rho = Psi^2
+  and for rho = |Psi|, which is continuous and vanishes on the node, so
+  div F + F . grad ln rho has mean 0 under rho.  F = sum_i x_i / r_i and
+  F = x give c_rad and c_lin on the Psi^2 walk (_control_columns) and,
+  times w = |Psi| / g, pot's w c'_rad and w c'_lin on the draws from g
+  (_abs_control_columns, from one radial-derivative evaluation).  _Blocks
+  has one controlled path for means and ratios: it fits the integrand on
+  the regressors (the columns; for pot w and the columns) leave one chain
+  out by a k x k Cramer solve (_loo_betas), subtracts the columns' terms
+  before the chain means and the stderr, and floors the controlled
+  stderr at the float rounding of the sums.
 """
 
 from __future__ import annotations
@@ -133,9 +139,10 @@ class NdaEstimate:
     or within float noise of the node); they are not in n_samples.
     acceptance_rate is the Metropolis estimators' fraction of accepted
     moves over all chains and the kept (post-burn-in) steps; None for the
-    other methods.  stderr_uncontrolled is the stderr of the Psi^2
-    estimators before their control variates were subtracted; None for the
-    other methods.
+    other methods.  stderr_uncontrolled is the stderr of the controlled
+    estimators (the Psi^2 estimators kin_std and pot_std, and pot_nda)
+    before their control variates were subtracted; None for the other
+    methods.
     """
 
     mean: float
@@ -194,22 +201,26 @@ class _Blocks:
     np.add.at adds in index order, so every block sums its rows in the
     order they are added, and the engines add them in step order.
 
-    With n_controls = 2 the last two of the added arrays are control
-    columns of known mean 0 (the std walk's c_rad and c_lin); estimates then
-    gives one controlled estimate per integrand (_controlled), and add also
-    sums each chain's |term| of every array, in row order, for the rounding
-    floor.
+    The added arrays are the n_values integrands, then with ratio a weight
+    w, then n_controls control columns of known mean 0.  An estimate is the
+    mean of the chain means of an integrand or, with ratio, the ratio of
+    its pooled mean to w's (_reduce).  With control columns, estimates
+    gives controlled estimates (_controlled), and add also sums each
+    chain's |term| of every array, in row order, for the rounding floor.
     """
 
     def __init__(self, n_chains: int, n_per_chain: int, n_values: int = 1,
-                 n_controls: int = 0):
+                 n_controls: int = 0, ratio: bool = False):
         self.n_per_chain = n_per_chain
+        self.n_values = n_values
         self.n_controls = n_controls
-        self.sums = np.zeros((n_values + n_controls, n_chains, _BLOCKS))
+        self.ratio = ratio
+        n_arrays = n_values + ratio + n_controls
+        self.sums = np.zeros((n_arrays, n_chains, _BLOCKS))
         self.counts = np.zeros((n_chains, _BLOCKS), dtype=np.int64)
         self.rejected = 0
         if n_controls:
-            self.magnitudes = np.zeros((n_values + n_controls, n_chains))
+            self.magnitudes = np.zeros((n_arrays, n_chains))
 
     def add(self, chains: np.ndarray, steps: np.ndarray, values: tuple,
             ok: Optional[np.ndarray] = None) -> None:
@@ -229,95 +240,162 @@ class _Blocks:
             for mag, w in zip(self.magnitudes, values):
                 np.add.at(mag, rows, np.abs(w))
 
-    def chain_means(self) -> np.ndarray:
-        """(n_values, n_chains) mean of every integrand over each chain."""
+    def _chain_counts(self) -> np.ndarray:
         counts = self.counts.sum(axis=1)
         if (counts == 0).any():
             raise RuntimeError("a chain collected no valid samples")
-        return self.sums.sum(axis=2) / counts
+        return counts
+
+    def chain_means(self) -> np.ndarray:
+        """(n_arrays, n_chains) mean of every added array over each chain."""
+        return self.sums.sum(axis=2) / self._chain_counts()
 
     def _controlled(self) -> tuple:
         """(block sums, floors) of the integrands less their control terms.
 
-        Chain c's coefficients beta_c are the weighted least-squares slopes
-        (with an intercept) of the integrand's count-weighted (chain, block)
-        means on the two columns' means over the other chains' blocks, so
+        The regressors are the arrays after the integrands: the control
+        columns, led by the weight w with ratio.  Chain c's coefficients
+        beta_c are the weighted least-squares slopes (with an intercept) of
+        the integrand's count-weighted (chain, block) means on the
+        regressors' means over the other chains' blocks (_loo_betas), so
         that no chain's own noise enters its coefficients; beta = 0 with one
         chain.  Each integrand's block sums become sums - beta_c . (the
-        columns' block sums).  Its floor bounds the float rounding of those
-        sums: a chain's mean of n terms t is a recursive sum, off by at most
-        (n - 1) u sum |t| / n < u sum |t| (u the unit roundoff), and the
-        floor is that bound averaged over the chains, with
-        sum |t| <= sum |integrand| + |beta_c| . sum |column|.
+        control columns' block sums); w is fitted too, so that the columns'
+        slopes are those of the ratio's residual, but its term stays.  Its
+        floor bounds the float rounding of those sums: a chain's mean of n
+        terms t is a recursive sum, off by at most (n - 1) u sum |t| / n <
+        u sum |t| (u the unit roundoff), and the floor is that bound
+        averaged over the chains, with sum |t| <= sum |integrand| +
+        |beta_c| . sum |column|.
         """
-        k = self.n_controls
-        ys, cs = self.sums[:-k], self.sums[-k:]
-        beta = _loo_betas(ys, cs, self.counts)          # (n_values, C, 2)
-        controlled = ys - beta[..., 0, None] * cs[0] - beta[..., 1, None] * cs[1]
-        mags = (self.magnitudes[:-k] + np.abs(beta[..., 0]) * self.magnitudes[-2]
-                + np.abs(beta[..., 1]) * self.magnitudes[-1])
+        n = self.n_values
+        ys, xs = self.sums[:n], self.sums[n:]
+        beta = _loo_betas(ys, xs, self.counts)          # (n_values, C, k)
+        controlled, mags = ys, self.magnitudes[:n]
+        for j in range(self.ratio, len(xs)):
+            controlled = controlled - beta[..., j, None] * xs[j]
+            mags = mags + np.abs(beta[..., j]) * self.magnitudes[n + j]
         return controlled, _UNIT_ROUNDOFF * mags.mean(axis=1)
+
+    def _reduce(self, sums: np.ndarray, floor: Optional[float] = None) -> tuple:
+        """(mean, stderr) of one integrand's block sums (C, B), the stderr
+        floored at floor if one is given.
+
+        The mean is the mean of the chain means.  With ratio it is the ratio
+        of the pooled means r = sum_c mean_c(y) / sum_c mean_c(w), not the
+        mean of per-chain ratios, whose bias is O(1 / draws per chain); its
+        stderr is the delta-method one, that of the residual
+        (y - r w) / mean_c(w), and the floor becomes (floor + |r| u
+        sum |w|) / mean_c(w), the rounding of the residual's two sums.
+        """
+        counts = self._chain_counts()
+        means = sums.sum(axis=1) / counts
+        if not self.ratio:
+            mean = means.mean()
+            stderr = _stderr_from_chains(means, sums, self.counts)
+        else:
+            w_sums = self.sums[self.n_values]
+            w = w_sums.sum(axis=1) / counts
+            mean, w_mean = means.sum() / w.sum(), w.mean()
+            stderr = _stderr_from_chains((means - mean * w) / w_mean,
+                                         (sums - mean * w_sums) / w_mean,
+                                         self.counts)
+            if floor is not None:
+                w_mag = self.magnitudes[self.n_values].mean()
+                floor = (floor + abs(mean) * _UNIT_ROUNDOFF * w_mag) / w_mean
+        return float(mean), stderr if floor is None else max(stderr, floor)
 
     def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
                   acceptance_rate: Optional[float] = None) -> list:
-        """One NdaEstimate per integrand: the mean of the chain means,
-        controlled when the blocks hold control columns."""
-        means = self.chain_means()
-        n_values = len(means) - self.n_controls
-        sums, floors, raw = self.sums[:n_values], [0.0] * n_values, [None] * n_values
+        """One NdaEstimate per integrand, controlled when the blocks hold
+        control columns; stderr_uncontrolled is then the stderr without
+        them."""
+        n = self.n_values
+        sums, floors, raw = self.sums[:n], [None] * n, [None] * n
         if self.n_controls:
-            raw = [_stderr_from_chains(m, b, self.counts)
-                   for m, b in zip(means, sums)]
+            raw = [self._reduce(y)[1] for y in sums]
             sums, floors = self._controlled()
-            means = sums.sum(axis=2) / self.counts.sum(axis=1)
-        return [NdaEstimate(
-            mean=float(m.mean()),
-            stderr=max(_stderr_from_chains(m, bsum, self.counts), floor),
-            n_samples=int(self.counts.sum()),
-            n_chains=cfg.n_chains,
-            seed=cfg.seed,
-            method=method,
-            status=status,
-            n_rejected=self.rejected,
-            acceptance_rate=acceptance_rate,
-            stderr_uncontrolled=raw_stderr,
-        ) for m, bsum, floor, raw_stderr in zip(means, sums, floors, raw)]
+        out = []
+        for y, floor, raw_stderr in zip(sums, floors, raw):
+            mean, stderr = self._reduce(y, floor)
+            out.append(NdaEstimate(
+                mean=mean,
+                stderr=stderr,
+                n_samples=int(self.counts.sum()),
+                n_chains=cfg.n_chains,
+                seed=cfg.seed,
+                method=method,
+                status=status,
+                n_rejected=self.rejected,
+                acceptance_rate=acceptance_rate,
+                stderr_uncontrolled=raw_stderr,
+            ))
+        return out
 
 
-def _loo_betas(ys: np.ndarray, cs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(n_values, C, 2) leave-one-chain-out control coefficients.
+def _det(m: list):
+    """Determinant of a k x k matrix given as rows of arrays, by cofactor
+    expansion along the first row: a * d - b * c for k = 2."""
+    if len(m) == 1:
+        return m[0][0]
+    det = None
+    for j, a in enumerate(m[0]):
+        term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        det = term if det is None else det - term if j % 2 else det + term
+    return det
 
-    ys (n_values, C, B) and cs (2, C, B) are block sums and counts (C, B)
-    their row counts.  Per chain, the weighted moments of the block means
-    (weights the counts) are the sums over blocks of n, S_j and S_i S_j / n;
-    chain c's fit takes the totals over the chains less its own, centres
-    them and solves the 2 x 2 normal equations by Cramer's rule.  A chain
-    whose fit is degenerate (one chain, or columns without spread) gets
-    beta = 0.
+
+def _loo_betas(ys: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(n_values, C, k) leave-one-chain-out regression coefficients.
+
+    ys (n_values, C, B) and the k regressors xs (k, C, B) are block sums
+    and counts (C, B) their row counts.  Per chain, the weighted moments of
+    the block means (weights the counts) are the sums over blocks of n,
+    S_i and S_i S_j / n; chain c's fit takes the totals over the chains
+    less its own, centres them and solves the k x k normal equations by
+    Cramer's rule.  A chain whose fit is degenerate (one chain, or
+    regressors without spread) gets beta = 0.  Every row of ys and xs is
+    first divided by the power of two at its largest magnitude and beta
+    multiplied back: the squares then stay in the float range at any scale
+    of the state (an extreme Z), and the scaling is exact, so every other
+    beta keeps its bits.
     """
-    C = counts.shape[0]
-    beta = np.zeros(ys.shape[:2] + (2,))
+    C, k = counts.shape[0], len(xs)
+    beta = np.zeros(ys.shape[:2] + (k,))
     if C < 2:
         return beta
+    ys, ey = _scaled_rows(ys)
+    xs, ex = _scaled_rows(xs)
     w = np.maximum(counts, 1)
-    c0, c1 = cs
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
 
     def moments(*rows):
         """each row summed over blocks, every chain's total less its own"""
         m = np.stack(rows).sum(axis=2)
         return m.sum(axis=1, keepdims=True) - m
 
-    n, s0, s1, q00, q01, q11 = moments(counts.astype(float), c0, c1,
-                                       c0 * c0 / w, c0 * c1 / w, c1 * c1 / w)
-    a, b, d = q00 - s0 * s0 / n, q01 - s0 * s1 / n, q11 - s1 * s1 / n
-    det = a * d - b * b
+    n, *mom = moments(counts.astype(float), *xs,
+                      *(xs[i] * xs[j] / w for i, j in pairs))
+    s, q = mom[:k], dict(zip(pairs, mom[k:]))
+    A = [[None] * k for _ in range(k)]
+    for i, j in pairs:
+        A[i][j] = A[j][i] = q[i, j] - s[i] * s[j] / n
+    det = _det(A)
     good = np.isfinite(det) & (det > 0.0)
     for v, y in enumerate(ys):
-        sy, e, f = moments(y, c0 * y / w, c1 * y / w)
-        e, f = e - s0 * sy / n, f - s1 * sy / n
-        beta[v, good, 0] = ((d * e - b * f) / det)[good]
-        beta[v, good, 1] = ((a * f - b * e) / det)[good]
-    return beta
+        sy, *rhs = moments(y, *(x * y / w for x in xs))
+        rhs = [r - si * sy / n for r, si in zip(rhs, s)]
+        for j in range(k):
+            Aj = [row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)]
+            beta[v, good, j] = (_det(Aj) / det)[good]
+    return np.ldexp(beta, (ey[:, None] - ex)[:, None, :])
+
+
+def _scaled_rows(a: np.ndarray) -> tuple:
+    """a (rows, C, B) with each row divided by 2^e, e the exponent of its
+    largest magnitude (frexp), and the exponents e."""
+    e = np.frexp(np.max(np.abs(a), axis=(1, 2)))[1]
+    return np.ldexp(a, -e[:, None, None]), e
 
 
 # --------------------------------------------------------------------------
@@ -545,12 +623,13 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
 
 
 def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
-                 integrand: Callable, n_values: int = 1,
-                 n: Optional[int] = None) -> _Blocks:
-    """Block sums of integrand(rows) -> (ok, n_values per-row arrays) over
-    n draws per chain (steps_per_chain if None)."""
+                 integrand: Callable, n: Optional[int] = None,
+                 **layout) -> _Blocks:
+    """Block sums of integrand(rows) -> (ok, per-row arrays) over n draws
+    per chain (steps_per_chain if None); layout is _Blocks' n_values,
+    n_controls and ratio."""
     n = n or cfg.steps_per_chain
-    acc = _Blocks(cfg.n_chains, n, n_values)
+    acc = _Blocks(cfg.n_chains, n, **layout)
     for chains, draws, x in _iid_stream(cfg, tag, draw, n):
         ok, values = integrand(x)
         acc.add(chains, draws, values, ok)
@@ -570,40 +649,75 @@ def estimate_abs_norm(state: StateSpec,
         cfg, "reference_ratio")[0]
 
 
+def _abs_control_columns(x: np.ndarray, v: np.ndarray,
+                         xg: np.ndarray) -> tuple:
+    """|Psi| c'_rad and |Psi| c'_lin at rows x of values v and radial
+    derivatives xg (m, N), xg[:, i] = x_i . grad_i Psi.
+
+    |Psi| c'_rad = sum_i (2 |Psi| + sign(Psi) x_i . grad_i Psi) / r_i and
+    |Psi| c'_lin = 3N |Psi| + sign(Psi) x . grad Psi, |Psi| (div F +
+    F . grad ln|Psi|) for F = sum_i x_i / r_i and F = x; both have mean 0
+    under |Psi| (estimate_pot_nda).  No division by Psi; the first is not
+    finite where an r_i is 0.
+    """
+    n_particles = xg.shape[1]
+    av, sign = np.abs(v), np.sign(v)
+    r = wf._norms(x.reshape(-1, n_particles, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rad = wf._row_sums((2.0 * av[:, None] + sign[:, None] * xg) / r)
+    return rad, 3.0 * n_particles * av + sign * wf._row_sums(xg)
+
+
 def estimate_pot_nda(state: StateSpec,
                      cfg: Optional[SamplerConfig] = None) -> NdaEstimate:
-    """E_pot^nda = integral V |Psi| / integral |Psi|, an importance ratio on
-    i.i.d. draws from the reference density g.
+    """E_pot^nda = integral V |Psi| / integral |Psi|, a controlled
+    importance ratio on i.i.d. draws from the reference density g.
 
     Each draw x gives the weight w = |Psi(x)| / g(x) and V(x) w; g is
-    normalized exactly and w has every moment finite.  The estimate is the
-    ratio of the pooled means, r = sum_c mean_c(V w) / sum_c mean_c(w),
-    not the mean of per-chain ratios, whose bias is O(1 / draws per
-    chain).  Its stderr is the delta-method one: that of the residual
-    y = (V w - r w) / mean_c(w), from across-chain scatter or blocking
-    (_stderr_from_chains).  Every chain draws steps_per_chain - burn_in
-    rows, as many as a Metropolis walk of the same config keeps: an i.i.d.
-    draw needs no burn-in.  Non-finite potential values (coincident
-    particles) are rejected and counted; they carry zero measure and occur
-    only at floating-point coincidences.
+    normalized exactly and w has every moment finite.  Every chain draws
+    steps_per_chain - burn_in rows, as many as a Metropolis walk of the
+    same config keeps: an i.i.d. draw needs no burn-in.
+
+    Control variates.  |Psi| is continuous and vanishes on the node, so
+    for a field F with |Psi| F decaying at infinity the integral of
+    div(|Psi| F) is 0 over every nodal domain, with no surface term, and
+    div F + F . grad ln|Psi| has mean 0 under |Psi|.  Times w, that is a
+    column of mean 0 under g.  One radial-derivative evaluation
+    (x_i . grad_i Psi per electron) gives two:
+    w c'_rad = sum_i (2 |Psi| + sign(Psi) x_i . grad_i Psi) / (r_i g)
+    (F = x_i / r_i for every electron) and
+    w c'_lin = (3N |Psi| + sign(Psi) x . grad Psi) / g (F = x).  Neither
+    divides by Psi, so no row near the node is dropped; a row with an
+    r_i = 0 (and any non-finite potential: coincident particles) is
+    rejected and counted.  For a hydrogenic orbital r^l exp(-a r) the
+    nuclear potential is affine in c'_rad, and a harmonic one in c'_lin.
+
+    The fit regresses V w on (w, w c'_rad, w c'_lin) per chain, leave one
+    chain out (_Blocks._controlled), subtracts the two column terms, and
+    takes the ratio of the pooled means of the controlled V w and of w.
+    The stderr is the delta-method one of the controlled residual, floored
+    at the float rounding of its sums: on seven model states (2P_2p, the
+    2p^2 trio, harmonic_noninteracting, subshell_k1_l1 and subshell_k1_l2)
+    the controlled ratio is exact and its scatter is rounding.
+    stderr_uncontrolled keeps the stderr without the columns; with one
+    chain there is nothing to fit on and the two agree.
     """
     cfg = cfg or SamplerConfig()
     model, g, h = _model(state), state.reference_density, state.hamiltonian()
 
     def integrand(x):
-        w = np.abs(model.values(x)) / g.pdf(x)
+        v, xg, _ = model._evaluate(x, True, False, radial=True)
+        dens = g.pdf(x)
+        w = np.abs(v) / dens
+        rad, lin = (c / dens for c in _abs_control_columns(x, v, xg))
         V = potential_batch(h, x)
-        return np.isfinite(V), (w, V * w)
+        ok = np.isfinite(V) & np.isfinite(rad) & np.isfinite(lin)
+        return ok, (V * w, w, rad, lin)
 
-    acc = _iid_average(cfg, _TAG_POT, g.sample, integrand, 2,
-                       cfg.steps_per_chain - cfg.resolved_burn_in())
-    w, vw = acc.chain_means()
-    ratio, w_mean = vw.sum() / w.sum(), w.mean()
-    stderr = _stderr_from_chains((vw - ratio * w) / w_mean,
-                                 (acc.sums[1] - ratio * acc.sums[0]) / w_mean,
-                                 acc.counts)
-    return replace(acc.estimates(cfg, "reference_ratio")[0],
-                   mean=float(ratio), stderr=stderr)
+    acc = _iid_average(cfg, _TAG_POT, g.sample, integrand,
+                       cfg.steps_per_chain - cfg.resolved_burn_in(),
+                       n_controls=2, ratio=True)
+    return acc.estimates(cfg, "reference_ratio")[0]
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,12 @@ determinants, each of one or two electrons.  Every term splits the
 electrons into the same channels, and the orbitals are hydrogenic 1s, 2s,
 2p along an axis, or circular (l = n - 1, m = l) through n = 3.
 :class:`HarmonicPair` is the trap pair.  Each evaluates through
-one ``_evaluate(x, want_grad, want_lap)``, which computes the shared parts
-once per call.  All models expose a batched API (``values``,
-``gradients``, ``laplacians`` and the fused ``vgl``, which returns all
-three for the same points) over arrays of shape ``(m, 3N)``.
+one ``_evaluate(x, want_grad, want_lap, radial=False)``, which computes
+the shared parts once per call; with ``radial`` its gradient part is each
+electron's radial derivative x_i . grad_i Psi, an ``(m, N)`` array.  All
+models expose a batched API (``values``, ``gradients``, ``laplacians`` and
+the fused ``vgl``, which returns all three for the same points) over
+arrays of shape ``(m, 3N)``.
 
 Radial factors are kept unnormalized (e.g. the 2p radial part is
 ``exp(-Z r / 2)``): every quantity computed downstream is a ratio of
@@ -254,8 +256,10 @@ class WaveFunction:
         """(values, gradients, laplacians) at the same points."""
         raise NotImplementedError
 
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
-        """(values, gradients, laplacians), None for a part not asked for."""
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
+                  radial: bool = False):
+        """(values, gradients, laplacians), None for a part not asked for;
+        with radial the gradients are x_i . grad_i Psi, (m, N)."""
         raise NotImplementedError
 
 
@@ -449,9 +453,12 @@ class SlaterProduct(WaveFunction):
                     grid[t, e] = t * K + k, first + i * stride
         self._contrib = (_key(grid[..., 0]), _key(grid[..., 1]))
 
-    def _table(self, x: np.ndarray, want_grad: bool, want_lap: bool):
+    def _table(self, x: np.ndarray, want_grad: bool, want_lap: bool,
+               radial: bool = False):
         """Table values (rows, m) and, as asked, gradients (rows, 3, m) and
-        Laplacians (rows, m) at the points x (m, 3N).
+        Laplacians (rows, m) at the points x (m, 3N).  With radial the
+        gradient axis has width 1 and holds x . grad(P f) = P (l f + r f'):
+        r f' (l = 0), P (f + r f') (l = 1) or P (2 f + r f') (l = 2).
 
         Same expressions as Orbital.value/grad/lap, less the terms that only
         add a signed zero: a constant polynomial (l = 0) is left out of the
@@ -466,19 +473,22 @@ class SlaterProduct(WaveFunction):
         xt = np.ascontiguousarray(x.T)
         pos = xt.reshape(self.n_particles, 3, m)
         r = np.sqrt(np.add.reduce((xt * xt).reshape(pos.shape), axis=1))
-        if derivs:
+        if want_lap or (want_grad and not radial):
             rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
         if want_grad:
-            rhat = pos * rinv[:, None]
+            # rhat, or for the radial derivative x . rhat = r
+            rhat = r[:, None] if radial else pos * rinv[:, None]
         T = np.empty((self._n_rows, m))
-        G = np.empty((self._n_rows, 3, m)) if want_grad else None
+        G = np.empty((self._n_rows, 1 if radial else 3, m)) if want_grad else None
         L = np.empty((self._n_rows, m)) if want_lap else None
         for orb, es, row0, axes, row1, row2 in self._kinds:
             rad = orb._radial(r[es], derivs)
             f = rad[0]
             E = len(f)
             if derivs:
-                fp, fpp, ri = rad[1], rad[2], rinv[es]
+                fp, fpp = rad[1], rad[2]
+            if want_lap:
+                ri = rinv[es]
             if want_grad:
                 rh = rhat[es]
             if row0 is not None:
@@ -494,10 +504,13 @@ class SlaterProduct(WaveFunction):
                 P = pos[es, axes]
                 np.multiply(P, f[:, None], out=T[s].reshape(E, A, m))
                 if want_grad:
-                    g = G[s].reshape(E, A, 3, m)
+                    g = G[s].reshape(E, A, -1, m)
                     np.multiply((P * fp[:, None])[:, :, None], rh[:, None], out=g)
-                    for k in range(A):
-                        g[:, k, axes.start + k] += f
+                    if radial:  # x . grad(P) = P
+                        g[:, :, 0] += P * f[:, None]
+                    else:
+                        for k in range(A):
+                            g[:, k, axes.start + k] += f
                 if want_lap:
                     np.multiply(P, (fpp + 4.0 * fp * ri)[:, None], out=L[s].reshape(E, A, m))
             if row2 is not None:
@@ -506,17 +519,20 @@ class SlaterProduct(WaveFunction):
                 P = _xxyy(p)
                 T[s] = P * f
                 if want_grad:
-                    g = f * _xxyy_grad(p) + (P * fp) * rh.transpose(1, 0, 2)
+                    dP = 2.0 * P[None] if radial else _xxyy_grad(p)  # x . grad(P) = 2 P
+                    g = f * dP + (P * fp) * rh.transpose(1, 0, 2)
                     G[s] = g.transpose(1, 0, 2)
                 if want_lap:
                     L[s] = P * (fpp + 6.0 * fp * ri)
         return T, G, L
 
-    def _blocks(self, x: np.ndarray, want_grad: bool, want_lap: bool):
-        """Determinants (blocks, m) and, as asked, gradient rows (rows, 3, m)
-        and Laplacians (blocks, m) of the distinct blocks, in plan order."""
+    def _blocks(self, x: np.ndarray, want_grad: bool, want_lap: bool,
+                radial: bool = False):
+        """Determinants (blocks, m) and, as asked, gradient rows (rows, 3, m;
+        rows, 1, m with radial) and Laplacians (blocks, m) of the distinct
+        blocks, in plan order."""
         m = x.shape[0]
-        T, G, L = self._table(x, want_grad, want_lap)
+        T, G, L = self._table(x, want_grad, want_lap, radial)
         dets, rows, laps = [], [], []
         for n, nb, key, keys in self._sizes:
             if n == 1:
@@ -546,11 +562,16 @@ class SlaterProduct(WaveFunction):
         return (_cat(dets), _cat(rows) if want_grad else None,
                 _cat(laps) if want_lap else None)
 
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
-        """(values, gradients, laplacians), None for a part not asked for."""
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
+                  radial: bool = False):
+        """(values, gradients, laplacians), None for a part not asked for;
+        with radial the gradients are x_i . grad_i Psi, (m, N).  A
+        determinant's x_i . grad_i is its cofactors times the orbitals'
+        x . grad, so the radial table runs through the same block and term
+        passes with one component for three."""
         m = x.shape[0]
         derivs = want_grad or want_lap
-        D, R, LB = self._blocks(x, want_grad, want_lap)
+        D, R, LB = self._blocks(x, want_grad, want_lap, radial)
         coeff = self._coeff
         prod = D[self._terms[0]] if coeff is None else coeff * D[self._terms[0]]
         for k in self._terms[1:]:
@@ -585,10 +606,11 @@ class SlaterProduct(WaveFunction):
             if other is not None:  # in place unless c is a view of R
                 c = np.multiply(other[cf][:, None], c,
                                 out=None if isinstance(cr, slice) else c)
-            gt = _ordered_sum(c.reshape(len(self.terms), n, 3, m))
+            d = R.shape[1]  # 3, or 1 with radial
+            gt = _ordered_sum(c.reshape(len(self.terms), n, d, m))
             # row-major (m, 3N): numpy's sum over a row (np.linalg.norm)
             # adds in a layout-dependent order
-            g = np.add(gt.reshape(3 * n, m).T, 0.0, out=np.empty((m, 3 * n)))
+            g = np.add(gt.reshape(d * n, m).T, 0.0, out=np.empty((m, d * n)))
         return v, g, lap
 
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -626,8 +648,11 @@ class HarmonicPair(WaveFunction):
         self.beta = float(beta)
         self.parameters = {"omega": self.omega, "correlated": correlated, "beta": beta}
 
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool):
-        """(values, gradients, laplacians), None for a part not asked for."""
+    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
+                  radial: bool = False):
+        """(values, gradients, laplacians), None for a part not asked for;
+        with radial the gradients are x_i . grad_i Psi, (m, 2), taken from
+        the gradient."""
         S = np.sum(x * x, axis=1)
         G = np.exp(-0.5 * self.omega * S)
         B = x[:, 2] - x[:, 5]
@@ -652,6 +677,8 @@ class HarmonicPair(WaveFunction):
             lap = GB * (self.omega ** 2 * S - 8.0 * self.omega)
             if self.correlated:
                 lap = lap * J + 2.0 * np.sum(g0 * gJ, axis=1) + GB * (4.0 * self.beta * ri)
+        if want_grad and radial:
+            g = _row_sums((x * g).reshape(-1, 2, 3))
         return v, g, lap
 
     def values(self, x: np.ndarray) -> np.ndarray:

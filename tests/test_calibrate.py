@@ -46,7 +46,7 @@ def test_calibrate_z_scores_are_the_estimates_deviations():
     rows = list(tool.z_scores(["pot"], [3], [st], 4, 600))
     e = estimate_pot_nda(st, SamplerConfig(n_chains=4, steps_per_chain=600, seed=3))
     assert rows == [("pot", "2P_2p", "pot_nda", 3, (e.mean + 1 / 6) / e.stderr,
-                     e.mean + 1 / 6)]
+                     e.mean + 1 / 6, e.stderr_uncontrolled / e.stderr)]
     assert np.isfinite(rows[0][4])
     assert tool._seeds("201-203,7") == [201, 202, 203, 7]
 
@@ -60,9 +60,9 @@ def test_calibrate_bias_is_the_mean_deviation_in_standard_errors():
     assert tool.bias(devs) == pytest.approx(2.5 / (np.std(devs, ddof=1) / 2))
     assert tool.bias([-1.0, 1.0]) == 0.0
     assert tool.bias([0.0, 0.0]) == 0.0 and tool.bias([2.0, 2.0]) == np.inf
-    rows = [("std", "s", "kin_std", seed, z, dev) for seed, (z, dev) in
+    rows = [("std", "s", "kin_std", seed, z, dev, None) for seed, (z, dev) in
             enumerate([(0.5, 1.0), (0.5, 1.0), (0.5, 2.0), (0.5, 2.0)])]
-    rows += [("std", "t", "kin_std", seed, z, dev) for seed, (z, dev) in
+    rows += [("std", "t", "kin_std", seed, z, dev, None) for seed, (z, dev) in
              enumerate([(0.5, -1.0), (0.5, 1.0), (0.5, -1.0), (0.5, 1.0)])]
     lines = tool.report(rows, 8)
     assert lines[0].split()[-1] == "bias/se"

@@ -30,6 +30,7 @@ def test_seeded_digest_repeats_itself():
     assert all(len(line.split()[1]) == 40 for line in first)
     kinds = {label.split("/")[1] for label in labels}
     assert kinds == {"vgl.v", "vgl.g", "vgl.lap", "values", "gradients", "laplacians",
+                     "radial",
                      "density.sample", "density.pdf", "density.pdf.points",
                      "node.draw_params", "node.sample",
                      "potential_batch.h", "potential_batch.h_ee", "pot", "std",

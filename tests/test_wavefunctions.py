@@ -241,6 +241,29 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
         assert r.tobytes() == f.tobytes() == s.tobytes()
 
 
+@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
+                         + ["subshell_k1_l1", "subshell_k1_l2", "mixed"])
+def test_radial_mode_is_x_dot_gradient_per_electron(name):
+    """_evaluate(..., radial=True) gives each electron's x_i . grad_i Psi,
+    (m, N), and the same values: the per-electron sum of x times the
+    gradients to 1e-12 of |Psi| + sum |x_k dPsi/dx_k| (the rounding scale
+    of that sum, whose terms cancel near a node), on Gaussian points, a row
+    of signed zeros and a row with an electron at the origin."""
+    model = (_slater_model(name, 1.3) if name == "mixed"
+             else get_state(name).model)
+    N = model.n_particles
+    x = np.random.default_rng(4).normal(scale=2.0, size=(500, 3 * N))
+    x[0, 0::3], x[0, 1::3] = -0.0, 0.0
+    x[1, :3] = 0.0
+    v, g, _ = model._evaluate(x, True, False)
+    v_rad, xg, lap = model._evaluate(x, True, False, radial=True)
+    assert xg.shape == (len(x), N) and lap is None
+    assert v_rad.tobytes() == v.tobytes()
+    terms = (x * g).reshape(-1, N, 3)
+    scale = np.abs(v)[:, None] + np.abs(terms).sum(axis=2)
+    assert np.all(np.abs(xg - terms.sum(axis=2)) <= 1e-12 * scale)
+
+
 def test_terms_must_share_one_partition():
     """The blocks are spin channels: every term splits electrons 0..N-1
     into the same blocks, or the model is a ValueError."""

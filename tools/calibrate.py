@@ -11,7 +11,10 @@ It prints:
   |z| over seeds, and the bias: the mean over seeds of (mean - exact)
   divided by its across-seed standard error.  Unlike the z mean, the bias
   does not move when (mean - exact) and the quoted stderr are correlated
-  (a skewed estimator), so it separates a real bias from skew;
+  (a skewed estimator), so it separates a real bias from skew; and, where
+  the estimator records one (pot, std), the control share: the median over
+  seeds of stderr_uncontrolled / stderr, how far its control variates cut
+  the stderr;
 * pooled per estimator, the fraction of |z| beyond the two-sided 95 % and
   99 % t quantiles (5 % and 1 % expected) and the KS p-value of all its
   z-scores against that t law.
@@ -64,9 +67,11 @@ def exact_value(state: StateSpec, component: str) -> Optional[float]:
 
 def z_scores(names: Sequence[str], seeds: Sequence[int],
              states: Sequence[StateSpec], n_chains: int,
-             steps: int) -> Iterator[Tuple[str, str, str, int, float, float]]:
-    """Yield (estimator, state, component, seed, z, mean - exact) for every
-    cell with an exact value."""
+             steps: int) -> Iterator[Tuple[str, str, str, int, float, float,
+                                           Optional[float]]]:
+    """Yield (estimator, state, component, seed, z, mean - exact, share) for
+    every cell with an exact value; share is stderr_uncontrolled / stderr,
+    or None where the estimate records no stderr_uncontrolled."""
     for name in names:
         applies, run, parts = ESTIMATORS[name]
         for st in states:
@@ -81,7 +86,9 @@ def z_scores(names: Sequence[str], seeds: Sequence[int],
                 for comp, key, exact in cells:
                     e = res if key is None else res[key]
                     z = (e.mean - exact) / e.stderr if e.stderr > 0 else np.inf
-                    yield name, st.name, comp, seed, float(z), e.mean - exact
+                    share = (None if e.stderr_uncontrolled is None
+                             else e.stderr_uncontrolled / e.stderr)
+                    yield name, st.name, comp, seed, float(z), e.mean - exact, share
 
 
 def bias(deviations: Sequence[float]) -> float:
@@ -94,7 +101,8 @@ def bias(deviations: Sequence[float]) -> float:
     return float(np.sign(d.mean()) * np.inf) if d.mean() else 0.0
 
 
-def report(rows: Sequence[Tuple[str, str, str, int, float, float]],
+def report(rows: Sequence[Tuple[str, str, str, int, float, float,
+                                Optional[float]]],
            n_chains: int) -> List[str]:
     """The per-cell and pooled lines for the rows of z_scores."""
     from scipy import stats
@@ -102,16 +110,18 @@ def report(rows: Sequence[Tuple[str, str, str, int, float, float]],
     q95, q99 = (float(stats.t.ppf(1.0 - p / 2.0, df)) for p in (0.05, 0.01))
     lines = [f"{'estimator':9s} {'state':24s} {'component':9s} "
              f"{'n':>4s} {'z mean':>7s} {'z s.d.':>7s} {'max |z|':>7s} "
-             f"{'bias/se':>7s}"]
+             f"{'unc/se':>8s} {'bias/se':>7s}"]
     cells = {}
-    for name, state, comp, _, z, dev in rows:
-        cells.setdefault((name, state, comp), []).append((z, dev))
-    for (name, state, comp), zd in cells.items():
-        z = np.asarray([pair[0] for pair in zd])
+    for name, state, comp, _, z, dev, share in rows:
+        cells.setdefault((name, state, comp), []).append((z, dev, share))
+    for (name, state, comp), zds in cells.items():
+        z = np.asarray([t[0] for t in zds])
         sd = float(np.std(z, ddof=1)) if z.size > 1 else float("nan")
+        shares = [t[2] for t in zds if t[2] is not None]
+        share = f"{np.median(shares):8.3g}" if shares else f"{'-':>8s}"
         lines.append(f"{name:9s} {state:24s} {comp:9s} {z.size:4d} "
                      f"{z.mean():+7.2f} {sd:7.2f} {np.abs(z).max():7.2f} "
-                     f"{bias([pair[1] for pair in zd]):+7.2f}")
+                     f"{share} {bias([t[1] for t in zds]):+7.2f}")
     t_sd = np.sqrt(df / (df - 2.0)) if df > 2 else float("inf")
     lines.append(f"pooled, against t_{df} (s.d. {t_sd:.2f}; 5 % beyond {q95:.2f}, "
                  f"1 % beyond {q99:.2f}):")

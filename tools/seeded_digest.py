@@ -9,9 +9,10 @@ outputs: no difference means every listed output is bitwise unchanged.
 For each of the 13 model states (the catalog states with a model, and
 ``subshell_k1_l1`` and ``subshell_k1_l2``), the outputs are:
 
-* ``vgl`` (and ``values``, ``gradients``, ``laplacians``) at fixed points,
-  1, 37 and 2048 rows, some with signed-zero coordinates or an electron at
-  the origin;
+* ``vgl`` (and ``values``, ``gradients``, ``laplacians`` and the radial
+  derivatives x_i . grad_i Psi of ``_evaluate(..., radial=True)``) at fixed
+  points, 1, 37 and 2048 rows, some with signed-zero coordinates or an
+  electron at the origin;
 * the reference density's ``sample`` and ``pdf`` at n = 1, 37 and 2048;
 * where the node is parametrized, the node parameters ``draw_params`` and
   the importance points ``sample`` (coordinates and weights) at n = 1, 37
@@ -98,6 +99,8 @@ def digest(states: Optional[Sequence] = None,
                 yield f"{st.name}/vgl.{part}/m={m} {_sha(a)}"
             for meth in ("values", "gradients", "laplacians"):
                 yield f"{st.name}/{meth}/m={m} {_sha(getattr(model, meth)(x))}"
+            radial = model._evaluate(x, True, False, radial=True)[1]
+            yield f"{st.name}/radial/m={m} {_sha(radial)}"
             draws = g.sample(np.random.default_rng(m), m)
             yield f"{st.name}/density.sample/n={m} {_sha(draws)}"
             yield f"{st.name}/density.pdf/n={m} {_sha(g.pdf(draws))}"
