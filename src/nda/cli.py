@@ -293,7 +293,6 @@ def cmd_compute(args) -> int:
                         n_rejected=k.n_rejected + p.n_rejected, method="sum",
                         status=_combined_status(k.status, p.status))
         estimates["sum"] = _estimate_entry(total, state.exact_total_energy)
-        del estimates["sum"]["acceptance_rate"]
 
     record = RunRecord(
         command="compute",

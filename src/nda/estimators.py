@@ -2,42 +2,38 @@
 
 Shared conventions:
 
-* every Metropolis walk and every i.i.d. estimator call owns one RNG
-  stream, seeded from (seed, stream tag), so results depend only on the
-  seed and the chain count.  A walk draws its chains' starting points in
-  one call, then per step and chain 3N proposal uniforms and one
-  acceptance uniform, a slab of steps at a time (_metropolis); an i.i.d.
-  call draws _CHUNK rows at a time, and row r of its stream is draw r % n
-  of chain r // n, so its chains are disjoint runs of one stream.  Memory
-  is bounded by _SLAB and _CHUNK, not by the sample budget;
-* one Metropolis law remains: _metropolis samples Psi^2, for the
-  standard expectations and for metropolis_samples (the topology module's
-  points), each on a stream of its own.  A step moves every chain with one
-  model call.  A walk sets its proposal width during burn-in, updating it
-  every _ADAPT steps toward acceptance 0.5 from its start at half the RMS
-  coordinate of its starting points; the kept steps use the width burn-in
-  ends with.  Kept Metropolis steps reach the estimators in blocks of
-  k = max(1, _ROWS // n_chains) steps, collect(js, xs, vs), so the
-  potential and vgl of about _ROWS rows (at least one row per chain)
-  share one call.  Every array operation treats rows independently and
-  every per-chain sum keeps its order, so the batching does not enter the
-  arithmetic;
-* pot_nda, the ratio of the integrals of V |Psi| and |Psi|, and the
-  integral of |Psi| are importance ratios on i.i.d. draws from the
-  state's reference density g, whose weights |Psi| / g have every moment
-  finite; pot_nda is the ratio of pooled means (_Blocks with ratio).  The
-  node surface draws its own parameters;
+* every estimator call and every Metropolis walk owns one RNG stream,
+  seeded from (seed, stream tag), so results depend only on the seed and
+  the chain count.  An i.i.d. call draws _CHUNK rows at a time, and row r
+  of its stream is draw r % n of chain r // n, so its chains are disjoint
+  runs of one stream.  A walk draws its chains' starting points in one
+  call, then per step and chain 3N proposal uniforms and one acceptance
+  uniform, a slab of steps at a time (_metropolis).  Memory is bounded by
+  _CHUNK and _SLAB, not by the sample budget;
+* the standard expectations <T> and <V>, pot_nda (the ratio of the
+  integrals of V |Psi| and |Psi|) and the integral of |Psi| are
+  importance ratios on i.i.d. draws from the state's reference density g,
+  whose weights |Psi| / g and Psi^2 / g have every moment finite; each
+  ratio is that of pooled means (_Blocks with ratio).  burn_in only sizes
+  the draws of pot and std: a pot chain draws steps_per_chain - burn_in
+  rows, a std chain one per _STEPS_PER_STD_DRAW of those.  The node
+  surface draws its own parameters;
+* one Metropolis law remains: _metropolis samples Psi^2 for
+  metropolis_samples, the topology module's points.  A step moves every
+  chain with one model call.  The walk sets its proposal width during
+  burn-in, updating it every _ADAPT steps toward acceptance 0.5 from its
+  start at half the RMS coordinate of its starting points; the kept steps
+  use the width burn-in ends with;
 * every estimator adds per-row arrays, one per estimate, and a mask of
   the rows it keeps (None keeps all) into one _Blocks accumulator, which
-  splits each chain's kept steps or draws into 50 blocks, counts the
-  rejected rows and gives the per-chain means and the NdaEstimates.  The
-  standard expectations add each block of kept steps of their walk,
-  _iid_average adds integrand(x) -> (ok, values) on each block of draws,
-  and the shell adds the blocks of _iid_stream after its pilot;
+  splits each chain's draws into 50 blocks, counts the rejected rows and
+  gives the per-chain means and the NdaEstimates.  _iid_average adds
+  integrand(x) -> (ok, values) on each block of draws, and the shell adds
+  the blocks of _iid_stream after its pilot;
 * the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
   the ladder and then count like the others;
-* chains are combined by a plain mean (pot_nda: the ratio of the pooled
+* chains are combined by a plain mean (a ratio: the ratio of the pooled
   means, with the delta-method stderr); the quoted stderr comes from
   across-chain scatter when n_chains >= 8 and from 50-block blocking
   otherwise (Flyvbjerg & Petersen 1989);
@@ -45,15 +41,15 @@ Shared conventions:
   columns each (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi & Imparato
   2013).  For a field F, the integral of div(rho F) is 0 for rho = Psi^2
   and for rho = |Psi|, which is continuous and vanishes on the node, so
-  div F + F . grad ln rho has mean 0 under rho.  F = sum_i x_i / r_i and
-  F = x give c_rad and c_lin on the Psi^2 walk (_control_columns) and,
-  times w = |Psi| / g, pot's w c'_rad and w c'_lin on the draws from g
-  (_abs_control_columns, from one radial-derivative evaluation).  _Blocks
-  has one controlled path for means and ratios: it fits the integrand on
-  the regressors (the columns; for pot w and the columns) leave one chain
-  out by a k x k Cramer solve (_loo_betas), subtracts the columns' terms
-  before the chain means and the stderr, and floors the controlled
-  stderr at the float rounding of the sums.
+  rho (div F + F . grad ln rho) integrates to 0.  F = sum_i x_i / r_i and
+  F = x give rho c_rad and rho c_lin from the radial derivatives
+  x_i . grad_i Psi, with no division by Psi (_control_columns); over g
+  they are columns of mean 0 under g.  _Blocks has one controlled path
+  for means and ratios: it fits the integrand on the regressors (the
+  weight and the columns) leave one chain out by a k x k Cramer solve
+  (_loo_betas), subtracts the columns' terms before the chain means and
+  the stderr, and floors the controlled stderr at the float rounding of
+  the sums.
 """
 
 from __future__ import annotations
@@ -84,10 +80,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048   # i.i.d. draws per block; Metropolis steps per slab at most
-_ROWS = 2048    # kept Metropolis rows per model call, but at least one step
 _SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
 _BLOCKS = 50
-_STD_THIN = 4  # thinning of the Psi^2 integrand
+_STEPS_PER_STD_DRAW = 4  # post-burn-in steps per i.i.d. draw of std
 _ADAPT = 16    # burn-in steps per Metropolis proposal-width update
 _MASK64 = (1 << 64) - 1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -105,10 +100,13 @@ _TAG_TOPOLOGY = 16
 class SamplerConfig:
     """Monte Carlo budget and reproducibility knobs.
 
-    burn_in defaults to 10% of steps_per_chain.  Every Metropolis walk
-    starts at half-width half the RMS coordinate of its starting points,
-    adapts it toward acceptance 0.5 every 16 burn-in steps and keeps the
-    width it ends burn-in with; burn_in=0 keeps the starting width.
+    burn_in defaults to 10% of steps_per_chain.  It only sizes the i.i.d.
+    draws of pot and std, which need no burn-in (steps_per_chain - burn_in
+    per chain for pot, one per _STEPS_PER_STD_DRAW of those for std), and
+    drives the topology walk (metropolis_samples): the walk starts at
+    half-width half the RMS coordinate of its starting points, adapts it
+    toward acceptance 0.5 every 16 burn-in steps and keeps the width it
+    ends burn-in with; burn_in=0 keeps the starting width.
     """
 
     n_chains: int = 8
@@ -135,14 +133,12 @@ class SamplerConfig:
 class NdaEstimate:
     """One scalar estimate.  status is "ok", "warning: ...", or "unconverged".
 
-    n_rejected counts the samples an estimator dropped (singular potential,
-    or within float noise of the node); they are not in n_samples.
-    acceptance_rate is the Metropolis estimators' fraction of accepted
-    moves over all chains and the kept (post-burn-in) steps; None for the
-    other methods.  stderr_uncontrolled is the stderr of the controlled
-    estimators (the Psi^2 estimators kin_std and pot_std, and pot_nda)
-    before their control variates were subtracted; None for the other
-    methods.
+    n_rejected counts the samples an estimator dropped (a singular
+    potential, or an electron at the nucleus, where a control column is
+    not finite); they are not in n_samples.  stderr_uncontrolled is the
+    stderr of the controlled estimators (the standard expectations kin_std
+    and pot_std, and pot_nda) before their control variates were
+    subtracted; None for the other methods.
     """
 
     mean: float
@@ -153,7 +149,6 @@ class NdaEstimate:
     method: str
     status: str = "ok"
     n_rejected: int = 0
-    acceptance_rate: Optional[float] = None
     stderr_uncontrolled: Optional[float] = None
 
 
@@ -196,10 +191,10 @@ def _model(state: StateSpec):
 class _Blocks:
     """Per-(chain, block) sums of n_values integrands, with their counts.
 
-    Each chain's n_per_chain kept steps or draws are split into _BLOCKS
-    blocks; step s of chain c lands in block s * _BLOCKS // n_per_chain.
-    np.add.at adds in index order, so every block sums its rows in the
-    order they are added, and the engines add them in step order.
+    Each chain's n_per_chain draws are split into _BLOCKS blocks; draw s
+    of chain c lands in block s * _BLOCKS // n_per_chain.  np.add.at adds
+    in index order, so every block sums its rows in the order they are
+    added, and the estimators add them in draw order.
 
     The added arrays are the n_values integrands, then with ratio a weight
     w, then n_controls control columns of known mean 0.  An estimate is the
@@ -222,11 +217,11 @@ class _Blocks:
         if n_controls:
             self.magnitudes = np.zeros((n_arrays, n_chains))
 
-    def add(self, chains: np.ndarray, steps: np.ndarray, values: tuple,
+    def add(self, chains: np.ndarray, draws: np.ndarray, values: tuple,
             ok: Optional[np.ndarray] = None) -> None:
-        """Add rows laid out as chains and steps broadcast and raveled;
+        """Add rows laid out as chains and draws broadcast and raveled;
         rows outside the mask ok are counted as rejected."""
-        flat = (steps * _BLOCKS // self.n_per_chain + chains * _BLOCKS).ravel()
+        flat = (draws * _BLOCKS // self.n_per_chain + chains * _BLOCKS).ravel()
         if ok is None:
             np.add.at(self.counts.reshape(-1), flat, 1)
         else:
@@ -305,8 +300,8 @@ class _Blocks:
                 floor = (floor + abs(mean) * _UNIT_ROUNDOFF * w_mag) / w_mean
         return float(mean), stderr if floor is None else max(stderr, floor)
 
-    def estimates(self, cfg: SamplerConfig, method: str, status: str = "ok",
-                  acceptance_rate: Optional[float] = None) -> list:
+    def estimates(self, cfg: SamplerConfig, method: str,
+                  status: str = "ok") -> list:
         """One NdaEstimate per integrand, controlled when the blocks hold
         control columns; stderr_uncontrolled is then the stderr without
         them."""
@@ -327,7 +322,6 @@ class _Blocks:
                 method=method,
                 status=status,
                 n_rejected=self.rejected,
-                acceptance_rate=acceptance_rate,
                 stderr_uncontrolled=raw_stderr,
             ))
         return out
@@ -399,22 +393,17 @@ def _scaled_rows(a: np.ndarray) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Metropolis engine
+# Metropolis walk (the topology module's points)
 
 
-def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
-                collect: Callable, thin: int) -> float:
+def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
+                thin: int) -> np.ndarray:
     """A Metropolis walk of n_chains chains, one model call per step.
 
-    The walk's stationary density is Psi^2, on the stream of tag.
-    Every thin-th post-burn-in step is kept: its configurations and raw
-    values are copied into a block of k = max(1, _ROWS // n_chains) kept
-    steps, and collect(js, xs, vs) is invoked with the kept-step indices
-    js (n,), the configurations xs (n, n_chains, 3N) and the raw values vs
-    (n, n_chains), n = k for every full block and n <= k for the last one.
-    A block thus holds at most max(_ROWS, n_chains) rows, which collect
-    evaluates in one model call; the block is reused, so collect copies
-    what it keeps.  Returns the acceptance rate over the kept steps.
+    The walk's stationary density is Psi^2, on the stream of
+    _TAG_TOPOLOGY.  Every thin-th post-burn-in step is kept: kept step j
+    of every chain is written to out[:, j], and out (n_chains, kept, 3N)
+    is returned.
 
     The walk proposes uniform(-w, w) moves in every coordinate.  Its
     half-width w starts at half the RMS coordinate of its starting points,
@@ -434,7 +423,8 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
     dim = 3 * model.n_particles
     C, steps = cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
-    rng = _stream(cfg.seed, tag)
+    out = np.empty((C, (steps - burn + thin - 1) // thin, dim))
+    rng = _stream(cfg.seed, _TAG_TOPOLOGY)
     x = state.reference_density.sample(rng, C)
     width = 0.5 * float(np.sqrt(np.mean(x * x)))
     log_width = math.log(width)
@@ -442,8 +432,7 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
     t, tp = v * v, np.empty_like(v)   # acceptance densities Psi^2
     # one slab buffer per run; accs holds each step's acceptances until the
     # slab's are counted into accepted, which restarts at every width
-    # update and at the end of burn-in.  Accepted rows of x move as whole
-    # void items.
+    # update.  Accepted rows of x move as whole void items.
     s = max(1, min(_CHUNK, steps, _SLAB // C))
     u = np.empty((s, C, dim + 1))
     accs = np.empty((s, C), dtype=bool)
@@ -451,9 +440,6 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
     xp = np.empty_like(x)
     row = np.dtype((np.void, x.itemsize * dim))
     xv, xpv = x.view(row).reshape(-1), xp.view(row).reshape(-1)
-    k = max(1, _ROWS // C)
-    js, xs, vs = np.empty(k, dtype=np.int64), np.empty((k, C, dim)), np.empty((k, C))
-    n = 0
     a = 0
     while a < steps:
         # during burn-in a slab ends at the next width update
@@ -470,33 +456,19 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig, tag: int,
             np.multiply(vp, vp, out=tp)
             acc = np.less(u[j, :, dim] * t, tp, out=accs[j])
             np.copyto(xv, xpv, where=acc)
-            np.copyto(v, vp, where=acc)
             np.copyto(t, tp, where=acc)
             g = a + j - burn
             if g >= 0 and g % thin == 0:
-                js[n], xs[n], vs[n] = g, x, v
-                n += 1
-                if n == k:
-                    collect(js, xs, vs)
-                    n = 0
-        accepted += int(np.count_nonzero(accs[:b]))
+                out[:, g // thin] = x
         a += b
-        if a <= burn and a % _ADAPT == 0:
-            rate = accepted / (_ADAPT * C)
-            log_width += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
-            width = math.exp(log_width)
-            accepted = 0
-        if a == burn:
-            accepted = 0
-    if n:
-        collect(js[:n], xs[:n], vs[:n])
-    return accepted / (C * (steps - burn))
-
-
-def _acceptance_status(rate: float) -> str:
-    if 0.1 <= rate <= 0.9:
-        return "ok"
-    return f"warning: acceptance rate {rate:.3f} outside [0.1, 0.9]"
+        if a <= burn:
+            accepted += int(np.count_nonzero(accs[:b]))
+            if a % _ADAPT == 0:
+                rate = accepted / (_ADAPT * C)
+                log_width += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
+                width = math.exp(log_width)
+                accepted = 0
+    return out
 
 
 def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
@@ -508,99 +480,8 @@ def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
     """
     if thin < 1:
         raise ValueError("thin must be a positive integer")
-    model = _model(state)
-    burn = cfg.resolved_burn_in()
-    kept_per_chain = (cfg.steps_per_chain - burn + thin - 1) // thin
-    out = np.empty((cfg.n_chains, kept_per_chain, 3 * model.n_particles))
-
-    def collect(js, xs, vs):
-        out[:, js // thin] = xs.swapaxes(0, 1)
-
-    _metropolis(model, state, cfg, _TAG_TOPOLOGY, collect, thin)
+    out = _metropolis(_model(state), state, cfg, thin)
     return out.reshape(-1, out.shape[-1])
-
-
-# --------------------------------------------------------------------------
-# standard expectations
-
-
-def _control_columns(x: np.ndarray, v: np.ndarray,
-                     grads: np.ndarray) -> tuple:
-    """c_rad and c_lin at rows x of values v and gradients grads.
-
-    c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi) / r_i and
-    c_lin = 3N + 2 x . grad Psi / Psi, the divergence of F plus
-    2 F . grad ln|Psi| for F = sum_i x_i / r_i and F = x; both have mean 0
-    under Psi^2 (estimate_standard_expectations).  c_rad is not finite
-    where an r_i is 0.
-    """
-    n_particles = x.shape[1] // 3
-    xg = wf._row_sums((x * grads).reshape(-1, n_particles, 3)) / v[:, None]
-    r = wf._norms(x.reshape(-1, n_particles, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_rad = wf._row_sums((2.0 + 2.0 * xg) / r)
-    return c_rad, 3.0 * n_particles + 2.0 * wf._row_sums(xg)
-
-
-def estimate_standard_expectations(state: StateSpec,
-                                   cfg: Optional[SamplerConfig] = None) -> dict:
-    """Standard quantum expectations <T> and <V> over the density Psi^2.
-
-    The kinetic part uses the local kinetic energy -lap(Psi)/(2 Psi).
-    Node-proximal points (not wf.off_node: |Psi| <= 1e-14 |x| |grad Psi|, a
-    test free of the length scale 1/Z) and non-finite potentials are
-    rejected and counted; both components use the same retained sample set.
-    Extends the method enumeration with "metropolis_psi_squared".
-
-    The integrand (a Laplacian plus a gradient per configuration) costs far
-    more than a Metropolis step, while successive configurations are
-    strongly correlated; evaluating it only every _STD_THIN-th kept step
-    cuts the dominant cost with a negligible loss of statistical power, as
-    _STD_THIN stays below the chain's autocorrelation time (tens of steps
-    for every catalog state).
-
-    Control variates.  For a vector field F with Psi^2 F decaying at
-    infinity, the divergence theorem gives integral div(Psi^2 F) = 0, so
-    div F + 2 F . grad Psi / Psi averages to exactly 0 under Psi^2.  The
-    gradients the Laplacian already needs give two such columns per row:
-    c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi) / r_i (F = x_i / r_i for
-    every electron; a row with an r_i = 0 is rejected and counted like a
-    singular potential) and c_lin = 3N + 2 x . grad Psi / Psi (F = x).  For
-    a hydrogenic orbital r^l exp(-a r) both -lap(Psi)/(2 Psi) and the
-    nuclear potential are linear in 1 / r, and so in c_rad.  Each chain c
-    subtracts beta_c . (c_rad, c_lin) from both integrands, beta_c being
-    the count-weighted least-squares slopes of the integrand's (chain,
-    block) means on the columns' means over the other chains' blocks:
-    chain c's noise does not enter its own coefficients, which keeps the
-    fit's bias out of the across-chain stderr; with one chain beta = 0 and
-    the estimate is the uncontrolled one.  stderr_uncontrolled keeps the
-    stderr without the columns.  On seven model states (2P_2p, the 2p^2
-    trio, harmonic_noninteracting, subshell_k1_l1 and subshell_k1_l2) the
-    controlled integrand is constant and its scatter is rounding, so each
-    controlled stderr is floored at a bound on the float rounding of its
-    sums (_Blocks._controlled), built from the magnitudes of the summed
-    terms.
-    """
-    cfg = cfg or SamplerConfig()
-    model, h = _model(state), state.hamiltonian()
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain - cfg.resolved_burn_in(),
-                  2, 2)
-    chains = np.arange(cfg.n_chains)
-
-    def collect(js, xs, vs):
-        x, v = xs.reshape(-1, xs.shape[-1]), vs.reshape(-1)
-        V = potential_batch(h, x)
-        _, grads, laps = model.vgl(x)
-        ok = np.isfinite(V) & wf.off_node(x, v, grads)
-        safe = np.where(ok, v, 1.0)
-        c_rad, c_lin = _control_columns(x, safe, grads)
-        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
-        acc.add(chains, js[:, None], (-0.5 * laps / safe, V, c_rad, c_lin), ok)
-
-    rate = _metropolis(model, state, cfg, _TAG_STD, collect, _STD_THIN)
-    kin, pot = acc.estimates(cfg, "metropolis_psi_squared",
-                             _acceptance_status(rate), rate)
-    return {"kin": kin, "pot": pot}
 
 
 # --------------------------------------------------------------------------
@@ -649,23 +530,80 @@ def estimate_abs_norm(state: StateSpec,
         cfg, "reference_ratio")[0]
 
 
-def _abs_control_columns(x: np.ndarray, v: np.ndarray,
-                         xg: np.ndarray) -> tuple:
-    """|Psi| c'_rad and |Psi| c'_lin at rows x of values v and radial
-    derivatives xg (m, N), xg[:, i] = x_i . grad_i Psi.
+def _control_columns(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     xg: np.ndarray) -> tuple:
+    """rho c_rad and rho c_lin of the density rho = |Psi|^p at rows x, from
+    a = rho, b = p |Psi|^(p - 1) sign(Psi) (Psi^2 and 2 Psi for p = 2,
+    |Psi| and sign(Psi) for p = 1) and the radial derivatives xg (m, N),
+    xg[:, i] = x_i . grad_i Psi.
 
-    |Psi| c'_rad = sum_i (2 |Psi| + sign(Psi) x_i . grad_i Psi) / r_i and
-    |Psi| c'_lin = 3N |Psi| + sign(Psi) x . grad Psi, |Psi| (div F +
-    F . grad ln|Psi|) for F = sum_i x_i / r_i and F = x; both have mean 0
-    under |Psi| (estimate_pot_nda).  No division by Psi; the first is not
+    rho c_rad = sum_i (2 a + b x_i . grad_i Psi) / r_i and
+    rho c_lin = 3N a + b x . grad Psi are rho (div F + F . grad ln rho)
+    for F = sum_i x_i / r_i and F = x, whose integrals are 0; divided by
+    g they have mean 0 under g.  No division by Psi; the first is not
     finite where an r_i is 0.
     """
     n_particles = xg.shape[1]
-    av, sign = np.abs(v), np.sign(v)
     r = wf._norms(x.reshape(-1, n_particles, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rad = wf._row_sums((2.0 * av[:, None] + sign[:, None] * xg) / r)
-    return rad, 3.0 * n_particles * av + sign * wf._row_sums(xg)
+        rad = wf._row_sums((2.0 * a[:, None] + b[:, None] * xg) / r)
+    return rad, 3.0 * n_particles * a + b * wf._row_sums(xg)
+
+
+def estimate_standard_expectations(state: StateSpec,
+                                   cfg: Optional[SamplerConfig] = None) -> dict:
+    """Standard quantum expectations <T> and <V> over the density Psi^2,
+    controlled importance ratios on i.i.d. draws from the reference
+    density g (method "reference_ratio").
+
+    Each draw x gives the weight w = Psi(x)^2 / g(x) and the numerators
+    -Psi lap(Psi) / (2 g), w times the local kinetic energy
+    -lap(Psi) / (2 Psi), and V w.  Every chain draws
+    ceil((steps_per_chain - burn_in) / _STEPS_PER_STD_DRAW) rows, a
+    quarter of pot's, since a row costs a Laplacian; an i.i.d. draw needs
+    no burn-in and has no start-up bias.
+
+    Control variates.  For a field F with Psi^2 F decaying at infinity the
+    integral of div(Psi^2 F) is 0, so Psi^2 div F + 2 Psi F . grad Psi
+    over g is a column of mean 0 under g.  One evaluation of the values,
+    radial derivatives x_i . grad_i Psi and Laplacians gives two:
+    w c_rad = sum_i (2 Psi^2 + 2 Psi x_i . grad_i Psi) / (r_i g)
+    (F = x_i / r_i for every electron) and
+    w c_lin = (3N Psi^2 + 2 Psi x . grad Psi) / g (F = x).  Nothing
+    divides by Psi, so no row near the node is dropped; a row with an
+    r_i = 0 (and any non-finite potential: coincident particles) is
+    rejected and counted.  For a hydrogenic orbital r^l exp(-a r) both
+    the local kinetic energy and the nuclear potential are affine in
+    c_rad, and a harmonic potential in c_lin.
+
+    As for pot_nda, each numerator is regressed on (w, w c_rad, w c_lin)
+    per chain, leave one chain out (_Blocks._controlled); the two column
+    terms are subtracted and the estimate is the ratio of the pooled means
+    of the controlled numerator and of w, with the delta-method stderr of
+    the controlled residual, floored at the float rounding of its sums: on
+    seven model states (2P_2p, the 2p^2 trio, harmonic_noninteracting,
+    subshell_k1_l1 and subshell_k1_l2) the controlled ratios are exact and
+    their scatter is rounding.  stderr_uncontrolled keeps the stderr
+    without the columns; with one chain the two agree.
+    """
+    cfg = cfg or SamplerConfig()
+    model, g, h = _model(state), state.reference_density, state.hamiltonian()
+
+    def integrand(x):
+        v, xg, lap = model._evaluate(x, True, True, radial=True)
+        dens = g.pdf(x)
+        w = v * v / dens
+        rad, lin = (c / dens for c in _control_columns(x, v * v, 2.0 * v, xg))
+        V = potential_batch(h, x)
+        ok = np.isfinite(V) & np.isfinite(rad) & np.isfinite(lin)
+        return ok, (-0.5 * v * lap / dens, V * w, w, rad, lin)
+
+    kept = cfg.steps_per_chain - cfg.resolved_burn_in()
+    acc = _iid_average(cfg, _TAG_STD, g.sample, integrand,
+                       -(-kept // _STEPS_PER_STD_DRAW),
+                       n_values=2, n_controls=2, ratio=True)
+    kin, pot = acc.estimates(cfg, "reference_ratio")
+    return {"kin": kin, "pot": pot}
 
 
 def estimate_pot_nda(state: StateSpec,
@@ -709,7 +647,8 @@ def estimate_pot_nda(state: StateSpec,
         v, xg, _ = model._evaluate(x, True, False, radial=True)
         dens = g.pdf(x)
         w = np.abs(v) / dens
-        rad, lin = (c / dens for c in _abs_control_columns(x, v, xg))
+        rad, lin = (c / dens for c in
+                    _control_columns(x, np.abs(v), np.sign(v), xg))
         V = potential_batch(h, x)
         ok = np.isfinite(V) & np.isfinite(rad) & np.isfinite(lin)
         return ok, (V * w, w, rad, lin)

@@ -1,11 +1,12 @@
 """Nodal-domain counting and node-equivalence tests.
 
 Both operations work on sign information only: domains are connected
-components of the same-sign sample graph, and equivalence of two nodes is
-falsified by a single robust sign disagreement under the candidate
-coordinate transformation.  The points are metropolis_samples, the Psi^2
-walk of the standard expectations on a stream of its own, and a sign is
-robust off the node by the same rule as there (wavefunctions.off_node).
+components of the same-label sample graph (a label is sign(Psi), or the
+block-determinant signs of a one-term product), and equivalence of two
+nodes is falsified by a single robust sign disagreement under the
+candidate coordinate transformation.  The points are metropolis_samples, a
+Psi^2 Metropolis walk on a stream of its own, and a sign is robust off the
+node by the rule of the local energy (wavefunctions.off_node).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .catalog import StateSpec
 from .estimators import SamplerConfig, metropolis_samples
-from .wavefunctions import off_node
+from .wavefunctions import SlaterProduct, off_node
 
 __all__ = [
     "TransformSpec",
@@ -131,17 +132,37 @@ def _sample_points(state: StateSpec, n_points: int, seed: int,
     return pts[:n_points]
 
 
+def _labels(model, x: np.ndarray) -> np.ndarray:
+    """(m, K) sign labels of the points x: the signs of the K block
+    determinants of a one-term SlaterProduct, else sign(Psi) (K = 1)."""
+    if isinstance(model, SlaterProduct) and len(model.terms) == 1:
+        return np.sign(model._blocks(x, False, False)[0]).T
+    return np.sign(model.values(x))[:, None]
+
+
 def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                         k_neighbors: int = 12, segment_checks: int = 16,
                         seed: int = 20260801) -> DomainReport:
-    """Upper bound on the number of nodal domains from sampled sign regions.
+    """The number of nodal domains from sampled sign regions.
 
     Samples follow Psi^2; an edge joins two k-nearest neighbors only when
     both endpoints and all segment_checks interior points of the straight
-    segment carry the same sign of Psi.  Connected components of that graph
-    are counted with scipy.sparse.csgraph.connected_components.  The count
-    converges to the true domain count from above as the sampling is
-    refined.
+    segment carry the same nonzero label (_labels).  Connected components
+    of that graph are counted with
+    scipy.sparse.csgraph.connected_components.
+
+    The count is an upper bound, falling to the true domain count as the
+    sampling is refined, wherever every label region is one domain, since
+    then no edge joins two domains.  That holds for a one-term product
+    whose blocks each have two connected sign regions (the one-term
+    catalog states 2P_2p, 3S_1s2s, 3P_1s2p, 3P_2p2 and 1S_1s2_2s2, whose
+    four domains are the sign pairs of its two determinants), and for a
+    state with two domains, one per sign of Psi (1S_2p2, 1D_2p2 and the
+    harmonic pairs).  Elsewhere, an edge can cross the node twice between
+    two checks, keep its label and join two domains, so the count can
+    fall below the true one: on a sum of terms with more than two domains,
+    or on a block with two domains of one sign (subshell_k1_l2's
+    x^2 - y^2).
 
     Isolated far-tail points whose nearest neighbors all sit across a nodal
     sheet would otherwise surface as spurious singleton components, so tiny
@@ -160,7 +181,8 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
         raise ValueError("segment_checks must be at least 1")
     pts = _sample_points(state, n_points, seed)
     n_points = pts.shape[0]
-    signs = np.sign(model.values(pts))
+    labels = _labels(model, pts)
+    signs = np.prod(labels, axis=1)   # sign(Psi), up to one global sign
 
     minority = min(np.sum(signs > 0), np.sum(signs < 0)) / n_points
     notes = []
@@ -173,26 +195,28 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     dst = nbr[:, 1:].reshape(-1)
     keep = src < dst                       # undirected, dedup
     src, dst = src[keep], dst[keep]
-    same = signs[src] * signs[dst] > 0
+    same = np.all(labels[src] * labels[dst] > 0, axis=1)
     src, dst = src[same], dst[same]
 
     frac = np.arange(1, segment_checks + 1) / (segment_checks + 1.0)
     dim = pts.shape[1]
     chunk = max(1, 2_000_000 // (segment_checks * dim))
 
-    def keeps_sign(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Whether Psi keeps the sign of point i[k] at every interior check
-        of the segment from it to point j[k], chunk segments per call."""
+    def keeps_label(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether every interior check of the segment from point i[k] to
+        point j[k] carries the nonzero label of point i[k], chunk segments
+        per call."""
         good = np.empty(i.size, dtype=bool)
         for lo in range(0, i.size, chunk):
             ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
             a, b = pts[ii, None], pts[jj, None]
-            v = model.values((a + frac[:, None] * (b - a)).reshape(-1, dim))
+            v = _labels(model, (a + frac[:, None] * (b - a)).reshape(-1, dim))
             good[lo:lo + chunk] = np.all(
-                v.reshape(-1, segment_checks) * signs[ii, None] > 0, axis=1)
+                v.reshape(ii.size, segment_checks, -1) * labels[ii, None] > 0,
+                axis=(1, 2))
         return good
 
-    good = keeps_sign(src, dst)
+    good = keeps_label(src, dst)
     edges = [(src[good], dst[good])]
     n_edges = int(src.size)
 
@@ -224,10 +248,11 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                 continue
             members = np.flatnonzero(roots == r)
             _, cand = tree.query(pts[members], k=kq)
-            outside = (roots[cand] != r) & (signs[cand] == signs[members, None])
+            outside = ((roots[cand] != r)
+                       & np.all(labels[cand] == labels[members, None], axis=2))
             row, col = np.nonzero(outside & (np.cumsum(outside, axis=1) <= 24))
             p, q = members[row], cand[row, col]
-            passed = np.flatnonzero(keeps_sign(p, q))
+            passed = np.flatnonzero(keeps_label(p, q))
             if passed.size:
                 first = passed[0]
                 n_edges += int(first) + 1

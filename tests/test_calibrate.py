@@ -44,7 +44,8 @@ def test_calibrate_z_scores_are_the_estimates_deviations():
     from nda.estimators import SamplerConfig, estimate_pot_nda
     st = get_state("2P_2p")
     rows = list(tool.z_scores(["pot"], [3], [st], 4, 600))
-    e = estimate_pot_nda(st, SamplerConfig(n_chains=4, steps_per_chain=600, seed=3))
+    e = estimate_pot_nda(st, SamplerConfig(n_chains=4, steps_per_chain=600,
+                                           seed=tool.cell_seed(3, "2P_2p")))
     assert rows == [("pot", "2P_2p", "pot_nda", 3, (e.mean + 1 / 6) / e.stderr,
                      e.mean + 1 / 6, e.stderr_uncontrolled / e.stderr)]
     assert np.isfinite(rows[0][4])
@@ -84,3 +85,22 @@ def test_calibrate_defaults_to_the_13_model_states(monkeypatch):
     assert tool.main(["--estimators", "std"]) == 0
     assert len(seen) == len(set(seen)) == 13
     assert {"subshell_k1_l1", "subshell_k1_l2", "2P_2p"} <= set(seen)
+
+
+@pytest.mark.parametrize("a,b", [("1S_1s2_2s2", "1S_1s2_2p2"),
+                                 ("3S_1s2s", "3P_1s2p")])
+def test_states_sharing_g_get_different_streams(a, b):
+    """Two states with the same reference density g draw the same points
+    from one stream, so each cell runs at its own seed: at one calibration
+    seed their pot and std draws differ."""
+    tool = _calibrate_module()
+    from nda import estimators
+    from nda.catalog import get_state
+    ga, gb = get_state(a).reference_density, get_state(b).reference_density
+    same = [g.sample(np.random.default_rng(1), 5) for g in (ga, gb)]
+    assert np.array_equal(*same)
+    assert tool.cell_seed(201, a) != tool.cell_seed(201, b)
+    for tag in (estimators._TAG_POT, estimators._TAG_STD):
+        draws = [g.sample(estimators._stream(tool.cell_seed(201, s), tag), 5)
+                 for g, s in ((ga, a), (gb, b))]
+        assert not np.array_equal(*draws)

@@ -52,20 +52,14 @@ def test_same_seed_bitwise_identical():
 
 
 def test_chain_batching_does_not_change_results(monkeypatch):
-    """Results are fixed by (seed, n_chains), however the chains are batched.
-
-    _ROWS = 1 evaluates one chain per model call; 150 groups the 52-draw
-    tail chunk (2100 = 2048 + 52 draws per chain) two chains at a time,
-    splitting the five chains unevenly; the default batches all of them.
-    _SLAB = 1 draws the Metropolis noise one step at a time, 5 * 37 in
-    37-step slabs, and the default a chunk at a time.
-    """
+    """Results are fixed by (seed, n_chains), however the walk's noise is
+    batched: _SLAB = 1 draws it one step at a time, 5 * 37 in 37-step
+    slabs, and the default a chunk at a time; the estimators, all i.i.d.,
+    and the walk's points agree to the bit."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
     results = []
-    for rows, slab in ((1, 1), (150, 5 * 37),
-                       (estimators._ROWS, estimators._SLAB)):
-        monkeypatch.setattr(estimators, "_ROWS", rows)
+    for slab in (1, 5 * 37, estimators._SLAB):
         monkeypatch.setattr(estimators, "_SLAB", slab)
         p = estimate_pot_nda(st, cfg=cfg)
         s = estimate_standard_expectations(st, cfg=cfg)
@@ -73,7 +67,8 @@ def test_chain_batching_does_not_change_results(monkeypatch):
         k = estimate_kin_nda_surface(st, cfg)
         sh = estimate_kin_nda_shell(st, cfg)
         results.append([(e.mean, e.stderr)
-                        for e in (p, s["kin"], s["pot"], a, k, sh)])
+                        for e in (p, s["kin"], s["pot"], a, k, sh)]
+                       + [metropolis_samples(st, cfg, thin=7).tobytes()])
     assert results[0] == results[1] == results[2]
 
 
@@ -121,7 +116,7 @@ def test_standard_expectations_hit_exact_values():
     out = estimate_standard_expectations(st, cfg=FAST)
     assert abs(out["kin"].mean - 0.125) < 3 * out["kin"].stderr
     assert abs(out["pot"].mean - (-0.25)) < 3 * out["pot"].stderr
-    assert out["kin"].method == "metropolis_psi_squared"
+    assert out["kin"].method == "reference_ratio"
 
 
 def test_abs_norm_matches_quadrature():
@@ -169,31 +164,24 @@ def test_shell_flags_starved_ladder_as_unconverged():
     assert est.status == "unconverged"
 
 
-def test_acceptance_status_flags_rates_outside_the_band():
-    """A Metropolis estimate whose acceptance rate leaves [0.1, 0.9] says so
-    in its status; the burn-in adaptation that keeps the walks near 0.5 is
-    checked by test_adapted_walks_accept_half_and_hit_exact_values."""
-    for rate in (0.1, 0.5, 0.9):
-        assert estimators._acceptance_status(rate) == "ok"
-    assert (estimators._acceptance_status(0.05)
-            == "warning: acceptance rate 0.050 outside [0.1, 0.9]")
-    assert (estimators._acceptance_status(0.95)
-            == "warning: acceptance rate 0.950 outside [0.1, 0.9]")
-
-
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
                          + ["subshell_k1_l1", "subshell_k1_l2"])
 def test_adapted_walks_accept_half_and_hit_exact_values(name):
-    """On every model state, the subshell models included, the Psi^2 walk
-    started at half the RMS starting coordinate accepts 0.45 to 0.55 of
-    its kept moves, and pot_nda, kin_std and pot_std lie within the t_15
-    quantile for p = 1e-4 (5.24 stderr) of their exact values."""
+    """On every model state, the subshell models included, the topology
+    walk started at half the RMS starting coordinate accepts 0.45 to 0.55
+    of its kept moves (a uniform proposal never moves a chain by exactly
+    0, so a move is accepted where a kept step differs from the one
+    before), and pot_nda, kin_std and pot_std lie within the t_15 quantile
+    for p = 1e-4 (5.24 stderr) of their exact values."""
     st = get_state(name)
     cfg = SamplerConfig(n_chains=16, steps_per_chain=20_000)
+    walk = metropolis_samples(st, SamplerConfig(n_chains=16, steps_per_chain=4000))
+    walk = walk.reshape(16, -1, walk.shape[-1])
+    rate = np.mean(np.any(walk[:, 1:] != walk[:, :-1], axis=2))
+    assert 0.45 <= rate <= 0.55, rate
     std = estimate_standard_expectations(st, cfg=cfg)
     got = {"pot_nda": estimate_pot_nda(st, cfg=cfg),
            "kin_std": std["kin"], "pot_std": std["pot"]}
-    assert 0.45 <= got["kin_std"].acceptance_rate <= 0.55, got["kin_std"]
     exact = {"pot_nda": st.exact_nda["pot"]}
     if st.exact_standard is not None:
         exact.update(kin_std=st.exact_standard["kin"],
@@ -224,8 +212,7 @@ def _reference_walk(state, cfg, thin, tag):
     chain.  The half-width starts at half the RMS starting coordinate;
     after burn-in step j, j a multiple of 16, its log moves by
     3 (rate - 0.5) / sqrt(j / 16), rate being the acceptance of the last
-    16 steps.  Yields (kept-step index, x, raw values) for every
-    thin-th kept step."""
+    16 steps.  Yields the chains' x at every thin-th kept step."""
     model = state.model
     dim = 3 * model.n_particles
     steps, burn = cfg.steps_per_chain, cfg.resolved_burn_in()
@@ -242,7 +229,6 @@ def _reference_walk(state, cfg, thin, tag):
         tp = vp * vp
         acc = u[:, dim] * t < tp
         x = np.where(acc[:, None], xp, x)
-        v = np.where(acc, vp, v)
         t = np.where(acc, tp, t)
         n_accepted += int(acc.sum())
         if j + 1 <= burn and (j + 1) % 16 == 0:
@@ -250,11 +236,11 @@ def _reference_walk(state, cfg, thin, tag):
             log_step += 3.0 * (rate - 0.5) / math.sqrt((j + 1) // 16)
             step, n_accepted = math.exp(log_step), 0
         if j >= burn and (j - burn) % thin == 0:
-            yield j - burn, x, v
+            yield x
 
 
 def _reference_metropolis_samples(state, cfg, thin, tag):
-    kept = [x for _, x, _ in _reference_walk(state, cfg, thin, tag)]
+    kept = list(_reference_walk(state, cfg, thin, tag))
     return np.stack(kept, axis=1).reshape(-1, kept[0].shape[1])
 
 
@@ -266,19 +252,13 @@ def _reference_reduce(bsum, bcnt, rejected):
             int(counts.sum()), int(rejected.sum()), None)
 
 
-def _pot_draws(state, cfg):
-    """The pot stream's n_chains * n draws, n = steps_per_chain - burn_in,
-    drawn in _CHUNK-row blocks: (chain, draw, row) of every draw, row r
-    being draw r % n of chain r // n and row its (V w, w, w c'_rad,
-    w c'_lin), w = |Psi| / g, from the radial derivatives
-    x_i . grad_i Psi."""
+def _pot_rows(state):
+    """x -> (V w, w, w c'_rad, w c'_lin) per row, w = |Psi| / g, from the
+    radial derivatives x_i . grad_i Psi."""
     g, model, h = state.reference_density, state.model, state.hamiltonian()
     N = model.n_particles
-    n = cfg.steps_per_chain - cfg.resolved_burn_in()
-    rng = _stream(cfg.seed, estimators._TAG_POT)
-    total = cfg.n_chains * n
-    for r0 in range(0, total, estimators._CHUNK):
-        x = g.sample(rng, min(estimators._CHUNK, total - r0))
+
+    def rows(x):
         v, xg, _ = model._evaluate(x, True, False, radial=True)
         dens, av, sign = g.pdf(x), np.abs(v), np.sign(v)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,28 +269,71 @@ def _pot_draws(state, cfg):
         for i in range(1, N):
             c_rad, c_lin = c_rad + rad[i], c_lin + xg[:, i]
         w = av / dens
-        rows = np.stack([estimators.potential_batch(h, x) * w, w,
+        return np.stack([estimators.potential_batch(h, x) * w, w,
                          c_rad / dens, (3.0 * N * av + sign * c_lin) / dens], 1)
-        for r in range(x.shape[0]):
-            yield (r0 + r) // n, (r0 + r) % n, rows[r]
+    return rows
+
+
+def _std_rows(state):
+    """x -> (-Psi lap(Psi) / (2 g), V w, w, w c_rad, w c_lin) per row,
+    w = Psi^2 / g, from one evaluation of the values, radial derivatives
+    x_i . grad_i Psi and Laplacians."""
+    g, model, h = state.reference_density, state.model, state.hamiltonian()
+    N = model.n_particles
+
+    def rows(x):
+        v, xg, lap = model._evaluate(x, True, True, radial=True)
+        dens, v2 = g.pdf(x), v * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rad = [(2.0 * v2 + 2.0 * v * xg[:, i])
+                   / np.linalg.norm(x[:, 3 * i:3 * i + 3], axis=1)
+                   for i in range(N)]
+        c_rad, c_lin = rad[0], xg[:, 0]
+        for i in range(1, N):
+            c_rad, c_lin = c_rad + rad[i], c_lin + xg[:, i]
+        w = v2 / dens
+        return np.stack([-0.5 * v * lap / dens,
+                         estimators.potential_batch(h, x) * w, w,
+                         c_rad / dens, (3.0 * N * v2 + 2.0 * v * c_lin) / dens], 1)
+    return rows
+
+
+def _ratio_blocks(state, cfg, tag, n, rows):
+    """The stream of tag's n_chains * n draws, drawn in _CHUNK-row blocks
+    (row r is draw r % n of chain r // n) and added one at a time: block
+    sums (k, C, B) of the k arrays of rows(x), counts (C, B), the chains'
+    sums of |term| (k, C) and the rejected rows (a non-finite entry)."""
+    g, C, B = state.reference_density, cfg.n_chains, estimators._BLOCKS
+    rng = _stream(cfg.seed, tag)
+    total = C * n
+    bsum = bcnt = mags = None
+    rejected = 0
+    for r0 in range(0, total, estimators._CHUNK):
+        block = rows(g.sample(rng, min(estimators._CHUNK, total - r0)))
+        if bsum is None:
+            k = block.shape[1]
+            bsum, mags = np.zeros((k, C, B)), np.zeros((k, C))
+            bcnt = np.zeros((C, B), dtype=np.int64)
+        for r, row in enumerate(block, r0):
+            c, j = divmod(r, n)
+            if not np.all(np.isfinite(row)):
+                rejected += 1
+                continue
+            bsum[:, c, j * B // n] += row
+            bcnt[c, j * B // n] += 1
+            mags[:, c] += np.abs(row)
+    return bsum, bcnt, mags, rejected
 
 
 def _pot_blocks(state, cfg):
-    """The pot draws added one at a time: block sums (4, C, B) of
-    (V w, w, w c'_rad, w c'_lin), counts (C, B), the chains' sums of |term|
-    (4, C) and the rejected rows (a non-finite V or column)."""
-    C, B = cfg.n_chains, estimators._BLOCKS
-    n = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum, bcnt = np.zeros((4, C, B)), np.zeros((C, B), dtype=np.int64)
-    mags, rejected = np.zeros((4, C)), 0
-    for c, j, row in _pot_draws(state, cfg):
-        if not np.all(np.isfinite(row)):
-            rejected += 1
-            continue
-        bsum[:, c, j * B // n] += row
-        bcnt[c, j * B // n] += 1
-        mags[:, c] += np.abs(row)
-    return bsum, bcnt, mags, rejected
+    return _ratio_blocks(state, cfg, estimators._TAG_POT,
+                         cfg.steps_per_chain - cfg.resolved_burn_in(),
+                         _pot_rows(state))
+
+
+def _std_draws(cfg):
+    """ceil((steps_per_chain - burn_in) / 4): std's draws per chain."""
+    return -(-(cfg.steps_per_chain - cfg.resolved_burn_in()) // 4)
 
 
 def _reference_betas(y, cols, bcnt):
@@ -353,90 +376,52 @@ def _reference_betas(y, cols, bcnt):
     return beta
 
 
-def _reference_pot(state, cfg):
-    """estimate_pot_nda adding one draw at a time to its block: V w less
-    chain c's beta_c . (w c'_rad, w c'_lin), fitted on (w, w c'_rad,
-    w c'_lin); the ratio of the pooled means of it and of w, the stderr of
-    the residual (controlled V w - ratio w) / (mean of the chain means of
+def _reference_ratios(bsum, bcnt, mags, rejected, n_values):
+    """The controlled ratio estimates of blocks with n_values numerators y,
+    then the weight w and the columns (w c_rad, w c_lin): each y less
+    chain c's beta_c . (w c_rad, w c_lin), fitted on (w, w c_rad,
+    w c_lin); the ratio of the pooled means of it and of w, the stderr of
+    the residual (controlled y - ratio w) / (mean of the chain means of
     w), floored at the unit roundoff times (the chains' mean of
-    sum |V w| + |beta_c| . sum |column| + |ratio| sum w) / that mean of w;
-    the uncontrolled stderr likewise, from V w."""
-    bsum, bcnt, mags, rejected = _pot_blocks(state, cfg)
-    beta = _reference_betas(bsum[0], bsum[1:], bcnt)
-    controlled = (bsum[0] - beta[:, 1, None] * bsum[2]
-                  - beta[:, 2, None] * bsum[3])
-    floors = mags[0] + np.abs(beta[:, 1]) * mags[2] + np.abs(beta[:, 2]) * mags[3]
+    sum |y| + |beta_c| . sum |column| + |ratio| sum w) / that mean of w;
+    the uncontrolled stderr likewise, from y."""
     u = np.finfo(float).eps / 2
     counts = bcnt.sum(axis=1)
-    w = bsum[1].sum(axis=1) / counts
+    ws, cols = bsum[n_values], bsum[n_values + 1:]
+    w = ws.sum(axis=1) / counts
+    out = []
+    for v in range(n_values):
+        beta = _reference_betas(bsum[v], bsum[n_values:], bcnt)
+        controlled = (bsum[v] - beta[:, 1, None] * cols[0]
+                      - beta[:, 2, None] * cols[1])
+        floors = (mags[v] + np.abs(beta[:, 1]) * mags[n_values + 1]
+                  + np.abs(beta[:, 2]) * mags[n_values + 2])
 
-    def reduce(y):
-        means = y.sum(axis=1) / counts
-        ratio, w_mean = means.sum() / w.sum(), w.mean()
-        stderr = estimators._stderr_from_chains(
-            (means - ratio * w) / w_mean, (y - ratio * bsum[1]) / w_mean, bcnt)
-        return ratio, stderr, (u * floors.mean() + abs(ratio) * u * mags[1].mean()) / w_mean
+        def reduce(y):
+            means = y.sum(axis=1) / counts
+            ratio, w_mean = means.sum() / w.sum(), w.mean()
+            stderr = estimators._stderr_from_chains(
+                (means - ratio * w) / w_mean, (y - ratio * ws) / w_mean, bcnt)
+            return ratio, stderr, (u * floors.mean()
+                                   + abs(ratio) * u * mags[n_values].mean()) / w_mean
 
-    ratio, stderr, floor = reduce(controlled)
-    return (float(ratio), max(stderr, floor), int(counts.sum()), rejected,
-            reduce(bsum[0])[1])
+        ratio, stderr, floor = reduce(controlled)
+        out.append((float(ratio), max(stderr, floor), int(counts.sum()),
+                    rejected, reduce(bsum[v])[1]))
+    return out
 
 
-def _reference_controlled(y, mag_y, cols, mags, bcnt, rejected):
-    """The std reduction of one integrand's block sums y (C, B): y less
-    chain c's beta_c . cols, the coefficients of the two columns cols
-    (2, C, B) (_reference_betas), reduced as before, the stderr floored at
-    the unit roundoff times the chains' mean of sum |y| + |beta_c| .
-    sum |column| (mag_y (C,) and mags (2, C))."""
-    beta = _reference_betas(y, cols, bcnt)
-    controlled = y - beta[:, 0, None] * cols[0] - beta[:, 1, None] * cols[1]
-    floors = mag_y + np.abs(beta[:, 0]) * mags[0] + np.abs(beta[:, 1]) * mags[1]
-    mean, stderr, n_samples, n_rejected, _ = _reference_reduce(
-        controlled, bcnt, rejected)
-    raw = _reference_reduce(y, bcnt, rejected)[1]
-    stderr = max(stderr, float(np.finfo(float).eps / 2 * floors.mean()))
-    return mean, stderr, n_samples, n_rejected, raw
+def _reference_pot(state, cfg):
+    """estimate_pot_nda adding one draw at a time to its block."""
+    return _reference_ratios(*_pot_blocks(state, cfg), 1)[0]
 
 
 def _reference_std(state, cfg):
-    """estimate_standard_expectations with one potential_batch and one vgl
-    call per _STD_THIN-th kept step: the local kinetic energy and the
-    potential, controlled by c_rad = sum_i (2 + 2 x_i . grad_i Psi / Psi)
-    / r_i and c_lin = 3N + 2 x . grad Psi / Psi."""
-    h, model, thin = state.hamiltonian(), state.model, estimators._STD_THIN
-    N = model.n_particles
-    C, B = cfg.n_chains, estimators._BLOCKS
-    n_keep = cfg.steps_per_chain - cfg.resolved_burn_in()
-    bsum, bcnt = np.zeros((4, C, B)), np.zeros((C, B), dtype=np.int64)
-    mags = np.zeros((4, C))
-    rejected = np.zeros(C, dtype=np.int64)
-    for j, x, v in _reference_walk(state, cfg, thin, estimators._TAG_STD):
-        V = estimators.potential_batch(h, x)
-        _, grads, laps = model.vgl(x)
-        # off the node: |Psi| > 1e-14 |x| |grad Psi|
-        ok = np.isfinite(V) & (np.abs(v) > 1e-14 * np.linalg.norm(x, axis=1)
-                               * np.linalg.norm(grads, axis=1))
-        vs = np.where(ok, v, 1.0)
-        xg = [(x[:, 3 * i] * grads[:, 3 * i] + x[:, 3 * i + 1] * grads[:, 3 * i + 1]
-               + x[:, 3 * i + 2] * grads[:, 3 * i + 2]) / vs for i in range(N)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rad = [(2.0 + 2.0 * xg[i]) / np.linalg.norm(x[:, 3 * i:3 * i + 3], axis=1)
-                   for i in range(N)]
-        c_rad, c_lin = rad[0], xg[0]
-        for i in range(1, N):
-            c_rad, c_lin = c_rad + rad[i], c_lin + xg[i]
-        c_lin = 3.0 * N + 2.0 * c_lin
-        ok &= np.isfinite(c_rad) & np.isfinite(c_lin)
-        b = j * B // n_keep
-        for k, w in enumerate((-0.5 * laps / vs, V, c_rad, c_lin)):
-            w = np.where(ok, w, 0.0)
-            bsum[k, :, b] += w
-            mags[k] += np.abs(w)
-        bcnt[:, b] += ok
-        rejected += ~ok
-    return {key: _reference_controlled(bsum[k], mags[k], bsum[2:], mags[2:],
-                                       bcnt, rejected)
-            for k, key in enumerate(("kin", "pot"))}
+    """estimate_standard_expectations adding one draw at a time to its
+    block: kin and pot from the numerators -Psi lap(Psi) / (2 g) and V w."""
+    blocks = _ratio_blocks(state, cfg, estimators._TAG_STD, _std_draws(cfg),
+                           _std_rows(state))
+    return dict(zip(("kin", "pot"), _reference_ratios(*blocks, 2)))
 
 
 def _fields(est):
@@ -446,11 +431,11 @@ def _fields(est):
 
 @pytest.mark.parametrize("n_chains", [1, 3, 8])
 def test_kept_step_blocks_match_per_step_collectors(n_chains):
-    """Blocks of kept steps (a partial last one here: 1877 kept steps, 470
-    thinned) give the std walk's per-step reduction bit for bit, and pot's
-    _CHUNK-row blocks its per-draw reduction; on 2P_2p the controlled std
-    integrands are constant and, past one chain, their stderr is the
-    rounding floor."""
+    """pot's and std's _CHUNK-row blocks of draws (a partial last one
+    here: 2085 steps keep 1877 pot draws and 470 std draws per chain) give
+    their per-draw reductions bit for bit; on 2P_2p the controlled
+    integrands are exact and, past one chain, their stderr is the rounding
+    floor."""
     cfg = SamplerConfig(n_chains=n_chains,
                         steps_per_chain=estimators._CHUNK + 37, seed=5)
     for name in ("3S_1s2s", "2P_2p"):
@@ -471,7 +456,43 @@ def test_pot_draws_the_kept_steps_of_a_walk(steps, burn_in):
     est = estimate_pot_nda(get_state("3S_1s2s"), cfg)
     assert (est.n_samples + est.n_rejected
             == cfg.n_chains * (steps - cfg.resolved_burn_in()))
-    assert est.method == "reference_ratio" and est.acceptance_rate is None
+    assert est.method == "reference_ratio"
+
+
+@pytest.mark.parametrize("steps,burn_in", [(2100, None), (500, 0), (500, 499),
+                                           (estimators._CHUNK + 37, 777)])
+def test_std_draws_one_row_per_four_kept_steps(steps, burn_in):
+    """std draws ceil((steps_per_chain - burn_in) / 4) rows per chain, a
+    quarter of pot's rounded up, down to one draw per chain."""
+    cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, burn_in=burn_in,
+                        seed=5)
+    for est in estimate_standard_expectations(get_state("3S_1s2s"), cfg).values():
+        assert est.n_samples + est.n_rejected == cfg.n_chains * _std_draws(cfg)
+        assert est.method == "reference_ratio"
+
+
+def test_std_runs_at_one_chain_and_two_steps():
+    """The smallest config, 1 x 2, draws one row and gives finite
+    estimates and stderrs."""
+    for est in estimate_standard_expectations(
+            get_state("3S_1s2s"), SamplerConfig(n_chains=1, steps_per_chain=2)).values():
+        assert est.n_samples == 1
+        assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+
+
+def test_std_has_no_start_up_bias():
+    """At 64 x 1000 over seeds 201-220, the std deviations of 1S_1s2_2s2
+    from its exact kin and pot, averaged over the seeds, stay within 3 of
+    their across-seed standard errors.  A Psi^2 walk with 100 burn-in
+    steps, which leave its chains short of equilibrium, reads -4.4 here."""
+    st = get_state("1S_1s2_2s2")
+    runs = [estimate_standard_expectations(
+        st, SamplerConfig(n_chains=64, steps_per_chain=1000, seed=seed))
+        for seed in range(201, 221)]
+    for key, exact in st.exact_standard.items():
+        dev = np.array([r[key].mean for r in runs]) - float(exact)
+        bias = dev.mean() / (np.std(dev, ddof=1) / np.sqrt(dev.size))
+        assert abs(bias) < 3.0, (key, bias)
 
 
 @pytest.mark.parametrize("n_chains", [1, 3])
@@ -525,41 +546,35 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
     assert _fields(estimate_abs_norm(st, cfg)) == ref
 
 
-@pytest.mark.parametrize("name,walk", [("3S_1s2s", "samples"),
-                                       ("1S_1s2_2p2", "std")])
-def test_reused_noise_buffer_matches_fresh_chunks(name, walk, monkeypatch):
+@pytest.mark.parametrize("name", ["3S_1s2s", "1S_1s2_2p2"])
+def test_reused_noise_buffer_matches_fresh_chunks(name, monkeypatch):
     """The refilled slab buffer walks the chains exactly as one fresh array
     of uniforms per step does, whatever the slab size: at 3 chains the
     default _SLAB draws 2048-step slabs (a short 37-step one last), 3 * 37
-    rows draw 37-step slabs (a 13-step one last), and a _SLAB below the chain count draws one
-    step per slab; 300 chains cut the default _SLAB into 873-step slabs.
-    The walk is compared through metropolis_samples on one state and
-    through estimate_standard_expectations on the other."""
+    rows draw 37-step slabs (a 13-step one last), and a _SLAB below the
+    chain count draws one step per slab; 300 chains cut the default _SLAB
+    into 873-step slabs."""
     st = get_state(name)
     default = estimators._SLAB
     for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
         monkeypatch.setattr(estimators, "_SLAB", slab)
         cfg = SamplerConfig(n_chains=n_chains,
                             steps_per_chain=estimators._CHUNK + 37, seed=5)
-        if walk == "samples":
-            got = metropolis_samples(st, cfg, thin=7)
-            ref = _reference_metropolis_samples(st, cfg, thin=7,
-                                                tag=estimators._TAG_TOPOLOGY)
-            assert got.tobytes() == ref.tobytes(), (n_chains, slab)
-        else:
-            got = estimate_standard_expectations(st, cfg=cfg)
-            assert ({k: _fields(e) for k, e in got.items()}
-                    == _reference_std(st, cfg)), (n_chains, slab)
+        got = metropolis_samples(st, cfg, thin=7)
+        ref = _reference_metropolis_samples(st, cfg, thin=7,
+                                            tag=estimators._TAG_TOPOLOGY)
+        assert got.tobytes() == ref.tobytes(), (n_chains, slab)
 
 
 def test_metropolis_memory_is_bounded_by_the_slab():
     """The noise buffer holds a slab of every chain's noise, not a chunk: at
     512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB.
-    pot's i.i.d. draws hold one _CHUNK of rows."""
+    The i.i.d. draws of pot and std hold one _CHUNK of rows."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=512, steps_per_chain=estimators._CHUNK + 37,
                         seed=5)
-    for estimate in (estimate_pot_nda, estimate_standard_expectations):
+    for estimate in (estimate_pot_nda, estimate_standard_expectations,
+                     lambda st, cfg: metropolis_samples(st, cfg, thin=64)):
         tracemalloc.start()
         try:
             estimate(st, cfg=cfg)
@@ -602,42 +617,44 @@ ZERO_VARIANCE = ["2P_2p", "3P_2p2", "1S_2p2", "1D_2p2",
                  "harmonic_noninteracting", "subshell_k1_l1", "subshell_k1_l2"]
 
 
-@pytest.mark.parametrize("name", MODEL_STATES)
-def test_control_columns_have_mean_zero_under_psi_squared(name):
-    """100 000 i.i.d. draws from g, weighted by Psi^2 / g: the
-    self-normalized means of c_rad and c_lin lie within 4 stderr of 0, off
-    the walk that uses them (a wrong divergence term, say 1 / r_i for
-    2 / r_i, moves them by tenths)."""
-    st = get_state(name)
-    g = st.reference_density
-    x = g.sample(np.random.default_rng(3), 100_000)
-    v, grads, _ = st.model._evaluate(x, True, False)
-    w = v * v / g.pdf(x)
-    for col in estimators._control_columns(x, v, grads):
-        mean = np.sum(w * col) / np.sum(w)
-        stderr = np.sqrt(np.sum(w * w * (col - mean) ** 2)) / np.sum(w)
-        assert abs(mean) < 4.0 * stderr, (mean, stderr)
-
-
-@pytest.mark.parametrize("name", MODEL_STATES)
-def test_abs_control_columns_have_mean_zero_under_g(name):
-    """100 000 i.i.d. draws from g: the means of pot's weighted columns
-    w c'_rad and w c'_lin (|Psi| c' / g) lie within 4 stderr of 0, while a
-    wrong divergence term, 1 / r_i for 2 / r_i in c'_rad, lies beyond."""
+def _column_z_scores(name, a, b):
+    """100 000 i.i.d. draws from g: the z-scores of the means of the
+    columns rho c_rad / g and rho c_lin / g, from a = rho and b at the
+    values v (_control_columns), and of rho c_rad / g with a wrong
+    divergence term, 1 / r_i for 2 / r_i."""
     st = get_state(name)
     g = st.reference_density
     x = g.sample(np.random.default_rng(3), 100_000)
     v, xg, _ = st.model._evaluate(x, True, False, radial=True)
     dens = g.pdf(x)
-    rad, lin = estimators._abs_control_columns(x, v, xg)
+    rad, lin = estimators._control_columns(x, a(v), b(v), xg)
     r = np.linalg.norm(x.reshape(len(x), -1, 3), axis=2)
-    wrong = rad - np.sum(np.abs(v)[:, None] / r, axis=1)
+    wrong = rad - np.sum(a(v)[:, None] / r, axis=1)
 
     def z(col):
         col = col / dens
         return np.mean(col) / (np.std(col) / np.sqrt(col.size))
-    assert abs(z(rad)) < 4.0 and abs(z(lin)) < 4.0, (z(rad), z(lin))
-    assert abs(z(wrong)) > 4.0, z(wrong)
+    return z(rad), z(lin), z(wrong)
+
+
+@pytest.mark.parametrize("name", MODEL_STATES)
+def test_control_columns_have_mean_zero_under_psi_squared(name):
+    """The means of std's weighted columns w c_rad and w c_lin
+    (Psi^2 c / g) lie within 4 stderr of 0 under g, while a wrong
+    divergence term lies beyond."""
+    rad, lin, wrong = _column_z_scores(name, lambda v: v * v, lambda v: 2.0 * v)
+    assert abs(rad) < 4.0 and abs(lin) < 4.0, (rad, lin)
+    assert abs(wrong) > 4.0, wrong
+
+
+@pytest.mark.parametrize("name", MODEL_STATES)
+def test_abs_control_columns_have_mean_zero_under_g(name):
+    """The means of pot's weighted columns w c'_rad and w c'_lin
+    (|Psi| c' / g) lie within 4 stderr of 0 under g, while a wrong
+    divergence term lies beyond."""
+    rad, lin, wrong = _column_z_scores(name, np.abs, np.sign)
+    assert abs(rad) < 4.0 and abs(lin) < 4.0, (rad, lin)
+    assert abs(wrong) > 4.0, wrong
 
 
 @pytest.mark.parametrize("name", ZERO_VARIANCE)
@@ -687,17 +704,19 @@ def test_pot_fit_bias_is_far_below_the_stderr():
 
 @pytest.mark.parametrize("name", ZERO_VARIANCE)
 def test_zero_variance_states_hit_the_exact_values(name):
-    """At 8 x 2000 the controlled kin_std and pot_std equal the exact
-    values within 1e-12 relative; the stderr, floored at the rounding of
-    the sums, is positive and covers the deviation."""
+    """At 2 x 2000, 8 x 2000 and 64 x 200 the controlled kin_std and
+    pot_std equal the exact values within 1e-12 relative; the stderr,
+    floored at the rounding of the sums, is positive, at most 1e-9 of
+    the uncontrolled one, and covers the deviation."""
     st = get_state(name)
-    got = estimate_standard_expectations(
-        st, SamplerConfig(n_chains=8, steps_per_chain=2000, seed=5))
-    for key, est in got.items():
-        exact = float(st.exact_standard[key])
-        assert est.mean == pytest.approx(exact, rel=1e-12, abs=0.0), key
-        assert 0.0 < est.stderr < 1e-9 * est.stderr_uncontrolled, key
-        assert abs(est.mean - exact) <= est.stderr, key
+    for chains, steps in ((2, 2000), (8, 2000), (64, 200)):
+        got = estimate_standard_expectations(
+            st, SamplerConfig(n_chains=chains, steps_per_chain=steps, seed=5))
+        for key, est in got.items():
+            exact = float(st.exact_standard[key])
+            assert est.mean == pytest.approx(exact, rel=1e-12, abs=0.0), (chains, key)
+            assert 0.0 < est.stderr < 1e-9 * est.stderr_uncontrolled, (chains, key)
+            assert abs(est.mean - exact) <= est.stderr, (chains, key)
 
 
 def test_one_chain_is_not_controlled(monkeypatch):
@@ -710,7 +729,7 @@ def test_one_chain_is_not_controlled(monkeypatch):
     assert all(e.stderr == e.stderr_uncontrolled for e in got.values())
     columns = estimators._control_columns
     monkeypatch.setattr(estimators, "_control_columns",
-                        lambda x, v, grads: [0.0 * c for c in columns(x, v, grads)])
+                        lambda *args: [0.0 * c for c in columns(*args)])
     assert got == estimate_standard_expectations(st, cfg)
 
 
@@ -755,9 +774,8 @@ def test_surface_gradient_belongs_to_the_state_model():
 
 
 def test_singular_point_is_rejected_and_counted(monkeypatch):
-    """An electron on the nucleus at one draw or kept step drops that one
-    sample from the potential and standard estimators instead of aborting
-    them."""
+    """An electron on the nucleus at one draw drops that one sample from
+    the potential and standard estimators instead of aborting them."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=4, steps_per_chain=400, seed=7)
     potential_batch = estimators.potential_batch
@@ -780,15 +798,13 @@ def test_singular_point_is_rejected_and_counted(monkeypatch):
     assert pot.n_rejected == 1 and pot.n_samples == cfg.n_chains * kept - 1
     assert np.isfinite(pot.mean) and np.isfinite(pot.stderr)
 
-    # the walk's rows reach potential_batch step-major, however many steps
-    # share a call: row r is chain r % n_chains of the (r // n_chains)-th
-    # evaluated kept step; move electron 1 of chain 2 at evaluated step 29
-    thin = estimators._STD_THIN
-    seen.update(target=29 * cfg.n_chains + 2, rows=0)
+    # std's likewise, with _std_draws(cfg) draws per chain: move electron
+    # 1 of chain 2 at draw 29
+    n = _std_draws(cfg)
+    seen.update(target=2 * n + 29, rows=0)
     std = estimate_standard_expectations(st, cfg=cfg)
-    n_thinned = (kept + thin - 1) // thin
     for est in std.values():
-        assert est.n_rejected == 1 and est.n_samples == cfg.n_chains * n_thinned - 1
+        assert est.n_rejected == 1 and est.n_samples == cfg.n_chains * n - 1
         assert np.isfinite(est.mean) and np.isfinite(est.stderr)
 
 
@@ -863,19 +879,19 @@ def _count_draws(monkeypatch):
 
 
 def test_one_stream_per_walk_and_per_iid_call(monkeypatch):
-    """A Metropolis walk draws its starting points in one density.sample
+    """The Metropolis walk draws its starting points in one density.sample
     call; an i.i.d. call draws its n_chains * n draws in _CHUNK-row blocks,
-    n = steps_per_chain for abs_norm and steps_per_chain - burn_in for
-    pot."""
+    n = steps_per_chain for abs_norm, steps_per_chain - burn_in for pot and
+    a quarter of that, rounded up, for std."""
     st = get_state("3S_1s2s")
     drawn = _count_draws(monkeypatch)
     cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
-    for run in (estimate_standard_expectations, metropolis_samples):
-        drawn.clear()
-        run(st, cfg)
-        assert drawn == [cfg.n_chains], run.__name__
+    drawn.clear()
+    metropolis_samples(st, cfg)
+    assert drawn == [cfg.n_chains]
     for run, n in ((estimate_abs_norm, cfg.steps_per_chain),
-                   (estimate_pot_nda, cfg.steps_per_chain - cfg.resolved_burn_in())):
+                   (estimate_pot_nda, cfg.steps_per_chain - cfg.resolved_burn_in()),
+                   (estimate_standard_expectations, _std_draws(cfg))):
         drawn.clear()
         run(st, cfg)
         total = cfg.n_chains * n

@@ -70,6 +70,12 @@ class TestDomainCount(unittest.TestCase):
         rep = count_nodal_domains(subshell_family(1, 2))
         self.assertEqual(rep.n_domains, 4)
 
+    def test_product_of_two_determinants_four_domains(self):
+        # Psi = D(r1, r2) D(r3, r4): one sign of Psi holds two domains, so
+        # sign(Psi) alone reads 2; the pair of determinant signs reads 4
+        rep = count_nodal_domains(get_state("1S_1s2_2s2"), n_points=5000)
+        self.assertEqual(rep.n_domains, 4)
+
     def test_note_mentions_upper_bound(self):
         rep = count_nodal_domains(get_state("2P_2p"), n_points=2000, seed=5)
         self.assertIn("upper bound", rep.confidence_note)

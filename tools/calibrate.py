@@ -20,7 +20,11 @@ It prints:
   z-scores against that t law.
 
 By default it runs the 13 model states: the catalog states with a model
-and ``subshell_k1_l1`` and ``subshell_k1_l2``.
+and ``subshell_k1_l1`` and ``subshell_k1_l2``.  Each (seed, state) cell
+runs at its own seed, derived from the seed and the state's name through
+numpy's SeedSequence (cell_seed): states with the same reference density g
+(1S_1s2_2s2 and 1S_1s2_2p2; 3S_1s2s and 3P_1s2p) would otherwise share
+their i.i.d. draws, and their cells would not be independent.
 
     PYTHONPATH=src python tools/calibrate.py --estimators shell \\
         --seeds 201-210 --chains 16 --steps 50000
@@ -65,13 +69,21 @@ def exact_value(state: StateSpec, component: str) -> Optional[float]:
     return None if value is None else float(value)
 
 
+def cell_seed(seed: int, state: str) -> int:
+    """The sampler seed of one (seed, state) cell: 64 bits of the
+    SeedSequence of the seed and the bytes of the state's name."""
+    entropy = (seed & (2 ** 64 - 1), *state.encode())
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
 def z_scores(names: Sequence[str], seeds: Sequence[int],
              states: Sequence[StateSpec], n_chains: int,
              steps: int) -> Iterator[Tuple[str, str, str, int, float, float,
                                            Optional[float]]]:
     """Yield (estimator, state, component, seed, z, mean - exact, share) for
-    every cell with an exact value; share is stderr_uncontrolled / stderr,
-    or None where the estimate records no stderr_uncontrolled."""
+    every cell with an exact value, each run at cell_seed(seed, state);
+    share is stderr_uncontrolled / stderr, or None where the estimate
+    records no stderr_uncontrolled."""
     for name in names:
         applies, run, parts = ESTIMATORS[name]
         for st in states:
@@ -81,7 +93,7 @@ def z_scores(names: Sequence[str], seeds: Sequence[int],
                 continue
             for seed in seeds:
                 cfg = est.SamplerConfig(n_chains=n_chains, steps_per_chain=steps,
-                                        seed=seed)
+                                        seed=cell_seed(seed, st.name))
                 res = run(st, cfg)
                 for comp, key, exact in cells:
                     e = res if key is None else res[key]

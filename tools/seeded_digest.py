@@ -21,8 +21,9 @@ For each of the 13 model states (the catalog states with a model, and
   interacting atom) on those points, with coincident-particle rows;
 * at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, abs,
   surface, shell and ``metropolis_samples``;
-* on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2, the
-  ``count_nodal_domains`` report at 1000 points, and on 1D_2p2 the
+* on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2 and on the
+  four-domain 1S_1s2_2s2, the ``count_nodal_domains`` report at 1000
+  points, and on 1D_2p2 the
   ``test_node_equivalence`` result of the x_2 flip onto 3P_2p2 at 2000
   points.
 """
@@ -43,7 +44,7 @@ from nda.hamiltonians import coulomb_atom, potential_batch
 CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
 ROWS = (1, 37, 2048)
 SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
-DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2")
+DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2", "1S_1s2_2s2")
 
 
 def _sha(obj) -> str:
