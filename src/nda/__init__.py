@@ -4,10 +4,11 @@ The package computes the decomposition E = E_kin^nda + E_pot^nda, where the
 kinetic part is a surface integral of |grad Psi| over the nodal set divided
 by the integral of |Psi|, and the potential part is the |Psi|-weighted
 average of V.  Estimates come from importance sampling of a reference
-density, Metropolis Monte Carlo, direct sampling of parametrized node
-surfaces, thin-shell extrapolation, and deterministic quadrature; a
-catalog of few-electron states with exact rational reference values makes
-every estimator verifiable.
+density, direct sampling of parametrized node surfaces, thin-shell
+extrapolation, and deterministic quadrature; domain counts and node
+equivalence take their points from a Psi^2 Metropolis walk.  A catalog of
+few-electron states with exact rational reference values makes every
+estimator verifiable.
 """
 
 __version__ = "0.1.0"

@@ -184,7 +184,6 @@ def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerCon
     return SamplerConfig(
         n_chains=chains,
         steps_per_chain=steps,
-        burn_in=args.burn_in,
         seed=args.seed,
     )
 
@@ -437,10 +436,9 @@ def cmd_catalog(args) -> int:
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chains", type=int, default=None)
     p.add_argument("--steps", type=int, default=None,
-                   help="Metropolis steps (or iid draws) per chain")
+                   help="i.i.d. draws per chain")
     p.add_argument("--samples", type=str, default=None,
                    help="total sample budget, e.g. 1e6 (overrides --steps)")
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--seed", type=int, default=20260801)
 
 

@@ -7,19 +7,19 @@ Shared conventions:
   the chain count.  An i.i.d. call draws _CHUNK rows at a time, and row r
   of its stream is draw r % n of chain r // n, so its chains are disjoint
   runs of one stream.  A walk draws its chains' starting points in one
-  call, then per step and chain 3N proposal uniforms and one acceptance
-  uniform, a slab of steps at a time (_metropolis).  Memory is bounded by
-  _CHUNK and _SLAB, not by the sample budget;
+  call, then one array of uniforms per step.  Memory is bounded by _CHUNK
+  and the chain count, not by the sample budget;
 * the standard expectations <T> and <V>, pot_nda (the ratio of the
   integrals of V |Psi| and |Psi|) and the integral of |Psi| are
   importance ratios on i.i.d. draws from the state's reference density g,
   whose weights |Psi| / g and Psi^2 / g have every moment finite; each
-  ratio is that of pooled means (_Blocks with ratio).  burn_in only sizes
-  the draws of pot and std: a pot chain draws steps_per_chain - burn_in
-  rows, a std chain one per _STEPS_PER_STD_DRAW of those.  The node
-  surface draws its own parameters;
-* one Metropolis law remains: _metropolis samples Psi^2 for
-  metropolis_samples, the topology module's points.  A step moves every
+  controlled ratio is that of pooled means (_Blocks with control
+  columns).  burn_in only sizes the draws of pot and std: a pot chain
+  draws steps_per_chain - burn_in rows, a std chain one per
+  _STEPS_PER_STD_DRAW of those.  The node surface draws its own
+  parameters;
+* one Metropolis law remains: metropolis_samples walks Psi^2 for the
+  topology module's points, one plain loop of steps that moves every
   chain with one model call.  The walk sets its proposal width during
   burn-in, updating it every _ADAPT steps toward acceptance 0.5 from its
   start at half the RMS coordinate of its starting points; the kept steps
@@ -44,9 +44,9 @@ Shared conventions:
   rho (div F + F . grad ln rho) integrates to 0.  F = sum_i x_i / r_i and
   F = x give rho c_rad and rho c_lin from the radial derivatives
   x_i . grad_i Psi, with no division by Psi (_control_columns); over g
-  they are columns of mean 0 under g.  _Blocks has one controlled path
-  for means and ratios: it fits the integrand on the regressors (the
-  weight and the columns) leave one chain out by a k x k Cramer solve
+  they are columns of mean 0 under g.  A controlled _Blocks estimate is
+  always a ratio on the weight: it fits the integrand on the regressors
+  (the weight and the columns) leave one chain out by a k x k Cramer solve
   (_loo_betas), subtracts the columns' terms before the chain means and
   the stderr, and floors the controlled stderr at the float rounding of
   the sums.
@@ -79,8 +79,7 @@ __all__ = [
     "metropolis_samples",
 ]
 
-_CHUNK = 2048   # i.i.d. draws per block; Metropolis steps per slab at most
-_SLAB = 1 << 18  # proposal-noise rows drawn at once, but at least one step
+_CHUNK = 2048   # i.i.d. draws per block
 _BLOCKS = 50
 _STEPS_PER_STD_DRAW = 4  # post-burn-in steps per i.i.d. draw of std
 _ADAPT = 16    # burn-in steps per Metropolis proposal-width update
@@ -100,13 +99,12 @@ _TAG_TOPOLOGY = 16
 class SamplerConfig:
     """Monte Carlo budget and reproducibility knobs.
 
-    burn_in defaults to 10% of steps_per_chain.  It only sizes the i.i.d.
+    burn_in defaults to 10% of steps_per_chain.  It sizes the i.i.d.
     draws of pot and std, which need no burn-in (steps_per_chain - burn_in
     per chain for pot, one per _STEPS_PER_STD_DRAW of those for std), and
-    drives the topology walk (metropolis_samples): the walk starts at
-    half-width half the RMS coordinate of its starting points, adapts it
-    toward acceptance 0.5 every 16 burn-in steps and keeps the width it
-    ends burn-in with; burn_in=0 keeps the starting width.
+    is the burn-in of the topology walk (metropolis_samples), which adapts
+    its proposal width only during burn-in: burn_in=0 keeps the starting
+    width.  No CLI flag sets it; the topology module sizes its own walk.
     """
 
     n_chains: int = 8
@@ -196,21 +194,20 @@ class _Blocks:
     in index order, so every block sums its rows in the order they are
     added, and the estimators add them in draw order.
 
-    The added arrays are the n_values integrands, then with ratio a weight
-    w, then n_controls control columns of known mean 0.  An estimate is the
-    mean of the chain means of an integrand or, with ratio, the ratio of
-    its pooled mean to w's (_reduce).  With control columns, estimates
-    gives controlled estimates (_controlled), and add also sums each
-    chain's |term| of every array, in row order, for the rounding floor.
+    The added arrays are the n_values integrands and, with n_controls
+    control columns, a weight w and then the columns, of known mean 0.  An
+    estimate is the mean of the chain means of an integrand or, with
+    control columns, the controlled ratio of its pooled mean to w's
+    (_controlled, _reduce); add then also sums each chain's |term| of
+    every array, in row order, for the rounding floor.
     """
 
     def __init__(self, n_chains: int, n_per_chain: int, n_values: int = 1,
-                 n_controls: int = 0, ratio: bool = False):
+                 n_controls: int = 0):
         self.n_per_chain = n_per_chain
         self.n_values = n_values
         self.n_controls = n_controls
-        self.ratio = ratio
-        n_arrays = n_values + ratio + n_controls
+        n_arrays = n_values + (1 + n_controls if n_controls else 0)
         self.sums = np.zeros((n_arrays, n_chains, _BLOCKS))
         self.counts = np.zeros((n_chains, _BLOCKS), dtype=np.int64)
         self.rejected = 0
@@ -248,13 +245,12 @@ class _Blocks:
     def _controlled(self) -> tuple:
         """(block sums, floors) of the integrands less their control terms.
 
-        The regressors are the arrays after the integrands: the control
-        columns, led by the weight w with ratio.  Chain c's coefficients
-        beta_c are the weighted least-squares slopes (with an intercept) of
-        the integrand's count-weighted (chain, block) means on the
-        regressors' means over the other chains' blocks (_loo_betas), so
-        that no chain's own noise enters its coefficients; beta = 0 with one
-        chain.  Each integrand's block sums become sums - beta_c . (the
+        The regressors are the arrays after the integrands: the weight w
+        and the control columns.  Chain c's coefficients beta_c are the
+        weighted least-squares slopes (with an intercept) of the integrand's
+        count-weighted (chain, block) means on the regressors' means over
+        the other chains' blocks (_loo_betas), so that no chain's own noise
+        enters its coefficients; beta = 0 with one chain.  Each integrand's block sums become sums - beta_c . (the
         control columns' block sums); w is fitted too, so that the columns'
         slopes are those of the ratio's residual, but its term stays.  Its
         floor bounds the float rounding of those sums: a chain's mean of n
@@ -267,7 +263,7 @@ class _Blocks:
         ys, xs = self.sums[:n], self.sums[n:]
         beta = _loo_betas(ys, xs, self.counts)          # (n_values, C, k)
         controlled, mags = ys, self.magnitudes[:n]
-        for j in range(self.ratio, len(xs)):
+        for j in range(1, len(xs)):
             controlled = controlled - beta[..., j, None] * xs[j]
             mags = mags + np.abs(beta[..., j]) * self.magnitudes[n + j]
         return controlled, _UNIT_ROUNDOFF * mags.mean(axis=1)
@@ -276,16 +272,17 @@ class _Blocks:
         """(mean, stderr) of one integrand's block sums (C, B), the stderr
         floored at floor if one is given.
 
-        The mean is the mean of the chain means.  With ratio it is the ratio
-        of the pooled means r = sum_c mean_c(y) / sum_c mean_c(w), not the
-        mean of per-chain ratios, whose bias is O(1 / draws per chain); its
-        stderr is the delta-method one, that of the residual
-        (y - r w) / mean_c(w), and the floor becomes (floor + |r| u
-        sum |w|) / mean_c(w), the rounding of the residual's two sums.
+        The mean is the mean of the chain means.  With control columns it
+        is the ratio of the pooled means
+        r = sum_c mean_c(y) / sum_c mean_c(w), not the mean of per-chain
+        ratios, whose bias is O(1 / draws per chain); its stderr is the
+        delta-method one, that of the residual (y - r w) / mean_c(w), and
+        the floor becomes (floor + |r| u sum |w|) / mean_c(w), the rounding
+        of the residual's two sums.
         """
         counts = self._chain_counts()
         means = sums.sum(axis=1) / counts
-        if not self.ratio:
+        if not self.n_controls:
             mean = means.mean()
             stderr = _stderr_from_chains(means, sums, self.counts)
         else:
@@ -396,14 +393,17 @@ def _scaled_rows(a: np.ndarray) -> tuple:
 # Metropolis walk (the topology module's points)
 
 
-def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
-                thin: int) -> np.ndarray:
-    """A Metropolis walk of n_chains chains, one model call per step.
+def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
+                       thin: int = 1) -> np.ndarray:
+    """Thinned Psi^2-distributed configurations of a Metropolis walk of
+    n_chains chains, the topology module's points.
 
-    The walk's stationary density is Psi^2, on the stream of
-    _TAG_TOPOLOGY.  Every thin-th post-burn-in step is kept: kept step j
-    of every chain is written to out[:, j], and out (n_chains, kept, 3N)
-    is returned.
+    Returns an (n_kept_total, 3N) array: every thin-th post-burn-in step
+    of chain 0, then of chain 1, and so on.  The walk is on the stream of
+    _TAG_TOPOLOGY: the n_chains starting points (one density.sample call),
+    then per step one (n_chains, 3N + 1) array of uniforms, every chain's
+    3N proposal uniforms and its acceptance uniform.  A step moves every
+    chain with one model call.
 
     The walk proposes uniform(-w, w) moves in every coordinate.  Its
     half-width w starts at half the RMS coordinate of its starting points,
@@ -413,13 +413,10 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     acceptance 0.5; Andrieu & Thoms 2008).  The kept steps share the width
     burn-in ends with, so the kept chain is a Metropolis chain with a fixed
     kernel.
-
-    The stream gives the n_chains starting points (one density.sample
-    call) and then, step by step and chain by chain, 3N proposal uniforms
-    and one acceptance uniform, filled s steps at a time (during burn-in
-    at most up to the next width update).  The width updates fall on fixed
-    step indices, so the walk is the same for every slab size, bit for bit.
     """
+    if thin < 1:
+        raise ValueError("thin must be a positive integer")
+    model = _model(state)
     dim = 3 * model.n_particles
     C, steps = cfg.n_chains, cfg.steps_per_chain
     burn = cfg.resolved_burn_in()
@@ -427,61 +424,26 @@ def _metropolis(model, state: StateSpec, cfg: SamplerConfig,
     rng = _stream(cfg.seed, _TAG_TOPOLOGY)
     x = state.reference_density.sample(rng, C)
     width = 0.5 * float(np.sqrt(np.mean(x * x)))
-    log_width = math.log(width)
+    log_width, accepted = math.log(width), 0
     v = model.values(x)
-    t, tp = v * v, np.empty_like(v)   # acceptance densities Psi^2
-    # one slab buffer per run; accs holds each step's acceptances until the
-    # slab's are counted into accepted, which restarts at every width
-    # update.  Accepted rows of x move as whole void items.
-    s = max(1, min(_CHUNK, steps, _SLAB // C))
-    u = np.empty((s, C, dim + 1))
-    accs = np.empty((s, C), dtype=bool)
-    accepted = 0
-    xp = np.empty_like(x)
-    row = np.dtype((np.void, x.itemsize * dim))
-    xv, xpv = x.view(row).reshape(-1), xp.view(row).reshape(-1)
-    a = 0
-    while a < steps:
-        # during burn-in a slab ends at the next width update
-        b = (min(s, steps - a) if a >= burn
-             else min(s, _ADAPT - a % _ADAPT, burn - a))
-        # uniform(-w, w) computes -w + 2 w * u: the same bits
-        rng.random(out=u[:b])
-        noise = u[:b, :, :dim]
-        noise *= 2 * width
-        noise -= width
-        for j in range(b):
-            np.add(x, u[j, :, :dim], out=xp)
-            vp = model.values(xp)
-            np.multiply(vp, vp, out=tp)
-            acc = np.less(u[j, :, dim] * t, tp, out=accs[j])
-            np.copyto(xv, xpv, where=acc)
-            np.copyto(t, tp, where=acc)
-            g = a + j - burn
-            if g >= 0 and g % thin == 0:
-                out[:, g // thin] = x
-        a += b
-        if a <= burn:
-            accepted += int(np.count_nonzero(accs[:b]))
-            if a % _ADAPT == 0:
+    t = v * v   # acceptance densities Psi^2
+    for j in range(steps):
+        u = rng.random((C, dim + 1))
+        xp = x + (u[:, :dim] * (2 * width) - width)
+        vp = model.values(xp)
+        tp = vp * vp
+        acc = u[:, dim] * t < tp
+        x = np.where(acc[:, None], xp, x)
+        t = np.where(acc, tp, t)
+        if j < burn:
+            accepted += int(np.count_nonzero(acc))
+            if (j + 1) % _ADAPT == 0:
                 rate = accepted / (_ADAPT * C)
-                log_width += 3.0 * (rate - 0.5) / math.sqrt(a // _ADAPT)
-                width = math.exp(log_width)
-                accepted = 0
-    return out
-
-
-def metropolis_samples(state: StateSpec, cfg: SamplerConfig,
-                       thin: int = 1) -> np.ndarray:
-    """Thinned Psi^2-distributed configurations, stacked over chains.
-
-    Returns an (n_kept_total, 3N) array; used by the topology module, on a
-    stream of its own.
-    """
-    if thin < 1:
-        raise ValueError("thin must be a positive integer")
-    out = _metropolis(_model(state), state, cfg, thin)
-    return out.reshape(-1, out.shape[-1])
+                log_width += 3.0 * (rate - 0.5) / math.sqrt((j + 1) // _ADAPT)
+                width, accepted = math.exp(log_width), 0
+        elif (j - burn) % thin == 0:
+            out[:, (j - burn) // thin] = x
+    return out.reshape(-1, dim)
 
 
 # --------------------------------------------------------------------------
@@ -507,8 +469,8 @@ def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
                  integrand: Callable, n: Optional[int] = None,
                  **layout) -> _Blocks:
     """Block sums of integrand(rows) -> (ok, per-row arrays) over n draws
-    per chain (steps_per_chain if None); layout is _Blocks' n_values,
-    n_controls and ratio."""
+    per chain (steps_per_chain if None); layout is _Blocks' n_values and
+    n_controls."""
     n = n or cfg.steps_per_chain
     acc = _Blocks(cfg.n_chains, n, **layout)
     for chains, draws, x in _iid_stream(cfg, tag, draw, n):
@@ -601,7 +563,7 @@ def estimate_standard_expectations(state: StateSpec,
     kept = cfg.steps_per_chain - cfg.resolved_burn_in()
     acc = _iid_average(cfg, _TAG_STD, g.sample, integrand,
                        -(-kept // _STEPS_PER_STD_DRAW),
-                       n_values=2, n_controls=2, ratio=True)
+                       n_values=2, n_controls=2)
     kin, pot = acc.estimates(cfg, "reference_ratio")
     return {"kin": kin, "pot": pot}
 
@@ -655,7 +617,7 @@ def estimate_pot_nda(state: StateSpec,
 
     acc = _iid_average(cfg, _TAG_POT, g.sample, integrand,
                        cfg.steps_per_chain - cfg.resolved_burn_in(),
-                       n_controls=2, ratio=True)
+                       n_controls=2)
     return acc.estimates(cfg, "reference_ratio")[0]
 
 

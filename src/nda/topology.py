@@ -162,7 +162,8 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     two checks, keep its label and join two domains, so the count can
     fall below the true one: on a sum of terms with more than two domains,
     or on a block with two domains of one sign (subshell_k1_l2's
-    x^2 - y^2).
+    x^2 - y^2).  The report's confidence_note states that condition for
+    the state's labels, the signs of Psi or of its block determinants.
 
     Isolated far-tail points whose nearest neighbors all sit across a nodal
     sheet would otherwise surface as spurious singleton components, so tiny
@@ -261,8 +262,12 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
             else:
                 n_edges += p.size
 
-    notes.append("count is an upper bound; it can only decrease under "
-                 "refinement of n_points or segment_checks")
+    regions = ("sign of Psi" if labels.shape[1] == 1
+               else "sign pattern of the block determinants")
+    notes.append(f"count is an upper bound, which can only decrease under "
+                 f"refinement of n_points or segment_checks, if every "
+                 f"{regions} holds one domain; where one holds several, the "
+                 f"count can fall below the true one")
     return DomainReport(
         n_domains=n_domains,
         n_points=n_points,

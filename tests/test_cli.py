@@ -145,6 +145,10 @@ def test_only_compute_takes_out_and_csv(tmp_path, capsys):
     ["compute", "--state", "2P_2p", "--Z", "1e-300", "--components", "kin"],
     ["compute", "--state", "2P_2p", "--Z", "1e300", "--components", "kin_std"],
     ["domains", "--state", "2P_2p", "--Z", "1e-300"],
+    # no command takes a burn-in: the estimators draw a fixed share of
+    # --steps, and the topology walk sizes its own
+    ["compute", "--state", "2P_2p", "--burn-in", "100"],
+    ["verify-tables", "--only", "2P_2p", "--burn-in", "100"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
@@ -154,14 +158,14 @@ def test_only_compute_takes_out_and_csv(tmp_path, capsys):
         "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
         "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
         "compute-omega-overflow", "compute-kin-Z-tiny", "compute-std-Z-huge",
-        "domains-Z-tiny"])
+        "domains-Z-tiny", "compute-burn-in", "verify-burn-in"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
-    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(estimators, "_stream", no_sampling)
     monkeypatch.setattr(estimators, "_iid_stream", no_sampling)
     monkeypatch.setattr(cli, "estimate_pot_nda", no_sampling)
     code, out, err = run(argv, capsys)
@@ -183,7 +187,7 @@ def test_extreme_parameter_exits_2_with_the_normalization(state, flag, value,
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
-    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(estimators, "_stream", no_sampling)
     monkeypatch.setattr(estimators, "_iid_stream", no_sampling)
     code, out, err = run(["compute", "--state", state, flag, value,
                           "--steps", "2000", "--chains", "4"], capsys)
@@ -335,16 +339,6 @@ def test_unconverged_shell_exits_3(capsys):
     code, out, _ = run(["compute", "--state", "2P_2p", "--components", "kin",
                         "--method", "shell", "--chains", "2", "--steps", "400"],
                        capsys)
-    assert code == 3
-    assert "unconverged" in out
-
-
-def test_shell_burn_in_beyond_the_pilot_pass(capsys):
-    # the shell's pilot pass covers one chunk of draws; a --burn-in longer
-    # than that chunk must not make its config invalid
-    code, out, _ = run(["compute", "--state", "2P_2p", "--components", "kin",
-                        "--method", "shell", "--chains", "4", "--steps",
-                        "5000", "--burn-in", "3000"], capsys)
     assert code == 3
     assert "unconverged" in out
 

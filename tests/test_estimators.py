@@ -22,6 +22,8 @@ from nda.estimators import (SamplerConfig, estimate_abs_norm,
 from nda.quadrature import quadrature_oracle
 
 FAST = SamplerConfig(n_chains=4, steps_per_chain=20_000, seed=7)
+MODEL_STATES = ([s.name for s in catalog_list() if s.model]
+                + ["subshell_k1_l1", "subshell_k1_l2"])
 
 
 # ---------------------------------------------------------------- config
@@ -49,27 +51,6 @@ def test_same_seed_bitwise_identical():
     a = estimate_pot_nda(st, cfg=FAST)
     b = estimate_pot_nda(st, cfg=FAST)
     assert a.mean == b.mean and a.stderr == b.stderr
-
-
-def test_chain_batching_does_not_change_results(monkeypatch):
-    """Results are fixed by (seed, n_chains), however the walk's noise is
-    batched: _SLAB = 1 draws it one step at a time, 5 * 37 in 37-step
-    slabs, and the default a chunk at a time; the estimators, all i.i.d.,
-    and the walk's points agree to the bit."""
-    st = get_state("3S_1s2s")
-    cfg = SamplerConfig(n_chains=5, steps_per_chain=2100, seed=7)
-    results = []
-    for slab in (1, 5 * 37, estimators._SLAB):
-        monkeypatch.setattr(estimators, "_SLAB", slab)
-        p = estimate_pot_nda(st, cfg=cfg)
-        s = estimate_standard_expectations(st, cfg=cfg)
-        a = estimate_abs_norm(st, cfg)
-        k = estimate_kin_nda_surface(st, cfg)
-        sh = estimate_kin_nda_shell(st, cfg)
-        results.append([(e.mean, e.stderr)
-                        for e in (p, s["kin"], s["pot"], a, k, sh)]
-                       + [metropolis_samples(st, cfg, thin=7).tobytes()])
-    assert results[0] == results[1] == results[2]
 
 
 def test_different_seeds_differ():
@@ -546,30 +527,27 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
     assert _fields(estimate_abs_norm(st, cfg)) == ref
 
 
-@pytest.mark.parametrize("name", ["3S_1s2s", "1S_1s2_2p2"])
-def test_reused_noise_buffer_matches_fresh_chunks(name, monkeypatch):
-    """The refilled slab buffer walks the chains exactly as one fresh array
-    of uniforms per step does, whatever the slab size: at 3 chains the
-    default _SLAB draws 2048-step slabs (a short 37-step one last), 3 * 37
-    rows draw 37-step slabs (a 13-step one last), and a _SLAB below the
-    chain count draws one step per slab; 300 chains cut the default _SLAB
-    into 873-step slabs."""
+@pytest.mark.parametrize("name", MODEL_STATES)
+def test_walk_matches_the_reference_walk(name):
+    """metropolis_samples walks the chains exactly as _reference_walk does,
+    byte for byte: at the default burn-in (20 of 200 steps, one width
+    update), none and all but the last step (twelve updates), kept at
+    every step, every 4th and every 10th, topology's thinnings."""
     st = get_state(name)
-    default = estimators._SLAB
-    for n_chains, slab in ((3, default), (3, 3 * 37), (3, 2), (300, default)):
-        monkeypatch.setattr(estimators, "_SLAB", slab)
-        cfg = SamplerConfig(n_chains=n_chains,
-                            steps_per_chain=estimators._CHUNK + 37, seed=5)
-        got = metropolis_samples(st, cfg, thin=7)
-        ref = _reference_metropolis_samples(st, cfg, thin=7,
-                                            tag=estimators._TAG_TOPOLOGY)
-        assert got.tobytes() == ref.tobytes(), (n_chains, slab)
+    for burn_in in (None, 0, 199):
+        cfg = SamplerConfig(n_chains=3, steps_per_chain=200, burn_in=burn_in,
+                            seed=5)
+        for thin in (1, 4, 10):
+            got = metropolis_samples(st, cfg, thin=thin)
+            ref = _reference_metropolis_samples(st, cfg, thin=thin,
+                                                tag=estimators._TAG_TOPOLOGY)
+            assert got.tobytes() == ref.tobytes(), (burn_in, thin)
 
 
-def test_metropolis_memory_is_bounded_by_the_slab():
-    """The noise buffer holds a slab of every chain's noise, not a chunk: at
-    512 chains a chunk of 3S_1s2s noise alone is 50 MB, a slab 12.6 MB.
-    The i.i.d. draws of pot and std hold one _CHUNK of rows."""
+def test_sampling_memory_is_bounded_by_the_batch():
+    """At 512 chains the walk holds one step of every chain's noise and its
+    thinned points, and the i.i.d. draws of pot and std one _CHUNK of
+    rows, not the 2085 steps' worth (60 MB of the walk's uniforms)."""
     st = get_state("3S_1s2s")
     cfg = SamplerConfig(n_chains=512, steps_per_chain=estimators._CHUNK + 37,
                         seed=5)
@@ -584,33 +562,8 @@ def test_metropolis_memory_is_bounded_by_the_slab():
         assert peak < 24e6, estimate.__name__
 
 
-JOINT_CONFIGS = [SamplerConfig(n_chains=8, steps_per_chain=2000, seed=11),
-                 SamplerConfig(n_chains=3, steps_per_chain=3000, seed=5),
-                 SamplerConfig(n_chains=1024, steps_per_chain=60, seed=9),
-                 SamplerConfig(n_chains=5, steps_per_chain=2100, burn_in=777,
-                               seed=2)]
-
-
-@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
-def test_joint_pass_equals_the_separate_estimators(name):
-    """The CLI's joint plan of pot, kin_std and pot_std (nda compute's and
-    verify-tables') gives estimate_pot_nda and
-    estimate_standard_expectations field for field, bit for bit."""
-    from nda.cli import _plan
-    st = get_state(name)
-    for cfg in JOINT_CONFIGS:
-        got = _plan(st, cfg, ["pot", "kin_std", "pot_std"], "auto")()
-        std = estimate_standard_expectations(st, cfg=cfg)
-        ref = {"pot": estimate_pot_nda(st, cfg=cfg),
-               "kin_std": std["kin"], "pot_std": std["pot"]}
-        assert {k: repr(e) for k, e in got.items()} == \
-            {k: repr(e) for k, e in ref.items()}, cfg
-
-
 # ----------------------------------------------------- control variates
 
-MODEL_STATES = ([s.name for s in catalog_list() if s.model]
-                + ["subshell_k1_l1", "subshell_k1_l2"])
 # the states whose local kinetic energy and potential are both linear in
 # c_rad and c_lin, so that the controlled std integrands are constant
 ZERO_VARIANCE = ["2P_2p", "3P_2p2", "1S_2p2", "1D_2p2",
@@ -948,6 +901,6 @@ def test_metropolis_samples_shape_and_support():
 def test_metropolis_samples_rejects_bad_input(bad, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
-    monkeypatch.setattr(estimators, "_metropolis", no_sampling)
+    monkeypatch.setattr(estimators, "_stream", no_sampling)
     with pytest.raises(ValueError):
         metropolis_samples(get_state("2P_2p"), FAST, **bad)

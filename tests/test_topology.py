@@ -80,6 +80,16 @@ class TestDomainCount(unittest.TestCase):
         rep = count_nodal_domains(get_state("2P_2p"), n_points=2000, seed=5)
         self.assertIn("upper bound", rep.confidence_note)
 
+    def test_note_bounds_the_count_only_where_each_label_is_one_domain(self):
+        # subshell_k1_l2's x^2 - y^2 holds two domains of each sign, so its
+        # count can fall below the true one: the note claims no
+        # unconditional bound
+        rep = count_nodal_domains(subshell_family(1, 2), n_points=1000)
+        self.assertNotIn("upper bound;", rep.confidence_note)
+        self.assertIn("if every sign of Psi holds one domain",
+                      rep.confidence_note)
+        self.assertIn("can fall below the true one", rep.confidence_note)
+
     def test_minimum_points_enforced(self):
         with self.assertRaises(ValueError):
             count_nodal_domains(get_state("2P_2p"), n_points=100)

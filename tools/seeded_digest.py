@@ -21,6 +21,10 @@ For each of the 13 model states (the catalog states with a model, and
   interacting atom) on those points, with coincident-particle rows;
 * at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, abs,
   surface, shell and ``metropolis_samples``;
+* ``metropolis_samples`` at the topology module's own settings, 128
+  chains kept at every 10th step (as ``count_nodal_domains`` at 1000
+  points) and at every 4th (as ``test_node_equivalence``), and at no
+  burn-in;
 * on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2 and on the
   four-domain 1S_1s2_2s2, the ``count_nodal_domains`` report at 1000
   points, and on 1D_2p2 the
@@ -42,6 +46,8 @@ from nda.catalog import catalog_list, get_state
 from nda.hamiltonians import coulomb_atom, potential_batch
 
 CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
+# topology's walks: (chains, steps, burn_in, thin)
+WALKS = ((128, 130, 50, 10), (128, 250, 50, 4), (8, 300, 0, 1))
 ROWS = (1, 37, 2048)
 SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
 DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2", "1S_1s2_2s2")
@@ -131,6 +137,12 @@ def digest(states: Optional[Sequence] = None,
                 yield f"{st.name}/{name}/{tag} {_sha(_fields(run()))}"
             yield (f"{st.name}/metropolis_samples/{tag} "
                    f"{_sha(est.metropolis_samples(st, cfg))}")
+        for chains, steps, burn, thin in WALKS:
+            cfg = est.SamplerConfig(n_chains=chains, steps_per_chain=steps,
+                                    burn_in=burn)
+            yield (f"{st.name}/metropolis_samples/"
+                   f"{chains}x{steps}.burn{burn}.thin{thin} "
+                   f"{_sha(est.metropolis_samples(st, cfg, thin=thin))}")
         if st.name in DOMAIN_STATES:
             report = topology.count_nodal_domains(st, n_points=1000)
             yield f"{st.name}/count_nodal_domains/n=1000 {_sha(_fields(report))}"
