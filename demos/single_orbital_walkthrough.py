@@ -30,7 +30,8 @@ print(f"  domain split:   kin {state.exact_nda['kin']}, "
       f"pot {state.exact_nda['pot']}")
 print()
 
-print("deterministic quadrature (radial Gauss-Laguerre after angular reduction)")
+print("deterministic quadrature (composite Gauss-Legendre on graded radial "
+      "panels after angular reduction)")
 for target in ["kin_nda", "pot_nda"]:
     val = quadrature_oracle(state, target)
     ex = float(state.exact_nda[target.split("_")[0]])

@@ -483,9 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
-    p.add_argument("--points", type=int, default=20_000)
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--checks", type=int, default=16)
+    p.add_argument("--points", type=int, default=20_000,
+                   help="Psi^2 sample points, at least 1000")
+    p.add_argument("--k", type=int, default=12,
+                   help="nearest neighbours of the same label paired with "
+                        "each point")
+    p.add_argument("--checks", type=int, default=16,
+                   help="interior points of each pair's segment that must "
+                        "carry the pair's label")
     p.add_argument("--seed", type=int, default=20260801)
     _add_format_flag(p)
     p.set_defaults(fn=cmd_domains)

@@ -1,10 +1,12 @@
 """Nodal-domain counting and node-equivalence tests.
 
 Both operations work on sign information only: domains are connected
-components of the same-label sample graph (a label is sign(Psi), or the
-block-determinant signs of a one-term product), and equivalence of two
-nodes is falsified by a single robust sign disagreement under the
-candidate coordinate transformation.  The points are metropolis_samples, a
+components of the same-label neighbour graph of the sample points (a label
+is sign(Psi), or the block-determinant signs of a one-term product; each
+point is joined to its k nearest neighbours of its own label where the
+segment between them keeps that label), and equivalence of two nodes is
+falsified by a single robust sign disagreement under the candidate
+coordinate transformation.  The points are metropolis_samples, a
 Psi^2 Metropolis walk on a stream of its own, and a sign is robust off the
 node by the rule of the local energy (wavefunctions.off_node).
 """
@@ -114,6 +116,15 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class DomainReport:
+    """The result of count_nodal_domains.
+
+    n_domains is the number of connected components of the same-label
+    neighbour graph, n_points the number of sample points, n_edges_tested
+    the number of distinct same-label pairs given the segment test, and
+    confidence_note states the condition under which n_domains bounds the
+    true count from above.
+    """
+
     n_domains: int
     n_points: int
     n_edges_tested: int
@@ -145,11 +156,17 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                         seed: int = 20260801) -> DomainReport:
     """The number of nodal domains from sampled sign regions.
 
-    Samples follow Psi^2; an edge joins two k-nearest neighbors only when
-    both endpoints and all segment_checks interior points of the straight
-    segment carry the same nonzero label (_labels).  Connected components
-    of that graph are counted with
-    scipy.sparse.csgraph.connected_components.
+    Samples follow Psi^2.  Each point with a nonzero label (_labels) is
+    paired with its k_neighbors nearest neighbours among the points of the
+    same label (all of them, less itself, in a class of k_neighbors or
+    fewer), found on one cKDTree per label class; every unordered pair is
+    tested once, and it becomes an edge when all segment_checks interior
+    points of the straight segment carry that label too.  Connected
+    components of the graph are counted with
+    scipy.sparse.csgraph.connected_components; n_edges_tested is the number
+    of distinct pairs tested.  A far-tail point whose nearest neighbours in
+    space sit across a nodal sheet still gets k_neighbors candidates of its
+    own label, and a pair counts whichever of its ends found the other.
 
     The count is an upper bound, falling to the true domain count as the
     sampling is refined, wherever every label region is one domain, since
@@ -165,11 +182,9 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     x^2 - y^2).  The report's confidence_note states that condition for
     the state's labels, the signs of Psi or of its block determinants.
 
-    Isolated far-tail points whose nearest neighbors all sit across a nodal
-    sheet would otherwise surface as spurious singleton components, so tiny
-    components get a rescue pass: corridors to farther same-sign points are
-    tried under the same interior-sign evidence, and a merge happens only
-    when a corridor passes every check.
+    At k_neighbors <= 2 the graph falls apart into many small components
+    and the count reads far above the true one; k_neighbors = 3 can still
+    over-count.
     """
     model = state.model
     if model is None:
@@ -190,77 +205,40 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     if minority < 0.1:
         notes.append(f"unbalanced signs: minority fraction {minority:.3f} < 0.1")
 
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=k_neighbors + 1)
-    src = np.repeat(np.arange(n_points), k_neighbors)
-    dst = nbr[:, 1:].reshape(-1)
-    keep = src < dst                       # undirected, dedup
-    src, dst = src[keep], dst[keep]
-    same = np.all(labels[src] * labels[dst] > 0, axis=1)
-    src, dst = src[same], dst[same]
+    # one k-d tree per label class: every point's k_neighbors nearest
+    # neighbours of its own nonzero label, each unordered pair once
+    _, cls = np.unique(labels, axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    pairs = [np.zeros(0, dtype=np.intp)]
+    for c in range(cls.max() + 1):
+        idx = np.flatnonzero(cls == c)
+        if idx.size < 2 or not np.all(labels[idx[0]]):
+            continue
+        k = min(k_neighbors, idx.size - 1)
+        _, nbr = cKDTree(pts[idx]).query(pts[idx], k=k + 1)
+        src, dst = np.repeat(idx, k), idx[nbr[:, 1:]].reshape(-1)
+        pairs.append(np.minimum(src, dst) * n_points + np.maximum(src, dst))
+    src, dst = np.divmod(np.unique(np.concatenate(pairs)), n_points)
 
+    # the segment test: every interior check carries the label of src
     frac = np.arange(1, segment_checks + 1) / (segment_checks + 1.0)
     dim = pts.shape[1]
-    chunk = max(1, 2_000_000 // (segment_checks * dim))
+    chunk = max(1, 1_000_000 // (segment_checks * dim))
+    good = np.empty(src.size, dtype=bool)
+    for lo in range(0, src.size, chunk):
+        ii, jj = src[lo:lo + chunk], dst[lo:lo + chunk]
+        a, b = pts[ii, None], pts[jj, None]
+        v = _labels(model, (a + frac[:, None] * (b - a)).reshape(-1, dim))
+        good[lo:lo + chunk] = np.all(
+            v.reshape(ii.size, segment_checks, -1) * labels[ii, None] > 0,
+            axis=(1, 2))
 
-    def keeps_label(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Whether every interior check of the segment from point i[k] to
-        point j[k] carries the nonzero label of point i[k], chunk segments
-        per call."""
-        good = np.empty(i.size, dtype=bool)
-        for lo in range(0, i.size, chunk):
-            ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
-            a, b = pts[ii, None], pts[jj, None]
-            v = _labels(model, (a + frac[:, None] * (b - a)).reshape(-1, dim))
-            good[lo:lo + chunk] = np.all(
-                v.reshape(ii.size, segment_checks, -1) * labels[ii, None] > 0,
-                axis=(1, 2))
-        return good
-
-    good = keeps_label(src, dst)
-    edges = [(src[good], dst[good])]
-    n_edges = int(src.size)
-
-    def components():
-        # imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
-        # which would add about 50 ms to every import of nda
-        from scipy.sparse.csgraph import connected_components
-        i, j = (np.concatenate(e) for e in zip(*edges))
-        adj = coo_matrix((np.ones(i.size, dtype=bool), (i, j)),
-                         shape=(n_points, n_points))
-        return connected_components(adj, directed=False)
-
-    # rescue pass for under-connected tiny components; labels are
-    # recomputed once per round, so merges within a round see the labels
-    # of the round's start.  A component's candidate pairs are each
-    # member's first 24 same-sign outsiders among its kq neighbours, member
-    # by member; it merges along the first pair that keeps its sign, and
-    # the pairs up to that one (all of them when none does) count as tested
-    small = max(32, n_points // 200)
-    kq = min(n_points, 256)
-    stable = False
-    while not stable:
-        stable = True
-        n_domains, roots = components()
-        if n_domains == 1:
-            break
-        for r, c in enumerate(np.bincount(roots)):
-            if c >= small:
-                continue
-            members = np.flatnonzero(roots == r)
-            _, cand = tree.query(pts[members], k=kq)
-            outside = ((roots[cand] != r)
-                       & np.all(labels[cand] == labels[members, None], axis=2))
-            row, col = np.nonzero(outside & (np.cumsum(outside, axis=1) <= 24))
-            p, q = members[row], cand[row, col]
-            passed = np.flatnonzero(keeps_label(p, q))
-            if passed.size:
-                first = passed[0]
-                n_edges += int(first) + 1
-                edges.append((p[first:first + 1], q[first:first + 1]))
-                stable = False
-            else:
-                n_edges += p.size
+    # imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
+    # which would add about 50 ms to every import of nda
+    from scipy.sparse.csgraph import connected_components
+    adj = coo_matrix((np.ones(int(good.sum()), dtype=bool),
+                      (src[good], dst[good])), shape=(n_points, n_points))
+    n_domains, _ = connected_components(adj, directed=False)
 
     regions = ("sign of Psi" if labels.shape[1] == 1
                else "sign pattern of the block determinants")
@@ -271,7 +249,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     return DomainReport(
         n_domains=n_domains,
         n_points=n_points,
-        n_edges_tested=n_edges,
+        n_edges_tested=int(src.size),
         confidence_note="; ".join(notes),
     )
 

@@ -2,6 +2,7 @@ import unittest
 from unittest import mock
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from nda import topology
 from nda.catalog import get_state, subshell_family
@@ -66,7 +67,7 @@ class TestDomainCount(unittest.TestCase):
 
     def test_four_domain_orbital_stays_four(self):
         # the l=2, m=2 real orbital's node is two intersecting planes; the
-        # corridor rescue pass must not glue genuinely distinct domains
+        # same-label neighbour graph must not glue genuinely distinct domains
         rep = count_nodal_domains(subshell_family(1, 2))
         self.assertEqual(rep.n_domains, 4)
 
@@ -75,6 +76,31 @@ class TestDomainCount(unittest.TestCase):
         # sign(Psi) alone reads 2; the pair of determinant signs reads 4
         rep = count_nodal_domains(get_state("1S_1s2_2s2"), n_points=5000)
         self.assertEqual(rep.n_domains, 4)
+
+    def test_product_of_two_determinants_four_domains_across_seeds(self):
+        # at 5 000 points a domain splits in two on these seeds unless every
+        # same-label neighbour pair is kept
+        for seed in (1, 2, 3):
+            rep = count_nodal_domains(get_state("1S_1s2_2s2"), n_points=5000,
+                                      seed=seed)
+            self.assertEqual(rep.n_domains, 4, seed)
+
+    def test_edges_tested_are_the_distinct_same_label_pairs(self):
+        # each point's k nearest neighbours among the points of its own
+        # label, every unordered pair counted once
+        k = 12
+        for name in ("2P_2p", "1S_1s2_2s2"):
+            st = get_state(name)
+            pts = _sample_points(st, 1000, 20260801)
+            labels = topology._labels(st.model, pts)
+            pairs = set()
+            for label in {tuple(row) for row in labels}:
+                idx = np.flatnonzero(np.all(labels == label, axis=1))
+                _, nbr = cKDTree(pts[idx]).query(pts[idx], k=k + 1)
+                for i, row in zip(idx, nbr[:, 1:]):
+                    pairs.update((min(i, j), max(i, j)) for j in idx[row])
+            rep = count_nodal_domains(st, n_points=1000, k_neighbors=k)
+            self.assertEqual(rep.n_edges_tested, len(pairs), name)
 
     def test_note_mentions_upper_bound(self):
         rep = count_nodal_domains(get_state("2P_2p"), n_points=2000, seed=5)

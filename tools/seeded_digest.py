@@ -26,8 +26,9 @@ For each of the 13 model states (the catalog states with a model, and
   points) and at every 4th (as ``test_node_equivalence``), and at no
   burn-in;
 * on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2 and on the
-  four-domain 1S_1s2_2s2, the ``count_nodal_domains`` report at 1000
-  points, and on 1D_2p2 the
+  four-domain 1S_1s2_2s2 and subshell_k1_l2 (x^2 - y^2, two domains of
+  each sign), the ``count_nodal_domains`` report at 1000 points, and on
+  1D_2p2 the
   ``test_node_equivalence`` result of the x_2 flip onto 3P_2p2 at 2000
   points.
 """
@@ -50,7 +51,8 @@ CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
 WALKS = ((128, 130, 50, 10), (128, 250, 50, 4), (8, 300, 0, 1))
 ROWS = (1, 37, 2048)
 SUBSHELL_STATES = ("subshell_k1_l1", "subshell_k1_l2")
-DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2", "1S_1s2_2s2")
+DOMAIN_STATES = ("2P_2p", "3P_2p2", "1S_2p2", "1D_2p2", "1S_1s2_2s2",
+                 "subshell_k1_l2")
 
 
 def _sha(obj) -> str:
