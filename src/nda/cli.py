@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 unconverged.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -90,12 +88,13 @@ def _estimate_entry(est: NdaEstimate, exact=None) -> dict:
     return entry
 
 
-def _print_table(state_name: str, estimates: dict, file=None) -> None:
-    file = file if file is not None else sys.stdout
+def _print_table(record: RunRecord) -> None:
+    print(f"state {record.state}  ({record.command}, v{record.version}, "
+          f"{record.wall_time_s:.2f}s)")
     header = f"{'component':<10} {'estimate':>14} {'stderr':>12} {'exact':>22} {'dev/sigma':>10}"
-    print(header, file=file)
-    print("-" * len(header), file=file)
-    for comp, entry in estimates.items():
+    print(header)
+    print("-" * len(header))
+    for comp, entry in record.estimates.items():
         exact = entry.get("exact")
         if exact is not None:
             if exact["rational"] == f"{exact['value']:.12g}":
@@ -107,40 +106,9 @@ def _print_table(state_name: str, estimates: dict, file=None) -> None:
         else:
             exact_txt, dev_txt = "-", "-"
         print(f"{comp:<10} {entry['mean']:>14.6g} {entry['stderr']:>12.3g} "
-              f"{exact_txt:>22} {dev_txt:>10}", file=file)
+              f"{exact_txt:>22} {dev_txt:>10}")
         if entry.get("status", "ok") != "ok":
-            print(f"  note: {entry['status']}", file=file)
-
-
-def _print_csv(state_name: str, estimates: dict, file=None) -> None:
-    file = file if file is not None else sys.stdout
-    writer = csv.writer(file)
-    writer.writerow(["state", "component", "method", "mean", "stderr",
-                     "exact", "sigma_deviation"])
-    for comp, entry in estimates.items():
-        exact = entry.get("exact")
-        writer.writerow([
-            state_name, comp, entry["method"],
-            repr(entry["mean"]), repr(entry["stderr"]),
-            "" if exact is None else repr(exact["value"]),
-            "" if entry.get("sigma_deviation") is None
-            else repr(entry["sigma_deviation"]),
-        ])
-
-
-def _emit(record: RunRecord, fmt: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(record.to_json() + "\n")
-        return
-    if fmt == "json":
-        print(record.to_json())
-    elif fmt == "csv":
-        _print_csv(record.state, record.estimates)
-    else:
-        print(f"state {record.state}  ({record.command}, v{record.version}, "
-              f"{record.wall_time_s:.2f}s)")
-        _print_table(record.state, record.estimates)
+            print(f"  note: {entry['status']}")
 
 
 def _get_state_from_args(args) -> "StateSpec":
@@ -169,23 +137,6 @@ def _evaluable(state):
         raise ValueError(f"state {state.name!r} has no evaluable model")
     state.reference_density
     return state
-
-
-def _sampler_config(args, default_steps=200_000, default_chains=8) -> SamplerConfig:
-    chains = args.chains if args.chains is not None else default_chains
-    if args.samples is not None:
-        samples = float(args.samples)
-        if not 0.0 < samples < float("inf"):
-            raise ValueError("--samples must be a positive finite number")
-        # a non-positive chain count is left for SamplerConfig to reject
-        steps = max(2, int(samples / max(chains, 1) + 0.5))
-    else:
-        steps = args.steps if args.steps is not None else default_steps
-    return SamplerConfig(
-        n_chains=chains,
-        steps_per_chain=steps,
-        seed=args.seed,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +230,7 @@ def _combined_status(*statuses: str) -> str:
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     state = _get_state_from_args(args)
-    cfg = _sampler_config(args)
+    cfg = SamplerConfig(args.chains, args.steps, seed=args.seed)
     components = [c.strip() for c in args.components.split(",") if c.strip()]
     ests = _plan(state, cfg, components, args.method)()
     estimates = {c: _estimate_entry(est, _exact(state, c))
@@ -303,7 +254,10 @@ def cmd_compute(args) -> int:
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    _emit(record, args.format, args.out)
+    if args.format == "json":
+        print(record.to_json())
+    else:
+        _print_table(record)
     if any(e.get("status") == "unconverged" for e in estimates.values()):
         print("warning: at least one estimator is unconverged", file=sys.stderr)
         return 3
@@ -328,7 +282,7 @@ def _verify_plans(state, cfg, method: str) -> list:
 
 
 def cmd_verify_tables(args) -> int:
-    cfg = _sampler_config(args)
+    cfg = SamplerConfig(args.chains, args.steps, seed=args.seed)
     names = ([n.strip() for n in args.only.split(",") if n.strip()] if args.only
              else [s.name for s in catalog_list()
                    if s.model is not None and (s.exact_nda or s.exact_standard)])
@@ -369,9 +323,7 @@ def cmd_verify_tables(args) -> int:
 
 def cmd_domains(args) -> int:
     state = _evaluable(_get_state_from_args(args))
-    report = count_nodal_domains(
-        state, n_points=args.points, k_neighbors=args.k,
-        segment_checks=args.checks, seed=args.seed)
+    report = count_nodal_domains(state, n_points=args.points, seed=args.seed)
     if args.format == "json":
         print(json.dumps(asdict(report), indent=2, sort_keys=True))
     else:
@@ -434,17 +386,17 @@ def cmd_catalog(args) -> int:
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--chains", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="i.i.d. draws per chain")
-    p.add_argument("--samples", type=str, default=None,
-                   help="total sample budget, e.g. 1e6 (overrides --steps)")
+    p.add_argument("--chains", type=int, default=8)
+    p.add_argument("--steps", type=int, default=200_000,
+                   help="sizes each chain's i.i.d. draws: pot draws steps - "
+                        "steps//10, kin_std and pot_std a quarter of that "
+                        "(rounded up), kin by surface steps node draws and "
+                        "steps |Psi| draws, kin by shell and abs_norm steps")
     p.add_argument("--seed", type=int, default=20260801)
 
 
-def _add_format_flag(p: argparse.ArgumentParser, *formats: str) -> None:
-    p.add_argument("--format", choices=("table", "json") + formats,
-                   default="table")
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("table", "json"), default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,10 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "surface", "shell", "quadrature"),
                    default="auto")
     _add_sampler_flags(p)
-    _add_format_flag(p, "csv")
-    p.add_argument("--out", type=str, default=None,
-                   help="write the JSON run record to this path instead of "
-                        "printing it")
+    _add_format_flag(p)
     p.set_defaults(fn=cmd_compute)
 
     p = add_parser("verify-tables",
@@ -479,18 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampler_flags(p)
     p.set_defaults(fn=cmd_verify_tables)
 
-    p = add_parser("domains", help="count nodal domains")
+    p = add_parser("domains", help="count nodal domains (fixed same-label "
+                   "neighbour and segment-check counts)")
     p.add_argument("--state", required=True)
     p.add_argument("--Z", default=None)
     p.add_argument("--omega", default=None)
     p.add_argument("--points", type=int, default=20_000,
                    help="Psi^2 sample points, at least 1000")
-    p.add_argument("--k", type=int, default=12,
-                   help="nearest neighbours of the same label paired with "
-                        "each point")
-    p.add_argument("--checks", type=int, default=16,
-                   help="interior points of each pair's segment that must "
-                        "carry the pair's label")
     p.add_argument("--seed", type=int, default=20260801)
     _add_format_flag(p)
     p.set_defaults(fn=cmd_domains)
@@ -521,7 +465,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (KeyError, ValueError, NotReducibleError) as exc:
+    except (KeyError, ValueError, NotReducibleError, MemoryError) as exc:
+        # MemoryError: --points, --chains or --steps too large to allocate,
+        # raised before any draw
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,11 @@
 Both operations work on sign information only: domains are connected
 components of the same-label neighbour graph of the sample points (a label
 is sign(Psi), or the block-determinant signs of a one-term product; each
-point is joined to its k nearest neighbours of its own label where the
-segment between them keeps that label), and equivalence of two nodes is
-falsified by a single robust sign disagreement under the candidate
-coordinate transformation.  The points are metropolis_samples, a
+point is joined to a fixed number, _K_NEIGHBORS, of its nearest
+neighbours of its own label where a fixed number, _SEGMENT_CHECKS, of
+points of the segment between them keep that label), and equivalence of
+two nodes is falsified by a single robust sign disagreement under the
+candidate coordinate transformation.  The points are metropolis_samples, a
 Psi^2 Metropolis walk on a stream of its own, and a sign is robust off the
 node by the rule of the local energy (wavefunctions.off_node).
 """
@@ -34,6 +35,15 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+
+# Same-label nearest neighbours paired with each point.  At 2 or fewer the
+# graph falls apart into many small components and the count reads far
+# above the true one (1 179 to 1 515 domains at 1); 3 can still over-count.
+_K_NEIGHBORS = 12
+# Interior points of each pair's segment that must carry the pair's label.
+# 1, 2, 4, 8 and 16 read the same counts on 2P_2p, 1S_1s2_2s2, 3P_2p2,
+# 1S_1s2_2p2 and subshell_k1_l2 at 5 000 points (seed 1).
+_SEGMENT_CHECKS = 16
 
 
 # --------------------------------------------------------------------------
@@ -152,20 +162,19 @@ def _labels(model, x: np.ndarray) -> np.ndarray:
 
 
 def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
-                        k_neighbors: int = 12, segment_checks: int = 16,
                         seed: int = 20260801) -> DomainReport:
     """The number of nodal domains from sampled sign regions.
 
     Samples follow Psi^2.  Each point with a nonzero label (_labels) is
-    paired with its k_neighbors nearest neighbours among the points of the
-    same label (all of them, less itself, in a class of k_neighbors or
+    paired with its _K_NEIGHBORS nearest neighbours among the points of the
+    same label (all of them, less itself, in a class of _K_NEIGHBORS or
     fewer), found on one cKDTree per label class; every unordered pair is
-    tested once, and it becomes an edge when all segment_checks interior
+    tested once, and it becomes an edge when all _SEGMENT_CHECKS interior
     points of the straight segment carry that label too.  Connected
     components of the graph are counted with
     scipy.sparse.csgraph.connected_components; n_edges_tested is the number
     of distinct pairs tested.  A far-tail point whose nearest neighbours in
-    space sit across a nodal sheet still gets k_neighbors candidates of its
+    space sit across a nodal sheet still gets _K_NEIGHBORS candidates of its
     own label, and a pair counts whichever of its ends found the other.
 
     The count is an upper bound, falling to the true domain count as the
@@ -181,20 +190,12 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     or on a block with two domains of one sign (subshell_k1_l2's
     x^2 - y^2).  The report's confidence_note states that condition for
     the state's labels, the signs of Psi or of its block determinants.
-
-    At k_neighbors <= 2 the graph falls apart into many small components
-    and the count reads far above the true one; k_neighbors = 3 can still
-    over-count.
     """
     model = state.model
     if model is None:
         raise ValueError(f"state {state.name!r} has no evaluable model")
     if n_points < 1000:
         raise ValueError("n_points must be at least 1000")
-    if not 1 <= k_neighbors < n_points:
-        raise ValueError("k_neighbors must satisfy 1 <= k_neighbors < n_points")
-    if segment_checks < 1:
-        raise ValueError("segment_checks must be at least 1")
     pts = _sample_points(state, n_points, seed)
     n_points = pts.shape[0]
     labels = _labels(model, pts)
@@ -205,7 +206,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     if minority < 0.1:
         notes.append(f"unbalanced signs: minority fraction {minority:.3f} < 0.1")
 
-    # one k-d tree per label class: every point's k_neighbors nearest
+    # one k-d tree per label class: every point's _K_NEIGHBORS nearest
     # neighbours of its own nonzero label, each unordered pair once
     _, cls = np.unique(labels, axis=0, return_inverse=True)
     cls = cls.reshape(-1)
@@ -214,23 +215,23 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
         idx = np.flatnonzero(cls == c)
         if idx.size < 2 or not np.all(labels[idx[0]]):
             continue
-        k = min(k_neighbors, idx.size - 1)
+        k = min(_K_NEIGHBORS, idx.size - 1)
         _, nbr = cKDTree(pts[idx]).query(pts[idx], k=k + 1)
         src, dst = np.repeat(idx, k), idx[nbr[:, 1:]].reshape(-1)
         pairs.append(np.minimum(src, dst) * n_points + np.maximum(src, dst))
     src, dst = np.divmod(np.unique(np.concatenate(pairs)), n_points)
 
     # the segment test: every interior check carries the label of src
-    frac = np.arange(1, segment_checks + 1) / (segment_checks + 1.0)
+    frac = np.arange(1, _SEGMENT_CHECKS + 1) / (_SEGMENT_CHECKS + 1.0)
     dim = pts.shape[1]
-    chunk = max(1, 1_000_000 // (segment_checks * dim))
+    chunk = max(1, 1_000_000 // (_SEGMENT_CHECKS * dim))
     good = np.empty(src.size, dtype=bool)
     for lo in range(0, src.size, chunk):
         ii, jj = src[lo:lo + chunk], dst[lo:lo + chunk]
         a, b = pts[ii, None], pts[jj, None]
         v = _labels(model, (a + frac[:, None] * (b - a)).reshape(-1, dim))
         good[lo:lo + chunk] = np.all(
-            v.reshape(ii.size, segment_checks, -1) * labels[ii, None] > 0,
+            v.reshape(ii.size, _SEGMENT_CHECKS, -1) * labels[ii, None] > 0,
             axis=(1, 2))
 
     # imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
@@ -242,6 +243,7 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
 
     regions = ("sign of Psi" if labels.shape[1] == 1
                else "sign pattern of the block determinants")
+    # the note's segment_checks is _SEGMENT_CHECKS
     notes.append(f"count is an upper bound, which can only decrease under "
                  f"refinement of n_points or segment_checks, if every "
                  f"{regions} holds one domain; where one holds several, the "
@@ -327,15 +329,14 @@ def _signed_permutations() -> List[np.ndarray]:
 
 
 def find_block_transform(state_a: StateSpec, state_b: StateSpec,
-                         n_probe: int = 512, n_confirm: int = 20_000,
                          seed: int = 20260801) -> Optional[TransformSpec]:
     """Search signed-permutation block transforms mapping node(a) onto node(b).
 
     Candidates are all per-particle signed coordinate permutations combined
     with particle reorderings (48^N * N! for N particles).  A candidate is
-    screened on a small probe sample and confirmed on a larger one; returns
-    the first confirmed TransformSpec, or None when every candidate shows a
-    robust sign disagreement.
+    screened on 512 probe points and confirmed on 20 000
+    (test_node_equivalence); returns the first confirmed TransformSpec, or
+    None when every candidate shows a robust sign disagreement.
     """
     ma, mb = state_a.model, state_b.model
     if ma is None or mb is None:
@@ -344,7 +345,7 @@ def find_block_transform(state_a: StateSpec, state_b: StateSpec,
     if mb.n_particles != n:
         raise ValueError("states have different particle counts")
 
-    probe = _sample_points(state_a, n_probe, seed, thin=4)
+    probe = _sample_points(state_a, 512, seed, thin=4)
     sa, keep = _sign_off_node(ma, probe)
     probe, sa = probe[keep], sa[keep]
 
@@ -358,7 +359,7 @@ def find_block_transform(state_a: StateSpec, state_b: StateSpec,
             s = sa[ok] * sb[ok]
             if np.all(s == s[0]):
                 confirm = test_node_equivalence(
-                    state_a, state_b, t, n_points=n_confirm, seed=seed + 1)
+                    state_a, state_b, t, n_points=20_000, seed=seed + 1)
                 if confirm["verdict"] == "equivalent":
                     return t
     return None

@@ -21,7 +21,7 @@ def test_catalog_lists_every_state(capsys):
 
 def test_compute_json_roundtrip(capsys):
     code, out, _ = run(["compute", "--state", "2P_2p", "--components", "pot,kin",
-                        "--samples", "8e4", "--format", "json"], capsys)
+                        "--steps", "10000", "--format", "json"], capsys)
     assert code == 0
     rec = RunRecord.from_json(out)
     assert rec.state == "2P_2p"
@@ -39,35 +39,24 @@ def test_compute_json_roundtrip(capsys):
         abs(pot["mean"] + 1 / 6) / pot["stderr"])
 
 
-def test_compute_csv_columns(capsys):
+def test_compute_quadrature_record(capsys):
     code, out, _ = run(["compute", "--state", "3P_2p2", "--components", "kin",
-                        "--method", "quadrature", "--format", "csv"], capsys)
+                        "--method", "quadrature", "--format", "json"], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "state,component,method,mean,stderr,exact,sigma_deviation"
-    row = lines[1].split(",")
-    assert row[0] == "3P_2p2" and row[2] == "quadrature"
-    assert float(row[3]) == pytest.approx(1 / 12, abs=1e-8)
-    assert float(row[4]) == 0.0
+    rec = RunRecord.from_json(out)
+    kin = rec.estimates["kin"]
+    assert rec.state == "3P_2p2" and kin["method"] == "quadrature"
+    assert kin["mean"] == pytest.approx(1 / 12, abs=1e-8)
+    assert kin["stderr"] == 0.0
 
 
 def test_same_flags_same_output(capsys):
     argv = ["compute", "--state", "3S_1s2s", "--components", "pot",
-            "--samples", "4e4", "--format", "json"]
+            "--steps", "5000", "--format", "json"]
     _, out1, _ = run(argv, capsys)
     _, out2, _ = run(argv, capsys)
     a, b = json.loads(out1), json.loads(out2)
     assert a["estimates"] == b["estimates"]
-
-
-def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
-    target = tmp_path / "record.json"
-    code, out, _ = run(["compute", "--state", "2P_2p", "--components", "pot",
-                        "--samples", "2e4", "--out", str(target)], capsys)
-    assert code == 0
-    assert out == ""
-    rec = RunRecord.from_json(target.read_text())
-    assert rec.estimates["pot"]["status"] == "ok"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -80,8 +69,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["compute", "--state", "2P_2p", "--method", "shell",
                 "--chains", "1", "--components", "kin"], capsys)[0] == 2
     # non-positive sampler budgets are rejected, not replaced by defaults
-    for flags in (["--chains", "0"], ["--steps", "0"], ["--samples", "0"],
-                  ["--samples", "-5"]):
+    for flags in (["--chains", "0"], ["--steps", "0"]):
         code, out, err = run(["compute", "--state", "2P_2p",
                               "--components", "pot"] + flags, capsys)
         assert code == 2 and out == "" and "error:" in err, flags
@@ -92,16 +80,22 @@ def test_usage_errors_exit_2(capsys):
     assert "unrecognized arguments: --step" in err
 
 
-def test_only_compute_takes_out_and_csv(tmp_path, capsys):
-    """catalog, domains and equiv print a table or JSON; --out and csv,
-    which they would ignore, are usage errors there."""
+def test_retired_flags_exit_2(tmp_path, capsys):
+    """Every command sizes its run by --chains x --steps (or --points),
+    prints a table or JSON to stdout and counts domains on fixed neighbour
+    and check counts: --samples, --out, --format csv, --k and --checks are
+    usage errors on every command."""
     target = tmp_path / "x.json"
-    for argv in (["catalog", "--out", str(target)],
-                 ["domains", "--state", "2P_2p", "--format", "csv"],
-                 ["equiv", "--a", "1D_2p2", "--b", "3P_2p2", "--flip", "x:2",
-                  "--out", str(target)]):
-        code, out, _ = run(argv, capsys)
-        assert code == 2 and out == "", argv
+    out_flag = ["--out", str(target)]
+    for base in (["compute", "--state", "2P_2p", "--components", "pot"],
+                 ["verify-tables", "--only", "2P_2p"],
+                 ["domains", "--state", "2P_2p"],
+                 ["equiv", "--a", "1D_2p2", "--b", "3P_2p2", "--flip", "x:2"],
+                 ["catalog"]):
+        for flags in (["--samples", "2e4"], out_flag, ["--format", "csv"],
+                      ["--k", "12"], ["--checks", "16"]):
+            code, out, err = run(base + flags, capsys)
+            assert code == 2 and out == "" and "error:" in err, base + flags
     assert not target.exists()
 
 
@@ -109,6 +103,8 @@ def test_only_compute_takes_out_and_csv(tmp_path, capsys):
     ["equiv", "--a", "subshell_k1_l30", "--b", "subshell_k1_l30"],
     ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points", "0"],
     ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points", "-5"],
+    # --k and --checks are retired: domains counts on fixed neighbour and
+    # check counts
     ["domains", "--state", "2P_2p", "--k", "0"],
     ["domains", "--state", "2P_2p", "--k", "5000", "--points", "1000"],
     ["domains", "--state", "2P_2p", "--k", "-1"],
@@ -149,6 +145,12 @@ def test_only_compute_takes_out_and_csv(tmp_path, capsys):
     # --steps, and the topology walk sizes its own
     ["compute", "--state", "2P_2p", "--burn-in", "100"],
     ["verify-tables", "--only", "2P_2p", "--burn-in", "100"],
+    # a sample size too large to allocate fails before any draw
+    ["domains", "--state", "2P_2p", "--points", "1000000000000000"],
+    ["equiv", "--a", "3P_2p2", "--b", "3P_2p2", "--points",
+     "1000000000000000"],
+    ["compute", "--state", "2P_2p", "--components", "kin_std", "--chains",
+     "1000000000000", "--steps", "2"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
@@ -158,7 +160,8 @@ def test_only_compute_takes_out_and_csv(tmp_path, capsys):
         "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
         "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
         "compute-omega-overflow", "compute-kin-Z-tiny", "compute-std-Z-huge",
-        "domains-Z-tiny", "compute-burn-in", "verify-burn-in"])
+        "domains-Z-tiny", "compute-burn-in", "verify-burn-in",
+        "domains-points-huge", "equiv-points-huge", "compute-chains-huge"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators
@@ -381,8 +384,8 @@ def test_verify_tables_flags_large_deviations(capsys, monkeypatch):
         return dataclasses.replace(s, exact_nda={"kin": s.exact_nda["kin"],
                                                  "pot": -0.5})
     monkeypatch.setattr(cli, "get_state", poisoned)
-    code, out, _ = run(["verify-tables", "--only", "2P_2p", "--samples", "1e5"],
-                       capsys)
+    code, out, _ = run(["verify-tables", "--only", "2P_2p", "--steps",
+                        "12500"], capsys)
     assert code == 1
     assert "[FAIL]" in out
 
@@ -418,7 +421,7 @@ def test_equiv_bad_flip_syntax(capsys):
 def test_z_override(capsys):
     code, out, _ = run(["compute", "--state", "2P_2p", "--Z", "2",
                         "--components", "kin", "--method", "quadrature",
-                        "--format", "csv"], capsys)
+                        "--format", "json"], capsys)
     assert code == 0
-    kin = float(out.strip().splitlines()[1].split(",")[3])
+    kin = RunRecord.from_json(out).estimates["kin"]["mean"]
     assert kin == pytest.approx(4 / 24, abs=1e-8)

@@ -88,7 +88,7 @@ class TestDomainCount(unittest.TestCase):
     def test_edges_tested_are_the_distinct_same_label_pairs(self):
         # each point's k nearest neighbours among the points of its own
         # label, every unordered pair counted once
-        k = 12
+        k = topology._K_NEIGHBORS
         for name in ("2P_2p", "1S_1s2_2s2"):
             st = get_state(name)
             pts = _sample_points(st, 1000, 20260801)
@@ -99,7 +99,7 @@ class TestDomainCount(unittest.TestCase):
                 _, nbr = cKDTree(pts[idx]).query(pts[idx], k=k + 1)
                 for i, row in zip(idx, nbr[:, 1:]):
                     pairs.update((min(i, j), max(i, j)) for j in idx[row])
-            rep = count_nodal_domains(st, n_points=1000, k_neighbors=k)
+            rep = count_nodal_domains(st, n_points=1000)
             self.assertEqual(rep.n_edges_tested, len(pairs), name)
 
     def test_note_mentions_upper_bound(self):
