@@ -22,7 +22,7 @@ from .estimators import (NdaEstimate, SamplerConfig, estimate_abs_norm,
                          quadrature_estimate)
 from .hamiltonians import (HamiltonianSpec, NodeProximityError,
                            SingularPointError, coulomb_atom, harmonic_pair,
-                           local_energy, potential)
+                           local_energy)
 from .quadrature import NotReducibleError, quadrature_oracle
 from .reference import (SubshellParams, harmonic_reference, quasiclassical_gap,
                         subshell_kin_nda, subshell_pot_nda, subshell_total)
@@ -40,7 +40,7 @@ __all__ = [
     "estimate_pot_nda", "estimate_standard_expectations",
     "quadrature_estimate",
     "HamiltonianSpec", "NodeProximityError", "SingularPointError",
-    "coulomb_atom", "harmonic_pair", "local_energy", "potential",
+    "coulomb_atom", "harmonic_pair", "local_energy",
     "NotReducibleError", "quadrature_oracle",
     "SubshellParams", "harmonic_reference", "quasiclassical_gap",
     "subshell_kin_nda", "subshell_pot_nda", "subshell_total",

@@ -6,9 +6,12 @@ Shared conventions:
   seeded from (seed, stream tag), so results depend only on the seed and
   the chain count.  An i.i.d. call draws _CHUNK rows at a time, and row r
   of its stream is draw r % n of chain r // n, so its chains are disjoint
-  runs of one stream.  A walk draws its chains' starting points in one
-  call, then one array of uniforms per step.  Memory is bounded by _CHUNK
-  and the chain count, not by the sample budget;
+  runs of one stream.  One worker thread draws the call's next block while
+  the current one is evaluated (_iid_stream); it alone draws from the
+  stream, in stream order, so no result depends on it.  A walk draws its
+  chains' starting points in one call, then one array of uniforms per
+  step.  Memory is bounded by _CHUNK (two blocks in flight) and the chain
+  count, not by the sample budget;
 * the standard expectations <T> and <V>, pot_nda (the ratio of the
   integrals of V |Psi| and |Psi|) and the integral of |Psi| are
   importance ratios on i.i.d. draws from the state's reference density g,
@@ -55,6 +58,8 @@ Shared conventions:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional
@@ -457,12 +462,32 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
     Draws draw(rng, m) in blocks of m <= _CHUNK rows from the stream of
     tag, and yields (chains, draws, x) per block: row r of the stream is
     draw r % n of chain r // n.
+
+    A stream of more than one block draws one block ahead: a single worker
+    thread draws block k + 1 while the caller evaluates block k (numpy's
+    generator and ufunc loops release the GIL).  The worker is the only
+    thread that touches rng and draws the blocks in stream order, so every
+    result is the same as a serial draw's, bit for bit; two blocks are in
+    flight at a time.  The worker is joined when the stream ends, when the
+    caller closes it, or when draw raises, whose exception reaches the
+    caller.  A one-block stream draws inline, with no thread.
     """
     total = cfg.n_chains * n
     rng = _stream(cfg.seed, tag)
-    for r0 in range(0, total, _CHUNK):
+
+    def block(r0):
         r = np.arange(r0, min(r0 + _CHUNK, total))
-        yield r // n, r % n, draw(rng, r.size)
+        return r // n, r % n, draw(rng, r.size)
+
+    if total <= _CHUNK:
+        yield block(0)
+        return
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(block, 0)
+        for r0 in range(_CHUNK, total, _CHUNK):
+            current, ahead = ahead.result(), worker.submit(block, r0)
+            yield current
+        yield ahead.result()
 
 
 def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
@@ -687,27 +712,29 @@ def estimate_kin_nda_shell(state: StateSpec,
         gn = np.sqrt(np.einsum("ij,ij->i", grads, grads))
         return av / np.maximum(gn, 1e-300), gn / dens, av / dens
 
-    stream = ((chains, draws, evaluate(x))
-              for chains, draws, x in _iid_stream(cfg, _TAG_SHELL, g.sample,
-                                                  cfg.steps_per_chain))
-    pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
-    eps0 = float(np.quantile(np.concatenate([p[2][0] for p in pilot]), 0.01))
-    if eps0 <= 0.0:
-        raise RuntimeError("could not scale the epsilon ladder: node "
-                           "distance quantile vanished")
-    ladder = eps0 * 0.5 ** np.arange(4)
-    K = ladder.size
-    # every draw adds |Psi| / g; the K rungs and the narrowest rung's hits
-    # are zero outside the widest rung, so only its rows are added there
-    acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
-    shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, K + 1)
-    for chains, draws, (d, gw, aw) in chain(pilot, stream):
-        acc.add(chains, draws, (aw,))
-        rows = np.flatnonzero(d < ladder[0])
-        inside = d[rows] < ladder[:, None]                  # (K, rows)
-        shell.add(chains[rows], draws[rows],
-                  (*np.where(inside, gw[rows] / (2.0 * ladder[:, None]), 0.0),
-                   inside[-1]))
+    # closed on any exit: the pilot holds the stream in a local, which a
+    # traceback would otherwise keep open, its worker alive
+    with closing(_iid_stream(cfg, _TAG_SHELL, g.sample,
+                             cfg.steps_per_chain)) as blocks:
+        stream = ((chains, draws, evaluate(x)) for chains, draws, x in blocks)
+        pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
+        d0 = np.concatenate([p[2][0] for p in pilot])
+        eps0 = float(np.quantile(d0, 0.01))
+        if eps0 <= 0.0:
+            raise RuntimeError("could not scale the epsilon ladder: node "
+                               "distance quantile vanished")
+        ladder = eps0 * 0.5 ** np.arange(4)
+        K = ladder.size
+        # every draw adds |Psi| / g; the K rungs and the narrowest rung's
+        # hits are zero outside the widest rung, so only its rows are added
+        acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
+        shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, K + 1)
+        for chains, draws, (d, gw, aw) in chain(pilot, stream):
+            acc.add(chains, draws, (aw,))
+            rows = np.flatnonzero(d < ladder[0])
+            inside = d[rows] < ladder[:, None]                  # (K, rows)
+            rung = np.where(inside, gw[rows] / (2.0 * ladder[:, None]), 0.0)
+            shell.add(chains[rows], draws[rows], (*rung, inside[-1]))
     (ratio,) = acc.chain_means()
     means = shell.sums.sum(axis=2) / acc.counts.sum(axis=1)
     # least-squares intercept against eps^2, every chain at once; eps in

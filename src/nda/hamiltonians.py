@@ -23,7 +23,6 @@ __all__ = [
     "HamiltonianSpec",
     "coulomb_atom",
     "harmonic_pair",
-    "potential",
     "potential_batch",
     "local_energy",
     "NodeProximityError",
@@ -109,23 +108,11 @@ def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def potential(h: HamiltonianSpec, R) -> float:
-    """Potential energy at a single configuration, a flat length-3N vector.
-
-    Raises SingularPointError at coincident charges.
-    """
-    x = np.asarray(R, dtype=float).reshape(1, -1)
-    v = float(potential_batch(h, x)[0])
-    if not np.isfinite(v):
-        raise SingularPointError("configuration sits on a potential singularity "
-                                 "(electron at the nucleus or coincident particles)")
-    return v
-
-
 def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
     """(H psi)/psi = -lap(psi)/(2 psi) + V, guarded against node contamination:
     NodeProximityError unless off_node, |psi| > 1e-14 |x| |grad psi|, a test
-    free of the length scale (it holds at any Z) that rejects the origin."""
+    free of the length scale (it holds at any Z) that rejects the origin.
+    SingularPointError at coincident charges, where V is not finite."""
     x = _as_batch(model, R)
     v, g, lap = model.vgl(x)
     psi = float(v[0])
@@ -134,4 +121,8 @@ def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
             "configuration is within float noise of the nodal set "
             f"(|psi| = {abs(psi):.3e}, |grad psi| = {np.linalg.norm(g[0]):.3e})"
         )
-    return -0.5 * float(lap[0]) / psi + potential(h, x[0])
+    V = float(potential_batch(h, x)[0])
+    if not np.isfinite(V):
+        raise SingularPointError("configuration sits on a potential singularity "
+                                 "(electron at the nucleus or coincident particles)")
+    return -0.5 * float(lap[0]) / psi + V

@@ -87,9 +87,6 @@ class TransformSpec:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return x @ self.matrix.T
 
-    def inverse(self) -> "TransformSpec":
-        return TransformSpec(self.matrix.T)
-
     @staticmethod
     def identity(n_particles: int) -> "TransformSpec":
         return TransformSpec(np.eye(3 * n_particles))
@@ -243,9 +240,8 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
 
     regions = ("sign of Psi" if labels.shape[1] == 1
                else "sign pattern of the block determinants")
-    # the note's segment_checks is _SEGMENT_CHECKS
     notes.append(f"count is an upper bound, which can only decrease under "
-                 f"refinement of n_points or segment_checks, if every "
+                 f"refinement of n_points, if every "
                  f"{regions} holds one domain; where one holds several, the "
                  f"count can fall below the true one")
     return DomainReport(

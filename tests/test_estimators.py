@@ -7,6 +7,7 @@ much larger budgets.
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -882,6 +883,96 @@ def test_shell_with_an_empty_ladder_stays_finite():
     est = estimate_kin_nda_shell(st, cfg)
     assert np.isfinite(est.mean) and np.isfinite(est.stderr)
     assert est.status == "unconverged"
+
+
+# ----------------------------------------------------- draw-ahead stream
+
+# 3 x 2085 draws: three full _CHUNK-row blocks and a ragged one of 111
+AHEAD = SamplerConfig(n_chains=3, steps_per_chain=estimators._CHUNK + 37,
+                      seed=5)
+
+
+def _serial_stream(cfg, tag, draw, n):
+    """_iid_stream's blocks drawn one after another on the calling thread."""
+    rng, total = _stream(cfg.seed, tag), cfg.n_chains * n
+    for r0 in range(0, total, estimators._CHUNK):
+        r = np.arange(r0, min(r0 + estimators._CHUNK, total))
+        yield r // n, r % n, draw(rng, r.size)
+
+
+@pytest.mark.parametrize("draw", ["sample", "draw_params"])
+def test_draw_ahead_matches_a_serial_stream(draw):
+    """The worker draws the blocks in stream order with the same sizes, so
+    the stream yields the serial (chains, draws, x) blocks bit for bit:
+    g.sample on 3S_1s2s, and the node parameters of 3P_1s2p."""
+    st = get_state("3S_1s2s" if draw == "sample" else "3P_1s2p")
+    fn = (st.reference_density.sample if draw == "sample"
+          else st.node_param.draw_params)
+    n = AHEAD.steps_per_chain
+    got = list(estimators._iid_stream(AHEAD, estimators._TAG_SURFACE, fn, n))
+    ref = list(_serial_stream(AHEAD, estimators._TAG_SURFACE, fn, n))
+    assert [len(b[2]) for b in got] == [len(b[2]) for b in ref] == [2048] * 3 + [111]
+    for block, serial in zip(got, ref):
+        for a, b in zip(block, serial):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_draw_ahead_worker_is_joined():
+    """No worker outlives its stream: after a finished estimator call,
+    after a stream closed after its first block (the worker is alive until
+    then), after an integrand or the shell's ladder that raises while the
+    traceback is still held, and after a draw that raises, whose exception
+    reaches the caller."""
+    st = get_state("3S_1s2s")
+    g, n = st.reference_density, AHEAD.steps_per_chain
+    before = threading.active_count()
+    estimate_abs_norm(st, AHEAD)
+    assert threading.active_count() == before
+
+    stream = estimators._iid_stream(AHEAD, estimators._TAG_ABS, g.sample, n)
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before
+
+    def bad_integrand(x):
+        raise ValueError("integrand failed")
+    with pytest.raises(ValueError, match="integrand failed") as held:
+        estimators._iid_average(AHEAD, estimators._TAG_ABS, g.sample,
+                                bad_integrand)
+    assert held.tb is not None and threading.active_count() == before
+
+    # Psi = 0 on every pilot draw: the ladder's quantile vanishes
+    shell = dataclasses.replace(AHEAD, steps_per_chain=3 * estimators._CHUNK)
+    with pytest.raises(RuntimeError, match="quantile vanished") as held:
+        estimate_kin_nda_shell(_rescaled(st, 0.0), shell)
+    assert held.tb is not None and threading.active_count() == before
+
+    calls = []
+
+    def failing(rng, m):
+        calls.append(m)
+        if len(calls) == 2:
+            raise RuntimeError("draw failed")
+        return g.sample(rng, m)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        estimators._iid_average(AHEAD, estimators._TAG_ABS, failing,
+                                lambda x: (None, (x[:, 0],)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("steps", [37, estimators._CHUNK])
+def test_one_block_stream_starts_no_thread(steps):
+    """A stream of at most _CHUNK draws draws its one block inline."""
+    g = get_state("3S_1s2s").reference_density
+    cfg = SamplerConfig(n_chains=1, steps_per_chain=steps, seed=5)
+    before = threading.active_count()
+    blocks = []
+    for block in estimators._iid_stream(cfg, estimators._TAG_ABS, g.sample,
+                                        steps):
+        assert threading.active_count() == before
+        blocks.append(block)
+    assert len(blocks) == 1 and blocks[0][2].shape[0] == steps
 
 
 # ----------------------------------------------------- topology sampler

@@ -7,14 +7,15 @@ import numpy as np
 from nda.catalog import catalog_list, get_state
 from nda.hamiltonians import (HamiltonianSpec, NodeProximityError,
                               SingularPointError, coulomb_atom, harmonic_pair,
-                              local_energy, potential, potential_batch)
+                              local_energy, potential_batch)
 
 
 class TestPotential(unittest.TestCase):
     def test_coulomb_single_electron(self):
         h = coulomb_atom(Z=2, ee=False)
         # one electron at distance 2 -> V = -Z/r = -1
-        self.assertAlmostEqual(potential(h, np.array([0.0, 0.0, 2.0])), -1.0, places=14)
+        self.assertAlmostEqual(potential_batch(h, np.array([[0.0, 0.0, 2.0]]))[0],
+                               -1.0, places=14)
 
     def test_coulomb_repulsion_term(self):
         h_on = coulomb_atom(Z=1, ee=True)
@@ -30,11 +31,14 @@ class TestPotential(unittest.TestCase):
         self.assertAlmostEqual(potential_batch(h, x)[0], expect, places=14)
 
     def test_singularities_raise(self):
+        # local_energy off the node: an electron at the nucleus (3S_1s2s),
+        # and two coincident electrons where Psi does not vanish (1S_2p2)
         h = coulomb_atom(Z=1, ee=True)
-        with self.assertRaises(SingularPointError):
-            potential(h, np.zeros(3))
-        with self.assertRaises(SingularPointError):
-            potential(h, np.array([1.0, 0, 0, 1.0, 0, 0]))
+        x = np.array([0.3, -0.4, 1.2, 0.7, 0.5, -0.9])
+        for name, R in (("3S_1s2s", np.r_[0.0, 0.0, 0.0, x[3:]]),
+                        ("1S_2p2", np.r_[x[:3], x[:3]])):
+            with self.assertRaises(SingularPointError):
+                local_energy(h, get_state(name).model, R)
 
     def test_singular_rows_are_inf_in_a_batch(self):
         rng = np.random.default_rng(5)
