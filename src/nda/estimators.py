@@ -463,14 +463,15 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
     tag, and yields (chains, draws, x) per block: row r of the stream is
     draw r % n of chain r // n.
 
-    A stream of more than one block draws one block ahead: a single worker
-    thread draws block k + 1 while the caller evaluates block k (numpy's
-    generator and ufunc loops release the GIL).  The worker is the only
-    thread that touches rng and draws the blocks in stream order, so every
+    The stream draws one block ahead: a single worker thread draws block
+    k + 1 while the caller evaluates block k (numpy's generator and ufunc
+    loops release the GIL).  The worker is the only thread that touches rng and draws the blocks in stream order, so every
     result is the same as a serial draw's, bit for bit; two blocks are in
     flight at a time.  The worker is joined when the stream ends, when the
     caller closes it, or when draw raises, whose exception reaches the
-    caller.  A one-block stream draws inline, with no thread.
+    caller.  The stream owns that thread, so a caller holds it in
+    contextlib.closing: a stream left open, say in a local that a held
+    traceback keeps, keeps its worker alive.
     """
     total = cfg.n_chains * n
     rng = _stream(cfg.seed, tag)
@@ -479,9 +480,6 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
         r = np.arange(r0, min(r0 + _CHUNK, total))
         return r // n, r % n, draw(rng, r.size)
 
-    if total <= _CHUNK:
-        yield block(0)
-        return
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(block, 0)
         for r0 in range(_CHUNK, total, _CHUNK):
@@ -498,9 +496,10 @@ def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
     n_controls."""
     n = n or cfg.steps_per_chain
     acc = _Blocks(cfg.n_chains, n, **layout)
-    for chains, draws, x in _iid_stream(cfg, tag, draw, n):
-        ok, values = integrand(x)
-        acc.add(chains, draws, values, ok)
+    with closing(_iid_stream(cfg, tag, draw, n)) as blocks:
+        for chains, draws, x in blocks:
+            ok, values = integrand(x)
+            acc.add(chains, draws, values, ok)
     return acc
 
 
@@ -712,8 +711,6 @@ def estimate_kin_nda_shell(state: StateSpec,
         gn = np.sqrt(np.einsum("ij,ij->i", grads, grads))
         return av / np.maximum(gn, 1e-300), gn / dens, av / dens
 
-    # closed on any exit: the pilot holds the stream in a local, which a
-    # traceback would otherwise keep open, its worker alive
     with closing(_iid_stream(cfg, _TAG_SHELL, g.sample,
                              cfg.steps_per_chain)) as blocks:
         stream = ((chains, draws, evaluate(x)) for chains, draws, x in blocks)

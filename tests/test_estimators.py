@@ -961,20 +961,6 @@ def test_draw_ahead_worker_is_joined():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("steps", [37, estimators._CHUNK])
-def test_one_block_stream_starts_no_thread(steps):
-    """A stream of at most _CHUNK draws draws its one block inline."""
-    g = get_state("3S_1s2s").reference_density
-    cfg = SamplerConfig(n_chains=1, steps_per_chain=steps, seed=5)
-    before = threading.active_count()
-    blocks = []
-    for block in estimators._iid_stream(cfg, estimators._TAG_ABS, g.sample,
-                                        steps):
-        assert threading.active_count() == before
-        blocks.append(block)
-    assert len(blocks) == 1 and blocks[0][2].shape[0] == steps
-
-
 # ----------------------------------------------------- topology sampler
 
 
