@@ -329,18 +329,6 @@ class _Blocks:
         return out
 
 
-def _det(m: list):
-    """Determinant of a k x k matrix given as rows of arrays, by cofactor
-    expansion along the first row: a * d - b * c for k = 2."""
-    if len(m) == 1:
-        return m[0][0]
-    det = None
-    for j, a in enumerate(m[0]):
-        term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        det = term if det is None else det - term if j % 2 else det + term
-    return det
-
-
 def _loo_betas(ys: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(n_values, C, k) leave-one-chain-out regression coefficients.
 
@@ -376,14 +364,14 @@ def _loo_betas(ys: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray
     A = [[None] * k for _ in range(k)]
     for i, j in pairs:
         A[i][j] = A[j][i] = q[i, j] - s[i] * s[j] / n
-    det = _det(A)
+    det = wf._det(A)
     good = np.isfinite(det) & (det > 0.0)
     for v, y in enumerate(ys):
         sy, *rhs = moments(y, *(x * y / w for x in xs))
         rhs = [r - si * sy / n for r, si in zip(rhs, s)]
         for j in range(k):
             Aj = [row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)]
-            beta[v, good, j] = (_det(Aj) / det)[good]
+            beta[v, good, j] = (wf._det(Aj) / det)[good]
     return np.ldexp(beta, (ey[:, None] - ex)[:, None, :])
 
 

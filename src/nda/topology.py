@@ -2,14 +2,16 @@
 
 Both operations work on sign information only: domains are connected
 components of the same-label neighbour graph of the sample points (a label
-is sign(Psi), or the block-determinant signs of a one-term product; each
-point is joined to a fixed number, _K_NEIGHBORS, of its nearest
-neighbours of its own label where a fixed number, _SEGMENT_CHECKS, of
-points of the segment between them keep that label), and equivalence of
-two nodes is falsified by a single robust sign disagreement under the
-candidate coordinate transformation.  The points are metropolis_samples, a
-Psi^2 Metropolis walk on a stream of its own, and a sign is robust off the
-node by the rule of the local energy (wavefunctions.off_node).
+is sign(Psi), or for a one-term product the signs of its blocks, a block
+with one electron in an orbital with nodal planes signed by each plane
+(Orbital.planes) and any other block by its determinant; each point is
+joined to a fixed number, _K_NEIGHBORS, of its nearest neighbours of its
+own label where a fixed number, _SEGMENT_CHECKS, of points of the segment
+between them keep that label), and equivalence of two nodes is falsified
+by a single robust sign disagreement under the candidate coordinate
+transformation.  The points are metropolis_samples, a Psi^2 Metropolis
+walk on a stream of its own, and a sign is robust off the node by the rule
+of the local energy (wavefunctions.off_node).
 """
 
 from __future__ import annotations
@@ -151,11 +153,23 @@ def _sample_points(state: StateSpec, n_points: int, seed: int,
 
 
 def _labels(model, x: np.ndarray) -> np.ndarray:
-    """(m, K) sign labels of the points x: the signs of the K block
-    determinants of a one-term SlaterProduct, else sign(Psi) (K = 1)."""
-    if isinstance(model, SlaterProduct) and len(model.terms) == 1:
-        return np.sign(model._blocks(x, False, False)[0]).T
-    return np.sign(model.values(x))[:, None]
+    """(m, K) sign labels of the points x.  A one-term SlaterProduct gets
+    a label per block: the signs of the plane forms of a one-electron
+    block whose orbital has nodal planes (its radial factor is positive),
+    else the sign of the block's determinant.  Other models get sign(Psi)
+    (K = 1)."""
+    if not (isinstance(model, SlaterProduct) and len(model.terms) == 1):
+        return np.sign(model.values(x))[:, None]
+    dets, cols = None, []
+    for k, b in enumerate(model.terms[0].blocks):
+        if len(b.electrons) == 1 and b.orbitals[0].planes:
+            e = 3 * b.electrons[0]
+            cols += b.orbitals[0].forms(x[:, e:e + 3])
+        else:
+            if dets is None:
+                dets = model._blocks(x, False, False)[0]
+            cols.append(dets[model._terms[k]][0])
+    return np.sign(np.stack(cols, axis=1))
 
 
 def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
@@ -177,16 +191,17 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
     The count is an upper bound, falling to the true domain count as the
     sampling is refined, wherever every label region is one domain, since
     then no edge joins two domains.  That holds for a one-term product
-    whose blocks each have two connected sign regions (the one-term
-    catalog states 2P_2p, 3S_1s2s, 3P_1s2p, 3P_2p2 and 1S_1s2_2s2, whose
-    four domains are the sign pairs of its two determinants), and for a
-    state with two domains, one per sign of Psi (1S_2p2, 1D_2p2 and the
-    harmonic pairs).  Elsewhere, an edge can cross the node twice between
-    two checks, keep its label and join two domains, so the count can
-    fall below the true one: on a sum of terms with more than two domains,
-    or on a block with two domains of one sign (subshell_k1_l2's
-    x^2 - y^2).  The report's confidence_note states that condition for
-    the state's labels, the signs of Psi or of its block determinants.
+    whose determinant blocks each have two connected sign regions (the
+    one-term catalog states 3S_1s2s, 3P_1s2p, 3P_2p2 and 1S_1s2_2s2, whose
+    four domains are the sign pairs of its two determinants) and whose
+    one-electron blocks are signed by their planes, whose sign regions are
+    convex wedges (2P_2p; the circular orbital of degree l, 2l wedges, as
+    subshell_k1_l2's four quadrants of x^2 - y^2), and for a state with two
+    domains, one per sign of Psi (1S_2p2, 1D_2p2 and the harmonic pairs).
+    On a sum of terms with more than two domains, an edge can cross the
+    node twice between two checks, keep its label and join two domains,
+    so the count can fall below the true one.  The report's
+    confidence_note states that condition for the state's labels.
     """
     model = state.model
     if model is None:
@@ -238,8 +253,11 @@ def count_nodal_domains(state: StateSpec, n_points: int = 20_000,
                       (src[good], dst[good])), shape=(n_points, n_points))
     n_domains, _ = connected_components(adj, directed=False)
 
+    # more labels than blocks: some block is labelled by two or more planes
     regions = ("sign of Psi" if labels.shape[1] == 1
-               else "sign pattern of the block determinants")
+               else "sign pattern of the block determinants"
+               if labels.shape[1] == len(model.terms[0].blocks)
+               else "sign pattern of the nodal planes and block determinants")
     notes.append(f"count is an upper bound, which can only decrease under "
                  f"refinement of n_points, if every "
                  f"{regions} holds one domain; where one holds several, the "

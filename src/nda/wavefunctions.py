@@ -4,7 +4,10 @@ Two models cover the catalog.  :class:`SlaterProduct` holds every Coulomb
 state, the 2p^2 couplings included, as a sum of products of spin-channel
 determinants, each of one or two electrons.  Every term splits the
 electrons into the same channels, and the orbitals are hydrogenic 1s, 2s,
-2p along an axis, or circular (l = n - 1, m = l) through n = 3.
+2p along an axis, or circular (l = n - 1, m = l) of any n.  Each orbital's
+angular factor is held as the unit normals of its nodal planes
+(``Orbital.planes``), whose linear forms multiply to it, and one code path
+evaluates every degree l from them.
 :class:`HarmonicPair` is the trap pair.  Each evaluates through
 one ``_evaluate(x, want_grad, want_lap, radial=False)``, which computes
 the shared parts once per call; with ``radial`` its gradient part is each
@@ -81,50 +84,82 @@ def off_node(x: np.ndarray, v: np.ndarray, grads: np.ndarray) -> np.ndarray:
 # orbitals
 #
 # Every orbital is a harmonic polynomial P(x) of degree l times a radial
-# factor f(r), so
+# factor f(r), and P is a product of the linear forms n_k . x of its l
+# nodal planes through the nucleus (unit normals n_k), times 2^(l-1)
+# for l >= 1.  So
 #
 #   value     = P f
-#   gradient  = f grad(P) + P f'(r) rhat
+#   gradient  = P f'(r) rhat + f grad(P),  grad(P) by the product rule
 #   laplacian = P [ f'' + 2 (l+1) f' / r ]
 #
 # which follows from grad(P).r = l P (Euler) and laplacian(P) = 0.
 
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-# real solid harmonics of the circular orbitals (m = l), as (poly, grad)
-# closures over points in component-major layout: p is (3, m), p[0] the x
-# coordinates, and the gradient is (3, m) too, so every operation runs
-# along the m points
-def _sh_1(p):
-    return np.ones(p.shape[1])
+_AXES = ("x", "y", "z")
 
 
-def _sh_1_grad(p):
-    return np.zeros_like(p)
+def _mul(a, b, out=None):
+    """a * b, where a factor None stands for 1 and is left out: the other
+    factor itself (a view stays a view), or its copy into out."""
+    if a is None:
+        a, b = b, a
+    if b is None:
+        if out is None:
+            return a
+        np.copyto(out, a)
+        return out
+    return np.multiply(a, b, out=out)
 
 
-def _make_axis_poly(axis: int):
-    def poly(p):
-        return p[axis]
-
-    def grad(p):
-        g = np.zeros_like(p)
-        g[axis] = 1.0
-        return g
-
-    return poly, grad
+def _prod(factors):
+    out = None
+    for a in factors:
+        out = _mul(out, a)
+    return out
 
 
-def _xxyy(p):
-    # l = 2, m = 2: x^2 - y^2, unnormalized
-    return p[0] ** 2 - p[1] ** 2
+def _recipe(planes: tuple):
+    """planes' forms as ((c, w), ...) over each normal's nonzero components,
+    the scale 2^(l-1), and grad(P)'s nonzero components as (c, ((k, w),
+    ...)) over the planes k whose normal has a component c; a weight or
+    scale 1.0 is None, so it is never multiplied in."""
+    def w(a):
+        return None if a == 1.0 else a
+
+    forms = tuple(tuple((c, w(a)) for c, a in enumerate(n) if a) for n in planes)
+    grads = tuple((c, tuple((k, w(n[c])) for k, n in enumerate(planes) if n[c]))
+                  for c in range(3) if any(n[c] for n in planes))
+    return forms, w(2.0 ** max(len(planes) - 1, 0)), grads
 
 
-def _xxyy_grad(p):
-    g = np.zeros_like(p)
-    g[0] = 2.0 * p[0]
-    g[1] = -2.0 * p[1]
-    return g
+def _forms(forms, p) -> list:
+    """The plane forms n . x at the points p (..., 3, ...), coordinate c at
+    p[:, c], over the nonzero components of n only: an axis normal's form
+    is its coordinate itself, a view."""
+    out = []
+    for form in forms:
+        s = None
+        for c, a in form:
+            t = _mul(a, p[:, c])
+            s = t if s is None else s + t
+        out.append(s)
+    return out
+
+
+def _harmonic(recipe, p, grad: bool = False):
+    """(P, dP): P = 2^(l-1) prod_k (n_k . x) at the points p (as _forms), None
+    (1) for l = 0, and with grad the nonzero components of grad(P) as
+    (c, dP_c) pairs (none without), by the product rule.  An axis orbital's
+    P is a view of its coordinate and its dP_c None."""
+    forms, scale, grads = recipe
+    F = _forms(forms, p)
+    P = _mul(_prod(F), scale)
+    if not grad:
+        return P, ()
+    dP = []
+    for c, ks in grads:
+        terms = [_mul(a, _prod(F[:k] + F[k + 1:])) for k, a in ks]
+        dP.append((c, _mul(sum(terms[1:], terms[0]), scale)))
+    return P, dP
 
 
 _ORBITAL_KINDS = (
@@ -140,7 +175,7 @@ class Orbital:
     """One-particle hydrogenic orbital; ``scale`` is the nuclear charge Z.
 
     ``hydrogenic_general`` is the circular orbital of principal number n:
-    l = n - 1 and m = l, so r^l exp(-Z r / n) times 1, x or x^2 - y^2.
+    l = n - 1 and m = l, so r^l exp(-Z r / n) times Re(x + iy)^l.
     """
 
     kind: str
@@ -155,14 +190,27 @@ class Orbital:
             raise ValueError("orbital scale must be positive")
         if self.kind == "hydrogenic_2p" and self.axis not in _AXES:
             raise ValueError("p orbital needs axis 'x', 'y' or 'z'")
-        if self.kind == "hydrogenic_general":
-            if self.n is None or self.n < 1:
-                raise ValueError("hydrogenic_general needs n >= 1")
-            if self.n > 3:
-                raise ValueError(
-                    "evaluable orbitals stop at l = 2; higher subshells are "
-                    "reference-only (see reference.subshell_kin_nda)"
-                )
+        if self.kind == "hydrogenic_general" and (self.n is None or self.n < 1):
+            raise ValueError("hydrogenic_general needs n >= 1")
+
+    @property
+    def planes(self) -> tuple:
+        """Unit normals of the nodal planes through the nucleus, whose forms
+        n_k . x times 2^(l-1) make the angular factor: none for 1s and 2s,
+        the axis for 2p, and for the circular orbital of degree l the l
+        planes through the z axis at theta_k = (k + 1/2) pi / l - pi / 2,
+        since Re(x + iy)^l = 2^(l-1) prod_k (x cos theta_k + y sin theta_k)."""
+        if self.kind == "hydrogenic_2p":
+            return (tuple(float(a == self.axis) for a in _AXES),)
+        if self.kind != "hydrogenic_general":
+            return ()
+        l = self.n - 1
+        return tuple((float(np.cos(t)), float(np.sin(t)), 0.0)
+                     for t in ((k + 0.5) * np.pi / l - np.pi / 2 for k in range(l)))
+
+    def forms(self, xyz: np.ndarray) -> list:
+        """The plane forms n_k . x at the points xyz (m, 3), one per plane."""
+        return _forms(_recipe(self.planes)[0], xyz)
 
     # radial factor and, with derivs, its first two derivatives over r
     def _radial(self, r, derivs: bool = True):
@@ -189,21 +237,6 @@ class Orbital:
         # orbitals with equal keys share one radial factor f(r)
         return self.kind, self.scale, self.n
 
-    def _angular(self):
-        """(l, axis): the harmonic's degree, and its axis when l = 1."""
-        if self.kind == "hydrogenic_2p":
-            return 1, _AXES[self.axis]
-        l = self.n - 1 if self.kind == "hydrogenic_general" else 0
-        return l, 0 if l == 1 else None
-
-    def _poly(self):
-        l, axis = self._angular()
-        if l == 0:
-            return _sh_1, _sh_1_grad, 0
-        if l == 1:
-            return (*_make_axis_poly(axis), 1)
-        return _xxyy, _xxyy_grad, 2
-
     def radial_scale(self) -> float:
         """n / Z: the orbital's decay length, exp(-Z r / n) = exp(-r / scale)."""
         n = self.n if self.kind == "hydrogenic_general" else int(self.kind[-2])
@@ -211,25 +244,25 @@ class Orbital:
 
     def value(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
-        poly, _, _ = self._poly()
-        f, _, _ = self._radial(r)
-        return poly(xyz.T) * f
+        return _mul(_harmonic(_recipe(self.planes), xyz)[0], self._radial(r, False)[0])
 
     def grad(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
-        poly, polyg, _ = self._poly()
         f, fp, _ = self._radial(r)
         rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        p = xyz.T
-        rhat = p * rinv
-        return np.ascontiguousarray((f * polyg(p) + (poly(p) * fp) * rhat).T)
+        P, dP = _harmonic(_recipe(self.planes), xyz, grad=True)
+        g = _mul(P, fp)[:, None] * (xyz * rinv[:, None])
+        for c, d in dP:
+            g[:, c] += _mul(f, d)
+        return g
 
     def lap(self, xyz: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(xyz, axis=1)
-        poly, _, l = self._poly()
         f, fp, fpp = self._radial(r)
         rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        return poly(xyz.T) * (fpp + 2.0 * (l + 1) * fp * rinv)
+        planes = self.planes
+        return _mul(_harmonic(_recipe(planes), xyz)[0],
+                    fpp + 2.0 * (len(planes) + 1) * fp * rinv)
 
 
 # --------------------------------------------------------------------------
@@ -286,12 +319,17 @@ class Term:
     blocks: Tuple[DetBlock, ...]
 
 
-def _det(A) -> np.ndarray:
-    """Determinant of a 1x1 or 2x2 block given as rows of columns, A[i][j] (m,)."""
-    if len(A) == 1:
-        return A[0][0]
-    # explicit form keeps row swaps exact sign flips in floating point
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+def _det(m: list):
+    """Determinant of a k x k matrix given as a list of rows, each a list of
+    arrays, by cofactor expansion along the first row: a * d - b * c for
+    k = 2, so a row swap is an exact sign flip in floating point."""
+    if len(m) == 1:
+        return m[0][0]
+    det = None
+    for j, a in enumerate(m[0]):
+        term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        det = term if det is None else det - term if j % 2 else det + term
+    return det
 
 
 def _cofactors(A) -> list:
@@ -344,13 +382,13 @@ class SlaterProduct(WaveFunction):
 
     * |r| of all electrons at once, each radial kind once over the stacked
       electrons that use it;
-    * a table with a row per (electron, harmonic) of each radial kind (the
-      l = 0 row, the l = 1 rows over the span of axes in use, the l = 2
-      row of x^2 - y^2) of values, gradients and Laplacians, one operation
-      per degree;
+    * a table of values, gradients and Laplacians with a row per
+      (electron, harmonic) of each radial kind, a harmonic being one set
+      of nodal planes; a harmonic's rows over the kind's electrons are one
+      slice, filled by one pass of the product rule;
     * the distinct blocks grouped by size: a gather (a slice where the rows
-      step evenly) per size for the matrices and per matrix position for
-      the gradients and Laplacians, then determinants, cofactors, gradient
+      step evenly) per size and matrix position for the entries, gradients
+      and Laplacians, then determinants, cofactors, gradient
       rows and Laplacians of all 2x2 blocks at once; a 1x1 block is its
       table row;
     * the terms as a (terms, blocks) index array: the products, the
@@ -378,39 +416,29 @@ class SlaterProduct(WaveFunction):
         self.n_particles = n_particles
         self.parameters = dict(parameters or {})
 
-        # radial kinds, each with the electrons and harmonics that use it
+        # radial kinds, each with the electrons and harmonics (plane sets)
+        # that use it; rows harmonic-major, so a harmonic's rows over the
+        # kind's electrons are one slice
         kinds = {}
         for t in self.terms:
             for b in t.blocks:
                 for orb in b.orbitals:
-                    kind = kinds.setdefault(orb._radial_key(), (orb, set(), set()))
+                    kind = kinds.setdefault(orb._radial_key(), (orb, set(), {}))
                     kind[1].update(b.electrons)
-                    kind[2].add(orb._angular())
-        row = {}  # (electron, radial key, harmonic) -> table row
-        self._kinds = []  # (orbital, electrons, l = 0 row, axes, l = 1 row, l = 2 row)
+                    kind[2].setdefault(orb.planes, None)
+        row = {}  # (electron, radial key, planes) -> table row
+        self._kinds = []  # (orbital, electrons, ((rows, recipe, l), ...))
         n_rows = 0
         for key, (orb, electrons, harmonics) in kinds.items():
             electrons = sorted(electrons)
             E = len(electrons)
-            row0 = row1 = row2 = axes = None
-            if (0, None) in harmonics:
-                row0 = n_rows
+            plan = []
+            for planes in harmonics:
+                plan.append((slice(n_rows, n_rows + E), _recipe(planes), len(planes)))
                 for i, e in enumerate(electrons):
-                    row[e, key, (0, None)] = n_rows + i
+                    row[e, key, planes] = n_rows + i
                 n_rows += E
-            on = sorted(w for l, w in harmonics if l == 1)
-            if on:
-                axes, row1, A = slice(on[0], on[-1] + 1), n_rows, on[-1] + 1 - on[0]
-                for i, e in enumerate(electrons):
-                    for a in on:
-                        row[e, key, (1, a)] = n_rows + i * A + a - on[0]
-                n_rows += E * A
-            if (2, None) in harmonics:
-                row2 = n_rows
-                for i, e in enumerate(electrons):
-                    row[e, key, (2, None)] = n_rows + i
-                n_rows += E
-            self._kinds.append((orb, _key(electrons), row0, axes, row1, row2))
+            self._kinds.append((orb, _key(electrons), tuple(plan)))
         self._n_rows = n_rows
 
         # distinct blocks as table-row matrices, grouped by size; a size's
@@ -420,10 +448,10 @@ class SlaterProduct(WaveFunction):
         for t in self.terms:
             for b in t.blocks:
                 blocks[b.electrons, b.orbitals] = tuple(
-                    tuple(row[e, o._radial_key(), o._angular()] for o in b.orbitals)
+                    tuple(row[e, o._radial_key(), o.planes] for o in b.orbitals)
                     for e in b.electrons)
         ids, first_row = {}, {}
-        self._sizes = []  # (n, blocks, key of the (n, n, blocks) rows, (i, j) keys)
+        self._sizes = []  # (n, key of the (n, n, blocks) rows, (i, j) keys)
         base = 0
         for n in sorted({len(e) for e, _ in blocks}):
             group = sorted((rows, b) for b, rows in blocks.items() if len(b[0]) == n)
@@ -432,7 +460,7 @@ class SlaterProduct(WaveFunction):
                 first_row[b] = (base + k, len(group))
             base += n * len(group)
             mats = np.array([rows for rows, _ in group], dtype=np.intp)
-            self._sizes.append((n, len(group), _key(mats.transpose(1, 2, 0)),
+            self._sizes.append((n, _key(mats.transpose(1, 2, 0)),
                                 [[_key(mats[:, i, j]) for j in range(n)] for i in range(n)]))
 
         # the terms' blocks (term, block position), whose factor t * K + k
@@ -456,17 +484,12 @@ class SlaterProduct(WaveFunction):
     def _table(self, x: np.ndarray, want_grad: bool, want_lap: bool,
                radial: bool = False):
         """Table values (rows, m) and, as asked, gradients (rows, 3, m) and
-        Laplacians (rows, m) at the points x (m, 3N).  With radial the
-        gradient axis has width 1 and holds x . grad(P f) = P (l f + r f'):
-        r f' (l = 0), P (f + r f') (l = 1) or P (2 f + r f') (l = 2).
+        Laplacians (rows, m) at the points x (m, 3N), one pass per radial
+        kind and harmonic over the kind's electrons.  With radial the
+        gradient axis has width 1 and holds x . grad(P f) = P r f' + l P f.
 
-        Same expressions as Orbital.value/grad/lap, less the terms that only
-        add a signed zero: a constant polynomial (l = 0) is left out of the
-        products, and of f grad(P) only the f on an l = 1 orbital's own axis
-        is added (f * 0.0 elsewhere).  A gradient entry may thus differ from
-        Orbital.grad in the sign of a zero, and no output keeps that sign:
-        products and sums pass it on only as a zero, and every output is a
-        sum plus 0.0.
+        The expressions of Orbital.value/grad/lap, with the same
+        operations in the same order, so every entry has their bits.
         """
         m = x.shape[0]
         derivs = want_grad or want_lap
@@ -481,49 +504,30 @@ class SlaterProduct(WaveFunction):
         T = np.empty((self._n_rows, m))
         G = np.empty((self._n_rows, 1 if radial else 3, m)) if want_grad else None
         L = np.empty((self._n_rows, m)) if want_lap else None
-        for orb, es, row0, axes, row1, row2 in self._kinds:
-            rad = orb._radial(r[es], derivs)
-            f = rad[0]
-            E = len(f)
-            if derivs:
-                fp, fpp = rad[1], rad[2]
-            if want_lap:
-                ri = rinv[es]
+        for orb, es, harmonics in self._kinds:
+            f, *fd = orb._radial(r[es], derivs)
+            p = pos[es]  # (E, 3, m)
             if want_grad:
                 rh = rhat[es]
-            if row0 is not None:
-                s = slice(row0, row0 + E)
-                T[s] = f
+            if want_lap:
+                ri = rinv[es]
+                lap_f = {}  # degree -> f'' + 2 (l+1) f' / r
+            for s, recipe, l in harmonics:
+                P, dP = _harmonic(recipe, p, want_grad and not radial)
+                _mul(P, f, out=T[s])
                 if want_grad:
-                    np.multiply(fp[:, None], rh, out=G[s])
+                    g = G[s]
+                    np.multiply(_mul(P, fd[0])[:, None], rh, out=g)
+                    if radial and l:  # x . grad(P) = l P
+                        g[:, 0] += _mul(f, P if l == 1 else l * P)
+                    for c, d in dP:
+                        g[:, c] += _mul(f, d)
                 if want_lap:
-                    np.add(fpp, 2.0 * fp * ri, out=L[s])
-            if axes is not None:
-                A = axes.stop - axes.start
-                s = slice(row1, row1 + E * A)
-                P = pos[es, axes]
-                np.multiply(P, f[:, None], out=T[s].reshape(E, A, m))
-                if want_grad:
-                    g = G[s].reshape(E, A, -1, m)
-                    np.multiply((P * fp[:, None])[:, :, None], rh[:, None], out=g)
-                    if radial:  # x . grad(P) = P
-                        g[:, :, 0] += P * f[:, None]
-                    else:
-                        for k in range(A):
-                            g[:, k, axes.start + k] += f
-                if want_lap:
-                    np.multiply(P, (fpp + 4.0 * fp * ri)[:, None], out=L[s].reshape(E, A, m))
-            if row2 is not None:
-                p = pos[es].transpose(1, 0, 2)
-                s = slice(row2, row2 + E)
-                P = _xxyy(p)
-                T[s] = P * f
-                if want_grad:
-                    dP = 2.0 * P[None] if radial else _xxyy_grad(p)  # x . grad(P) = 2 P
-                    g = f * dP + (P * fp) * rh.transpose(1, 0, 2)
-                    G[s] = g.transpose(1, 0, 2)
-                if want_lap:
-                    L[s] = P * (fpp + 6.0 * fp * ri)
+                    if l not in lap_f:  # l = 0 is one harmonic: fill its rows
+                        lap_f[l] = np.add(fd[1], 2.0 * (l + 1) * fd[0] * ri,
+                                          out=None if l else L[s])
+                    if l:
+                        np.multiply(P, lap_f[l], out=L[s])
         return T, G, L
 
     def _blocks(self, x: np.ndarray, want_grad: bool, want_lap: bool,
@@ -531,22 +535,21 @@ class SlaterProduct(WaveFunction):
         """Determinants (blocks, m) and, as asked, gradient rows (rows, 3, m;
         rows, 1, m with radial) and Laplacians (blocks, m) of the distinct
         blocks, in plan order."""
-        m = x.shape[0]
         T, G, L = self._table(x, want_grad, want_lap, radial)
         dets, rows, laps = [], [], []
-        for n, nb, key, keys in self._sizes:
+        for n, key, keys in self._sizes:
+            M = T[key].reshape(n, n, -1, T.shape[1])
+            A = [[M[i, j] for j in range(n)] for i in range(n)]
+            dets.append(_det(A))
             if n == 1:
-                dets.append(T[key])
                 if want_grad:
                     rows.append(G[key])
                 if want_lap:
                     laps.append(L[key])
                 continue
-            A = T[key].reshape(n, n, nb * m)
-            dets.append(_det(A).reshape(nb, m))
             if not (want_grad or want_lap):
                 continue
-            C = [[c.reshape(nb, m) for c in row] for row in _cofactors(A)]
+            C = _cofactors(A)
             if want_grad:
                 for i in range(n):
                     row = C[i][0][:, None] * G[keys[i][0]]

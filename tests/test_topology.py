@@ -1,11 +1,14 @@
 import unittest
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
 
-from nda import topology
-from nda.catalog import get_state, subshell_family
+from nda import estimators, topology
+from nda import wavefunctions as wf
+from nda.catalog import catalog_list, get_state, subshell_family
 from nda.topology import (DomainReport, TransformSpec, count_nodal_domains,
                           find_block_transform, _sample_points)
 from nda.topology import test_node_equivalence as node_equivalence
@@ -58,9 +61,11 @@ class TestDomainCount(unittest.TestCase):
 
     def test_four_domain_orbital_stays_four(self):
         # the l=2, m=2 real orbital's node is two intersecting planes; the
-        # same-label neighbour graph must not glue genuinely distinct domains
+        # same-label neighbour graph must not glue genuinely distinct domains;
+        # likewise the l = 3 orbital's three planes and six wedges
         rep = count_nodal_domains(subshell_family(1, 2))
         self.assertEqual(rep.n_domains, 4)
+        self.assertEqual(count_nodal_domains(_circular(3)).n_domains, 6)
 
     def test_product_of_two_determinants_four_domains(self):
         # Psi = D(r1, r2) D(r3, r4): one sign of Psi holds two domains, so
@@ -98,10 +103,10 @@ class TestDomainCount(unittest.TestCase):
         self.assertIn("upper bound", rep.confidence_note)
 
     def test_note_bounds_the_count_only_where_each_label_is_one_domain(self):
-        # subshell_k1_l2's x^2 - y^2 holds two domains of each sign, so its
-        # count can fall below the true one: the note claims no
-        # unconditional bound
-        rep = count_nodal_domains(subshell_family(1, 2), n_points=1000)
+        # 1S_2p2 is a sum of terms, labelled by sign(Psi), which in general
+        # can hold several domains, so its count can fall below the true
+        # one: the note claims no unconditional bound
+        rep = count_nodal_domains(get_state("1S_2p2"), n_points=1000)
         self.assertNotIn("upper bound;", rep.confidence_note)
         self.assertIn("if every sign of Psi holds one domain",
                       rep.confidence_note)
@@ -110,6 +115,47 @@ class TestDomainCount(unittest.TestCase):
     def test_minimum_points_enforced(self):
         with self.assertRaises(ValueError):
             count_nodal_domains(get_state("2P_2p"), n_points=100)
+
+
+def _circular(l):
+    """The circular orbital of degree l as a state: subshell_family models
+    l <= 2 only."""
+    orb = wf.Orbital("hydrogenic_general", 1.0, n=l + 1)
+    model = wf.SlaterProduct([wf.Term(coeff=1.0, blocks=(wf.DetBlock((orb,), (0,)),))],
+                             n_particles=1, parameters={"Z": 1.0})
+    return replace(subshell_family(1, l), name=f"circular_l{l}", model=model)
+
+
+# the true domain counts: 2, but 4 where Psi is a product of two
+# determinants (1S_1s2_2s2) or x^2 - y^2 (subshell_k1_l2), and 2l for the
+# circular orbital of degree l
+_TRUE_DOMAINS = {"1S_1s2_2s2": 4, "subshell_k1_l2": 4, "circular_l3": 6}
+# 1S_1s2_2p2 reads 3 at 5 000 points on seed 2; at 10 000 points seeds
+# 20260801 and 1-5 all read 2
+_DOMAIN_POINTS = {"1S_1s2_2p2": 10_000}
+
+
+@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
+                         + ["subshell_k1_l1", "subshell_k1_l2", "circular_l3"])
+def test_domain_count_is_the_true_count(name):
+    st = _circular(3) if name == "circular_l3" else get_state(name)
+    rep = count_nodal_domains(st, n_points=_DOMAIN_POINTS.get(name, 5000))
+    assert rep.n_domains == _TRUE_DOMAINS.get(name, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_plane_labels_count_four_domains_on_reference_draws(seed):
+    # labelled by the signs of x - y and x + y, each of x^2 - y^2's four
+    # wedges is one label class; on i.i.d. draws from g, whose points
+    # fill the wedges less evenly than the Psi^2 walk, sign(Psi) alone
+    # read 2 or 3
+    def from_g(state, n_points, seed, thin=10, n_chains=128):
+        rng = estimators._stream(seed, estimators._TAG_TOPOLOGY)
+        return state.reference_density.sample(rng, n_points)
+
+    with mock.patch.object(topology, "_sample_points", from_g):
+        rep = count_nodal_domains(subshell_family(1, 2), n_points=5000, seed=seed)
+    assert rep.n_domains == 4
 
 
 class TestEquivalence(unittest.TestCase):

@@ -42,9 +42,14 @@ def _test_points(n_particles, n=40, seed=0):
     return x[np.min(r, axis=1) > 0.3]
 
 
-@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
+# the catalog models, and the circular orbital of degree 3, which no catalog
+# state uses: it has three nodal planes
+_FD_MODELS = [s.name for s in catalog_list() if s.model] + ["circular_l3"]
+
+
+@pytest.mark.parametrize("name", _FD_MODELS)
 def test_gradients_match_finite_differences(name):
-    model = get_state(name).model
+    model = _circular(3) if name == "circular_l3" else get_state(name).model
     x = _test_points(model.n_particles, seed=hash(name) % 1000)
     v = model.values(x)
     keep = np.abs(v) > 1e-6
@@ -55,9 +60,9 @@ def test_gradients_match_finite_differences(name):
     assert np.max(np.abs(g - g_fd) / scale) < 5e-7
 
 
-@pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model])
+@pytest.mark.parametrize("name", _FD_MODELS)
 def test_laplacians_match_finite_differences(name):
-    model = get_state(name).model
+    model = _circular(3) if name == "circular_l3" else get_state(name).model
     x = _test_points(model.n_particles, seed=hash(name) % 1000 + 7)
     v = model.values(x)
     keep = np.abs(v) > 1e-6
@@ -188,11 +193,18 @@ _SLATER_STATES = ("2P_2p", "3S_1s2s", "3P_1s2p", "1S_1s2_2s2", "1S_1s2_2p2",
                   "3P_2p2", "1S_2p2", "1D_2p2")
 
 
+def _circular(l, Z=1.0):
+    """The one-electron model of the circular orbital of degree l."""
+    orb = wf.Orbital("hydrogenic_general", Z, n=l + 1)
+    return wf.SlaterProduct([wf.Term(coeff=1.0, blocks=(wf.DetBlock((orb,), (0,)),))],
+                            n_particles=1)
+
+
 def _slater_model(name, Z):
     if name == "mixed":
-        # every branch of the plan: 1x1 and 2x2 blocks over 5 electrons,
+        # every shape of the plan: 1x1 and 2x2 blocks over 5 electrons,
         # split (0,), (1, 2), (3, 4) in both terms; 1s on the unevenly
-        # spaced electrons 0, 3 and 4 (a gather), the l = 2 row on 3 and 4;
+        # spaced electrons 0, 3 and 4 (a gather), the l = 2 rows on 3 and 4;
         # a second term with coefficient -0.5 and other orbitals
         def term(coeff, *orbitals):
             return wf.Term(coeff=coeff, blocks=tuple(
@@ -204,6 +216,8 @@ def _slater_model(name, Z):
         terms = [term(1.0, (s1,), (s2, px), (d, s1)),
                  term(-0.5, (py,), (px, s2), (s2, d))]
         return wf.SlaterProduct(terms, n_particles=5)
+    if name.startswith("circular_l"):
+        return _circular(int(name[-1]), Z)
     if name.startswith("subshell"):
         return subshell_family(1, int(name[-1]), Z).model
     return get_state(name, Z=Z).model
@@ -223,7 +237,8 @@ def _draw_points(data, n_particles):
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "mixed")),
+@given(name=st.sampled_from(_SLATER_STATES + ("subshell_l1", "subshell_l2", "circular_l3",
+                                              "mixed")),
        Z=st.floats(0.3, 4.0), data=st.data())
 def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     model = _slater_model(name, Z)
@@ -242,14 +257,14 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
 
 
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
-                         + ["subshell_k1_l1", "subshell_k1_l2", "mixed"])
+                         + ["subshell_k1_l1", "subshell_k1_l2", "circular_l3", "mixed"])
 def test_radial_mode_is_x_dot_gradient_per_electron(name):
     """_evaluate(..., radial=True) gives each electron's x_i . grad_i Psi,
     (m, N), and the same values: the per-electron sum of x times the
     gradients to 1e-12 of |Psi| + sum |x_k dPsi/dx_k| (the rounding scale
     of that sum, whose terms cancel near a node), on Gaussian points, a row
     of signed zeros and a row with an electron at the origin."""
-    model = (_slater_model(name, 1.3) if name == "mixed"
+    model = (_slater_model(name, 1.3) if name in ("mixed", "circular_l3")
              else get_state(name).model)
     N = model.n_particles
     x = np.random.default_rng(4).normal(scale=2.0, size=(500, 3 * N))
@@ -277,12 +292,21 @@ def test_terms_must_share_one_partition():
     assert wf.SlaterProduct([split, split], n_particles=2).n_particles == 2
 
 
-def test_circular_orbitals_stop_at_l_2():
+def test_circular_orbitals_are_re_x_plus_iy_to_the_l():
+    """The product of the l plane forms carries the factor 2^(l-1) that
+    makes it Re(x + iy)^l itself, at every l."""
     d = wf.Orbital("hydrogenic_general", 1.0, n=3)
     x = np.array([[1.0, 0.5, 0.25]])
     assert d.value(x)[0] == pytest.approx(0.75 * np.exp(-np.linalg.norm(x) / 3.0), rel=1e-15)
-    with pytest.raises(ValueError, match="stop at l = 2"):
-        wf.Orbital("hydrogenic_general", 1.0, n=4)
+    x = np.random.default_rng(2).normal(scale=2.0, size=(200, 3))
+    r = np.linalg.norm(x, axis=1)
+    for l in range(1, 9):
+        orb = wf.Orbital("hydrogenic_general", 1.0, n=l + 1)
+        assert len(orb.planes) == l
+        expect = ((x[:, 0] + 1j * x[:, 1]) ** l).real * np.exp(-r / (l + 1))
+        # to rounding of the l-term product, on the scale |x + iy|^l
+        scale = np.hypot(x[:, 0], x[:, 1]) ** l * np.exp(-r / (l + 1))
+        assert np.all(np.abs(orb.value(x) - expect) <= 1e-14 * scale), l
 
 
 def test_a_block_of_three_electrons_is_rejected():

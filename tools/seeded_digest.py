@@ -26,11 +26,10 @@ For each of the 13 model states (the catalog states with a model, and
   points) and at every 4th (as ``test_node_equivalence``), and at no
   burn-in;
 * on the two-domain states 2P_2p, 3P_2p2, 1S_2p2 and 1D_2p2 and on the
-  four-domain 1S_1s2_2s2 and subshell_k1_l2 (x^2 - y^2, two domains of
-  each sign), the ``count_nodal_domains`` report at 1000 points, and on
-  1D_2p2 the
-  ``test_node_equivalence`` result of the x_2 flip onto 3P_2p2 at 2000
-  points.
+  four-domain 1S_1s2_2s2 (two determinants) and subshell_k1_l2 (x^2 - y^2,
+  labelled by its two nodal planes), the ``count_nodal_domains`` report at
+  1000 points, and on 1D_2p2 the ``test_node_equivalence`` result of the
+  x_2 flip onto 3P_2p2 at 2000 points.
 """
 
 from __future__ import annotations
