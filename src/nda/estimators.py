@@ -4,14 +4,15 @@ Shared conventions:
 
 * every estimator call and every Metropolis walk owns one RNG stream,
   seeded from (seed, stream tag), so results depend only on the seed and
-  the chain count.  An i.i.d. call draws _CHUNK rows at a time, and row r
-  of its stream is draw r % n of chain r // n, so its chains are disjoint
-  runs of one stream.  One worker thread draws the call's next block while
-  the current one is evaluated (_iid_stream); it alone draws from the
-  stream, in stream order, so no result depends on it.  A walk draws its
-  chains' starting points in one call, then one array of uniforms per
-  step.  Memory is bounded by _CHUNK (two blocks in flight) and the chain
-  count, not by the sample budget;
+  the chain count.  An i.i.d. call draws _CHUNK rows at a time and passes
+  each block on with its rows' indices r in the stream.  Row r is draw
+  r % n of chain r // n, so the chains are disjoint runs of one stream;
+  _Blocks alone maps a row to its chain and block.  One worker thread
+  draws the call's next block while the current one is evaluated
+  (_iid_stream); it alone draws from the stream, in stream order, so no
+  result depends on it.  A walk draws its chains' starting points in one
+  call, then one array of uniforms per step.  Memory is bounded by _CHUNK
+  (two blocks in flight) and the chain count, not by the sample budget;
 * the standard expectations <T> and <V>, pot_nda (the ratio of the
   integrals of V |Psi| and |Psi|) and the integral of |Psi| are
   importance ratios on i.i.d. draws from the state's reference density g,
@@ -28,11 +29,12 @@ Shared conventions:
   start at half the RMS coordinate of its starting points; the kept steps
   use the width burn-in ends with;
 * every estimator adds per-row arrays, one per estimate, and a mask of
-  the rows it keeps (None keeps all) into one _Blocks accumulator, which
-  splits each chain's draws into 50 blocks, counts the rejected rows and
-  gives the per-chain means and the NdaEstimates.  _iid_average adds
-  integrand(x) -> (ok, values) on each block of draws, and the shell adds
-  the blocks of _iid_stream after its pilot;
+  the rows it keeps (None keeps all) by their stream indices into one
+  _Blocks accumulator, which splits each chain's draws into 50 blocks,
+  counts the rejected rows and gives the per-chain means and the
+  NdaEstimates.  _iid_average adds integrand(x) -> (ok, values) on each
+  block of draws, and the shell adds the blocks of _iid_stream after its
+  pilot;
 * the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
   and fits a line in eps^2 to each chain's rung means; its pilot draws set
   the ladder and then count like the others;
@@ -194,10 +196,13 @@ def _model(state: StateSpec):
 class _Blocks:
     """Per-(chain, block) sums of n_values integrands, with their counts.
 
-    Each chain's n_per_chain draws are split into _BLOCKS blocks; draw s
-    of chain c lands in block s * _BLOCKS // n_per_chain.  np.add.at adds
-    in index order, so every block sums its rows in the order they are
-    added, and the estimators add them in draw order.
+    Rows are added by their index r in the call's stream, row r being draw
+    r % n_per_chain of chain r // n_per_chain, and each chain's draws are
+    split into _BLOCKS blocks: row r lands in cell r * _BLOCKS //
+    n_per_chain of the chain-major (chain, block) cells, which is block
+    (r % n_per_chain) * _BLOCKS // n_per_chain of chain r // n_per_chain.
+    np.add.at adds in index order, so every block sums its rows in the
+    order they are added, and the estimators add them in stream order.
 
     The added arrays are the n_values integrands and, with n_controls
     control columns, a weight w and then the columns, of known mean 0.  An
@@ -219,11 +224,11 @@ class _Blocks:
         if n_controls:
             self.magnitudes = np.zeros((n_arrays, n_chains))
 
-    def add(self, chains: np.ndarray, draws: np.ndarray, values: tuple,
+    def add(self, rows: np.ndarray, values: tuple,
             ok: Optional[np.ndarray] = None) -> None:
-        """Add rows laid out as chains and draws broadcast and raveled;
-        rows outside the mask ok are counted as rejected."""
-        flat = (draws * _BLOCKS // self.n_per_chain + chains * _BLOCKS).ravel()
+        """Add values at the stream indices rows; rows outside the mask ok
+        are counted as rejected."""
+        flat = rows * _BLOCKS // self.n_per_chain
         if ok is None:
             np.add.at(self.counts.reshape(-1), flat, 1)
         else:
@@ -233,9 +238,9 @@ class _Blocks:
         for bsum, w in zip(self.sums, values):
             np.add.at(bsum.reshape(-1), flat, w)
         if self.n_controls:
-            rows = flat // _BLOCKS
+            chains = flat // _BLOCKS
             for mag, w in zip(self.magnitudes, values):
-                np.add.at(mag, rows, np.abs(w))
+                np.add.at(mag, chains, np.abs(w))
 
     def _chain_counts(self) -> np.ndarray:
         counts = self.counts.sum(axis=1)
@@ -448,25 +453,27 @@ def _iid_stream(cfg: SamplerConfig, tag: int, draw: Callable,
     """The call's n_chains * n i.i.d. draws as one stream.
 
     Draws draw(rng, m) in blocks of m <= _CHUNK rows from the stream of
-    tag, and yields (chains, draws, x) per block: row r of the stream is
-    draw r % n of chain r // n.
+    tag, and yields (rows, x) per block, rows the block's indices r in the
+    stream; row r is draw r % n of chain r // n, a layout that _Blocks
+    alone decodes.
 
     The stream draws one block ahead: a single worker thread draws block
     k + 1 while the caller evaluates block k (numpy's generator and ufunc
-    loops release the GIL).  The worker is the only thread that touches rng and draws the blocks in stream order, so every
-    result is the same as a serial draw's, bit for bit; two blocks are in
-    flight at a time.  The worker is joined when the stream ends, when the
-    caller closes it, or when draw raises, whose exception reaches the
-    caller.  The stream owns that thread, so a caller holds it in
-    contextlib.closing: a stream left open, say in a local that a held
-    traceback keeps, keeps its worker alive.
+    loops release the GIL).  The worker is the only thread that touches
+    rng and draws the blocks in stream order, so every result is the same
+    as a serial draw's, bit for bit; two blocks are in flight at a time.
+    The worker is joined when the stream ends, when the caller closes it,
+    or when draw raises, whose exception reaches the caller.  The stream
+    owns that thread, so a caller holds it in contextlib.closing: a stream
+    left open, say in a local that a held traceback keeps, keeps its
+    worker alive.
     """
     total = cfg.n_chains * n
     rng = _stream(cfg.seed, tag)
 
     def block(r0):
-        r = np.arange(r0, min(r0 + _CHUNK, total))
-        return r // n, r % n, draw(rng, r.size)
+        rows = np.arange(r0, min(r0 + _CHUNK, total))
+        return rows, draw(rng, rows.size)
 
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(block, 0)
@@ -485,9 +492,9 @@ def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
     n = n or cfg.steps_per_chain
     acc = _Blocks(cfg.n_chains, n, **layout)
     with closing(_iid_stream(cfg, tag, draw, n)) as blocks:
-        for chains, draws, x in blocks:
+        for rows, x in blocks:
             ok, values = integrand(x)
-            acc.add(chains, draws, values, ok)
+            acc.add(rows, values, ok)
     return acc
 
 
@@ -564,7 +571,7 @@ def estimate_standard_expectations(state: StateSpec,
     model, g, h = _model(state), state.reference_density, state.hamiltonian()
 
     def integrand(x):
-        v, xg, lap = model._evaluate(x, True, True, radial=True)
+        v, xg, lap = model.evaluate(x, grad=True, lap=True, radial=True)
         dens = g.pdf(x)
         w = v * v / dens
         rad, lin = (c / dens for c in _control_columns(x, v * v, 2.0 * v, xg))
@@ -618,7 +625,7 @@ def estimate_pot_nda(state: StateSpec,
     model, g, h = _model(state), state.reference_density, state.hamiltonian()
 
     def integrand(x):
-        v, xg, _ = model._evaluate(x, True, False, radial=True)
+        v, xg, _ = model.evaluate(x, grad=True, radial=True)
         dens = g.pdf(x)
         w = np.abs(v) / dens
         rad, lin = (c / dens for c in
@@ -694,16 +701,16 @@ def estimate_kin_nda_shell(state: StateSpec,
         raise ValueError("delta-shell stderr needs at least 2 chains")
 
     def evaluate(x):
-        v, grads, _ = model._evaluate(x, True, False)
+        v, grads, _ = model.evaluate(x, grad=True)
         av, dens = np.abs(v), g.pdf(x)
         gn = np.sqrt(np.einsum("ij,ij->i", grads, grads))
         return av / np.maximum(gn, 1e-300), gn / dens, av / dens
 
     with closing(_iid_stream(cfg, _TAG_SHELL, g.sample,
                              cfg.steps_per_chain)) as blocks:
-        stream = ((chains, draws, evaluate(x)) for chains, draws, x in blocks)
+        stream = ((rows, evaluate(x)) for rows, x in blocks)
         pilot = list(islice(stream, cfg.n_chains))  # blocks of _CHUNK draws
-        d0 = np.concatenate([p[2][0] for p in pilot])
+        d0 = np.concatenate([p[1][0] for p in pilot])
         eps0 = float(np.quantile(d0, 0.01))
         if eps0 <= 0.0:
             raise RuntimeError("could not scale the epsilon ladder: node "
@@ -714,12 +721,12 @@ def estimate_kin_nda_shell(state: StateSpec,
         # hits are zero outside the widest rung, so only its rows are added
         acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
         shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, K + 1)
-        for chains, draws, (d, gw, aw) in chain(pilot, stream):
-            acc.add(chains, draws, (aw,))
-            rows = np.flatnonzero(d < ladder[0])
-            inside = d[rows] < ladder[:, None]                  # (K, rows)
-            rung = np.where(inside, gw[rows] / (2.0 * ladder[:, None]), 0.0)
-            shell.add(chains[rows], draws[rows], (*rung, inside[-1]))
+        for rows, (d, gw, aw) in chain(pilot, stream):
+            acc.add(rows, (aw,))
+            hit = np.flatnonzero(d < ladder[0])
+            inside = d[hit] < ladder[:, None]                   # (K, hit)
+            rung = np.where(inside, gw[hit] / (2.0 * ladder[:, None]), 0.0)
+            shell.add(rows[hit], (*rung, inside[-1]))
     (ratio,) = acc.chain_means()
     means = shell.sums.sum(axis=2) / acc.counts.sum(axis=1)
     # least-squares intercept against eps^2, every chain at once; eps in

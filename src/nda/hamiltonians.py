@@ -114,7 +114,7 @@ def local_energy(h: HamiltonianSpec, model: WaveFunction, R) -> float:
     free of the length scale (it holds at any Z) that rejects the origin.
     SingularPointError at coincident charges, where V is not finite."""
     x = _as_batch(model, R)
-    v, g, lap = model.vgl(x)
+    v, g, lap = model.evaluate(x, grad=True, lap=True)
     psi = float(v[0])
     if not off_node(x, v, g)[0]:
         raise NodeProximityError(

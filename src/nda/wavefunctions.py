@@ -8,13 +8,15 @@ electrons into the same channels, and the orbitals are hydrogenic 1s, 2s,
 angular factor is held as the unit normals of its nodal planes
 (``Orbital.planes``), whose linear forms multiply to it, and one code path
 evaluates every degree l from them.
-:class:`HarmonicPair` is the trap pair.  Each evaluates through
-one ``_evaluate(x, want_grad, want_lap, radial=False)``, which computes
-the shared parts once per call; with ``radial`` its gradient part is each
-electron's radial derivative x_i . grad_i Psi, an ``(m, N)`` array.  All
-models expose a batched API (``values``, ``gradients``, ``laplacians`` and
-the fused ``vgl``, which returns all three for the same points) over
-arrays of shape ``(m, 3N)``.
+:class:`HarmonicPair` is the trap pair.
+
+Each model evaluates through one public ``evaluate(x, grad=False,
+lap=False, radial=False)`` over arrays of shape ``(m, 3N)``.  It returns
+``(values, gradients, laplacians)``, None for a part not asked for, and
+computes the parts they share once per call; with ``radial`` its gradient
+part is each electron's radial derivative x_i . grad_i Psi, an ``(m, N)``
+array.  ``values`` and ``gradients`` restate ``evaluate(x)[0]`` and
+``evaluate(x, grad=True)[1]``.
 
 Radial factors are kept unnormalized (e.g. the 2p radial part is
 ``exp(-Z r / 2)``): every quantity computed downstream is a ratio of
@@ -242,57 +244,23 @@ class Orbital:
         n = self.n if self.kind == "hydrogenic_general" else int(self.kind[-2])
         return n / self.scale
 
-    def value(self, xyz: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(xyz, axis=1)
-        return _mul(_harmonic(_recipe(self.planes), xyz)[0], self._radial(r, False)[0])
-
-    def grad(self, xyz: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(xyz, axis=1)
-        f, fp, _ = self._radial(r)
-        rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        P, dP = _harmonic(_recipe(self.planes), xyz, grad=True)
-        g = _mul(P, fp)[:, None] * (xyz * rinv[:, None])
-        for c, d in dP:
-            g[:, c] += _mul(f, d)
-        return g
-
-    def lap(self, xyz: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(xyz, axis=1)
-        f, fp, fpp = self._radial(r)
-        rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        planes = self.planes
-        return _mul(_harmonic(_recipe(planes), xyz)[0],
-                    fpp + 2.0 * (len(planes) + 1) * fp * rinv)
-
 
 # --------------------------------------------------------------------------
 # model base class
 
 
 class WaveFunction:
-    """Base class; subclasses fill in the batched evaluators."""
+    """Base class; subclasses fill in evaluate."""
 
     n_particles: int
     family: str  # "coulomb" | "harmonic"
     parameters: dict
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def laplacians(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def vgl(self, x: np.ndarray):
-        """(values, gradients, laplacians) at the same points."""
-        raise NotImplementedError
-
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
-                  radial: bool = False):
-        """(values, gradients, laplacians), None for a part not asked for;
-        with radial the gradients are x_i . grad_i Psi, (m, N)."""
+    def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
+                 radial: bool = False):
+        """(values, gradients, laplacians) at the rows x (m, 3N), None for
+        a part not asked for; with radial the gradients are
+        x_i . grad_i Psi, (m, N)."""
         raise NotImplementedError
 
 
@@ -333,10 +301,8 @@ def _det(m: list):
 
 
 def _cofactors(A) -> list:
-    """C[i][j] = d det / d A[i][j] of a 1x1 or 2x2 block; stable at the node
-    (no matrix inverse)."""
-    if len(A) == 1:
-        return [[np.ones(A[0][0].shape[0])]]
+    """C[i][j] = d det / d A[i][j] of a 2x2 block; stable at the node (no
+    matrix inverse)."""
     return [[A[1][1], -A[1][0]], [-A[0][1], A[0][0]]]
 
 
@@ -488,8 +454,9 @@ class SlaterProduct(WaveFunction):
         kind and harmonic over the kind's electrons.  With radial the
         gradient axis has width 1 and holds x . grad(P f) = P r f' + l P f.
 
-        The expressions of Orbital.value/grad/lap, with the same
-        operations in the same order, so every entry has their bits.
+        The expressions of the orbital-by-orbital reference
+        (tests/test_wavefunctions.py), with the same operations in the same
+        order, so every entry has its bits.
         """
         m = x.shape[0]
         derivs = want_grad or want_lap
@@ -565,22 +532,21 @@ class SlaterProduct(WaveFunction):
         return (_cat(dets), _cat(rows) if want_grad else None,
                 _cat(laps) if want_lap else None)
 
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
-                  radial: bool = False):
-        """(values, gradients, laplacians), None for a part not asked for;
-        with radial the gradients are x_i . grad_i Psi, (m, N).  A
-        determinant's x_i . grad_i is its cofactors times the orbitals'
-        x . grad, so the radial table runs through the same block and term
-        passes with one component for three."""
+    def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
+                 radial: bool = False):
+        """(values, gradients, laplacians) at the rows x (m, 3N), None for a
+        part not asked for; with radial the gradients are x_i . grad_i Psi,
+        (m, N).  A determinant's x_i . grad_i is its cofactors times the
+        orbitals' x . grad, so the radial table runs through the same block
+        and term passes with one component for three."""
         m = x.shape[0]
-        derivs = want_grad or want_lap
-        D, R, LB = self._blocks(x, want_grad, want_lap, radial)
+        D, R, LB = self._blocks(x, grad, lap, radial)
         coeff = self._coeff
         prod = D[self._terms[0]] if coeff is None else coeff * D[self._terms[0]]
         for k in self._terms[1:]:
             prod = prod * D[k]
         v = _ordered_sum(prod) + 0.0
-        if not derivs:
+        if not (grad or lap):
             return v, None, None
 
         # per factor, coeff times the determinants of the term's other blocks
@@ -598,11 +564,11 @@ class SlaterProduct(WaveFunction):
                     o = o * D[j]
                 parts.append(o)
             other = np.stack(parts, axis=1).reshape(len(self.terms) * K, m)
-        lap = g = None
-        if want_lap:
+        grads = laps = None
+        if lap:
             c = LB[self._factors]
-            lap = _ordered_sum(c if other is None else other * c) + 0.0
-        if want_grad:
+            laps = _ordered_sum(c if other is None else other * c) + 0.0
+        if grad:
             n = self.n_particles
             cf, cr = self._contrib
             c = R[cr]
@@ -613,20 +579,17 @@ class SlaterProduct(WaveFunction):
             gt = _ordered_sum(c.reshape(len(self.terms), n, d, m))
             # row-major (m, 3N): numpy's sum over a row (np.linalg.norm)
             # adds in a layout-dependent order
-            g = np.add(gt.reshape(d * n, m).T, 0.0, out=np.empty((m, d * n)))
-        return v, g, lap
+            grads = np.add(gt.reshape(d * n, m).T, 0.0, out=np.empty((m, d * n)))
+        return v, grads, laps
 
+    # values and gradients restate evaluate.  perfbench/spans.py wraps these
+    # two names on each model class, and its per-layer model rows count the
+    # library calls made through them; they go once it wraps evaluate.
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, False, False)[0]
+        return self.evaluate(x)[0]
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, True, False)[1]
-
-    def laplacians(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, False, True)[2]
-
-    def vgl(self, x: np.ndarray):
-        return self._evaluate(x, True, True)
+        return self.evaluate(x, grad=True)[1]
 
 
 # --------------------------------------------------------------------------
@@ -651,47 +614,42 @@ class HarmonicPair(WaveFunction):
         self.beta = float(beta)
         self.parameters = {"omega": self.omega, "correlated": correlated, "beta": beta}
 
-    def _evaluate(self, x: np.ndarray, want_grad: bool, want_lap: bool,
-                  radial: bool = False):
-        """(values, gradients, laplacians), None for a part not asked for;
-        with radial the gradients are x_i . grad_i Psi, (m, 2), taken from
-        the gradient."""
+    def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
+                 radial: bool = False):
+        """(values, gradients, laplacians) at the rows x (m, 6), None for a
+        part not asked for; with radial the gradients are x_i . grad_i Psi,
+        (m, 2), taken from the gradient."""
         S = np.sum(x * x, axis=1)
         G = np.exp(-0.5 * self.omega * S)
         B = x[:, 2] - x[:, 5]
         GB = G * B
-        v, g, lap = GB, None, None
+        v, grads, laps = GB, None, None
         if self.correlated:
             d = x[:, 0:3] - x[:, 3:6]
             r12 = np.linalg.norm(d, axis=1)
             J = 1.0 + self.beta * r12
             v = v * J
-        if not (want_grad or want_lap):
-            return v, g, lap
+        if not (grad or lap):
+            return v, grads, laps
         g0 = -self.omega * x * GB[:, None]
         g0[:, 2] += G
         g0[:, 5] -= G
         if self.correlated:
             ri = np.where(r12 > 0, 1.0 / np.maximum(r12, 1e-300), 0.0)
             gJ = np.concatenate([d * ri[:, None], -d * ri[:, None]], axis=1) * self.beta
-        if want_grad:
-            g = g0 * J[:, None] + GB[:, None] * gJ if self.correlated else g0
-        if want_lap:
-            lap = GB * (self.omega ** 2 * S - 8.0 * self.omega)
+        if grad:
+            grads = g0 * J[:, None] + GB[:, None] * gJ if self.correlated else g0
+            if radial:
+                grads = _row_sums((x * grads).reshape(-1, 2, 3))
+        if lap:
+            laps = GB * (self.omega ** 2 * S - 8.0 * self.omega)
             if self.correlated:
-                lap = lap * J + 2.0 * np.sum(g0 * gJ, axis=1) + GB * (4.0 * self.beta * ri)
-        if want_grad and radial:
-            g = _row_sums((x * g).reshape(-1, 2, 3))
-        return v, g, lap
+                laps = laps * J + 2.0 * np.sum(g0 * gJ, axis=1) + GB * (4.0 * self.beta * ri)
+        return v, grads, laps
 
+    # as on SlaterProduct: the two names perfbench/spans.py wraps
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, False, False)[0]
+        return self.evaluate(x)[0]
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, True, False)[1]
-
-    def laplacians(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluate(x, False, True)[2]
-
-    def vgl(self, x: np.ndarray):
-        return self._evaluate(x, True, True)
+        return self.evaluate(x, grad=True)[1]

@@ -241,7 +241,7 @@ def _pot_rows(state):
     N = model.n_particles
 
     def rows(x):
-        v, xg, _ = model._evaluate(x, True, False, radial=True)
+        v, xg, _ = model.evaluate(x, grad=True, radial=True)
         dens, av, sign = g.pdf(x), np.abs(v), np.sign(v)
         with np.errstate(divide="ignore", invalid="ignore"):
             rad = [(2.0 * av + sign * xg[:, i])
@@ -264,7 +264,7 @@ def _std_rows(state):
     N = model.n_particles
 
     def rows(x):
-        v, xg, lap = model._evaluate(x, True, True, radial=True)
+        v, xg, lap = model.evaluate(x, grad=True, lap=True, radial=True)
         dens, v2 = g.pdf(x), v * v
         with np.errstate(divide="ignore", invalid="ignore"):
             rad = [(2.0 * v2 + 2.0 * v * xg[:, i])
@@ -579,7 +579,7 @@ def _column_z_scores(name, a, b):
     st = get_state(name)
     g = st.reference_density
     x = g.sample(np.random.default_rng(3), 100_000)
-    v, xg, _ = st.model._evaluate(x, True, False, radial=True)
+    v, xg, _ = st.model.evaluate(x, grad=True, radial=True)
     dens = g.pdf(x)
     rad, lin = estimators._control_columns(x, a(v), b(v), xg)
     r = np.linalg.norm(x.reshape(len(x), -1, 3), axis=2)
@@ -705,13 +705,13 @@ def test_controlled_stderr_is_smaller_and_recorded():
 def test_surface_evaluates_one_gradient_row_per_draw(name, monkeypatch):
     st = get_state(name)
     rows = []
-    for attr in ("gradients", "vgl"):
-        method = getattr(st.model, attr)
+    evaluate = st.model.evaluate
 
-        def counted(x, method=method):
+    def counted(x, **parts):
+        if parts.get("grad"):
             rows.append(len(x))
-            return method(x)
-        monkeypatch.setattr(st.model, attr, counted)
+        return evaluate(x, **parts)
+    monkeypatch.setattr(st.model, "evaluate", counted)
     cfg = SamplerConfig(n_chains=4, steps_per_chain=1000, seed=3)
     estimate_kin_nda_surface(st, cfg)
     assert sum(rows) == cfg.n_chains * cfg.steps_per_chain
@@ -860,12 +860,12 @@ def test_shell_evaluates_every_draw_once(steps, monkeypatch):
     st = get_state("1S_1s2_2p2")
     drawn = _count_draws(monkeypatch)
     evaluated = []
-    evaluate = st.model._evaluate
+    evaluate = st.model.evaluate
 
-    def counted(x, want_grad, want_lap):
+    def counted(x, **parts):
         evaluated.append(len(x))
-        return evaluate(x, want_grad, want_lap)
-    monkeypatch.setattr(st.model, "_evaluate", counted)
+        return evaluate(x, **parts)
+    monkeypatch.setattr(st.model, "evaluate", counted)
     cfg = SamplerConfig(n_chains=4, steps_per_chain=steps, seed=3)
     est = estimate_kin_nda_shell(st, cfg)
     total = cfg.n_chains * steps
@@ -896,14 +896,14 @@ def _serial_stream(cfg, tag, draw, n):
     """_iid_stream's blocks drawn one after another on the calling thread."""
     rng, total = _stream(cfg.seed, tag), cfg.n_chains * n
     for r0 in range(0, total, estimators._CHUNK):
-        r = np.arange(r0, min(r0 + estimators._CHUNK, total))
-        yield r // n, r % n, draw(rng, r.size)
+        rows = np.arange(r0, min(r0 + estimators._CHUNK, total))
+        yield rows, draw(rng, rows.size)
 
 
 @pytest.mark.parametrize("draw", ["sample", "draw_params"])
 def test_draw_ahead_matches_a_serial_stream(draw):
     """The worker draws the blocks in stream order with the same sizes, so
-    the stream yields the serial (chains, draws, x) blocks bit for bit:
+    the stream yields the serial (rows, x) blocks bit for bit:
     g.sample on 3S_1s2s, and the node parameters of 3P_1s2p."""
     st = get_state("3S_1s2s" if draw == "sample" else "3P_1s2p")
     fn = (st.reference_density.sample if draw == "sample"
@@ -911,7 +911,7 @@ def test_draw_ahead_matches_a_serial_stream(draw):
     n = AHEAD.steps_per_chain
     got = list(estimators._iid_stream(AHEAD, estimators._TAG_SURFACE, fn, n))
     ref = list(_serial_stream(AHEAD, estimators._TAG_SURFACE, fn, n))
-    assert [len(b[2]) for b in got] == [len(b[2]) for b in ref] == [2048] * 3 + [111]
+    assert [len(b[1]) for b in got] == [len(b[1]) for b in ref] == [2048] * 3 + [111]
     for block, serial in zip(got, ref):
         for a, b in zip(block, serial):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

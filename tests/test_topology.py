@@ -257,6 +257,17 @@ class TestEquivalence(unittest.TestCase):
         t = find_block_transform(get_state("1S_2p2"), get_state("3P_2p2"), seed=2)
         self.assertIsNone(t)
 
+    def test_search_refuses_more_than_two_particles(self):
+        # 48^4 4! candidates for four electrons: refused, with the count,
+        # before any point is drawn
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        with mock.patch.object(topology, "_sample_points", no_sampling):
+            with self.assertRaisesRegex(ValueError, "127,401,984"):
+                find_block_transform(get_state("1S_1s2_2s2"),
+                                     get_state("1S_1s2_2p2"))
+
 
 if __name__ == "__main__":
     unittest.main()

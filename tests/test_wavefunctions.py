@@ -67,7 +67,7 @@ def test_laplacians_match_finite_differences(name):
     v = model.values(x)
     keep = np.abs(v) > 1e-6
     x = x[keep]
-    lap = model.laplacians(x)
+    lap = model.evaluate(x, lap=True)[2]
     lap_fd = _fd_laplacian(model, x)
     scale = np.maximum(np.abs(lap), 1.0)
     assert np.max(np.abs(lap - lap_fd) / scale) < 1e-5
@@ -96,7 +96,8 @@ def test_values_vectorized_consistent_with_rowwise(name, method):
     (behind and between other points) agree.  Lock-step Metropolis walks
     and chain batching rely on this."""
     model = get_state(name).model
-    evaluate = getattr(model, method)
+    evaluate = (model.values if method == "values"
+                else lambda x: model.evaluate(x, grad=True, lap=True))
     x = _test_points(model.n_particles, n=8, seed=5)
     others = _test_points(model.n_particles, n=300, seed=6)
     at = np.arange(len(x)) * 3 + 17                # rows of x in the big batch
@@ -120,9 +121,8 @@ def test_origin_is_finite():
         model = get_state(name).model
         x = np.zeros((1, 3 * model.n_particles))
         x[0, 3:] = 1.0  # park the other electrons off-origin
-        assert np.isfinite(model.values(x)).all()
-        assert np.isfinite(model.gradients(x)).all()
-        assert np.isfinite(model.laplacians(x)).all()
+        for part in model.evaluate(x, grad=True, lap=True):
+            assert np.isfinite(part).all()
 
 
 def test_harmonic_pair_jastrow_factor():
@@ -135,29 +135,77 @@ def test_harmonic_pair_jastrow_factor():
     assert np.allclose(ratio, 1.0 + 0.25 * np.sqrt(2.0) * u, rtol=1e-12)
 
 
+def _assert_parts_match(model, x, full):
+    """Every smaller call has the bits of the parts of full, the three
+    parts of evaluate(x, grad=True, lap=True): evaluate(x),
+    evaluate(x, grad=True), evaluate(x, lap=True), values and gradients,
+    each with None for the parts it does not ask for."""
+    v, g, lap = full
+    for grad, want_lap in ((False, False), (True, False), (False, True)):
+        got = model.evaluate(x, grad=grad, lap=want_lap)
+        want = (v, g if grad else None, lap if want_lap else None)
+        for a, b in zip(got, want):
+            assert a is None if b is None else a.tobytes() == b.tobytes()
+    assert model.values(x).tobytes() == v.tobytes()
+    assert model.gradients(x).tobytes() == g.tobytes()
+
+
 def test_harmonic_pair_vgl_is_the_three_methods():
     # both branches of the fused evaluation; the last row has r12 = 0
     x = _test_points(2, seed=4)
     x = np.concatenate([x, x[:1, [0, 1, 2, 0, 1, 2]]])
     for name in ("harmonic_noninteracting", "harmonic_exact"):
         model = get_state(name).model
-        v, g, lap = model.vgl(x)
-        assert v.tobytes() == model.values(x).tobytes()
-        assert g.tobytes() == model.gradients(x).tobytes()
-        assert lap.tobytes() == model.laplacians(x).tobytes()
+        _assert_parts_match(model, x, model.evaluate(x, grad=True, lap=True))
 
 
 # ------------------------------------------- fused SlaterProduct evaluation
 
 
+# _reference_vgl's orbital evaluators: one orbital at the points xyz (m, 3),
+# by the expressions in the comment above wavefunctions.Orbital
+def _orbital_value(orb, xyz):
+    r = np.linalg.norm(xyz, axis=1)
+    return wf._mul(wf._harmonic(wf._recipe(orb.planes), xyz)[0],
+                   orb._radial(r, False)[0])
+
+
+def _orbital_grad(orb, xyz):
+    r = np.linalg.norm(xyz, axis=1)
+    f, fp, _ = orb._radial(r)
+    rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+    P, dP = wf._harmonic(wf._recipe(orb.planes), xyz, grad=True)
+    g = wf._mul(P, fp)[:, None] * (xyz * rinv[:, None])
+    for c, d in dP:
+        g[:, c] += wf._mul(f, d)
+    return g
+
+
+def _orbital_lap(orb, xyz):
+    r = np.linalg.norm(xyz, axis=1)
+    f, fp, fpp = orb._radial(r)
+    rinv = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+    planes = orb.planes
+    return wf._mul(wf._harmonic(wf._recipe(planes), xyz)[0],
+                   fpp + 2.0 * (len(planes) + 1) * fp * rinv)
+
+
+def _cofactors(A):
+    """C[i][j] = d det / d A[i][j] of a 1x1 or 2x2 block."""
+    if len(A) == 1:
+        return [[np.ones(A[0][0].shape[0])]]
+    return wf._cofactors(A)
+
+
 def _reference_vgl(model, x):
     """SlaterProduct evaluated orbital by orbital: every block matrix is
-    rebuilt per term from Orbital.value, and gradients and Laplacians come
-    from Orbital.grad and Orbital.lap, accumulated in the model's order."""
+    rebuilt per term from _orbital_value, and gradients and Laplacians
+    come from _orbital_grad and _orbital_lap, accumulated in the model's
+    order."""
     m = x.shape[0]
 
     def block(b):
-        return [[orb.value(x[:, 3 * e:3 * e + 3]) for orb in b.orbitals]
+        return [[_orbital_value(orb, x[:, 3 * e:3 * e + 3]) for orb in b.orbitals]
                 for e in b.electrons]
 
     v = np.zeros(m)
@@ -176,14 +224,14 @@ def _reference_vgl(model, x):
             for bj, d in enumerate(dets):
                 if bj != bi:
                     other = other * d
-            C = wf._cofactors(mats[bi])
+            C = _cofactors(mats[bi])
             lap_b = np.zeros(m)
             for i, e in enumerate(b.electrons):
                 xyz = x[:, 3 * e:3 * e + 3]
                 row = np.zeros((m, 3))
                 for j, orb in enumerate(b.orbitals):
-                    row += C[i][j][:, None] * orb.grad(xyz)
-                    lap_b += C[i][j] * orb.lap(xyz)
+                    row += C[i][j][:, None] * _orbital_grad(orb, xyz)
+                    lap_b += C[i][j] * _orbital_lap(orb, xyz)
                 g[:, 3 * e:3 * e + 3] += other[:, None] * row
             lap += other * lap_b
     return v, g, lap
@@ -250,28 +298,29 @@ def test_fused_table_matches_orbital_loops_bitwise(name, Z, data):
     zeros[1, :3] = -0.0
     x = np.concatenate([x, zeros])
     ref = _reference_vgl(model, x)
-    fused = model.vgl(x)
-    separate = (model.values(x), model.gradients(x), model.laplacians(x))
-    for r, f, s in zip(ref, fused, separate):
-        assert r.tobytes() == f.tobytes() == s.tobytes()
+    fused = model.evaluate(x, grad=True, lap=True)
+    for r, f in zip(ref, fused):
+        assert r.tobytes() == f.tobytes()
+    _assert_parts_match(model, x, fused)
 
 
 @pytest.mark.parametrize("name", [s.name for s in catalog_list() if s.model]
                          + ["subshell_k1_l1", "subshell_k1_l2", "circular_l3", "mixed"])
 def test_radial_mode_is_x_dot_gradient_per_electron(name):
-    """_evaluate(..., radial=True) gives each electron's x_i . grad_i Psi,
-    (m, N), and the same values: the per-electron sum of x times the
-    gradients to 1e-12 of |Psi| + sum |x_k dPsi/dx_k| (the rounding scale
-    of that sum, whose terms cancel near a node), on Gaussian points, a row
-    of signed zeros and a row with an electron at the origin."""
+    """evaluate(x, grad=True, radial=True) gives each electron's
+    x_i . grad_i Psi, (m, N), and the same values: the per-electron sum of
+    x times the gradients to 1e-12 of |Psi| + sum |x_k dPsi/dx_k| (the
+    rounding scale of that sum, whose terms cancel near a node), on
+    Gaussian points, a row of signed zeros and a row with an electron at
+    the origin."""
     model = (_slater_model(name, 1.3) if name in ("mixed", "circular_l3")
              else get_state(name).model)
     N = model.n_particles
     x = np.random.default_rng(4).normal(scale=2.0, size=(500, 3 * N))
     x[0, 0::3], x[0, 1::3] = -0.0, 0.0
     x[1, :3] = 0.0
-    v, g, _ = model._evaluate(x, True, False)
-    v_rad, xg, lap = model._evaluate(x, True, False, radial=True)
+    v, g, _ = model.evaluate(x, grad=True)
+    v_rad, xg, lap = model.evaluate(x, grad=True, radial=True)
     assert xg.shape == (len(x), N) and lap is None
     assert v_rad.tobytes() == v.tobytes()
     terms = (x * g).reshape(-1, N, 3)
@@ -297,7 +346,8 @@ def test_circular_orbitals_are_re_x_plus_iy_to_the_l():
     makes it Re(x + iy)^l itself, at every l."""
     d = wf.Orbital("hydrogenic_general", 1.0, n=3)
     x = np.array([[1.0, 0.5, 0.25]])
-    assert d.value(x)[0] == pytest.approx(0.75 * np.exp(-np.linalg.norm(x) / 3.0), rel=1e-15)
+    assert _orbital_value(d, x)[0] == pytest.approx(
+        0.75 * np.exp(-np.linalg.norm(x) / 3.0), rel=1e-15)
     x = np.random.default_rng(2).normal(scale=2.0, size=(200, 3))
     r = np.linalg.norm(x, axis=1)
     for l in range(1, 9):
@@ -306,7 +356,8 @@ def test_circular_orbitals_are_re_x_plus_iy_to_the_l():
         expect = ((x[:, 0] + 1j * x[:, 1]) ** l).real * np.exp(-r / (l + 1))
         # to rounding of the l-term product, on the scale |x + iy|^l
         scale = np.hypot(x[:, 0], x[:, 1]) ** l * np.exp(-r / (l + 1))
-        assert np.all(np.abs(orb.value(x) - expect) <= 1e-14 * scale), l
+        err = np.abs(_orbital_value(orb, x) - expect)
+        assert np.all(err <= 1e-14 * scale), l
 
 
 def test_a_block_of_three_electrons_is_rejected():
@@ -330,8 +381,8 @@ def test_same_spin_swap_negates_vgl(pair, Z, data):
     bi, bj = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
     xs = x.copy()
     xs[:, bi], xs[:, bj] = x[:, bj], x[:, bi]
-    v, g, lap = model.vgl(x)
-    vs, gs, laps = model.vgl(xs)
+    v, g, lap = model.evaluate(x, grad=True, lap=True)
+    vs, gs, laps = model.evaluate(xs, grad=True, lap=True)
     assert np.array_equal(vs, -v)
     expect = -g
     expect[:, bi], expect[:, bj] = -g[:, bj], -g[:, bi]

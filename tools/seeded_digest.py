@@ -9,10 +9,11 @@ outputs: no difference means every listed output is bitwise unchanged.
 For each of the 13 model states (the catalog states with a model, and
 ``subshell_k1_l1`` and ``subshell_k1_l2``), the outputs are:
 
-* ``vgl`` (and ``values``, ``gradients``, ``laplacians`` and the radial
-  derivatives x_i . grad_i Psi of ``_evaluate(..., radial=True)``) at fixed
-  points, 1, 37 and 2048 rows, some with signed-zero coordinates or an
-  electron at the origin;
+* the model's ``evaluate`` at fixed points, 1, 37 and 2048 rows, some
+  with signed-zero coordinates or an electron at the origin: all three
+  parts of one call (labelled ``vgl``), ``values``, ``gradients``, the
+  Laplacians alone (``laplacians``) and the radial derivatives
+  x_i . grad_i Psi of ``evaluate(x, grad=True, radial=True)``;
 * the reference density's ``sample`` and ``pdf`` at n = 1, 37 and 2048;
 * where the node is parametrized, the node parameters ``draw_params`` and
   the importance points ``sample`` (coordinates and weights) at n = 1, 37
@@ -103,11 +104,14 @@ def digest(states: Optional[Sequence] = None,
             hams.append(("h_ee", coulomb_atom(float(st.parameters["Z"]), ee=True)))
         for m in rows:
             x = _points(n, m, seed=m)
-            for part, a in zip(("v", "g", "lap"), model.vgl(x)):
+            vgl = model.evaluate(x, grad=True, lap=True)
+            for part, a in zip(("v", "g", "lap"), vgl):
                 yield f"{st.name}/vgl.{part}/m={m} {_sha(a)}"
-            for meth in ("values", "gradients", "laplacians"):
-                yield f"{st.name}/{meth}/m={m} {_sha(getattr(model, meth)(x))}"
-            radial = model._evaluate(x, True, False, radial=True)[1]
+            yield f"{st.name}/values/m={m} {_sha(model.values(x))}"
+            yield f"{st.name}/gradients/m={m} {_sha(model.gradients(x))}"
+            laps = model.evaluate(x, lap=True)[2]
+            yield f"{st.name}/laplacians/m={m} {_sha(laps)}"
+            radial = model.evaluate(x, grad=True, radial=True)[1]
             yield f"{st.name}/radial/m={m} {_sha(radial)}"
             draws = g.sample(np.random.default_rng(m), m)
             yield f"{st.name}/density.sample/n={m} {_sha(draws)}"
