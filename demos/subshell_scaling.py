@@ -42,11 +42,12 @@ def main(argv=None):
 
     if args.mc_check:
         from nda.catalog import get_state
-        from nda.estimators import (SamplerConfig, estimate_kin_nda_surface,
+        from nda.estimators import (SamplerConfig, estimate_kin_nda_shell,
                                     estimate_pot_nda)
         st = get_state("subshell_k1_l2")
         cfg = SamplerConfig(n_chains=8, steps_per_chain=60_000, seed=5)
-        kin = estimate_kin_nda_surface(st, cfg=cfg)
+        # no parametrized node: kin by the delta shell, as --method auto
+        kin = estimate_kin_nda_shell(st, cfg=cfg)
         pot = estimate_pot_nda(st, cfg=cfg)
         ek = float(subshell_kin_nda(SubshellParams(k=1, l=2)))
         ep = float(subshell_pot_nda(SubshellParams(k=1, l=2)))

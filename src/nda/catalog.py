@@ -592,17 +592,17 @@ def _orb(kind, Z, **kw):
     return wf.Orbital(kind=kind, scale=float(Z), **kw)
 
 
-def _product_state(Z, n, terms):
+def _product_state(n, terms):
     """Coulomb SlaterProduct of n electrons with unit coefficients; each term
     is a tuple of determinant blocks, each block an (orbitals, electrons) pair."""
     return wf.SlaterProduct(
         [wf.Term(coeff=1.0, blocks=tuple(wf.DetBlock(orbitals=o, electrons=e)
                                          for o, e in t)) for t in terms],
-        n_particles=n, parameters={"Z": float(Z)})
+        n_particles=n)
 
 
-def _det_state(Z, orbitals, electrons):
-    return _product_state(Z, len(electrons), [((orbitals, electrons),)])
+def _det_state(orbitals, electrons):
+    return _product_state(len(electrons), [((orbitals, electrons),)])
 
 
 def _2p2_model(Z, coupling):
@@ -614,13 +614,13 @@ def _2p2_model(Z, coupling):
     """
     p = {a: (_orb("hydrogenic_2p", Z, axis=a),) for a in "xyz"}
     if coupling == "cross":
-        return _det_state(Z, p["x"] + p["y"], (0, 1))
+        return _det_state(p["x"] + p["y"], (0, 1))
     pairs = ("xy", "yx") if coupling == "plus" else ("xx", "yy", "zz")
-    return _product_state(Z, 2, [((p[a], (0,)), (p[b], (1,))) for a, b in pairs])
+    return _product_state(2, [((p[a], (0,)), (p[b], (1,))) for a, b in pairs])
 
 
 def _build_2P_2p(Z):
-    model = _det_state(Z, (_orb("hydrogenic_2p", Z, axis="z"),), (0,))
+    model = _det_state((_orb("hydrogenic_2p", Z, axis="z"),), (0,))
     return StateSpec(
         name="2P_2p", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-1, 8), Z),
@@ -631,7 +631,7 @@ def _build_2P_2p(Z):
 
 
 def _build_3S_1s2s(Z):
-    model = _det_state(Z, (_orb("hydrogenic_1s", Z), _orb("hydrogenic_2s", Z)), (0, 1))
+    model = _det_state((_orb("hydrogenic_1s", Z), _orb("hydrogenic_2s", Z)), (0, 1))
     return StateSpec(
         name="3S_1s2s", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 8), Z),
@@ -643,8 +643,8 @@ def _build_3S_1s2s(Z):
 
 
 def _build_3P_1s2p(Z):
-    model = _det_state(Z, (_orb("hydrogenic_1s", Z),
-                           _orb("hydrogenic_2p", Z, axis="z")), (0, 1))
+    model = _det_state((_orb("hydrogenic_1s", Z),
+                        _orb("hydrogenic_2p", Z, axis="z")), (0, 1))
     return StateSpec(
         name="3P_1s2p", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 8), Z),
@@ -656,7 +656,7 @@ def _build_3P_1s2p(Z):
 
 def _build_1S_1s2_2s2(Z):
     orbs = (_orb("hydrogenic_1s", Z), _orb("hydrogenic_2s", Z))
-    model = _product_state(Z, 4, [((orbs, (0, 1)), (orbs, (2, 3)))])
+    model = _product_state(4, [((orbs, (0, 1)), (orbs, (2, 3)))])
     return StateSpec(
         name="1S_1s2_2s2", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 4), Z),
@@ -672,7 +672,7 @@ def _build_1S_1s2_2p2(Z):
     for axis in ("x", "y", "z"):
         orbs = (_orb("hydrogenic_1s", Z), _orb("hydrogenic_2p", Z, axis=axis))
         terms.append(((orbs, (0, 1)), (orbs, (2, 3))))
-    model = _product_state(Z, 4, terms)
+    model = _product_state(4, terms)
     return StateSpec(
         name="1S_1s2_2p2", model=model, parameters={"Z": Z},
         exact_total_energy=_zsq(Fraction(-5, 4), Z),
@@ -761,11 +761,9 @@ def get_state(name: str, Z=Fraction(1), omega=Fraction(1, 4)) -> StateSpec:
     raise KeyError(f"unknown catalog state {name!r}")
 
 
-def catalog_list(Z=Fraction(1), omega=Fraction(1, 4)) -> list:
+def catalog_list() -> list:
     """All named catalog states (subshell entries come from subshell_family)."""
-    states = [b(Z) for b in _ATOMIC_BUILDERS.values()]
-    states += [_build_harmonic(omega, w) for w in ("noninteracting", "exact", "mixed")]
-    return states
+    return [get_state(name) for name in (*_ATOMIC_BUILDERS, *_HARMONIC_NAMES)]
 
 
 def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
@@ -780,7 +778,7 @@ def subshell_family(k: int, l: int, Z=Fraction(1)) -> StateSpec:
     model = None
     node = None
     if k == 1 and l <= 2:
-        model = _det_state(Z, (_orb("hydrogenic_general", Z, n=l + 1),), (0,))
+        model = _det_state((_orb("hydrogenic_general", Z, n=l + 1),), (0,))
     elif k == 2 and l == 1:
         model = _2p2_model(Z, "cross")
         node = _azimuth_lock_param(float(Z), "cross")

@@ -169,10 +169,10 @@ def _plan(state, cfg: SamplerConfig, components: list,
     """Check every input, then return the call that estimates components.
 
     An empty component list, an unknown component, a state with no model to
-    sample, the surface estimator on a state without a node parametrization
-    and the shell estimator on fewer than 2 chains raise ValueError here,
-    before any sampling.  method is "auto" (kin by surface where the state
-    has a parametrization, else by shell), "surface", "shell" or
+    sample and the surface estimator on a state without a node
+    parametrization raise ValueError here, before any sampling; the shell
+    runs on any chain count.  method is "auto" (kin by surface where the
+    state has a parametrization, else by shell), "surface", "shell" or
     "quadrature" (every component with a quadrature target; kin_std and
     pot_std are sampled).  The call returns {component: NdaEstimate} in the order
     given.  It runs the quadrature components first, so that a missing
@@ -195,8 +195,6 @@ def _plan(state, cfg: SamplerConfig, components: list,
             raise ValueError(
                 f"state {state.name!r} has no explicit node parametrization; "
                 "use the delta-shell estimator")
-        if method == "shell" and cfg.n_chains < 2:
-            raise ValueError("delta-shell stderr needs at least 2 chains")
 
     def run() -> dict:
         out = {c: quadrature_estimate(state, _COMPONENTS[c].target)

@@ -31,17 +31,17 @@ Shared conventions:
 * every estimator adds per-row arrays, one per estimate, and a mask of
   the rows it keeps (None keeps all) by their stream indices into one
   _Blocks accumulator, which splits each chain's draws into 50 blocks,
-  counts the rejected rows and gives the per-chain means and the
-  NdaEstimates.  _iid_average adds integrand(x) -> (ok, values) on each
-  block of draws, and the shell adds the blocks of _iid_stream after its
-  pilot;
-* the delta shell selects by the node-distance proxy |Psi| / |grad Psi|
-  and fits a line in eps^2 to each chain's rung means; its pilot draws set
-  the ladder and then count like the others;
+  counts the rejected rows and gives the NdaEstimates.  _iid_average adds
+  integrand(x) -> (ok, values) on each block of draws, and the shell adds
+  the blocks of _iid_stream after its pilot;
+* the delta shell selects by the node-distance proxy |Psi| / |grad Psi|;
+  the zero-width intercept of the line in eps^2 through its rung averages
+  is a fixed combination of them, so its kin is one pooled ratio; its
+  pilot draws set the ladder and then count like the others;
 * chains are combined by a plain mean (a ratio: the ratio of the pooled
-  means, with the delta-method stderr); the quoted stderr comes from
-  across-chain scatter when n_chains >= 8 and from 50-block blocking
-  otherwise (Flyvbjerg & Petersen 1989);
+  means, with the delta-method stderr); at every chain count the quoted
+  stderr is the scatter of the n_chains x 50 block means of the integrand,
+  or of a ratio's residual (_block_stderr; Flyvbjerg & Petersen 1989);
 * the standard expectations and pot_nda carry two zero-variance control
   columns each (Assaraf & Caffarel 1999; ZV-MCMC, Mira, Solgi & Imparato
   2013).  For a field F, the integral of div(rho F) is 0 for rho = Psi^2
@@ -165,9 +165,10 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, tag)))
 
 
-def _stderr_from_chains(chain_means: np.ndarray, block_sums: np.ndarray,
-                        block_counts: np.ndarray) -> float:
-    """Across-chain scatter for >= 8 chains, else pooled 50-block blocking.
+def _block_stderr(block_sums: np.ndarray, block_counts: np.ndarray) -> float:
+    """The stderr of a mean by blocking: the scatter of the nonempty
+    (chain, block) means over the square root of their number (Flyvbjerg &
+    Petersen 1989), 0 below two blocks.
 
     The means are divided by the power of two at their largest magnitude
     before np.std and the result multiplied back: the squared deviations
@@ -175,13 +176,10 @@ def _stderr_from_chains(chain_means: np.ndarray, block_sums: np.ndarray,
     extreme Z), and the scaling is exact, so every other stderr keeps its
     bits.
     """
-    if chain_means.size >= 8:
-        means = chain_means
-    else:
-        ok = block_counts > 0
-        means = block_sums[ok] / block_counts[ok]
-        if means.size < 2:
-            return 0.0
+    ok = block_counts > 0
+    means = block_sums[ok] / block_counts[ok]
+    if means.size < 2:
+        return 0.0
     exponent = np.frexp(np.max(np.abs(means)))[1]
     scaled = np.ldexp(means, -exponent)
     return float(np.ldexp(np.std(scaled, ddof=1) / np.sqrt(means.size), exponent))
@@ -248,10 +246,6 @@ class _Blocks:
             raise RuntimeError("a chain collected no valid samples")
         return counts
 
-    def chain_means(self) -> np.ndarray:
-        """(n_arrays, n_chains) mean of every added array over each chain."""
-        return self.sums.sum(axis=2) / self._chain_counts()
-
     def _controlled(self) -> tuple:
         """(block sums, floors) of the integrands less their control terms.
 
@@ -294,14 +288,12 @@ class _Blocks:
         means = sums.sum(axis=1) / counts
         if not self.n_controls:
             mean = means.mean()
-            stderr = _stderr_from_chains(means, sums, self.counts)
+            stderr = _block_stderr(sums, self.counts)
         else:
             w_sums = self.sums[self.n_values]
             w = w_sums.sum(axis=1) / counts
             mean, w_mean = means.sum() / w.sum(), w.mean()
-            stderr = _stderr_from_chains((means - mean * w) / w_mean,
-                                         (sums - mean * w_sums) / w_mean,
-                                         self.counts)
+            stderr = _block_stderr((sums - mean * w_sums) / w_mean, self.counts)
             if floor is not None:
                 w_mag = self.magnitudes[self.n_values].mean()
                 floor = (floor + abs(mean) * _UNIT_ROUNDOFF * w_mag) / w_mean
@@ -686,19 +678,22 @@ def estimate_kin_nda_shell(state: StateSpec,
 
     Samples are drawn iid from the reference density g, and the shell is
     selected by the node-distance proxy d = |Psi| / |grad Psi|.  For each
-    ladder epsilon the surface integral is estimated as the g-average of
-    1{d < eps} |grad Psi| / (2 eps g); a least-squares line in eps^2
-    through each chain's averages is extrapolated to eps -> 0 and divided
-    by the chain's g-average of |Psi| / g.  Fewer than 100 hits in the
-    narrowest rung mark the estimate "unconverged".  The pilot, the
-    stream's first n_chains * min(_CHUNK, steps_per_chain) draws, is
-    evaluated first and sets the ladder eps_0 2^-k, k = 0..3, eps_0 the
-    1 % quantile of its d.  Its rows then enter the averages like any other.
+    ladder epsilon_k the surface integral is the g-average of
+    1{d < eps_k} |grad Psi| / (2 eps_k g).  The least-squares intercept in
+    eps^2 of the K = 4 rung averages is the fixed combination sum_k c_k of
+    them, c_k = 1/K - xbar (x_k - xbar) / sum_j (x_j - xbar)^2 with
+    x_k = (eps_k / eps_0)^2 = 4^-k, so kin is the ratio of the pooled
+    means of y = (|grad Psi| / g) sum_k c_k 1{d < eps_k} / (2 eps_k), which
+    is 0 outside the widest rung, and of |Psi| / g, with the delta-method
+    stderr of the residual y - kin |Psi| / g (_block_stderr).  Fewer than
+    100 hits in the narrowest rung mark the estimate "unconverged".  The
+    pilot, the stream's first n_chains * min(_CHUNK, steps_per_chain)
+    draws, is evaluated first and sets the ladder eps_0 2^-k, k = 0..3,
+    eps_0 the 1 % quantile of its d.  Its rows then enter the averages like
+    any other.
     """
     cfg = cfg or SamplerConfig()
     model, g = _model(state), state.reference_density
-    if cfg.n_chains < 2:
-        raise ValueError("delta-shell stderr needs at least 2 chains")
 
     def evaluate(x):
         v, grads, _ = model.evaluate(x, grad=True)
@@ -716,29 +711,31 @@ def estimate_kin_nda_shell(state: StateSpec,
             raise RuntimeError("could not scale the epsilon ladder: node "
                                "distance quantile vanished")
         ladder = eps0 * 0.5 ** np.arange(4)
-        K = ladder.size
-        # every draw adds |Psi| / g; the K rungs and the narrowest rung's
-        # hits are zero outside the widest rung, so only its rows are added
+        xs = 0.25 ** np.arange(ladder.size)
+        dx = xs - xs.mean()
+        rung_weights = ((1.0 / xs.size - xs.mean() * dx / np.sum(dx * dx))
+                        / (2.0 * ladder))
+        # every draw adds |Psi| / g; y and the narrowest rung's hits are
+        # zero outside the widest rung, so only its rows are added
         acc = _Blocks(cfg.n_chains, cfg.steps_per_chain)
-        shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, K + 1)
+        shell = _Blocks(cfg.n_chains, cfg.steps_per_chain, 2)
         for rows, (d, gw, aw) in chain(pilot, stream):
             acc.add(rows, (aw,))
             hit = np.flatnonzero(d < ladder[0])
-            inside = d[hit] < ladder[:, None]                   # (K, hit)
-            rung = np.where(inside, gw[hit] / (2.0 * ladder[:, None]), 0.0)
-            shell.add(rows[hit], (*rung, inside[-1]))
-    (ratio,) = acc.chain_means()
-    means = shell.sums.sum(axis=2) / acc.counts.sum(axis=1)
-    # least-squares intercept against eps^2, every chain at once; eps in
-    # units of the widest rung, so that no ladder's squares underflow
-    xs, ys = ((ladder / ladder[0]) ** 2)[:, None], means[:K]
-    dx = xs - xs.mean()
-    slope = np.sum(dx * (ys - ys.mean(axis=0)), axis=0) / np.sum(dx ** 2)
-    kin = (ys.mean(axis=0) - slope * xs.mean()) / ratio
-    status = "ok" if shell.sums[K].sum() >= 100 else "unconverged"
-    return replace(acc.estimates(cfg, "delta_shell", status)[0],
-                   mean=float(kin.mean()),
-                   stderr=float(np.std(kin, ddof=1) / np.sqrt(cfg.n_chains)))
+            inside = d[hit] < ladder[:, None]               # (rungs, hit)
+            shell.add(rows[hit], (gw[hit] * (rung_weights @ inside), inside[-1]))
+    (w,), (y, narrow) = acc.sums, shell.sums
+    kin = y.sum() / w.sum()
+    w_mean = w.sum() / acc.counts.sum()
+    return NdaEstimate(
+        mean=float(kin),
+        stderr=float(_block_stderr(y - kin * w, acc.counts) / w_mean),
+        n_samples=int(acc.counts.sum()),
+        n_chains=cfg.n_chains,
+        seed=cfg.seed,
+        method="delta_shell",
+        status="ok" if narrow.sum() >= 100 else "unconverged",
+    )
 
 
 # --------------------------------------------------------------------------

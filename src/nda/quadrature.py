@@ -311,6 +311,4 @@ def quadrature_oracle(state: StateSpec, target: str) -> float:
         raise NotReducibleError(f"no quadrature reduction for state {name!r}")
     omega = float(state.parameters["omega"])
     g0 = float(state.parameters.get("g0", 0.0))
-    correlated = bool(state.model.parameters.get("correlated", False))
-    beta = float(state.model.parameters.get("beta", 0.25))
-    return _harmonic(omega, g0, correlated, target, beta)
+    return _harmonic(omega, g0, state.model.correlated, target, state.model.beta)

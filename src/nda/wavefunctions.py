@@ -254,7 +254,6 @@ class WaveFunction:
 
     n_particles: int
     family: str  # "coulomb" | "harmonic"
-    parameters: dict
 
     def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
                  radial: bool = False):
@@ -369,8 +368,7 @@ class SlaterProduct(WaveFunction):
 
     family = "coulomb"
 
-    def __init__(self, terms: Sequence[Term], n_particles: int,
-                 parameters: Optional[dict] = None):
+    def __init__(self, terms: Sequence[Term], n_particles: int):
         partition = tuple(b.electrons for b in terms[0].blocks)
         if any(len(e) > 2 for e in partition):
             raise ValueError("a determinant block holds at most two electrons")
@@ -380,7 +378,6 @@ class SlaterProduct(WaveFunction):
             raise ValueError("every term must split the electrons into the same blocks")
         self.terms = tuple(terms)
         self.n_particles = n_particles
-        self.parameters = dict(parameters or {})
 
         # radial kinds, each with the electrons and harmonics (plane sets)
         # that use it; rows harmonic-major, so a harmonic's rows over the
@@ -612,7 +609,6 @@ class HarmonicPair(WaveFunction):
         self.omega = float(omega)
         self.correlated = bool(correlated)
         self.beta = float(beta)
-        self.parameters = {"omega": self.omega, "correlated": correlated, "beta": beta}
 
     def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
                  radial: bool = False):

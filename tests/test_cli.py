@@ -65,9 +65,6 @@ def test_usage_errors_exit_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
     assert run(["compute", "--state", "2P_2p", "--components", "entropy"],
                capsys)[0] == 2
-    # the shell estimator needs at least two chains for its stderr
-    assert run(["compute", "--state", "2P_2p", "--method", "shell",
-                "--chains", "1", "--components", "kin"], capsys)[0] == 2
     # non-positive sampler budgets are rejected, not replaced by defaults
     for flags in (["--chains", "0"], ["--steps", "0"]):
         code, out, err = run(["compute", "--state", "2P_2p",
@@ -114,14 +111,10 @@ def test_retired_flags_exit_2(tmp_path, capsys):
     ["verify-tables", "--only", "subshell_k1_l30"],
     ["verify-tables", "--only", "2P_2p,subshell_k1_l30"],
     # each of these fails on a later component or state than the first
-    ["compute", "--state", "2P_2p", "--components", "pot,kin", "--method",
-     "shell", "--chains", "1", "--steps", "100000"],
     ["compute", "--state", "subshell_k1_l1", "--components", "pot,kin",
      "--method", "surface", "--steps", "100000"],
     ["compute", "--state", "3P_1s2p", "--components", "kin_std,kin",
      "--method", "quadrature", "--steps", "100000"],
-    ["verify-tables", "--only", "2P_2p,subshell_k1_l1", "--chains", "1",
-     "--steps", "50000"],
     # a flag naming a parameter the state does not have is an error, not
     # a knob to ignore
     ["compute", "--state", "harmonic_mixed", "--g0", "7", "--components",
@@ -154,9 +147,9 @@ def test_retired_flags_exit_2(tmp_path, capsys):
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
-        "verify-no-model", "verify-no-model-second", "compute-shell-1-chain",
+        "verify-no-model", "verify-no-model-second",
         "compute-surface-no-param", "compute-quadrature-irreducible",
-        "verify-shell-1-chain", "compute-g0", "domains-g0",
+        "compute-g0", "domains-g0",
         "compute-Z-on-harmonic", "compute-omega-on-atom", "domains-Z-on-harmonic",
         "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
         "compute-omega-overflow", "compute-kin-Z-tiny", "compute-std-Z-huge",
@@ -336,6 +329,19 @@ def test_verify_tables_agrees_with_compute(capsys):
         assert fields[5].startswith(f"exact={e['exact']['rational']}="), line
         assert fields[6] == f"dev={e['sigma_deviation']:.2f}", line
     assert sorted(f.split()[2] for f in lines[:-1]) == sorted(cells)
+
+
+def test_one_chain_shell_covers_the_exact_value(capsys):
+    """The shell's stderr blocks one chain's draws like every other
+    estimate's: at --chains 1 and the default 200 000 steps its kin on
+    2P_2p is ok and within 3 stderrs of the exact 1/24."""
+    code, out, _ = run(["compute", "--state", "2P_2p", "--components", "kin",
+                        "--method", "shell", "--chains", "1", "--format",
+                        "json"], capsys)
+    assert code == 0
+    kin = RunRecord.from_json(out).estimates["kin"]
+    assert kin["status"] == "ok" and kin["stderr"] > 0.0
+    assert abs(kin["mean"] - 1 / 24) < 3.0 * kin["stderr"]
 
 
 def test_unconverged_shell_exits_3(capsys):

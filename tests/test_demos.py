@@ -16,6 +16,8 @@ DEMOS = ROOT / "demos"
     ["reproduce_tables.py", "--quick", "--state", "2P_2p"],
     ["single_orbital_walkthrough.py"],
     ["subshell_scaling.py"],
+    pytest.param(["subshell_scaling.py", "--mc-check"],
+                 id="subshell_scaling.py-mc-check"),
 ], ids=lambda argv: argv[0])
 def test_demo_runs(argv):
     env = dict(os.environ)

@@ -66,7 +66,7 @@ def _rescaled(st, c):
     m = st.model
     terms = [wf.Term(coeff=c * t.coeff, blocks=t.blocks) for t in m.terms]
     return dataclasses.replace(
-        st, model=wf.SlaterProduct(terms, m.n_particles, m.parameters))
+        st, model=wf.SlaterProduct(terms, m.n_particles))
 
 
 def test_constant_rescaling_is_exact():
@@ -131,12 +131,6 @@ def test_surface_requires_a_parametrization():
     st = dataclasses.replace(get_state("2P_2p"), node_param=None)
     with pytest.raises(ValueError):
         estimate_kin_nda_surface(st, cfg=FAST)
-
-
-def test_shell_needs_two_chains():
-    st = get_state("2P_2p")
-    with pytest.raises(ValueError):
-        estimate_kin_nda_shell(st, cfg=SamplerConfig(n_chains=1, steps_per_chain=1000))
 
 
 def test_shell_flags_starved_ladder_as_unconverged():
@@ -226,11 +220,20 @@ def _reference_metropolis_samples(state, cfg, thin, tag):
     return np.stack(kept, axis=1).reshape(-1, kept[0].shape[1])
 
 
+def _block_scatter(bsum, bcnt):
+    """The s.d. of the nonempty (chain, block) means over the square root
+    of their number, 0 below two blocks."""
+    ok = bcnt > 0
+    means = bsum[ok] / bcnt[ok]
+    if means.size < 2:
+        return 0.0
+    return float(np.std(means, ddof=1) / np.sqrt(means.size))
+
+
 def _reference_reduce(bsum, bcnt, rejected):
     counts = bcnt.sum(axis=1)
     chain_means = bsum.sum(axis=1) / counts
-    return (float(chain_means.mean()),
-            estimators._stderr_from_chains(chain_means, bsum, bcnt),
+    return (float(chain_means.mean()), _block_scatter(bsum, bcnt),
             int(counts.sum()), int(rejected.sum()), None)
 
 
@@ -363,9 +366,10 @@ def _reference_ratios(bsum, bcnt, mags, rejected, n_values):
     then the weight w and the columns (w c_rad, w c_lin): each y less
     chain c's beta_c . (w c_rad, w c_lin), fitted on (w, w c_rad,
     w c_lin); the ratio of the pooled means of it and of w, the stderr of
-    the residual (controlled y - ratio w) / (mean of the chain means of
-    w), floored at the unit roundoff times (the chains' mean of
-    sum |y| + |beta_c| . sum |column| + |ratio| sum w) / that mean of w;
+    the block scatter of the residual (controlled y - ratio w) / (mean of
+    the chain means of w), floored at the unit roundoff times (the chains'
+    mean of sum |y| + |beta_c| . sum |column| + |ratio| sum w) / that mean
+    of w;
     the uncontrolled stderr likewise, from y."""
     u = np.finfo(float).eps / 2
     counts = bcnt.sum(axis=1)
@@ -382,8 +386,7 @@ def _reference_ratios(bsum, bcnt, mags, rejected, n_values):
         def reduce(y):
             means = y.sum(axis=1) / counts
             ratio, w_mean = means.sum() / w.sum(), w.mean()
-            stderr = estimators._stderr_from_chains(
-                (means - ratio * w) / w_mean, (y - ratio * ws) / w_mean, bcnt)
+            stderr = _block_scatter((y - ratio * ws) / w_mean, bcnt)
             return ratio, stderr, (u * floors.mean()
                                    + abs(ratio) * u * mags[n_values].mean()) / w_mean
 
@@ -526,6 +529,48 @@ def test_iid_blocks_match_per_draw_reduction(n_chains):
             bcnt[c, j * B // n] += 1
     ref = _reference_reduce(bsum, bcnt, np.zeros(n_chains, dtype=np.int64))
     assert _fields(estimate_abs_norm(st, cfg)) == ref
+
+
+def _retained_blocks(state, cfg, tag, n, rows):
+    """Block sums (k, C, B), counts (C, B), the chains' sums of |term|
+    (k, C) and the rejected rows (none) of the k arrays of rows(x) over the
+    stream of tag's n_chains * n draws, drawn in _CHUNK-row blocks and kept
+    whole as (k, chains, draws) arrays; draw j of a chain is in block
+    j * B // n."""
+    g, C, B = state.reference_density, cfg.n_chains, estimators._BLOCKS
+    rng, total = _stream(cfg.seed, tag), C * n
+    x = np.concatenate([g.sample(rng, min(estimators._CHUNK, total - r0))
+                        for r0 in range(0, total, estimators._CHUNK)])
+    a = np.moveaxis(rows(x).reshape(C, n, -1), 2, 0)
+    assert np.all(np.isfinite(a))
+    block = np.arange(n) * B // n
+    bsum = np.stack([a[:, :, block == b].sum(axis=2) for b in range(B)], 2)
+    bcnt = np.tile(np.bincount(block, minlength=B), (C, 1))
+    return bsum, bcnt, np.abs(a).sum(axis=2), 0
+
+
+@pytest.mark.parametrize("n_chains,steps", [(8, 3000), (1024, 60)])
+def test_stderr_is_the_block_scatter_at_any_chain_count(n_chains, steps):
+    """At 8 and 1024 chains, as below 8, the abs and pot stderrs (and pot's
+    uncontrolled one) are the scatter of the n_chains x 50 block means of
+    the integrand or of the ratio's residual, not of the n_chains chain
+    means: retained arrays summed per block give them to rounding."""
+    st = get_state("3S_1s2s")
+    g, model = st.reference_density, st.model
+    cfg = SamplerConfig(n_chains=n_chains, steps_per_chain=steps, seed=5)
+    bsum, bcnt, _, _ = _retained_blocks(
+        st, cfg, estimators._TAG_ABS, steps,
+        lambda x: (np.abs(model.values(x)) / g.pdf(x))[:, None])
+    est = estimate_abs_norm(st, cfg)
+    assert est.stderr == pytest.approx(_block_scatter(bsum[0], bcnt),
+                                       rel=1e-12, abs=0.0)
+    mean, stderr, _, _, raw = _reference_ratios(*_retained_blocks(
+        st, cfg, estimators._TAG_POT, steps - cfg.resolved_burn_in(),
+        _pot_rows(st)), 1)[0]
+    est = estimate_pot_nda(st, cfg)
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+    assert est.stderr_uncontrolled == pytest.approx(raw, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", MODEL_STATES)
@@ -767,7 +812,11 @@ def _reference_shell(state, cfg):
     call's stream drawn in _CHUNK-row blocks and kept whole as (chains,
     draws) arrays of d = |Psi| / |grad Psi|, |grad Psi| / g and |Psi| / g;
     the ladder from the 1 % quantile of d over the stream's first
-    n_chains * min(_CHUNK, n) draws; one line per chain."""
+    n_chains * min(_CHUNK, n) draws; the rung weights c_k, the intercepts
+    of np.polyfit's lines in eps^2 through unit rung averages, so that
+    kin is the ratio of the sums of y = (|grad Psi| / g) sum_k c_k
+    1{d < eps_k} / (2 eps_k) and of |Psi| / g, and its stderr the block
+    scatter of the residual y - kin |Psi| / g over the mean of |Psi| / g."""
     model, g = state.model, state.reference_density
     C, n, chunk = cfg.n_chains, cfg.steps_per_chain, estimators._CHUNK
     rng = _stream(cfg.seed, estimators._TAG_SHELL)
@@ -777,17 +826,17 @@ def _reference_shell(state, cfg):
     gn = np.linalg.norm(model.gradients(x), axis=1)
     d = av / gn
     ladder = np.quantile(d[:C * min(chunk, n)], 0.01) * 0.5 ** np.arange(4)
-    d, shell_w, ratio_w = (a.reshape(C, n) for a in (d, gn / dens, av / dens))
-    xs = ladder ** 2
-    kin = np.empty(C)
-    for c in range(C):
-        ys = np.array([np.sum(shell_w[c][d[c] < eps]) / (2.0 * eps * n)
-                       for eps in ladder])
-        slope = (np.sum((xs - xs.mean()) * (ys - ys.mean()))
-                 / np.sum((xs - xs.mean()) ** 2))
-        kin[c] = (ys.mean() - slope * xs.mean()) / np.mean(ratio_w[c])
+    c = np.polyfit((ladder / ladder[0]) ** 2, np.eye(4), 1)[1]
+    y = gn / dens * sum(ck * (d < eps) / (2.0 * eps) for ck, eps in zip(c, ladder))
+    w = av / dens
+    kin = y.sum() / w.sum()
+    B = estimators._BLOCKS
+    block = np.arange(n) * B // n
+    res = (y - kin * w).reshape(C, n)
+    bsum = np.stack([res[:, block == b].sum(axis=1) for b in range(B)], 1)
+    bcnt = np.tile(np.bincount(block, minlength=B), (C, 1))
     hits = int(np.count_nonzero(d < ladder[-1]))
-    return (kin.mean(), np.std(kin, ddof=1) / np.sqrt(C),
+    return (kin, _block_scatter(bsum, bcnt) / w.mean(),
             "ok" if hits >= 100 else "unconverged")
 
 
@@ -796,7 +845,7 @@ def _reference_shell(state, cfg):
 def test_shell_matches_retained_array_reduction(name, steps):
     """The pilot is the stream's first n_chains * min(_CHUNK, n) draws: up
     to one chunk per chain that is every draw, past it a prefix.  Either
-    way the block sums give the retained-array fit to rounding."""
+    way the block sums give the retained-array ratio to rounding."""
     st = get_state(name)
     cfg = SamplerConfig(n_chains=3, steps_per_chain=steps, seed=5)
     est = estimate_kin_nda_shell(st, cfg)

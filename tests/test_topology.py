@@ -122,7 +122,7 @@ def _circular(l):
     l <= 2 only."""
     orb = wf.Orbital("hydrogenic_general", 1.0, n=l + 1)
     model = wf.SlaterProduct([wf.Term(coeff=1.0, blocks=(wf.DetBlock((orb,), (0,)),))],
-                             n_particles=1, parameters={"Z": 1.0})
+                             n_particles=1)
     return replace(subshell_family(1, l), name=f"circular_l{l}", model=model)
 
 

@@ -3,8 +3,10 @@
 Runs the named estimators over a seed range and a set of catalog states at
 one config, and scores each estimate against the catalog's exact value
 (abs: the quadrature oracle's integral of |Psi|), z = (mean - exact) /
-stderr.  If the quoted stderr is honest, the z-scores of an estimator at
-n_chains chains follow Student's t with n_chains - 1 degrees of freedom.
+stderr.  Every quoted stderr is the scatter of the n_chains x 50 block
+means of a chain's draws, so if it is honest, the z-scores of an
+estimator at n_chains chains follow Student's t with 50 n_chains - 1
+degrees of freedom.
 It prints:
 
 * per (state, component, estimator) cell, the z mean, s.d. and largest
@@ -118,7 +120,7 @@ def report(rows: Sequence[Tuple[str, str, str, int, float, float,
            n_chains: int) -> List[str]:
     """The per-cell and pooled lines for the rows of z_scores."""
     from scipy import stats
-    df = n_chains - 1
+    df = est._BLOCKS * n_chains - 1
     q95, q99 = (float(stats.t.ppf(1.0 - p / 2.0, df)) for p in (0.05, 0.01))
     lines = [f"{'estimator':9s} {'state':24s} {'component':9s} "
              f"{'n':>4s} {'z mean':>7s} {'z s.d.':>7s} {'max |z|':>7s} "
@@ -171,8 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = [n for n in names if n not in ESTIMATORS]
     if unknown:
         ap.error(f"unknown estimators {unknown}")
-    if args.chains < 2:
-        ap.error("--chains must be at least 2")
     states = ([get_state(s) for s in args.states.split(",")] if args.states
               else catalog_list() + [get_state(s) for s in SUBSHELL_STATES])
     rows = list(z_scores(names, _seeds(args.seeds), states, args.chains,

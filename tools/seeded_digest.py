@@ -137,8 +137,6 @@ def digest(states: Optional[Sequence] = None,
             for name, run in runs:
                 if name == "surface" and st.node_param is None:
                     continue
-                if name == "shell" and chains < 2:
-                    continue
                 yield f"{st.name}/{name}/{tag} {_sha(_fields(run()))}"
             yield (f"{st.name}/metropolis_samples/{tag} "
                    f"{_sha(est.metropolis_samples(st, cfg))}")
