@@ -253,8 +253,8 @@ class NodeParametrization:
     factors (Gamma, Uniform, Sphere, Branch, Normal) in the order they are
     drawn; the surface parameters are their columns side by side.  From it:
 
-    * ``draw_params(rng, m)`` draws an (m, n_params) array, factor by
-      factor;
+    * ``draw_params(rng, m)`` draws an (m, total factor width) array,
+      factor by factor;
     * ``proposal_pdf(params)`` is the product of the factor densities.
 
     ``measure_map(params)`` maps parameters to configurations (m, 3N) on the
@@ -286,10 +286,6 @@ class NodeParametrization:
             return coords, dS / self.proposal_pdf(params)
 
         object.__setattr__(self, "sample", sample)
-
-    @property
-    def n_params(self) -> int:
-        return sum(f.width for f in self.proposal)
 
     def draw_params(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return np.concatenate([f.draw(rng, m) for f in self.proposal], axis=1)
@@ -575,9 +571,10 @@ class StateSpec:
         """The Hamiltonian this state is catalogued with: noninteracting
         Coulomb atom for atomic entries; harmonic pair with the catalogued
         g0 for trap entries (harmonic_mixed pairs the noninteracting state
-        with the interacting Hamiltonian on purpose)."""
+        with the interacting Hamiltonian on purpose).  The one place that
+        reads Z, omega and g0 from parameters."""
         if "Z" in self.parameters:
-            return coulomb_atom(float(self.parameters["Z"]), ee=False)
+            return coulomb_atom(float(self.parameters["Z"]))
         return harmonic_pair(float(self.parameters["omega"]),
                              float(self.parameters.get("g0", 0.0)))
 
@@ -712,7 +709,7 @@ def _build_harmonic(omega, which):
     if which == "exact":
         if abs(om - 0.25) > 1e-12:
             raise ValueError("harmonic_exact is catalogued at omega = 1/4, g0 = 1")
-        model = wf.HarmonicPair(omega=om, correlated=True, beta=0.25)
+        model = wf.HarmonicPair(omega=om, correlated=True)
         ref = harmonic_reference("b_exact", om, 1.0)
         return StateSpec(
             name="harmonic_exact", model=model,

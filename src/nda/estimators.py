@@ -82,7 +82,6 @@ __all__ = [
     "estimate_abs_norm",
     "estimate_standard_expectations",
     "quadrature_estimate",
-    "quadrature_oracle",
     "metropolis_samples",
 ]
 
@@ -299,8 +298,7 @@ class _Blocks:
                 floor = (floor + abs(mean) * _UNIT_ROUNDOFF * w_mag) / w_mean
         return float(mean), stderr if floor is None else max(stderr, floor)
 
-    def estimates(self, cfg: SamplerConfig, method: str,
-                  status: str = "ok") -> list:
+    def estimates(self, cfg: SamplerConfig, method: str) -> list:
         """One NdaEstimate per integrand, controlled when the blocks hold
         control columns; stderr_uncontrolled is then the stderr without
         them."""
@@ -319,7 +317,6 @@ class _Blocks:
                 n_chains=cfg.n_chains,
                 seed=cfg.seed,
                 method=method,
-                status=status,
                 n_rejected=self.rejected,
                 stderr_uncontrolled=raw_stderr,
             ))
@@ -368,7 +365,7 @@ def _loo_betas(ys: np.ndarray, xs: np.ndarray, counts: np.ndarray) -> np.ndarray
         rhs = [r - si * sy / n for r, si in zip(rhs, s)]
         for j in range(k):
             Aj = [row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)]
-            beta[v, good, j] = (wf._det(Aj) / det)[good]
+            beta[v, good, j] = wf._det(Aj)[good] / det[good]
     return np.ldexp(beta, (ey[:, None] - ex)[:, None, :])
 
 
@@ -480,8 +477,12 @@ def _iid_average(cfg: SamplerConfig, tag: int, draw: Callable,
                  **layout) -> _Blocks:
     """Block sums of integrand(rows) -> (ok, per-row arrays) over n draws
     per chain (steps_per_chain if None); layout is _Blocks' n_values and
-    n_controls."""
+    n_controls.  Fewer than two draws in all raise ValueError before the
+    first: one block mean has no scatter to give a stderr."""
     n = n or cfg.steps_per_chain
+    if cfg.n_chains * n < 2:
+        raise ValueError(f"{cfg.n_chains} chains x {n} draws per chain = 1 "
+                         "draw; an estimate needs at least 2")
     acc = _Blocks(cfg.n_chains, n, **layout)
     with closing(_iid_stream(cfg, tag, draw, n)) as blocks:
         for rows, x in blocks:

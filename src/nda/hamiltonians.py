@@ -2,8 +2,9 @@
 
 Two families:
 
-* ``coulomb_atom(Z, ee)``: fixed nucleus of charge Z at the origin,
-  -Z/r_i attraction for each electron, optional 1/r_ij repulsion.
+* ``coulomb_atom(Z)``: fixed nucleus of charge Z at the origin, -Z/r_i
+  attraction for each electron and no electron-electron repulsion, the
+  noninteracting atom every Coulomb catalog state is an eigenstate of.
 * ``harmonic_pair(omega, g0)``: two particles in an isotropic harmonic
   well, optional inverse-distance coupling g0/r_12.
 
@@ -44,7 +45,6 @@ class NodeProximityError(ValueError):
 class HamiltonianSpec:
     family: str  # "coulomb_atom" | "harmonic_pair"
     Z: float = 0.0
-    ee: bool = True
     omega: float = 0.0
     g0: float = 0.0
 
@@ -53,10 +53,10 @@ class HamiltonianSpec:
             raise ValueError(f"unknown hamiltonian family {self.family!r}")
 
 
-def coulomb_atom(Z: float, ee: bool = True) -> HamiltonianSpec:
+def coulomb_atom(Z: float) -> HamiltonianSpec:
     if Z <= 0:
         raise ValueError("Z must be positive")
-    return HamiltonianSpec(family="coulomb_atom", Z=float(Z), ee=bool(ee))
+    return HamiltonianSpec(family="coulomb_atom", Z=float(Z))
 
 
 def harmonic_pair(omega: float, g0: float = 0.0) -> HamiltonianSpec:
@@ -68,9 +68,10 @@ def harmonic_pair(omega: float, g0: float = 0.0) -> HamiltonianSpec:
 def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
     """Potential energy for an (m, 3N) batch.
 
-    A singular row (an electron within 1e-300 of the nucleus, or two
-    particles that close to each other) is inf; the other rows are
-    unaffected, so a sampler can reject and count the singular ones.
+    A singular row (an electron within 1e-300 of the nucleus, or the two
+    particles of a pair with g0 != 0 that close to each other) is inf; the
+    other rows are unaffected, so a sampler can reject and count the
+    singular ones.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 3 != 0:
@@ -88,15 +89,7 @@ def potential_batch(h: HamiltonianSpec, x: np.ndarray) -> np.ndarray:
         return np.where(near, 1.0, d)
 
     if h.family == "coulomb_atom":
-        v = np.zeros(x.shape[0])
-        v -= h.Z * _row_sums(1.0 / safe(_norms(pos)))
-        if h.ee and n > 1:
-            # the pairs (i, j), i < j, in the order of combinations(range(n), 2)
-            d = np.concatenate([pos[:, i:i + 1] - pos[:, i + 1:] for i in range(n - 1)],
-                               axis=1)
-            inv = 1.0 / safe(_norms(d))
-            for k in range(inv.shape[1]):
-                v += inv[:, k]
+        v = -h.Z * _row_sums(1.0 / safe(_norms(pos)))
     else:
         if n != 2:
             raise ValueError("harmonic_pair is a two-particle hamiltonian")

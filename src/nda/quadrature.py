@@ -245,7 +245,7 @@ def _1S_1s2_2p2(Z: float, target: str) -> float:
 
 
 def _harmonic(omega: float, g0: float, correlated: bool, target: str,
-              beta: float = 0.25) -> float:
+              beta: float) -> float:
     Lu = sqrt(120.0 / omega)
 
     def jfac(u):
@@ -288,27 +288,21 @@ def _harmonic(omega: float, g0: float, correlated: bool, target: str,
     return num / absint
 
 
+_COULOMB_REDUCTIONS = {"2P_2p": _2P_2p, "3S_1s2s": _3S_1s2s, "3P_1s2p": _3P_1s2p,
+                       "1S_1s2_2s2": _1S_1s2_2s2, "1S_1s2_2p2": _1S_1s2_2p2}
+_TRIO_COUPLINGS = {"3P_2p2": "cross", "1S_2p2": "dot", "1D_2p2": "plus"}
+
+
 def quadrature_oracle(state: StateSpec, target: str) -> float:
     """Deterministic value of pot_nda, kin_nda, or abs_norm for reducible states."""
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
-    name = state.name
-    if "Z" in state.parameters:
-        Z = float(state.parameters["Z"])
-        if name == "2P_2p":
-            return _2P_2p(Z, target)
-        if name == "3S_1s2s":
-            return _3S_1s2s(Z, target)
-        if name == "3P_1s2p":
-            return _3P_1s2p(Z, target)
-        if name == "1S_1s2_2s2":
-            return _1S_1s2_2s2(Z, target)
-        if name == "1S_1s2_2p2":
-            return _1S_1s2_2p2(Z, target)
-        if name in ("3P_2p2", "1S_2p2", "1D_2p2"):
-            coupling = {"3P_2p2": "cross", "1S_2p2": "dot", "1D_2p2": "plus"}[name]
-            return _trio_2p2(Z, coupling, target)
+    name, h = state.name, state.hamiltonian()
+    if h.family == "harmonic_pair":
+        return _harmonic(h.omega, h.g0, state.model.correlated, target,
+                         state.model.beta)
+    if name in _TRIO_COUPLINGS:
+        return _trio_2p2(h.Z, _TRIO_COUPLINGS[name], target)
+    if name not in _COULOMB_REDUCTIONS:
         raise NotReducibleError(f"no quadrature reduction for state {name!r}")
-    omega = float(state.parameters["omega"])
-    g0 = float(state.parameters.get("g0", 0.0))
-    return _harmonic(omega, g0, state.model.correlated, target, state.model.beta)
+    return _COULOMB_REDUCTIONS[name](h.Z, target)

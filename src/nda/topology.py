@@ -47,6 +47,8 @@ _K_NEIGHBORS = 12
 # 1, 2, 4, 8 and 16 read the same counts on 2P_2p, 1S_1s2_2s2, 3P_2p2,
 # 1S_1s2_2p2 and subshell_k1_l2 at 5 000 points (seed 1).
 _SEGMENT_CHECKS = 16
+# Chains of the Psi^2 walk that draws the points (_sample_points).
+_WALK_CHAINS = 128
 
 
 # --------------------------------------------------------------------------
@@ -142,12 +144,13 @@ class DomainReport:
 
 
 def _sample_points(state: StateSpec, n_points: int, seed: int,
-                   thin: int = 10, n_chains: int = 128) -> np.ndarray:
-    """n_points decorrelated Psi^2-distributed configurations."""
-    per_chain = (n_points + n_chains - 1) // n_chains
+                   thin: int = 10) -> np.ndarray:
+    """n_points decorrelated Psi^2-distributed configurations, from
+    _WALK_CHAINS chains."""
+    per_chain = (n_points + _WALK_CHAINS - 1) // _WALK_CHAINS
     steps = per_chain * thin
     burn = max(steps // 10, 50)
-    cfg = SamplerConfig(n_chains=n_chains, steps_per_chain=steps + burn,
+    cfg = SamplerConfig(n_chains=_WALK_CHAINS, steps_per_chain=steps + burn,
                         burn_in=burn, seed=seed)
     pts = metropolis_samples(state, cfg, thin=thin)
     return pts[:n_points]

@@ -164,12 +164,13 @@ def _harmonic(recipe, p, grad: bool = False):
     return P, dP
 
 
-_ORBITAL_KINDS = (
-    "hydrogenic_1s",
-    "hydrogenic_2s",
-    "hydrogenic_2p",
-    "hydrogenic_general",
-)
+# kind -> principal number n; the circular orbital's is its field n
+_ORBITAL_KINDS = {
+    "hydrogenic_1s": 1,
+    "hydrogenic_2s": 2,
+    "hydrogenic_2p": 2,
+    "hydrogenic_general": None,
+}
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,16 @@ class Orbital:
         """The plane forms n_k . x at the points xyz (m, 3), one per plane."""
         return _forms(_recipe(self.planes)[0], xyz)
 
-    # radial factor and, with derivs, its first two derivatives over r
+    @property
+    def principal(self) -> int:
+        """The principal number n: 1 for 1s, 2 for 2s and 2p, n for the
+        circular orbital."""
+        return _ORBITAL_KINDS[self.kind] or self.n
+
+    # radial factor and, with derivs, its first two derivatives over r:
+    # exp(-a r), a = Z / n, for every kind but 2s, the one with a radial node
     def _radial(self, r, derivs: bool = True):
         s = self.scale
-        if self.kind == "hydrogenic_1s":
-            f = np.exp(-s * r)
-            return (f, -s * f, s * s * f) if derivs else (f,)
         if self.kind == "hydrogenic_2s":
             e = np.exp(-0.5 * s * r)
             f = (1.0 - 0.5 * s * r) * e
@@ -228,10 +233,7 @@ class Orbital:
             fp = -s * (1.0 - 0.25 * s * r) * e
             fpp = s * s * (0.75 - 0.125 * s * r) * e
             return f, fp, fpp
-        if self.kind == "hydrogenic_2p":
-            f = np.exp(-0.5 * s * r)
-            return (f, -0.5 * s * f, 0.25 * s * s * f) if derivs else (f,)
-        a = s / self.n  # hydrogenic_general
+        a = s / self.principal
         f = np.exp(-a * r)
         return (f, -a * f, a * a * f) if derivs else (f,)
 
@@ -241,8 +243,7 @@ class Orbital:
 
     def radial_scale(self) -> float:
         """n / Z: the orbital's decay length, exp(-Z r / n) = exp(-r / scale)."""
-        n = self.n if self.kind == "hydrogenic_general" else int(self.kind[-2])
-        return n / self.scale
+        return self.principal / self.scale
 
 
 # --------------------------------------------------------------------------
@@ -596,19 +597,20 @@ class SlaterProduct(WaveFunction):
 class HarmonicPair(WaveFunction):
     """Harmonically confined pair: Gaussian * (z1 - z2), optionally * (1 + beta r12).
 
-    With beta = 1/4 and omega = 1/4 the correlated form is the interacting
-    pair's exact eigenstate with energy 5/4.
+    beta is fixed at 1/4: at omega = 1/4 the correlated form is then the
+    exact eigenstate of the pair coupled by g0 / r12, g0 = 1, with energy
+    5/4, and at no other beta is it an eigenstate of that pair.
     """
 
     family = "harmonic"
     n_particles = 2
+    beta = 0.25
 
-    def __init__(self, omega: float = 0.25, correlated: bool = False, beta: float = 0.25):
+    def __init__(self, omega: float = 0.25, correlated: bool = False):
         if omega <= 0:
             raise ValueError("omega must be positive")
         self.omega = float(omega)
         self.correlated = bool(correlated)
-        self.beta = float(beta)
 
     def evaluate(self, x: np.ndarray, grad: bool = False, lap: bool = False,
                  radial: bool = False):

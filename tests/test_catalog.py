@@ -62,7 +62,7 @@ def test_node_geometry_treats_rows_independently(name):
     draws = ((1, 300), (2, 77))
     params = np.concatenate([p.draw_params(np.random.default_rng(seed), m)
                              for seed, m in draws])
-    assert params.shape == (377, p.n_params)
+    assert params.shape == (377, sum(f.width for f in p.proposal))
     coords, dS, _ = p.measure_map(params)
     w = dS / p.proposal_pdf(params)
     assert coords.shape == (377, 3 * s.model.n_particles)

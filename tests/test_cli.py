@@ -144,6 +144,9 @@ def test_retired_flags_exit_2(tmp_path, capsys):
      "1000000000000000"],
     ["compute", "--state", "2P_2p", "--components", "kin_std", "--chains",
      "1000000000000", "--steps", "2"],
+    # one std draw has no stderr
+    ["compute", "--state", "harmonic_noninteracting", "--components",
+     "kin_std,pot_std", "--chains", "1", "--steps", "2", "--format", "json"],
 ], ids=["equiv-no-model", "equiv-points0", "equiv-points-neg", "domains-k0",
         "domains-k-too-large", "domains-k-neg",
         "domains-checks0", "domains-checks-neg", "compute-bogus-component",
@@ -154,7 +157,8 @@ def test_retired_flags_exit_2(tmp_path, capsys):
         "compute-no-components", "compute-Z-overflow", "domains-Z-overflow",
         "compute-omega-overflow", "compute-kin-Z-tiny", "compute-std-Z-huge",
         "domains-Z-tiny", "compute-burn-in", "verify-burn-in",
-        "domains-points-huge", "equiv-points-huge", "compute-chains-huge"])
+        "domains-points-huge", "equiv-points-huge", "compute-chains-huge",
+        "compute-std-one-draw"])
 def test_bad_input_exits_2_before_sampling(argv, capsys, monkeypatch):
     import nda.cli as cli
     import nda.estimators as estimators

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -456,13 +457,35 @@ def test_std_draws_one_row_per_four_kept_steps(steps, burn_in):
         assert est.method == "reference_ratio"
 
 
-def test_std_runs_at_one_chain_and_two_steps():
-    """The smallest config, 1 x 2, draws one row and gives finite
-    estimates and stderrs."""
+def test_std_refuses_one_draw_before_drawing(monkeypatch):
+    """1 x 4 draws one std row, whose one block mean has no scatter to
+    give a stderr: the call raises ValueError naming the draw count before
+    any draw.  1 x 5 draws two rows and runs."""
+    st = get_state("2P_2p")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_iid_stream", no_sampling)
+        with pytest.raises(ValueError, match="1 draw"):
+            estimate_standard_expectations(
+                st, SamplerConfig(n_chains=1, steps_per_chain=4))
     for est in estimate_standard_expectations(
-            get_state("3S_1s2s"), SamplerConfig(n_chains=1, steps_per_chain=2)).values():
-        assert est.n_samples == 1
+            st, SamplerConfig(n_chains=1, steps_per_chain=5)).values():
+        assert est.n_samples == 2
         assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+
+
+def test_degenerate_chain_fits_emit_no_warning():
+    """At 2 x 2 each 3S_1s2s chain has one std row, so no leave-one-out
+    fit has spread; those chains get beta = 0 without a 0 / 0 warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = estimate_standard_expectations(
+            get_state("3S_1s2s"), SamplerConfig(n_chains=2, steps_per_chain=2))
+    for est in out.values():
+        assert est.n_samples == 2 and np.isfinite(est.stderr)
 
 
 def test_std_has_no_start_up_bias():

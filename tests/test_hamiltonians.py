@@ -1,6 +1,5 @@
 import unittest
 import warnings
-from itertools import combinations
 
 import numpy as np
 
@@ -12,17 +11,10 @@ from nda.hamiltonians import (HamiltonianSpec, NodeProximityError,
 
 class TestPotential(unittest.TestCase):
     def test_coulomb_single_electron(self):
-        h = coulomb_atom(Z=2, ee=False)
+        h = coulomb_atom(Z=2)
         # one electron at distance 2 -> V = -Z/r = -1
         self.assertAlmostEqual(potential_batch(h, np.array([[0.0, 0.0, 2.0]]))[0],
                                -1.0, places=14)
-
-    def test_coulomb_repulsion_term(self):
-        h_on = coulomb_atom(Z=1, ee=True)
-        h_off = coulomb_atom(Z=1, ee=False)
-        x = np.array([[1.0, 0, 0, -1.0, 0, 0]])  # r1 = r2 = 1, r12 = 2
-        self.assertAlmostEqual(potential_batch(h_on, x)[0], -2.0 + 0.5, places=14)
-        self.assertAlmostEqual(potential_batch(h_off, x)[0], -2.0, places=14)
 
     def test_harmonic_values(self):
         h = harmonic_pair(omega=0.25, g0=1.0)
@@ -31,30 +23,27 @@ class TestPotential(unittest.TestCase):
         self.assertAlmostEqual(potential_batch(h, x)[0], expect, places=14)
 
     def test_singularities_raise(self):
-        # local_energy off the node: an electron at the nucleus (3S_1s2s),
-        # and two coincident electrons where Psi does not vanish (1S_2p2)
-        h = coulomb_atom(Z=1, ee=True)
-        x = np.array([0.3, -0.4, 1.2, 0.7, 0.5, -0.9])
-        for name, R in (("3S_1s2s", np.r_[0.0, 0.0, 0.0, x[3:]]),
-                        ("1S_2p2", np.r_[x[:3], x[:3]])):
-            with self.assertRaises(SingularPointError):
-                local_energy(h, get_state(name).model, R)
+        # local_energy off the node with an electron at the nucleus (3S_1s2s)
+        x = np.array([0.0, 0.0, 0.0, 0.7, 0.5, -0.9])
+        with self.assertRaises(SingularPointError):
+            local_energy(coulomb_atom(Z=1), get_state("3S_1s2s").model, x)
 
     def test_singular_rows_are_inf_in_a_batch(self):
+        # row 1 puts an electron at the nucleus, singular in an atom; row 4
+        # makes the particles coincide, singular in a pair with g0 != 0
         rng = np.random.default_rng(5)
-        for h in (coulomb_atom(Z=1, ee=True), harmonic_pair(omega=0.25, g0=1.0)):
+        for h, singular in ((coulomb_atom(Z=1), 1),
+                            (harmonic_pair(omega=0.25, g0=1.0), 4)):
             x = rng.normal(size=(6, 6))
-            x[1, 3:6] = 0.0               # electron at the nucleus
-            x[4, 3:6] = x[4, 0:3]         # coincident particles
+            x[1, 3:6] = 0.0
+            x[4, 3:6] = x[4, 0:3]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 V = potential_batch(h, x)
-            regular = [0, 2, 3, 5]
+            regular = [i for i in range(6) if i != singular]
             self.assertEqual(V[regular].tobytes(),
                              potential_batch(h, x[regular]).tobytes())
-            self.assertTrue(np.isinf(V[4]))
-            if h.family == "coulomb_atom":
-                self.assertTrue(np.isinf(V[1]))
+            self.assertTrue(np.isinf(V[singular]))
 
     def test_bad_family_rejected(self):
         with self.assertRaises(ValueError):
@@ -71,7 +60,8 @@ class TestPotential(unittest.TestCase):
 
 
 def _reference_potential_batch(h, x):
-    """potential_batch with np.linalg.norm per electron and per pair."""
+    """potential_batch with np.linalg.norm per electron and, in a harmonic
+    pair, between the two particles."""
     n = x.shape[1] // 3
     pos = x.reshape(x.shape[0], n, 3)
     bad = np.zeros(x.shape[0], dtype=bool)
@@ -84,9 +74,6 @@ def _reference_potential_batch(h, x):
     if h.family == "coulomb_atom":
         v = np.zeros(x.shape[0])
         v -= h.Z * np.sum(1.0 / safe(np.linalg.norm(pos, axis=2)), axis=1)
-        if h.ee:
-            for i, j in combinations(range(n), 2):
-                v += 1.0 / safe(np.linalg.norm(pos[:, i] - pos[:, j], axis=1))
     else:
         v = 0.5 * h.omega ** 2 * np.sum(x * x, axis=1)
         if h.g0 != 0.0:
@@ -98,8 +85,7 @@ def _reference_potential_batch(h, x):
 class TestPotentialBatchBitwise(unittest.TestCase):
     def test_matches_per_pair_loop(self):
         rng = np.random.default_rng(11)
-        cases = [(coulomb_atom(Z=z, ee=ee), n) for z in (1.0, 2.5)
-                 for ee in (False, True) for n in (1, 2, 3, 4)]
+        cases = [(coulomb_atom(Z=z), n) for z in (1.0, 2.5) for n in (1, 2, 3, 4)]
         cases += [(harmonic_pair(omega=0.25, g0=g0), 2) for g0 in (0.0, 1.0)]
         for h, n in cases:
             for m in (1, 37, 2048):

@@ -33,6 +33,6 @@ def test_seeded_digest_repeats_itself():
                      "radial",
                      "density.sample", "density.pdf", "density.pdf.points",
                      "node.draw_params", "node.sample",
-                     "potential_batch.h", "potential_batch.h_ee", "pot", "std",
+                     "potential_batch.h", "pot", "std",
                      "abs", "surface", "shell", "metropolis_samples",
                      "count_nodal_domains", "test_node_equivalence.3P_2p2.flip"}

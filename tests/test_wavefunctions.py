@@ -126,7 +126,7 @@ def test_origin_is_finite():
 
 
 def test_harmonic_pair_jastrow_factor():
-    corr = wf.HarmonicPair(omega=0.25, correlated=True, beta=0.25)
+    corr = wf.HarmonicPair(omega=0.25, correlated=True)
     plain = wf.HarmonicPair(omega=0.25, correlated=False)
     rng = np.random.default_rng(11)
     x = rng.normal(scale=1.0, size=(200, 6))

@@ -18,8 +18,8 @@ For each of the 13 model states (the catalog states with a model, and
 * where the node is parametrized, the node parameters ``draw_params`` and
   the importance points ``sample`` (coordinates and weights) at n = 1, 37
   and 2048;
-* ``potential_batch`` of the state's Hamiltonian (and, for atoms, of the
-  interacting atom) on those points, with coincident-particle rows;
+* ``potential_batch`` of the state's Hamiltonian on those points, with
+  coincident-particle rows;
 * at 8 x 3000, 1024 x 60 and 3 x 5000 (chains x steps): pot, std, abs,
   surface, shell and ``metropolis_samples``;
 * ``metropolis_samples`` at the topology module's own settings, 128
@@ -44,7 +44,7 @@ import numpy as np
 from nda import estimators as est
 from nda import topology
 from nda.catalog import catalog_list, get_state
-from nda.hamiltonians import coulomb_atom, potential_batch
+from nda.hamiltonians import potential_batch
 
 CONFIGS = ((8, 3000), (1024, 60), (3, 5000))
 # topology's walks: (chains, steps, burn_in, thin)
@@ -99,9 +99,7 @@ def digest(states: Optional[Sequence] = None,
     states = [s for s in states if s.model is not None]
     for st in states:
         model, g, n = st.model, st.reference_density, st.model.n_particles
-        hams = [("h", st.hamiltonian())]
-        if "Z" in st.parameters:
-            hams.append(("h_ee", coulomb_atom(float(st.parameters["Z"]), ee=True)))
+        h = st.hamiltonian()
         for m in rows:
             x = _points(n, m, seed=m)
             vgl = model.evaluate(x, grad=True, lap=True)
@@ -124,8 +122,7 @@ def digest(states: Optional[Sequence] = None,
                 coords, w = node.sample(np.random.default_rng(m), m)
                 yield (f"{st.name}/node.sample/n={m} "
                        f"{_sha(np.column_stack([coords, w]))}")
-            for label, h in hams:
-                yield f"{st.name}/potential_batch.{label}/m={m} {_sha(potential_batch(h, x))}"
+            yield f"{st.name}/potential_batch.h/m={m} {_sha(potential_batch(h, x))}"
         for chains, steps in configs:
             cfg = est.SamplerConfig(n_chains=chains, steps_per_chain=steps)
             tag = f"{chains}x{steps}"
